@@ -6,20 +6,34 @@ rho into ``rho[1] = rho + (mu - nu)[P, A]``, which equals the similarity form
 forms are computed independently on every call; their distance (``form_gap``)
 is the strongest integrity check of the whole pipeline and a disagreement is
 an error, never a warning.
+
+Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
+plan of one scenario: it takes phi and chi from the Lax generators and the
+seed state from its evolution, each factored once, and builds projectors and
+dressed states for a whole stack.  Every gate (overlap floor, idempotency,
+projector trace, ``t_equality`` against one stacked ``expm``, ``form_gap``,
+bridge identity, unitarity) is a reduction over the stack, and the first
+failing point in stack order raises what a point-by-point loop would.
+``projector``, ``similarity_T``, ``dress``, ``projector_at`` and
+``dressed_state_at`` are the one-point case.  ``dressed_trajectory`` cuts the
+sample grid into blocks (``time_blocks``); the checks in ``verification``
+evaluate their stencils through the same flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistentLax, SingularDarboux
 from .lax_engine import DarbouxParams, LaxSolution, lax_from_params
-from .operator_core import (as_operator, as_state, commutator, dagger, frob,
-                            mat_exp, trace_moments)
+from .operator_core import (as_operator, as_state, commutator, dagger,
+                            frob_stack, mat_exp, time_blocks, trace_moments)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
+from .vne_model import Flow
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +49,11 @@ class DressedState:
 
 @dataclass(frozen=True, eq=False)
 class SampleDiagnostics:
+    """Per-sample record of a dressed trajectory.
+
+    ``rho1`` is the dressed state itself, before any symmetry flow.
+    """
+
     moments: np.ndarray
     hermiticity_gap: float
     min_eig: float | None
@@ -44,15 +63,19 @@ class SampleDiagnostics:
     trace: complex
     p_dot_norm: float
     P: np.ndarray
+    rho1: np.ndarray
 
 
 @dataclass(eq=False)
 class Trajectory:
     """Sampled rho[1](t) with per-sample diagnostics and an exact re-evaluator.
 
-    ``rho_at`` recomputes the state at arbitrary t (used by the residual and
-    covariance checks); ``singular_t`` is set when the dressing blew up and
-    the sampling was truncated.
+    ``rho_at`` recomputes the state at arbitrary t (used by the residual
+    check; a ``Flow`` evaluates stacks of times); ``lax_ref`` is the Lax
+    solution the samples were dressed with (used by the covariance check);
+    ``singular_t`` is set when the dressing blew up and the sampling was
+    truncated; ``resym_drift`` is the largest re-symmetrization correction of
+    an ``rk4_integrate`` run.
     """
 
     times: np.ndarray
@@ -62,6 +85,8 @@ class Trajectory:
     diagnostics: list | None = None
     rho_at: object = None
     singular_t: float | None = None
+    lax_ref: LaxSolution | None = None
+    resym_drift: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -71,6 +96,97 @@ class Trajectory:
             raise ValueError("diagnostics length must match states")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
+
+
+# A gate failure is ``(index, exception)``: the first failing point of a
+# stack and what a point-by-point loop would have raised there.
+
+def _first(mask: np.ndarray, error) -> tuple[int, Exception] | None:
+    if not mask.any():
+        return None
+    index = int(np.argmax(mask))
+    return index, error(index)
+
+
+def _earliest(*failures):
+    """The failure at the earliest point; on a tie the earlier argument wins."""
+    found = None
+    for failure in failures:
+        if failure is not None and (found is None or failure[0] < found[0]):
+            found = failure
+    return found
+
+
+def _raise(failure):
+    if failure is not None:
+        raise failure[1]
+
+
+def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
+    # rows of phi and chi -> P per row, with the first failing gate
+    with np.errstate(all="ignore"):
+        overlap = np.sum(chi * phi, axis=-1)
+        floor = (tolerances.overlap_floor * np.linalg.norm(phi, axis=-1)
+                 * np.linalg.norm(chi, axis=-1))
+        P = phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
+        idempotency = frob_stack(P @ P - P)
+        limit = tolerances.idempotency * np.maximum(1.0, frob_stack(P))
+        trace_gap = np.abs(np.trace(P, axis1=-2, axis2=-1) - 1.0)
+    failure = _earliest(
+        _first(np.abs(overlap) < floor, lambda i: SingularDarboux(
+            f"<chi|phi> = {overlap[i]:.3e} is below the relative floor {floor[i]:.3e}")),
+        _first(idempotency > limit, lambda i: SingularDarboux(
+            "projector lost idempotency to round-off; the pair is too close "
+            "to orthogonal for a reliable dressing")),
+        _first(trace_gap > tolerances.projector_trace, lambda i: SingularDarboux(
+            "projector trace moved away from 1")))
+    return P, failure
+
+
+def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,
+                      tolerances: Tolerances):
+    eye = np.eye(P.shape[-1], dtype=complex)
+    T = eye + ((mu - nu) / nu) * P
+    gap = frob_stack(T - mat_exp(np.log(mu / nu) * P))
+    failure = _first(
+        gap > tolerances.t_equality * np.maximum(1.0, frob_stack(T)),
+        lambda i: InconsistentLax(
+            "rational and exponential forms of T disagree; P is not idempotent"))
+    return T, failure
+
+
+def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, mu: complex,
+                 nu: complex, tolerances: Tolerances):
+    # (rho1, T, form_gap, failure) for stacks rho and P
+    comm_PA = P @ A - A @ P
+    rho1 = rho + (mu - nu) * comm_PA
+    T, failure = _similarity_stack(P, mu, nu, tolerances)
+    eye = np.eye(rho.shape[-1], dtype=complex)
+    T_inv = eye + ((nu - mu) / mu) * P
+    form_gap = frob_stack(rho1 - T @ rho @ T_inv)
+    bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
+              - (rho @ P) / mu + (P @ rho) / nu)
+    bridge_gap = frob_stack(comm_PA - bridge)
+    bridge_limit = tolerances.bridge_identity * np.maximum(
+        1.0, frob_stack(rho) * frob_stack(P))
+    gates = [
+        failure,
+        _first(form_gap > tolerances.form_gap, lambda i: InconsistentLax(
+            f"form_gap = {form_gap[i]:.3e}: commutator and similarity forms of "
+            "rho[1] disagree, so P was not built from genuine eigenvectors")),
+        _first(bridge_gap > bridge_limit, lambda i: InconsistentLax(
+            f"[P, A] bridging identity violated by {bridge_gap[i]:.3e}")),
+    ]
+    if abs(nu - np.conj(mu)) <= 1e-12 * max(1.0, abs(mu)):
+        unitarity = frob_stack(dagger(T) @ T - eye)
+        gates.append(_first(unitarity > tolerances.t_unitarity, lambda i: InconsistentLax(
+            f"T fails unitarity by {unitarity[i]:.3e} although nu = conj(mu)")))
+    return rho1, T, form_gap, _earliest(*gates)
+
+
+def _transform_rows(psi: np.ndarray, P: np.ndarray, mu: complex, nu: complex,
+                    lam: complex) -> np.ndarray:
+    return psi - ((nu - mu) / (lam - mu)) * (psi[:, None, :] @ P)[:, 0, :]
 
 
 def projector(phi, chi, tolerances: Tolerances = DEFAULT) -> np.ndarray:
@@ -84,19 +200,9 @@ def projector(phi, chi, tolerances: Tolerances = DEFAULT) -> np.ndarray:
     chi = as_state(chi)
     if phi.shape != chi.shape:
         raise ValueError("phi and chi dimensions disagree")
-    overlap = chi @ phi
-    floor = tolerances.overlap_floor * np.linalg.norm(phi) * np.linalg.norm(chi)
-    if abs(overlap) < floor:
-        raise SingularDarboux(
-            f"<chi|phi> = {overlap:.3e} is below the relative floor {floor:.3e}")
-    P = np.outer(phi, chi) / overlap
-    if frob(P @ P - P) > tolerances.idempotency * max(1.0, frob(P)):
-        raise SingularDarboux(
-            "projector lost idempotency to round-off; the pair is too close "
-            "to orthogonal for a reliable dressing")
-    if abs(np.trace(P) - 1.0) > tolerances.projector_trace:
-        raise SingularDarboux("projector trace moved away from 1")
-    return P
+    P, failure = _projector_stack(phi[None], chi[None], tolerances)
+    _raise(failure)
+    return P[0]
 
 
 def similarity_T(P, mu: complex, nu: complex,
@@ -111,13 +217,9 @@ def similarity_T(P, mu: complex, nu: complex,
     nu = complex(nu)
     if mu == 0 or nu == 0:
         raise ValueError("mu and nu must be nonzero")
-    eye = np.eye(P.shape[0], dtype=complex)
-    T = eye + ((mu - nu) / nu) * P
-    T_exp = mat_exp(np.log(mu / nu) * P)
-    if frob(T - T_exp) > tolerances.t_equality * max(1.0, frob(T)):
-        raise InconsistentLax(
-            "rational and exponential forms of T disagree; P is not idempotent")
-    return T
+    T, failure = _similarity_stack(P[None], mu, nu, tolerances)
+    _raise(failure)
+    return T[0]
 
 
 def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
@@ -135,63 +237,103 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
     rho = as_operator(rho)
     A = as_operator(A)
     P = as_operator(P)
+    if not rho.shape == A.shape == P.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape}, {A.shape}, {P.shape}")
     mu = complex(mu)
     nu = complex(nu)
     if mu == 0 or nu == 0:
         raise ValueError("mu and nu must be nonzero")
-
-    comm_PA = commutator(P, A)
-    rho1 = rho + (mu - nu) * comm_PA
-
-    T = similarity_T(P, mu, nu, tolerances=tolerances)
-    eye = np.eye(rho.shape[0], dtype=complex)
-    T_inv = eye + ((nu - mu) / mu) * P
-    rho1_sim = T @ rho @ T_inv
-    form_gap = frob(rho1 - rho1_sim)
-    if form_gap > tolerances.form_gap:
-        raise InconsistentLax(
-            f"form_gap = {form_gap:.3e}: commutator and similarity forms of "
-            "rho[1] disagree, so P was not built from genuine eigenvectors")
-
-    bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
-              - (rho @ P) / mu + (P @ rho) / nu)
-    bridge_gap = frob(comm_PA - bridge)
-    if bridge_gap > tolerances.bridge_identity * max(1.0, frob(rho) * frob(P)):
-        raise InconsistentLax(
-            f"[P, A] bridging identity violated by {bridge_gap:.3e}")
-
-    if abs(nu - np.conj(mu)) <= 1e-12 * max(1.0, abs(mu)):
-        unitarity = frob(dagger(T) @ T - eye)
-        if unitarity > tolerances.t_unitarity:
-            raise InconsistentLax(
-                f"T fails unitarity by {unitarity:.3e} although nu = conj(mu)")
-
-    return DressedState(rho1=rho1, P=P, T=T, t=float(t), form_gap=form_gap)
+    rho1, T, form_gap, failure = _dress_stack(rho[None], A, P[None], mu, nu,
+                                              tolerances)
+    _raise(failure)
+    return DressedState(rho1=rho1[0], P=P, T=T[0], t=float(t),
+                        form_gap=float(form_gap[0]))
 
 
-def _normalized_pair(lax: LaxSolution, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    # P is homogeneous of degree zero in phi and chi, so renormalizing before
-    # forming it is exact and prevents overflow at large |t|.
-    phi = lax.phi_at(t)
-    phi_norm = float(np.linalg.norm(phi))
-    if phi_norm == 0:
-        raise SingularDarboux("phi(t) vanished", t=t)
-    phi_hat = phi / phi_norm
-    if lax.params.hermitian_mode:
-        chi_hat = np.conj(phi_hat)
-    else:
-        chi = lax.chi_at(t)
-        chi_norm = float(np.linalg.norm(chi))
-        if chi_norm == 0:
-            raise SingularDarboux("chi(t) vanished", t=t)
-        chi_hat = chi / chi_norm
-    return phi_hat, chi_hat, phi_norm
+class DressedStack(NamedTuple):
+    """Dressed states of a stack of times, cut at the first failing point."""
+
+    rho1: np.ndarray
+    P: np.ndarray
+    T: np.ndarray
+    form_gap: np.ndarray
+    phi_norm: np.ndarray
+    failure: tuple | None
+
+
+class DressedFlow(Flow):
+    """rho[1](t) of one seed and Lax solution, evaluated on stacks of times.
+
+    Projectors use the scaled rows of ``LaxSolution``, normalized per point,
+    so they stay finite at any |t|; ``phi_norm`` is ``e^{shift} |row|``.
+    """
+
+    def __init__(self, seed: SeedSolution, lax: LaxSolution,
+                 tolerances: Tolerances = DEFAULT):
+        self.seed = seed
+        self.lax = lax
+        self.tolerances = tolerances
+
+    def projectors(self, times):
+        """``(P, phi_norm, failure)`` for each time, with every projector gate."""
+        times = np.asarray(times, dtype=float)
+        phi, shift = self.lax.phi_rows(times)
+        phi_len = np.linalg.norm(phi, axis=-1)
+        gates = [_first(phi_len == 0, lambda i: SingularDarboux(
+            "phi(t) vanished", t=float(times[i])))]
+        with np.errstate(all="ignore"):
+            phi_norm = np.exp(shift) * phi_len
+            phi_hat = phi / phi_len[:, None]
+            if self.lax.params.hermitian_mode:
+                chi_hat = np.conj(phi_hat)
+            else:
+                chi, _ = self.lax.chi_rows(times)
+                chi_len = np.linalg.norm(chi, axis=-1)
+                gates.append(_first(chi_len == 0, lambda i: SingularDarboux(
+                    "chi(t) vanished", t=float(times[i]))))
+                chi_hat = chi / chi_len[:, None]
+        P, failure = _projector_stack(phi_hat, chi_hat, self.tolerances)
+        return P, phi_norm, _earliest(*gates, failure)
+
+    def evaluate(self, times) -> DressedStack:
+        """Projectors and dressed states with every gate; the stack stops at
+        the first failing point."""
+        times = np.asarray(times, dtype=float)
+        P, phi_norm, failure = self.projectors(times)
+        done = len(times) if failure is None else failure[0]
+        params = self.lax.params
+        rho1, T, form_gap, dress_failure = _dress_stack(
+            self.seed.rho_stack(times[:done]), self.seed.spec.A, P[:done],
+            params.mu, params.nu, self.tolerances)
+        return DressedStack(rho1, P[:done], T, form_gap, phi_norm[:done],
+                            dress_failure or failure)
+
+    def stack(self, times) -> np.ndarray:
+        dressed = self.evaluate(times)
+        _raise(dressed.failure)
+        return dressed.rho1
+
+    def psi1_rows(self, times, shift: np.ndarray | None = None,
+                  P: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled rows of the transformed left lambda-solution (see
+        ``transform_psi``) and their shifts.
+
+        ``P`` reuses known projectors at the times; otherwise they are built
+        with every gate.  ``shift`` gives points one common scale.
+        """
+        if P is None:
+            P, _, failure = self.projectors(times)
+            _raise(failure)
+        rows, shift = self.lax.psi_rows(times, shift)
+        params = self.lax.params
+        return _transform_rows(rows, P, params.mu, params.nu, params.lam), shift
 
 
 def projector_at(lax: LaxSolution, t: float,
                  tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    phi_hat, chi_hat, _ = _normalized_pair(lax, t)
-    return projector(phi_hat, chi_hat, tolerances=tolerances)
+    P, _, failure = DressedFlow(lax.seed, lax, tolerances).projectors([t])
+    _raise(failure)
+    return P[0]
 
 
 def f_value(seed: SeedSolution, mu: complex, phi0, t: float) -> complex:
@@ -204,9 +346,10 @@ def f_value(seed: SeedSolution, mu: complex, phi0, t: float) -> complex:
 
 def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
                      tolerances: Tolerances = DEFAULT) -> DressedState:
-    P = projector_at(lax, t, tolerances=tolerances)
-    return dress(seed.rho_at(t), seed.spec.A, P,
-                 lax.params.mu, lax.params.nu, t=t, tolerances=tolerances)
+    dressed = DressedFlow(seed, lax, tolerances).evaluate([t])
+    _raise(dressed.failure)
+    return DressedState(rho1=dressed.rho1[0], P=dressed.P[0], T=dressed.T[0],
+                        t=float(t), form_gap=float(dressed.form_gap[0]))
 
 
 def dressed_trajectory(seed: SeedSolution, params: DarbouxParams, times,
@@ -214,58 +357,61 @@ def dressed_trajectory(seed: SeedSolution, params: DarbouxParams, times,
                        lax: LaxSolution | None = None) -> Trajectory:
     """Sample rho[1](t) over a time grid with full per-sample diagnostics.
 
-    A ``SingularDarboux`` at some sample truncates the trajectory and records
-    the singular time instead of aborting.
+    The grid is evaluated in blocks (``time_blocks``) that depend on the grid
+    alone.  Each block dresses its samples and, in separate stacks, builds
+    the projectors at ``t +- dp`` for ``p_dot_norm``.  A ``SingularDarboux``
+    at some sample truncates the trajectory and records the singular time
+    instead of aborting.
     """
     times = np.asarray(times, dtype=float)
     if lax is None:
         lax = lax_from_params(seed, params, tolerances=tolerances)
     params = lax.params
-    dim = seed.dim
+    flow = DressedFlow(seed, lax, tolerances)
     herm = params.hermitian_mode
-    delta_family = seed.family is SeedFamily.DELTA_COMMUTING
-
-    def rho1_at(t: float) -> np.ndarray:
-        return dressed_state_at(seed, lax, t, tolerances=tolerances).rho1
+    with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
 
     states, diagnostics = [], []
-    done_times = []
     singular_t = None
     dp = 1e-4
-    for t in times:
-        try:
-            phi_hat, chi_hat, phi_norm = _normalized_pair(lax, t)
-            P = projector(phi_hat, chi_hat, tolerances=tolerances)
-            ds = dress(seed.rho_at(t), seed.spec.A, P, params.mu, params.nu,
-                       t=t, tolerances=tolerances)
-            p_plus = projector_at(lax, t + dp, tolerances=tolerances)
-            p_minus = projector_at(lax, t - dp, tolerances=tolerances)
-        except SingularDarboux as exc:
-            singular_t = float(t) if exc.t is None else float(exc.t)
+    for block in time_blocks(len(times), seed.dim, points_per_item=3):
+        t = times[block]
+        dressed = flow.evaluate(t)
+        p_plus, _, plus_failure = flow.projectors(t + dp)
+        p_minus, _, minus_failure = flow.projectors(t - dp)
+        failure = _earliest(dressed.failure, plus_failure, minus_failure)
+        done = len(t) if failure is None else failure[0]
+        rho1 = dressed.rho1[:done]
+        herm_gap = frob_stack(rho1 - dagger(rho1))
+        min_eig = np.linalg.eigvalsh((rho1 + dagger(rho1)) / 2)[:, 0] if herm else None
+        moments = trace_moments(rho1, seed.dim)
+        traces = np.trace(rho1, axis1=-2, axis2=-1)
+        p_dot = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
+        for i in range(done):
+            diagnostics.append(SampleDiagnostics(
+                moments=moments[i],
+                hermiticity_gap=float(herm_gap[i]),
+                min_eig=float(min_eig[i]) if herm else None,
+                phi_norm=float(dressed.phi_norm[i]),
+                F_value=f_value(seed, params.mu, lax.phi0, t[i]) if with_f else None,
+                form_gap=float(dressed.form_gap[i]),
+                trace=complex(traces[i]),
+                p_dot_norm=float(p_dot[i]),
+                P=dressed.P[i],
+                rho1=rho1[i],
+            ))
+            states.append(rho1[i])
+        if failure is not None:
+            index, error = failure
+            if not isinstance(error, SingularDarboux):
+                raise error
+            singular_t = float(t[index]) if error.t is None else float(error.t)
             break
-        rho1 = ds.rho1
-        herm_gap = frob(rho1 - dagger(rho1))
-        min_eig = None
-        if herm:
-            min_eig = float(np.linalg.eigvalsh((rho1 + dagger(rho1)) / 2)[0])
-        diagnostics.append(SampleDiagnostics(
-            moments=trace_moments(rho1, dim),
-            hermiticity_gap=float(herm_gap),
-            min_eig=min_eig,
-            phi_norm=phi_norm,
-            F_value=f_value(seed, params.mu, lax.phi0, t) if (delta_family and herm) else None,
-            form_gap=ds.form_gap,
-            trace=complex(np.trace(rho1)),
-            p_dot_norm=float(frob((p_plus - p_minus) / (2 * dp))),
-            P=P,
-        ))
-        states.append(rho1)
-        done_times.append(float(t))
 
-    return Trajectory(times=np.array(done_times), states=states,
+    return Trajectory(times=times[:len(states)], states=states,
                       seed_ref=seed, params_ref=params,
-                      diagnostics=diagnostics, rho_at=rho1_at,
-                      singular_t=singular_t)
+                      diagnostics=diagnostics, rho_at=flow,
+                      singular_t=singular_t, lax_ref=lax)
 
 
 def explicit_eavn(seed: SeedSolution, mu: complex, phi0, t: float,
@@ -311,4 +457,4 @@ def transform_psi(psi, P, mu: complex, nu: complex, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if lam == mu:
         raise ValueError("lambda must differ from mu")
-    return psi - ((nu - mu) / (lam - mu)) * (psi @ P)
+    return _transform_rows(psi[None], P[None], mu, nu, lam)[0]

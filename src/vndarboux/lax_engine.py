@@ -18,16 +18,26 @@ with the same dispatch serving both sides:
 The scalar term in the last line is the integrating factor that makes the
 time equation hold exactly; it cancels in every rank-one projector built
 from the pair, so dressed states do not depend on it.
+
+Every generator is normal (a polynomial in commuting Hermitian A, rho0 and
+Delta_a), so ``LaxSolution`` factors each one once (``NormalExp``) and
+evaluates phi, chi and psi on stacks of times.  The stacked rows carry a
+per-point scale: ``phi(t) = e^{shift} * row``, where the shift is the largest
+real part of the exponent.  Projectors are homogeneous of degree zero in phi
+and chi, so they use the rows directly and stay finite at any |t|.  The
+scalar ``phi_at``/``chi_at``/``psi_at`` and ``evolve_*`` are the one-point
+case and raise ``OverflowError`` when the unscaled vector overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedScenario
-from .operator_core import as_state, eig_pair_general, eig_pair_left, mat_exp
+from .operator_core import NormalExp, as_state, eig_pair_general, eig_pair_left
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import hamiltonian_of
@@ -114,13 +124,19 @@ def lax_generator(seed: SeedSolution, param: complex, z: complex) -> np.ndarray:
         f"no closed-form Lax evolution for {seed.family.value} seeds (n={n})")
 
 
+def _unscaled(rows: np.ndarray, shift: np.ndarray, name: str, t: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        vector = rows[0] * np.exp(shift[0])
+    if not np.all(np.isfinite(vector)):
+        raise OverflowError(f"{name} overflowed at t = {t:.6g}")
+    return vector
+
+
 def evolve_phi(seed: SeedSolution, params: DarbouxParams, phi0, t: float) -> np.ndarray:
     """phi(t) = exp(-i G t) phi(0) with the family generator for (mu, z_mu)."""
     phi0 = as_state(phi0)
-    if t == 0:
-        return np.array(phi0)
-    G = lax_generator(seed, params.mu, params.z_mu)
-    return mat_exp(-1j * t * G) @ phi0
+    factor = NormalExp(lax_generator(seed, params.mu, params.z_mu))
+    return _unscaled(*factor.act(phi0, [-1j * t]), "phi(t)", t)
 
 
 def evolve_chi(seed: SeedSolution, params: DarbouxParams, t: float, *,
@@ -138,10 +154,8 @@ def evolve_chi(seed: SeedSolution, params: DarbouxParams, t: float, *,
     if chi0 is None:
         raise ValueError("general-mode evolve_chi needs the left eigenvector chi0")
     chi0 = as_state(chi0)
-    if t == 0:
-        return np.array(chi0)
-    G = lax_generator(seed, params.nu, params.z_nu)
-    return chi0 @ mat_exp(1j * t * G)
+    factor = NormalExp(lax_generator(seed, params.nu, params.z_nu))
+    return _unscaled(*factor.act(chi0, [1j * t], left=True), "chi(t)", t)
 
 
 def evolve_psi(seed: SeedSolution, params: DarbouxParams, psi0, t: float) -> np.ndarray:
@@ -149,15 +163,17 @@ def evolve_psi(seed: SeedSolution, params: DarbouxParams, psi0, t: float) -> np.
     if params.lam is None or params.z_lambda is None:
         raise ValueError("lambda is not configured on these parameters")
     psi0 = as_state(psi0)
-    if t == 0:
-        return np.array(psi0)
-    G = lax_generator(seed, params.lam, params.z_lambda)
-    return psi0 @ mat_exp(1j * t * G)
+    factor = NormalExp(lax_generator(seed, params.lam, params.z_lambda))
+    return _unscaled(*factor.act(psi0, [1j * t], left=True), "psi(t)", t)
 
 
 @dataclass(frozen=True, eq=False)
 class LaxSolution:
-    """Assembled Lax data: parameters, initial vectors and evolution rules."""
+    """Assembled Lax data: parameters, initial vectors and evolution rules.
+
+    Each generator is factored once, on first use; ``tolerances`` gates the
+    factorization (see ``NormalExp``).
+    """
 
     params: DarbouxParams
     seed: SeedSolution
@@ -165,16 +181,53 @@ class LaxSolution:
     chi0: np.ndarray
     psi0: np.ndarray | None
     generator_phi: np.ndarray
+    tolerances: Tolerances = DEFAULT
+
+    @cached_property
+    def _phi_factor(self) -> NormalExp:
+        return NormalExp(self.generator_phi, self.tolerances)
+
+    @cached_property
+    def _chi_factor(self) -> NormalExp:
+        return NormalExp(lax_generator(self.seed, self.params.nu, self.params.z_nu),
+                         self.tolerances)
+
+    @cached_property
+    def _psi_factor(self) -> NormalExp:
+        if self.params.lam is None or self.params.z_lambda is None:
+            raise ValueError("lambda is not configured on these parameters")
+        return NormalExp(lax_generator(self.seed, self.params.lam,
+                                       self.params.z_lambda), self.tolerances)
+
+    def phi_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, shift)`` with ``phi(t_b) = e^{shift_b} rows[b]``."""
+        return self._phi_factor.act(self.phi0, -1j * np.asarray(times, dtype=float))
+
+    def chi_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, shift)`` with ``chi(t_b) = e^{shift_b} rows[b]``."""
+        if self.params.hermitian_mode:
+            rows, shift = self.phi_rows(times)
+            return np.conj(rows), shift
+        return self._chi_factor.act(self.chi0, 1j * np.asarray(times, dtype=float),
+                                    left=True)
+
+    def psi_rows(self, times,
+                 shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, shift)`` with ``psi(t_b) = e^{shift_b} rows[b]``.
+
+        Pass ``shift`` to give points one common scale (a stencil group).
+        """
+        return self._psi_factor.act(self.psi0, 1j * np.asarray(times, dtype=float),
+                                    shift=shift, left=True)
 
     def phi_at(self, t: float) -> np.ndarray:
-        return evolve_phi(self.seed, self.params, self.phi0, t)
+        return _unscaled(*self.phi_rows([t]), "phi(t)", t)
 
     def chi_at(self, t: float) -> np.ndarray:
-        return evolve_chi(self.seed, self.params, t,
-                          phi0=self.phi0, chi0=self.chi0)
+        return _unscaled(*self.chi_rows([t]), "chi(t)", t)
 
     def psi_at(self, t: float) -> np.ndarray:
-        return evolve_psi(self.seed, self.params, self.psi0, t)
+        return _unscaled(*self.psi_rows([t]), "psi(t)", t)
 
 
 def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
@@ -217,7 +270,7 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
                            hermitian_mode=herm)
     generator = lax_generator(seed, mu, z_mu)
     return LaxSolution(params=params, seed=seed, phi0=phi0, chi0=chi0,
-                       psi0=psi0, generator_phi=generator)
+                       psi0=psi0, generator_phi=generator, tolerances=tolerances)
 
 
 def lax_from_params(seed: SeedSolution, params: DarbouxParams,

@@ -2,8 +2,11 @@
 
 All operations are pure functions on numpy arrays: square complex matrices
 act as operators, 1-D complex arrays as kets (columns) or bras (rows,
-conjugation already folded in).  Nothing here mutates its inputs, so every
-function is safe to call from multiple threads.
+conjugation already folded in).  Stacks ``(..., d, d)`` hold one operator per
+time point; ``as_operators``, ``mat_exp``, ``trace_moments`` and
+``NormalExp`` work on them, and ``time_blocks`` bounds how many points one
+stack holds.  Nothing here mutates its inputs, so every function is safe to
+call from multiple threads.
 """
 
 from __future__ import annotations
@@ -22,17 +25,45 @@ DIM_CAP = 32
 #: relative pivot threshold deciding numerical rank during elimination
 _PIVOT_RTOL = 1e-12
 
+#: bytes of d x d work arrays one stack of time points may hold
+BLOCK_BYTES = 2 << 20
 
-def as_operator(M) -> np.ndarray:
-    """Validate and return ``M`` as a square complex matrix."""
+#: d x d complex work arrays a dressed time point keeps alive at once
+_WORK_MATRICES = 32
+
+
+def time_blocks(count: int, dim: int, points_per_item: int = 1) -> list:
+    """Consecutive slices of ``range(count)`` sized from ``BLOCK_BYTES``.
+
+    Each item evaluates ``points_per_item`` time points of dimension ``dim``;
+    a block holds as many items as fit the budget, and at least one.  The
+    slices depend only on the arguments, so the same grid is always cut the
+    same way.
+    """
+    point_bytes = _WORK_MATRICES * 16 * dim * dim
+    per_block = max(1, BLOCK_BYTES // (point_bytes * points_per_item))
+    return [slice(i, min(i + per_block, count))
+            for i in range(0, count, per_block)]
+
+
+def as_operators(M) -> np.ndarray:
+    """Validate and return ``M`` as a stack ``(..., d, d)`` of complex matrices."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] < 1:
+    if M.shape[-1] < 1:
         raise ValueError("operator dimension must be at least 1")
     if not np.all(np.isfinite(M)):
         raise ValueError("operator has non-finite entries")
     return M
+
+
+def as_operator(M) -> np.ndarray:
+    """Validate and return ``M`` as a square complex matrix."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return as_operators(M)
 
 
 def as_state(v, allow_zero: bool = False) -> np.ndarray:
@@ -48,12 +79,18 @@ def as_state(v, allow_zero: bool = False) -> np.ndarray:
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(M.conj(), -1, -2)
 
 
 def frob(M) -> float:
     """Frobenius norm (2-norm for vectors)."""
     return float(np.linalg.norm(M))
+
+
+def frob_stack(M) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack ``(..., d, d)``."""
+    return np.linalg.norm(M, axis=(-2, -1))
 
 
 def is_hermitian(M, eps: float = DEFAULT.hermiticity) -> bool:
@@ -83,18 +120,79 @@ def anticommutator(A, B) -> np.ndarray:
 def mat_exp(M) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with Pade approximants.
 
-    Accurate to ~1e-12 relative in the Frobenius norm for ||M||_F <= 50.
-    Raises ``OverflowError`` instead of returning non-finite entries.
+    ``M`` is one matrix or a stack ``(..., d, d)``, exponentiated slice by
+    slice in one call.  Accurate to ~1e-12 relative in the Frobenius norm for
+    ||M||_F <= 50.  Raises ``OverflowError`` instead of returning non-finite
+    entries.
     """
-    M = as_operator(M)
+    M = as_operators(M)
     with warnings.catch_warnings():
         # overflow becomes an explicit error below, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
         E = sla.expm(M)
     if not np.all(np.isfinite(E)):
         raise OverflowError(
-            f"matrix exponential overflowed (||M||_F = {frob(M):.3g})")
+            f"matrix exponential overflowed (||M||_F = {frob_stack(M).max():.3g})")
     return E
+
+
+class NormalExp:
+    """``exp(s G)`` of one normal matrix G for a stack of complex ``s``.
+
+    G is factored once, ``G = Q diag(g) Q^dag``, by a complex Schur
+    decomposition: Q is unitary even when eigenvalues repeat.  A triangular
+    factor that is not diagonal to ``seed_structure * ||G||_F`` means G is
+    not normal, and raises ``DefectiveEigenproblem``; there is no fallback.
+    """
+
+    def __init__(self, G, tolerances: Tolerances = DEFAULT):
+        G = as_operator(G)
+        R, Q = sla.schur(G, output="complex")
+        off = frob(np.triu(R, 1))
+        if off > tolerances.seed_structure * frob(G):
+            raise DefectiveEigenproblem(
+                f"generator is not normal: its Schur factor is {off:.3g} "
+                "away from diagonal")
+        self.g = np.diag(R).copy()
+        self._Q = Q
+        self._QT = Q.T.copy()
+        self._QH = dagger(Q).copy()
+        self._gap = self.g[:, None] - self.g[None, :]
+
+    def act(self, v: np.ndarray, s, shift: np.ndarray | None = None,
+            left: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``exp(s_b G) v / e^{shift_b}`` (``v exp(s_b G)`` if ``left``).
+
+        ``shift`` defaults to each point's largest ``Re(s_b g_k)`` over the
+        eigencomponents present in ``v``, which keeps every row finite for
+        any s; pass one to share a scale between points.  Returns the rows and
+        the shifts.  A row with ``s_b = 0`` and zero shift is ``v`` itself.
+        """
+        s = np.asarray(s, dtype=complex)
+        coeffs = v @ self._Q if left else self._QH @ v
+        exponents = s[:, None] * self.g
+        if shift is None:
+            shift = np.where(coeffs != 0, exponents.real, -np.inf).max(axis=1)
+        rows = (coeffs * np.exp(exponents - shift[:, None])) @ (
+            self._QH if left else self._QT)
+        rows[(s == 0) & (shift == 0)] = v
+        return rows, shift
+
+    def similarity(self, M: np.ndarray, s) -> np.ndarray:
+        """``exp(s_b G) M_b exp(-s_b G)`` for each ``s_b``.
+
+        ``M`` is one matrix or a stack aligned with ``s``; points with
+        ``s_b = 0`` return ``M_b`` itself.  Raises ``OverflowError`` instead
+        of returning non-finite entries.
+        """
+        s = np.asarray(s, dtype=complex)
+        phase = np.exp(s[:, None, None] * self._gap)
+        out = self._Q @ ((self._QH @ M @ self._Q) * phase) @ self._QH
+        zero = s == 0
+        out[zero] = M if M.ndim == 2 else M[zero]
+        if not np.all(np.isfinite(out)):
+            raise OverflowError("exp(sG) M exp(-sG) overflowed")
+        return out
 
 
 def eig_hermitian(M, eps: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -113,15 +211,19 @@ def eig_hermitian(M, eps: float | None = None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_moments(M, kmax: int) -> np.ndarray:
-    """(Tr M, Tr M^2, ..., Tr M^kmax) — a similarity-invariant fingerprint."""
-    M = as_operator(M)
+    """(Tr M, Tr M^2, ..., Tr M^kmax) — a similarity-invariant fingerprint.
+
+    For a stack ``(..., d, d)`` the result has shape ``(..., kmax)``.
+    """
+    M = as_operators(M)
     if int(kmax) != kmax or kmax < 1:
         raise ValueError("kmax must be a positive integer")
-    moments = np.empty(int(kmax), dtype=complex)
-    power = np.eye(M.shape[0], dtype=complex)
+    moments = np.empty(M.shape[:-2] + (int(kmax),), dtype=complex)
+    power = M
     for k in range(int(kmax)):
-        power = power @ M
-        moments[k] = np.trace(power)
+        if k:
+            power = power @ M
+        moments[..., k] = np.trace(power, axis1=-2, axis2=-1)
     return moments
 
 

@@ -9,20 +9,21 @@ and matrices nested row arrays of such pairs.  ``run`` writes
 * ``scenario.lock.json``  the fully resolved config (selected eigenvalues,
   seed matrices); feeding it back to ``run`` reproduces the CSV bitwise.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 schema/config error,
-3 the dressing hit a singular <chi|phi>.
+Exit codes: 0 all checks pass, 1 a check or a numerical operation failed,
+2 schema/config error, 3 the dressing hit a singular <chi|phi>.  ``run`` and
+``sweep`` map failures to exit codes and sweep statuses through one table.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +31,11 @@ from . import __version__
 from .darboux_engine import Trajectory, dressed_trajectory
 from .errors import DarbouxError, SingularDarboux, UnsupportedScenario
 from .lax_engine import build_lax, eigenvalue_multiplicity
-from .operator_core import frob
+from .operator_core import frob, time_blocks
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
-from .symmetry_transforms import (ShiftSpec, reseed_rescale, reseed_shift,
-                                  rescaled_flow, shifted_flow)
+from .symmetry_transforms import (RescaledFlow, ShiftSpec, ShiftedFlow,
+                                  reseed_rescale, reseed_shift)
 from .tolerances import DEFAULT, Tolerances
 from .verification import VerificationReport, run_suite
 
@@ -335,7 +336,7 @@ def build_seed(cfg: dict) -> SeedSolution:
 # ---------------------------------------------------------------------------
 # pipeline
 
-@dataclass(eq=False)
+@dataclasses.dataclass(eq=False)
 class ScenarioResult:
     config: dict
     seed: SeedSolution
@@ -399,25 +400,23 @@ def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
         flow = traj.rho_at
         if shift_x is not None:
             X = np.array([[complex(e[0], e[1]) for e in row] for row in shift_x])
-            flow = shifted_flow(spec, flow, X, tolerances=tolerances)
+            flow = ShiftedFlow(spec, flow, X, tolerances=tolerances)
             reference = seed.rho0 + X
             residual_scale = (1.0 + frob(X)) * max(1.0, frob(spec.A) ** spec.n)
         elif shift_lam != 0.0:
             X = ShiftSpec.uniform(shift_lam, seed.dim)
-            flow = shifted_flow(spec, flow, X, tolerances=tolerances)
+            flow = ShiftedFlow(spec, flow, X, tolerances=tolerances)
             reference = seed.rho0 + shift_lam * np.eye(seed.dim)
             residual_scale = (1.0 + abs(shift_lam)) * max(1.0, frob(spec.A) ** spec.n)
         else:
             reference = np.array(seed.rho0)
         if rescale_y != 1.0:
-            flow = rescaled_flow(flow, rescale_y)
+            flow = RescaledFlow(flow, rescale_y)
             reference = rescale_y * reference
             residual_scale *= rescale_y ** 2
-        states = [flow(t) for t in traj.times]
-        final = Trajectory(times=traj.times, states=states,
-                           seed_ref=traj.seed_ref, params_ref=traj.params_ref,
-                           diagnostics=traj.diagnostics, rho_at=flow,
-                           singular_t=traj.singular_t)
+        states = [state for block in time_blocks(len(traj.times), seed.dim)
+                  for state in flow.stack(traj.times[block])]
+        final = dataclasses.replace(traj, states=states, rho_at=flow)
 
     notes = {"symmetry_order": order if sym else None,
              "shift_lambda": shift_lam, "rescale_y": rescale_y,
@@ -542,6 +541,38 @@ def _load_config(config_path: str) -> tuple[dict | None, list[str]]:
     return validate_config(data)
 
 
+# failures of a scenario: exception types, exit code, sweep status and the
+# prefix of the one-line message; the first matching row wins
+_FAILURES = (
+    ((ValueError, UnsupportedScenario), 2, "config_error", "config error"),
+    (SingularDarboux, 3, "singular", "singular dressing"),
+    (DarbouxError, 1, "check_failed", "numerical check failure"),
+    (ArithmeticError, 1, "check_failed", "numerical failure"),
+)
+
+
+def _attempt(cfg: dict, tol_scale: float):
+    """Run one scenario: ``(result or None, exit code, status, message)``.
+
+    The message is None when every check passed.
+    """
+    try:
+        result = execute_scenario(cfg, tol_scale=tol_scale)
+    except (ValueError, DarbouxError, ArithmeticError) as exc:
+        code, status, prefix = next((code, status, prefix)
+                                    for types, code, status, prefix in _FAILURES
+                                    if isinstance(exc, types))
+        return None, code, status, f"{prefix}: {exc}"
+    if result.trajectory.singular_t is not None:
+        return (result, 3, "singular",
+                f"singular dressing at t = {result.trajectory.singular_t:.6g}; "
+                "trajectory truncated")
+    if not result.report.overall:
+        failed = [c.name for c in result.report.checks if not c.passed]
+        return result, 1, "check_failed", f"checks failed: {', '.join(failed)}"
+    return result, 0, "ok", None
+
+
 def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
         seed_dump: bool = False) -> int:
     cfg, errors = _load_config(config_path)
@@ -549,33 +580,18 @@ def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
         for e in errors:
             print(e, file=sys.stderr)
         return 2
-    try:
-        result = execute_scenario(cfg, tol_scale=tol_scale)
-    except (ValueError, UnsupportedScenario) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SingularDarboux as exc:
-        print(f"singular dressing: {exc}", file=sys.stderr)
-        return 3
-    except DarbouxError as exc:
-        print(f"numerical check failure: {exc}", file=sys.stderr)
-        return 1
-    if seed_dump:
-        np.set_printoptions(precision=17, linewidth=200)
-        print("rho0 =")
-        print(result.seed.rho0)
-        print("A =")
-        print(result.seed.spec.A)
-    write_outputs(result, out_dir)
-    if result.trajectory.singular_t is not None:
-        print(f"singular dressing at t = {result.trajectory.singular_t:.6g}; "
-              "trajectory truncated", file=sys.stderr)
-        return 3
-    if not result.report.overall:
-        failed = [c.name for c in result.report.checks if not c.passed]
-        print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    result, code, _, message = _attempt(cfg, tol_scale)
+    if result is not None:
+        if seed_dump:
+            np.set_printoptions(precision=17, linewidth=200)
+            print("rho0 =")
+            print(result.seed.rho0)
+            print("A =")
+            print(result.seed.spec.A)
+        write_outputs(result, out_dir)
+    if message is not None:
+        print(message, file=sys.stderr)
+    return code
 
 
 def _check_value(report: VerificationReport, *names: str) -> float | None:
@@ -590,16 +606,9 @@ def _run_sweep_point(args: tuple) -> dict:
     row = {"index": index, "param": param, "value": value_repr,
            "out_dir": out_dir, "status": "ok", "overall": False,
            "worst_residual": "", "worst_spectral_gap": ""}
-    try:
-        result = execute_scenario(cfg, tol_scale=tol_scale)
-    except (ValueError, UnsupportedScenario):
-        row["status"] = "config_error"
-        return row
-    except SingularDarboux:
-        row["status"] = "singular"
-        return row
-    except DarbouxError:
-        row["status"] = "check_failed"
+    result, _, row["status"], message = _attempt(cfg, tol_scale)
+    if result is None:
+        print(f"{param}={value_repr}: {message}", file=sys.stderr)
         return row
     write_outputs(result, out_dir)
     report = result.report
@@ -608,10 +617,6 @@ def _run_sweep_point(args: tuple) -> dict:
     gap = _check_value(report, "spectrum", "moments")
     row["worst_residual"] = _fmt(res) if res is not None else ""
     row["worst_spectral_gap"] = _fmt(gap) if gap is not None else ""
-    if result.trajectory.singular_t is not None:
-        row["status"] = "singular"
-    elif not report.overall:
-        row["status"] = "check_failed"
     return row
 
 

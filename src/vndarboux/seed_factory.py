@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .operator_core import as_operator, as_state, commutator, dagger, frob, mat_exp
+from .operator_core import NormalExp, as_operator, as_state, commutator, frob
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import ModelSpec, rhs
 
@@ -68,19 +68,28 @@ class SeedSolution:
             total = total + m * self.spec.powers[self.spec.n - k]
         return total
 
+    @cached_property
+    def _evolution(self) -> NormalExp | None:
+        # rho(t) = exp(-i G t) rho0 exp(i G t) with a constant Hermitian G
+        if self.family is SeedFamily.DELTA_COMMUTING:
+            return NormalExp(self.a * self.spec.A)
+        if self.family is SeedFamily.PURE_STATE:
+            return NormalExp(self._pure_generator)
+        return None  # stationary families
+
+    def rho_stack(self, times) -> np.ndarray:
+        """Closed-form rho(t) for each time, shape ``(len(times), d, d)``.
+
+        Rows at t = 0 are exactly ``rho0``.
+        """
+        times = np.asarray(times, dtype=float)
+        if self._evolution is None:
+            return np.repeat(self.rho0[None], len(times), axis=0)
+        return self._evolution.similarity(self.rho0, -1j * times)
+
     def rho_at(self, t: float) -> np.ndarray:
         """Closed-form rho(t); ``rho_at(0)`` is exactly ``rho0``."""
-        if t == 0:
-            return np.array(self.rho0)
-        if self.family in (SeedFamily.ANTICOMMUTING, SeedFamily.COMMUTING):
-            return np.array(self.rho0)
-        if self.family is SeedFamily.DELTA_COMMUTING:
-            U = mat_exp(-1j * self.a * t * self.spec.A)
-            return U @ self.rho0 @ dagger(U)
-        if self.family is SeedFamily.PURE_STATE:
-            U = mat_exp(-1j * t * self._pure_generator)
-            return U @ self.rho0 @ dagger(U)
-        raise ValueError(f"unknown seed family {self.family}")
+        return self.rho_stack([t])[0]
 
 
 def _certify(condition: bool, message: str):

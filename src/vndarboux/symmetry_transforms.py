@@ -10,6 +10,12 @@ is again a solution, with the inner spectrum shifted by Lambda; and
 
 rescales spectrum and time together.  Composing the two turns non-positive or
 non-normalized solutions into density matrices.
+
+``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times: the
+shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and a
+``Flow`` underneath is evaluated a stack at a time.  The callables that
+``shifted_flow``/``rescaled_flow`` return, and ``shift``/``rescale``, are
+the one-point case.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnnormalizableError, UnsupportedScenario
-from .operator_core import (as_operator, commutator, eig_hermitian, frob,
-                            is_hermitian, mat_exp)
+from .operator_core import (NormalExp, as_operator, commutator, eig_hermitian,
+                            frob, is_hermitian)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
-from .vne_model import ModelSpec
+from .vne_model import Flow, ModelSpec, stack_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,44 +55,58 @@ def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
         raise ValueError("shift operator must commute with rho(0)")
 
 
+class ShiftedFlow(Flow):
+    """rho_X on stacks of times; the invariants are checked once up front."""
+
+    def __init__(self, spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,
+                 tolerances: Tolerances = DEFAULT):
+        X = X.X if isinstance(X, ShiftSpec) else as_operator(X)
+        _check_shift_invariants(X, spec.A, as_operator(rho_at(0.0)), tolerances)
+        self._rho_at = rho_at
+        self._X = X
+        self._factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]),
+                                 tolerances)
+
+    def stack(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        return self._factor.similarity(stack_of(self._rho_at, times) + self._X,
+                                       -1j * times)
+
+
+class RescaledFlow(Flow):
+    """Y rho(Y t) on stacks of times."""
+
+    def __init__(self, rho_at, Y: float):
+        Y = float(Y)
+        if Y == 0:
+            raise ValueError("Y must be nonzero")
+        self._rho_at = rho_at
+        self._Y = Y
+
+    def stack(self, times) -> np.ndarray:
+        return self._Y * stack_of(self._rho_at, self._Y * np.asarray(times, dtype=float))
+
+
 def shift(spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray, t: float,
           tolerances: Tolerances = DEFAULT) -> np.ndarray:
     """Evaluate the shifted solution rho_X at time t."""
-    X = X.X if isinstance(X, ShiftSpec) else as_operator(X)
-    _check_shift_invariants(X, spec.A, as_operator(rho_at(0.0)), tolerances)
-    K = (spec.n + 1) * (X @ spec.powers[spec.n])
-    U = mat_exp(-1j * t * K)
-    U_inv = mat_exp(1j * t * K)
-    return U @ (as_operator(rho_at(t)) + X) @ U_inv
+    return ShiftedFlow(spec, rho_at, X, tolerances)(t)
 
 
 def shifted_flow(spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,
-                 tolerances: Tolerances = DEFAULT):
+                 tolerances: Tolerances = DEFAULT) -> ShiftedFlow:
     """Return ``t -> rho_X(t)`` with the invariants checked once up front."""
-    X = X.X if isinstance(X, ShiftSpec) else as_operator(X)
-    _check_shift_invariants(X, spec.A, as_operator(rho_at(0.0)), tolerances)
-    K = (spec.n + 1) * (X @ spec.powers[spec.n])
-
-    def rho_x_at(t: float) -> np.ndarray:
-        U = mat_exp(-1j * t * K)
-        return U @ (as_operator(rho_at(t)) + X) @ mat_exp(1j * t * K)
-
-    return rho_x_at
+    return ShiftedFlow(spec, rho_at, X, tolerances)
 
 
 def rescale(rho_at, Y: float, t: float) -> np.ndarray:
     """Y rho(Y t)."""
-    Y = float(Y)
-    if Y == 0:
-        raise ValueError("Y must be nonzero")
-    return Y * as_operator(rho_at(Y * t))
+    return RescaledFlow(rho_at, Y)(t)
 
 
-def rescaled_flow(rho_at, Y: float):
-    Y = float(Y)
-    if Y == 0:
-        raise ValueError("Y must be nonzero")
-    return lambda t: Y * as_operator(rho_at(Y * t))
+def rescaled_flow(rho_at, Y: float) -> RescaledFlow:
+    """Return ``t -> Y rho(Y t)``."""
+    return RescaledFlow(rho_at, Y)
 
 
 def normalize_to_density(rho_at, spec: ModelSpec, margin: float = 0.0,

@@ -4,7 +4,11 @@
 flow; ``run_suite`` aggregates every named check (residual, spectrum or
 trace-moment invariance, Hermiticity, trace, positivity, projector
 idempotency, form gap, covariance of the transformed left solution) into a
-single deterministic report.
+single deterministic report.  Every check reduces over stacks of samples in
+blocks (``time_blocks``): the residual evaluates its stencil through the
+trajectory's flow and reuses the sample states as centres; the covariance
+check reuses the trajectory's Lax solution, dressed states and projectors,
+and builds only the projectors of its stencil.
 """
 
 from __future__ import annotations
@@ -13,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darboux_engine import (SampleDiagnostics, Trajectory, dressed_state_at,
-                             projector_at, transform_psi)
-from .lax_engine import lax_from_params
-from .operator_core import dagger, frob, trace_moments
+from .darboux_engine import DressedFlow, SampleDiagnostics, Trajectory
+from .operator_core import (dagger, frob, frob_stack, time_blocks,
+                            trace_moments)
 from .seed_factory import SeedSolution
 from .tolerances import DEFAULT, Tolerances
-from .vne_model import ModelSpec, default_step, hamiltonian_of, residual, rhs
+from .vne_model import ModelSpec, default_step, hamiltonian_of, residuals, rhs
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,57 @@ def rk4_integrate(spec: ModelSpec, rho0, t_end: float, dt: float) -> Trajectory:
     if h < 0:
         times = times[::-1]
         states = states[::-1]
-    traj = Trajectory(times=np.array(times), states=states)
-    traj.resym_drift = drift
-    return traj
+    return Trajectory(times=np.array(times), states=states, resym_drift=drift)
 
 
 def _worst(values, times):
     idx = int(np.argmax(values))
     return float(values[idx]), float(times[idx])
+
+
+def _per_sample(matrices, dim: int, measure) -> np.ndarray:
+    # measure(stack) over the matrices, a block at a time
+    return np.concatenate([measure(np.stack(matrices[block]))
+                           for block in time_blocks(len(matrices), dim)])
+
+
+def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
+    # per-sample (eigen-equation gap, time-equation gap) of the transformed
+    # left lambda-solution psi[1] against the dressed state itself
+    seed, lax = traj.seed_ref, traj.lax_ref
+    if lax is None:
+        raise ValueError("the covariance check needs the trajectory's Lax solution")
+    spec = seed.spec
+    params = lax.params
+    lam, z_l = params.lam, params.z_lambda
+    flow = DressedFlow(seed, lax, tolerances)
+    # the psi stencil is roundoff-limited, not truncation-limited, so a
+    # coarser step than the matrix-residual default is strictly better
+    h = 10 * default_step(spec)
+    offsets = np.array([2 * h, h, -h, -2 * h])
+    eig_gaps, teq_gaps = [], []
+    for block in time_blocks(len(traj.times), spec.dim, points_per_item=5):
+        t = traj.times[block]
+        diags = traj.diagnostics[block]
+        rho1 = np.stack([d.rho1 for d in diags])
+        psi1, shift = flow.psi1_rows(t, P=np.stack([d.P for d in diags]))
+        # the stencil shares its centre's shift: one scaled psi is differenced
+        ring, _ = flow.psi1_rows((t[:, None] + offsets).ravel(),
+                                 shift=np.repeat(shift, len(offsets)))
+        ring = ring.reshape(len(t), len(offsets), -1)
+        dpsi = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
+        # psi solves a linear equation and carries an arbitrary scale (often
+        # exponentially growing), so residuals are per unit norm of
+        # e^{shift} psi1, floored at 1 as in max(1, |psi1|)
+        with np.errstate(over="ignore"):
+            scale = np.maximum(np.exp(-shift), np.linalg.norm(psi1, axis=-1))
+        rows = psi1[:, None, :]
+        eig = z_l * psi1 - (rows @ (rho1 - lam * spec.A))[:, 0]
+        generator = hamiltonian_of(spec, rho1) - lam * spec.powers[spec.n + 1]
+        teq = -1j * dpsi - (rows @ generator)[:, 0]
+        eig_gaps.append(np.linalg.norm(eig, axis=-1) / scale)
+        teq_gaps.append(np.linalg.norm(teq, axis=-1) / scale)
+    return np.concatenate(eig_gaps), np.concatenate(teq_gaps)
 
 
 def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
@@ -115,10 +161,12 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
     if seed is None or params is None:
         raise ValueError("run_suite needs a trajectory with seed and parameter refs")
     spec = seed.spec
+    dim = spec.dim
     ref = seed.rho0 if reference is None else np.asarray(reference, dtype=complex)
     herm = params.hermitian_mode
     diags: list[SampleDiagnostics] = traj.diagnostics or []
     times = traj.times
+    states = traj.states
     have_samples = len(times) > 0
 
     def on(name: str, default: bool = True) -> bool:
@@ -134,17 +182,19 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
                                   location_t=loc))
 
     if on("residual") and have_samples and traj.rho_at is not None:
-        reports = [residual(spec, traj.rho_at, t, tol_scale=residual_tol_scale,
-                            tolerances=tolerances) for t in times]
-        worst_idx = int(np.argmax([r.residual_norm for r in reports]))
-        worst = reports[worst_idx]
-        add("residual", worst.residual_norm, worst.tolerance_used, worst.t)
+        norms, tols = residuals(spec, traj.rho_at, times, states=states,
+                                tol_scale=residual_tol_scale,
+                                tolerances=tolerances)
+        worst_idx = int(np.argmax(norms))
+        add("residual", norms[worst_idx], tols[worst_idx], float(times[worst_idx]))
 
     if on("idempotency") and diags:
-        vals = [frob(d.P @ d.P - d.P) for d in diags]
+        projectors = [d.P for d in diags]
+        vals = _per_sample(projectors, dim, lambda P: frob_stack(P @ P - P))
         worst, loc = _worst(vals, times)
         add("idempotency", worst, tolerances.idempotency, loc)
-        trs = [abs(np.trace(d.P) - 1.0) for d in diags]
+        trs = _per_sample(projectors, dim, lambda P: np.abs(
+            np.trace(P, axis1=-2, axis2=-1) - 1.0))
         worst, loc = _worst(trs, times)
         add("projector_trace", worst, tolerances.projector_trace, loc)
 
@@ -154,67 +204,40 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
 
     if on("trace") and have_samples:
         ref_trace = complex(np.trace(ref))
-        vals = [abs(np.trace(s) - ref_trace) for s in traj.states]
+        vals = _per_sample(states, dim, lambda S: np.abs(
+            np.trace(S, axis1=-2, axis2=-1) - ref_trace))
         worst, loc = _worst(vals, times)
         add("trace", worst, tolerances.trace_match, loc)
 
     if herm:
+        def spectra(S):
+            return np.linalg.eigvalsh((S + dagger(S)) / 2)
+
         if on("hermiticity") and have_samples:
-            vals = [frob(s - dagger(s)) for s in traj.states]
+            vals = _per_sample(states, dim, lambda S: frob_stack(S - dagger(S)))
             worst, loc = _worst(vals, times)
             add("hermiticity", worst, tolerances.hermiticity_gap, loc)
+        ref_vals = spectra(ref)
         if on("spectrum") and have_samples:
-            ref_vals = np.linalg.eigvalsh((ref + dagger(ref)) / 2)
-            gaps = []
-            for s in traj.states:
-                vals = np.linalg.eigvalsh((s + dagger(s)) / 2)
-                gaps.append(float(np.max(np.abs(vals - ref_vals))))
+            gaps = _per_sample(states, dim, lambda S: np.max(
+                np.abs(spectra(S) - ref_vals), axis=-1))
             worst, loc = _worst(gaps, times)
             add("spectrum", worst, tolerances.spectral_match, loc)
-        ref_min = float(np.linalg.eigvalsh((ref + dagger(ref)) / 2)[0])
-        seed_positive = ref_min >= tolerances.positivity_floor
+        seed_positive = float(ref_vals[0]) >= tolerances.positivity_floor
         if on("positivity", default=seed_positive) and seed_positive and have_samples:
-            vals = [-float(np.linalg.eigvalsh((s + dagger(s)) / 2)[0])
-                    for s in traj.states]
+            vals = _per_sample(states, dim, lambda S: -spectra(S)[:, 0])
             worst, loc = _worst(vals, times)
             add("positivity", worst, -tolerances.positivity_floor, loc)
     else:
         if on("moments") and have_samples:
-            ref_moments = trace_moments(ref, spec.dim)
-            gaps = [float(np.max(np.abs(trace_moments(s, spec.dim) - ref_moments)))
-                    for s in traj.states]
+            ref_moments = trace_moments(ref, dim)
+            gaps = _per_sample(states, dim, lambda S: np.max(
+                np.abs(trace_moments(S, dim) - ref_moments), axis=-1))
             worst, loc = _worst(gaps, times)
             add("moments", worst, tolerances.moment_match, loc)
 
     if params.lam is not None and on("covariance") and have_samples:
-        lax = lax_from_params(seed, params, tolerances=tolerances)
-        A = spec.A
-        lam = params.lam
-        z_l = params.z_lambda
-        eig_gaps, teq_gaps = [], []
-        # the psi stencil is roundoff-limited, not truncation-limited, so a
-        # coarser step than the matrix-residual default is strictly better
-        h = 10 * default_step(spec)
-
-        def psi1_at(t: float) -> np.ndarray:
-            P = projector_at(lax, t, tolerances=tolerances)
-            return transform_psi(lax.psi_at(t), P, params.mu, params.nu, lam)
-
-        for t in times:
-            # covariance is a property of the dressed state itself, so it is
-            # rebuilt here even when the trajectory carries transformed states
-            rho1 = dressed_state_at(seed, lax, t, tolerances=tolerances).rho1
-            psi1 = psi1_at(t)
-            # psi solves a linear equation and carries an arbitrary scale
-            # (often exponentially growing), so residuals are per unit norm
-            scale = max(1.0, float(np.linalg.norm(psi1)))
-            eig_gaps.append(float(np.linalg.norm(
-                z_l * psi1 - psi1 @ (rho1 - lam * A))) / scale)
-            dpsi = (-psi1_at(t + 2 * h) + 8 * psi1_at(t + h)
-                    - 8 * psi1_at(t - h) + psi1_at(t - 2 * h)) / (12 * h)
-            V2 = hamiltonian_of(spec, rho1)
-            teq_gaps.append(float(np.linalg.norm(
-                -1j * dpsi - psi1 @ (V2 - lam * spec.powers[spec.n + 1]))) / scale)
+        eig_gaps, teq_gaps = _covariance_gaps(traj, tolerances)
         worst, loc = _worst(eig_gaps, times)
         add("covariance", worst, tolerances.covariance, loc)
         worst, loc = _worst(teq_gaps, times)

@@ -245,3 +245,46 @@ def test_tol_scale_flag(tmp_path):
     cfg["tolerances"] = {"time_equation": 1e-30}
     assert run(_write(tmp_path, cfg, "loose.json"), str(tmp_path / "out2"),
                tol_scale=1e30) == 0
+
+
+# ---------------------------------------------------------------------------
+# large |t| and numerical failures
+
+SHIPPED_DELTA = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "delta_density.json")
+
+
+def _shipped_delta(t_max, with_lambda=True):
+    with open(SHIPPED_DELTA) as handle:
+        cfg = json.load(handle)
+    cfg["times"]["t_max"] = t_max
+    if not with_lambda:
+        del cfg["darboux"]["lambda"]
+    return cfg
+
+
+@pytest.mark.parametrize("with_lambda", [True, False])
+@pytest.mark.parametrize("t_max", [400.0, 2000.0])
+def test_large_t_max_passes(tmp_path, capsys, t_max, with_lambda):
+    # phi(t) and psi(t) grow or decay like exp(|t|); the projector must not
+    cfg = _shipped_delta(t_max, with_lambda)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_numerical_failure_exits_one_without_traceback(tmp_path, capsys):
+    # F_a(t) itself overflows at t = 20000: a numerical failure, not a crash
+    cfg = _shipped_delta(20000.0)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "overflow" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_numerical_failure_does_not_abort(tmp_path):
+    out = tmp_path / "sweep"
+    code = main(["sweep", _write(tmp_path, _shipped_delta(2.0)), "--param",
+                 "t_max", "--values", "5,400,20000", "--out", str(out)])
+    assert code == 1
+    rows = (out / "summary.csv").read_text().strip().splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["ok", "ok", "check_failed"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -62,6 +64,7 @@ def test_rk4_resymmetrization_drift_logged():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     traj = rk4_integrate(seed.spec, seed.rho0, t_end=0.5, dt=1e-2)
     assert traj.resym_drift <= 1e-12
+    assert "resym_drift" in {f.name for f in dataclasses.fields(Trajectory)}
 
 
 # ---------------------------------------------------------------------------
