@@ -22,7 +22,7 @@ def main(out_path="mu_sweep.csv"):
     for im in np.linspace(0.2, 2.0, 10):
         mu = 1.0 + 1j * im
         lax = build_lax(seed, mu=mu)
-        traj = dressed_trajectory(seed, lax.params, times)
+        traj = dressed_trajectory(lax, times)
         min_f = min(abs(d.F_value) for d in traj.diagnostics)
         max_pdot = max(d.p_dot_norm for d in traj.diagnostics)
         max_phi = max(d.phi_norm for d in traj.diagnostics)

@@ -24,7 +24,7 @@ def main():
     # stationary anticommuting seed: the dressed state is the reflected seed
     seed = make_anticommuting_seed(1, [1.0], n=2)
     lax = build_lax(seed, mu=1j)
-    traj = dressed_trajectory(seed, lax.params, np.linspace(-2, 2, 41))
+    traj = dressed_trajectory(lax, np.linspace(-2, 2, 41))
     print(f"sigma-x seed: z_mu = {lax.params.z_mu:.3e}, "
           f"rho1(0) =\n{traj.states[20].round(12)}")
     show(run_suite(traj, scenario_id="sigma-x-reference"))
@@ -32,7 +32,7 @@ def main():
     # density-matrix Delta-commuting seed; cross-check the closed formula
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
     lax = build_lax(seed, mu=0.3 + 0.8j, lam=3j)
-    traj = dressed_trajectory(seed, lax.params, np.linspace(-2, 2, 41))
+    traj = dressed_trajectory(lax, np.linspace(-2, 2, 41))
     gap = max(np.linalg.norm(explicit_eavn(seed, lax.params.mu, lax.phi0, t) - s)
               for t, s in zip(traj.times, traj.states))
     print(f"delta-density seed: explicit-vs-dressed gap over the grid: {gap:.3e}")

@@ -14,18 +14,16 @@ from .vne_model import (Flow, ModelSpec, ResidualReport, hamiltonian_of,
                         residual, residuals, rhs, rhs_alt)
 from .seed_factory import (SeedFamily, SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed,
-                           make_pure_state_seed, nlse_rhs, pure_state_solution)
-from .lax_engine import (DarbouxParams, LaxSolution, build_lax, evolve_chi,
-                         evolve_phi, evolve_psi, lax_from_params,
-                         lax_generator, solve_initial, solve_initial_left)
+                           make_pure_state_seed, nlse_rhs)
+from .lax_engine import (DarbouxParams, LaxSolution, build_lax, lax_generator,
+                         solve_initial, solve_initial_left)
 from .darboux_engine import (DressedFlow, DressedState, SampleDiagnostics,
                              Trajectory, dress, dressed_state_at,
                              dressed_trajectory, explicit_eavn, f_value,
                              projector, projector_at, similarity_T,
                              transform_psi)
 from .symmetry_transforms import (RescaledFlow, ShiftedFlow, ShiftSpec,
-                                  normalize_to_density, rescale, rescaled_flow,
-                                  reseed_rescale, reseed_shift, shift,
-                                  shifted_flow)
+                                  normalize_to_density, rescaled_flow,
+                                  reseed_rescale, reseed_shift, shifted_flow)
 from .verification import (CheckResult, VerificationReport, rk4_integrate,
                            run_suite)

@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentLax, SingularDarboux
-from .lax_engine import DarbouxParams, LaxSolution, lax_from_params
+from .lax_engine import (DarbouxParams, LaxSolution, check_params,
+                         hermitian_pairing, require_nonzero)
 from .operator_core import (as_operator, as_state, commutator, dagger,
                             frob_stack, mat_exp, time_blocks, trace_moments)
 from .seed_factory import SeedFamily, SeedSolution
@@ -177,7 +178,7 @@ def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, mu: complex,
         _first(bridge_gap > bridge_limit, lambda i: InconsistentLax(
             f"[P, A] bridging identity violated by {bridge_gap[i]:.3e}")),
     ]
-    if abs(nu - np.conj(mu)) <= 1e-12 * max(1.0, abs(mu)):
+    if hermitian_pairing(mu, nu):
         unitarity = frob_stack(dagger(T) @ T - eye)
         gates.append(_first(unitarity > tolerances.t_unitarity, lambda i: InconsistentLax(
             f"T fails unitarity by {unitarity[i]:.3e} although nu = conj(mu)")))
@@ -215,8 +216,7 @@ def similarity_T(P, mu: complex, nu: complex,
     P = as_operator(P)
     mu = complex(mu)
     nu = complex(nu)
-    if mu == 0 or nu == 0:
-        raise ValueError("mu and nu must be nonzero")
+    require_nonzero(mu=mu, nu=nu)
     T, failure = _similarity_stack(P[None], mu, nu, tolerances)
     _raise(failure)
     return T[0]
@@ -241,8 +241,7 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
         raise ValueError(f"dimension mismatch: {rho.shape}, {A.shape}, {P.shape}")
     mu = complex(mu)
     nu = complex(nu)
-    if mu == 0 or nu == 0:
-        raise ValueError("mu and nu must be nonzero")
+    require_nonzero(mu=mu, nu=nu)
     rho1, T, form_gap, failure = _dress_stack(rho[None], A, P[None], mu, nu,
                                               tolerances)
     _raise(failure)
@@ -352,10 +351,10 @@ def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
                         t=float(t), form_gap=float(dressed.form_gap[0]))
 
 
-def dressed_trajectory(seed: SeedSolution, params: DarbouxParams, times,
-                       tolerances: Tolerances = DEFAULT,
-                       lax: LaxSolution | None = None) -> Trajectory:
-    """Sample rho[1](t) over a time grid with full per-sample diagnostics.
+def dressed_trajectory(lax: LaxSolution, times,
+                       tolerances: Tolerances = DEFAULT) -> Trajectory:
+    """Sample rho[1](t), dressed with ``lax``, over a time grid with full
+    per-sample diagnostics.
 
     The grid is evaluated in blocks (``time_blocks``) that depend on the grid
     alone.  Each block dresses its samples and, in separate stacks, builds
@@ -364,9 +363,7 @@ def dressed_trajectory(seed: SeedSolution, params: DarbouxParams, times,
     instead of aborting.
     """
     times = np.asarray(times, dtype=float)
-    if lax is None:
-        lax = lax_from_params(seed, params, tolerances=tolerances)
-    params = lax.params
+    seed, params = lax.seed, lax.params
     flow = DressedFlow(seed, lax, tolerances)
     herm = params.hermitian_mode
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
@@ -428,8 +425,7 @@ def explicit_eavn(seed: SeedSolution, mu: complex, phi0, t: float,
         raise ValueError("explicit_eavn requires an n = 1 Delta-commuting seed")
     phi0 = as_state(phi0)
     mu = complex(mu)
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
+    require_nonzero(mu=mu)
     H = seed.spec.A
     a = seed.a
     delta = seed.delta_a
@@ -455,6 +451,5 @@ def transform_psi(psi, P, mu: complex, nu: complex, lam: complex) -> np.ndarray:
     mu = complex(mu)
     nu = complex(nu)
     lam = complex(lam)
-    if lam == mu:
-        raise ValueError("lambda must differ from mu")
+    check_params(mu, lam=lam)
     return _transform_rows(psi[None], P[None], mu, nu, lam)[0]

@@ -25,8 +25,12 @@ evaluates phi, chi and psi on stacks of times.  The stacked rows carry a
 per-point scale: ``phi(t) = e^{shift} * row``, where the shift is the largest
 real part of the exponent.  Projectors are homogeneous of degree zero in phi
 and chi, so they use the rows directly and stay finite at any |t|.  The
-scalar ``phi_at``/``chi_at``/``psi_at`` and ``evolve_*`` are the one-point
-case and raise ``OverflowError`` when the unscaled vector overflows.
+scalar ``phi_at``/``chi_at``/``psi_at`` are the one-point case and raise
+``OverflowError`` when the unscaled vector overflows.
+
+The guards on the Darboux parameters (``check_params``, ``identity_pair``,
+``hermitian_pairing``) are defined here once and shared by the engine and the
+config reader.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UnsupportedScenario
-from .operator_core import NormalExp, as_state, eig_pair_general, eig_pair_left
+from .operator_core import NormalExp, eig_pair_general, eig_pair_left
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import hamiltonian_of
@@ -61,27 +65,45 @@ class DarbouxParams:
     hermitian_mode: bool
 
     def __post_init__(self):
-        for name in ("mu", "nu"):
-            if getattr(self, name) == 0:
-                raise ValueError(f"{name} must be nonzero")
-        if abs(self.mu - self.nu) <= 1e-14 * max(1.0, abs(self.mu)):
-            raise ValueError(
-                "mu == nu generates the identity transformation; "
-                "pick distinct parameters (a real mu with conjugate nu does this too)")
-        if self.lam is not None and self.lam == self.mu:
-            raise ValueError("lambda must differ from mu")
+        check_params(self.mu, self.nu, self.lam)
+
+
+def require_nonzero(**parameters: complex):
+    """Raise ``ValueError("<names> must be nonzero")`` if one of them is zero."""
+    if any(value == 0 for value in parameters.values()):
+        raise ValueError(f"{' and '.join(parameters)} must be nonzero")
+
+
+def identity_pair(mu: complex, nu: complex) -> bool:
+    """``mu == nu`` to round-off: the pair generates the identity map."""
+    return abs(mu - nu) <= 1e-14 * max(1.0, abs(mu))
 
 
 def hermitian_pairing(mu: complex, nu: complex) -> bool:
+    """``nu == conj(mu)`` to 1e-12: P is Hermitian and T unitary."""
     return bool(abs(nu - np.conj(mu)) <= 1e-12 * max(1.0, abs(mu)))
+
+
+def check_params(mu: complex, nu: complex | None = None,
+                 lam: complex | None = None):
+    """The Darboux-parameter guards: nonzero mu and nu, ``mu != nu``
+    (``identity_pair``) and ``lambda != mu``; ``nu=None`` skips the pair."""
+    require_nonzero(mu=mu)
+    if nu is not None:
+        require_nonzero(nu=nu)
+        if identity_pair(mu, nu):
+            raise ValueError(
+                "mu == nu generates the identity transformation; pick distinct "
+                "parameters (a real mu with conjugate nu does this too)")
+    if lam is not None and lam == mu:
+        raise ValueError("lambda must differ from mu")
 
 
 def solve_initial(seed: SeedSolution, mu: complex, pin: complex | None = None,
                   tolerances: Tolerances = DEFAULT) -> tuple[complex, np.ndarray]:
     """Deterministic eigenpair of ``rho0 - mu A`` at t = 0."""
     mu = complex(mu)
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
+    require_nonzero(mu=mu)
     pencil = seed.rho0 - mu * seed.spec.A
     return eig_pair_general(pencil, pin=pin, tolerances=tolerances)
 
@@ -91,8 +113,7 @@ def solve_initial_left(seed: SeedSolution, param: complex,
                        tolerances: Tolerances = DEFAULT) -> tuple[complex, np.ndarray]:
     """Deterministic left eigenpair ``w (rho0 - param A) = z w`` (row vector)."""
     param = complex(param)
-    if param == 0:
-        raise ValueError("parameter must be nonzero")
+    require_nonzero(parameter=param)
     pencil = seed.rho0 - param * seed.spec.A
     return eig_pair_left(pencil, pin=pin, tolerances=tolerances)
 
@@ -132,47 +153,13 @@ def _unscaled(rows: np.ndarray, shift: np.ndarray, name: str, t: float) -> np.nd
     return vector
 
 
-def evolve_phi(seed: SeedSolution, params: DarbouxParams, phi0, t: float) -> np.ndarray:
-    """phi(t) = exp(-i G t) phi(0) with the family generator for (mu, z_mu)."""
-    phi0 = as_state(phi0)
-    factor = NormalExp(lax_generator(seed, params.mu, params.z_mu))
-    return _unscaled(*factor.act(phi0, [-1j * t]), "phi(t)", t)
-
-
-def evolve_chi(seed: SeedSolution, params: DarbouxParams, t: float, *,
-               phi0=None, chi0=None) -> np.ndarray:
-    """chi(t) as a row vector.
-
-    In hermitian mode the chi pair is the adjoint of the phi pair
-    (z_nu = conj(z_mu), chi = phi^dag); otherwise an independently supplied
-    left eigenvector ``chi0`` evolves by the conjugate generator.
-    """
-    if params.hermitian_mode:
-        if phi0 is None:
-            raise ValueError("hermitian-mode evolve_chi needs phi0")
-        return np.conj(evolve_phi(seed, params, phi0, t))
-    if chi0 is None:
-        raise ValueError("general-mode evolve_chi needs the left eigenvector chi0")
-    chi0 = as_state(chi0)
-    factor = NormalExp(lax_generator(seed, params.nu, params.z_nu))
-    return _unscaled(*factor.act(chi0, [1j * t], left=True), "chi(t)", t)
-
-
-def evolve_psi(seed: SeedSolution, params: DarbouxParams, psi0, t: float) -> np.ndarray:
-    """Left lambda-pair evolution, used by the covariance checks."""
-    if params.lam is None or params.z_lambda is None:
-        raise ValueError("lambda is not configured on these parameters")
-    psi0 = as_state(psi0)
-    factor = NormalExp(lax_generator(seed, params.lam, params.z_lambda))
-    return _unscaled(*factor.act(psi0, [1j * t], left=True), "psi(t)", t)
-
-
 @dataclass(frozen=True, eq=False)
 class LaxSolution:
     """Assembled Lax data: parameters, initial vectors and evolution rules.
 
-    Each generator is factored once, on first use; ``tolerances`` gates the
-    factorization (see ``NormalExp``).
+    Each generator is factored once (``lax_generator``, then ``NormalExp``,
+    gated by ``tolerances``): phi's at construction, so that a seed family
+    without a closed-form evolution fails here, chi's and psi's on first use.
     """
 
     params: DarbouxParams
@@ -180,24 +167,27 @@ class LaxSolution:
     phi0: np.ndarray
     chi0: np.ndarray
     psi0: np.ndarray | None
-    generator_phi: np.ndarray
     tolerances: Tolerances = DEFAULT
+
+    def __post_init__(self):
+        self._phi_factor
+
+    def _factor(self, param: complex, z: complex) -> NormalExp:
+        return NormalExp(lax_generator(self.seed, param, z), self.tolerances)
 
     @cached_property
     def _phi_factor(self) -> NormalExp:
-        return NormalExp(self.generator_phi, self.tolerances)
+        return self._factor(self.params.mu, self.params.z_mu)
 
     @cached_property
     def _chi_factor(self) -> NormalExp:
-        return NormalExp(lax_generator(self.seed, self.params.nu, self.params.z_nu),
-                         self.tolerances)
+        return self._factor(self.params.nu, self.params.z_nu)
 
     @cached_property
     def _psi_factor(self) -> NormalExp:
         if self.params.lam is None or self.params.z_lambda is None:
             raise ValueError("lambda is not configured on these parameters")
-        return NormalExp(lax_generator(self.seed, self.params.lam,
-                                       self.params.z_lambda), self.tolerances)
+        return self._factor(self.params.lam, self.params.z_lambda)
 
     def phi_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, shift)`` with ``phi(t_b) = e^{shift_b} rows[b]``."""
@@ -242,11 +232,9 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
     only needed for covariance checks; it must differ from ``mu``.
     """
     mu = complex(mu)
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    nu = np.conj(mu) if nu is None else complex(nu)
-    if nu == 0:
-        raise ValueError("nu must be nonzero")
+    nu = complex(np.conj(mu) if nu is None else nu)
+    lam = None if lam is None else complex(lam)
+    check_params(mu, nu, lam)
     herm = hermitian_pairing(mu, nu)
 
     z_mu, phi0 = solve_initial(seed, mu, pin=z_mu_pin, tolerances=tolerances)
@@ -259,23 +247,11 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
 
     z_lambda, psi0 = None, None
     if lam is not None:
-        lam = complex(lam)
-        if lam == mu:
-            raise ValueError("lambda must differ from mu")
         z_lambda, psi0 = solve_initial_left(seed, lam, pin=z_lambda_pin,
                                             tolerances=tolerances)
 
-    params = DarbouxParams(mu=mu, nu=complex(nu), lam=lam,
+    params = DarbouxParams(mu=mu, nu=nu, lam=lam,
                            z_mu=z_mu, z_nu=complex(z_nu), z_lambda=z_lambda,
                            hermitian_mode=herm)
-    generator = lax_generator(seed, mu, z_mu)
     return LaxSolution(params=params, seed=seed, phi0=phi0, chi0=chi0,
-                       psi0=psi0, generator_phi=generator, tolerances=tolerances)
-
-
-def lax_from_params(seed: SeedSolution, params: DarbouxParams,
-                    tolerances: Tolerances = DEFAULT) -> LaxSolution:
-    """Rebuild the Lax solution deterministically by pinning the recorded z."""
-    return build_lax(seed, params.mu, params.nu, params.lam,
-                     z_mu_pin=params.z_mu, z_nu_pin=params.z_nu,
-                     z_lambda_pin=params.z_lambda, tolerances=tolerances)
+                       psi0=psi0, tolerances=tolerances)

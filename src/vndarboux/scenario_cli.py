@@ -12,6 +12,12 @@ and matrices nested row arrays of such pairs.  ``run`` writes
 Exit codes: 0 all checks pass, 1 a check or a numerical operation failed,
 2 schema/config error, 3 the dressing hit a singular <chi|phi>.  ``run`` and
 ``sweep`` map failures to exit codes and sweep statuses through one table.
+
+One schema walk (``_walk``) is the only code that reads a config: it reports
+every error with its field path and turns a valid config into a frozen
+``Scenario`` of typed values, which ``execute`` runs.  ``validate_config``,
+``build_seed`` and ``execute_scenario`` are the JSON-facing entry points
+around it.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -30,18 +36,17 @@ import numpy as np
 from . import __version__
 from .darboux_engine import Trajectory, dressed_trajectory
 from .errors import DarbouxError, SingularDarboux, UnsupportedScenario
-from .lax_engine import build_lax, eigenvalue_multiplicity
+from .lax_engine import build_lax, eigenvalue_multiplicity, identity_pair
 from .operator_core import frob, time_blocks
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
 from .symmetry_transforms import (RescaledFlow, ShiftSpec, ShiftedFlow,
                                   reseed_rescale, reseed_shift)
 from .tolerances import DEFAULT, Tolerances
-from .verification import VerificationReport, run_suite
+from .verification import CHECKS, VerificationReport, run_suite
 
 _SEED_FAMILIES = ("anticommuting", "delta_commuting", "commuting")
-_CHECK_NAMES = ("residual", "idempotency", "form_gap", "trace", "hermiticity",
-                "spectrum", "moments", "positivity", "covariance")
+_PINS = ("z_mu_pin", "z_nu_pin", "z_lambda_pin")
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +62,35 @@ def matrix_to_nested(M: np.ndarray) -> list:
             for i in range(M.shape[0])]
 
 
-class _Collector:
-    def __init__(self):
-        self.errors: list[str] = []
-
+class _Errors(list):
     def add(self, path: str, message: str):
-        self.errors.append(f"{path}: {message}")
+        self.append(f"{path}: {message}")
+
+
+def _finite(x) -> bool:
+    # the one test of a number in a config: real, finite and not a bool
+    # (Python's json reads NaN, Infinity and integers beyond the float range)
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _reals(values, nonzero: bool = False) -> bool:
+    return isinstance(values, list) and all(
+        _finite(x) and not (nonzero and x == 0) for x in values)
+
+
+def _count(value, minimum: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum)
 
 
 def _as_pair(value, path, errs) -> complex | None:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and _reals(list(value))):
         errs.add(path, "expected a [re, im] pair")
         return None
     return complex(float(value[0]), float(value[1]))
@@ -93,7 +116,7 @@ def _as_matrix(value, path, errs) -> np.ndarray | None:
 
 
 def _real_number(value, path, errs, nonzero=False) -> float | None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _finite(value):
         errs.add(path, "expected a real number")
         return None
     if nonzero and value == 0:
@@ -103,7 +126,7 @@ def _real_number(value, path, errs, nonzero=False) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# the schema walk
 
 _SECTION_KEYS = {
     "": {"id", "model", "seed", "darboux", "times", "symmetries", "checks",
@@ -125,11 +148,63 @@ def _check_keys(obj, section, errs):
             errs.add(f"{prefix}{key}", "unknown field")
 
 
-def validate_config(data) -> tuple[dict, list[str]]:
-    """Normalize a raw config dict; returns (config, error messages)."""
-    errs = _Collector()
+def _section(data: dict, name: str, message: str, errs) -> dict:
+    obj = data.get(name)
+    if not isinstance(obj, dict):
+        errs.add(name, message)
+        obj = {}
+    _check_keys(obj, name, errs)
+    return obj
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Scenario:
+    """A validated config as typed values.
+
+    ``config`` is the normalized JSON that ``scenario.lock.json`` embeds;
+    ``seed_args`` are the keyword arguments of the family's seed factory;
+    ``nu`` is None for ``nu = conj(mu)``; ``pins`` maps ``z_*_pin`` to the
+    pinned eigenvalues; ``shift_x`` is None unless a general X is given.
+    """
+
+    config: dict
+    family: str
+    seed_args: dict
+    A: np.ndarray | None
+    mu: complex
+    nu: complex | None
+    lam: complex | None
+    pins: dict
+    times: np.ndarray
+    order: str
+    shift_lambda: float
+    shift_x: np.ndarray | None
+    rescale_y: float
+    checks: dict | None
+    tolerances: Tolerances
+
+    def build_seed(self) -> SeedSolution:
+        factory = {"anticommuting": make_anticommuting_seed,
+                   "delta_commuting": make_delta_commuting_seed,
+                   "commuting": make_commuting_seed}[self.family]
+        seed = factory(**self.seed_args)
+        if self.A is not None and (self.A.shape != seed.spec.A.shape
+                                   or frob(self.A - seed.spec.A) > 1e-12):
+            raise ValueError(
+                "model.A: does not match the operator derived from the seed "
+                "parameters (A is determined by the seed family)")
+        return seed
+
+
+def _walk(data) -> tuple[dict, Scenario | None, list[str]]:
+    """Validate and normalize a raw config in one pass.
+
+    Returns the normalized config, the ``Scenario`` (None when there are
+    errors) and the error messages, each prefixed with its field path.
+    """
+    errs = _Errors()
     if not isinstance(data, dict):
-        return {}, ["top level: expected a JSON object"]
+        return {}, None, ["top level: expected a JSON object"]
     _check_keys(data, "", errs)
 
     cfg = {}
@@ -138,75 +213,58 @@ def validate_config(data) -> tuple[dict, list[str]]:
         errs.add("id", "required non-empty string")
         cfg["id"] = "unnamed"
 
-    model = data.get("model")
-    if not isinstance(model, dict):
-        errs.add("model", "required object with field n")
-        model = {}
-    _check_keys(model, "model", errs)
+    model = _section(data, "model", "required object with field n", errs)
     n = model.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _count(n, 1):
         errs.add("model.n", "must be a positive integer")
         n = 1
     cfg["model"] = {"n": n}
+    A = None
     if "A" in model:
         A = _as_matrix(model["A"], "model.A", errs)
         if A is not None:
             cfg["model"]["A"] = model["A"]
 
-    seed = data.get("seed")
-    if not isinstance(seed, dict):
-        errs.add("seed", "required object")
-        seed = {}
-    _check_keys(seed, "seed", errs)
+    seed = _section(data, "seed", "required object", errs)
     family = seed.get("family")
     if family not in _SEED_FAMILIES:
         errs.add("seed.family", f"must be one of {_SEED_FAMILIES}")
         family = None
     cfg["seed"] = dict(seed)
+    seed_args = {}
     if family == "anticommuting":
-        pairs = seed.get("dim_pairs")
-        if not isinstance(pairs, int) or isinstance(pairs, bool) or pairs < 1:
+        pairs, b, alpha = seed.get("dim_pairs"), seed.get("b"), seed.get("alpha")
+        if not _count(pairs, 1):
             errs.add("seed.dim_pairs", "must be a positive integer")
-        b = seed.get("b")
-        if not isinstance(b, list) or not b or any(
-                not isinstance(x, (int, float)) or x == 0 for x in b):
-            errs.add("seed.b", "must be a list of nonzero reals")
-        elif isinstance(pairs, int) and len(b) != pairs:
-            errs.add("seed.b", f"must have exactly {pairs} entries")
-        alpha = seed.get("alpha")
-        if alpha is not None:
-            if not isinstance(alpha, list) or any(
-                    not isinstance(x, (int, float)) or x == 0 for x in alpha):
-                errs.add("seed.alpha", "must be a list of nonzero reals")
-            elif isinstance(pairs, int) and len(alpha) != pairs:
-                errs.add("seed.alpha", f"must have exactly {pairs} entries")
+        for name, values in (("b", b), ("alpha", alpha)):
+            if name == "alpha" and values is None:
+                continue  # optional: all ones
+            if not _reals(values, nonzero=True) or (name == "b" and not values):
+                errs.add(f"seed.{name}", "must be a list of nonzero reals")
+            elif isinstance(pairs, int) and len(values) != pairs:
+                errs.add(f"seed.{name}", f"must have exactly {pairs} entries")
+        seed_args = {"dim_pairs": pairs, "b": b, "alpha": alpha, "n": n}
     elif family == "delta_commuting":
         if n != 1:
             errs.add("model.n", "delta_commuting seeds require n = 1")
         blocks = seed.get("blocks")
         if (not isinstance(blocks, list) or not blocks
-                or any(not isinstance(blk, list) or len(blk) != 2
-                       or any(not isinstance(x, (int, float)) for x in blk)
-                       for blk in blocks)):
+                or any(not _reals(blk) or len(blk) != 2 for blk in blocks)):
             errs.add("seed.blocks", "must be a non-empty list of [omega, kappa] pairs")
         elif any(blk[1] == 0 for blk in blocks):
             errs.add("seed.blocks", "every kappa must be nonzero")
-        _real_number(seed.get("a"), "seed.a", errs)
+        seed_args = {"blocks": blocks,
+                     "a": _real_number(seed.get("a"), "seed.a", errs)}
     elif family == "commuting":
-        p = seed.get("p")
-        alpha = seed.get("alpha")
-        for name, val in (("p", p), ("alpha", alpha)):
-            if not isinstance(val, list) or not val or any(
-                    not isinstance(x, (int, float)) for x in val):
+        p, alpha = seed.get("p"), seed.get("alpha")
+        for name, values in (("p", p), ("alpha", alpha)):
+            if not (values and _reals(values)):
                 errs.add(f"seed.{name}", "must be a non-empty list of reals")
         if isinstance(p, list) and isinstance(alpha, list) and len(p) != len(alpha):
             errs.add("seed.alpha", "must match the length of seed.p")
+        seed_args = {"p": p, "alpha": alpha, "n": n}
 
-    darboux = data.get("darboux")
-    if not isinstance(darboux, dict):
-        errs.add("darboux", "required object with field mu")
-        darboux = {}
-    _check_keys(darboux, "darboux", errs)
+    darboux = _section(data, "darboux", "required object with field mu", errs)
     cfg["darboux"] = dict(darboux)
     mu = _as_pair(darboux.get("mu"), "darboux.mu", errs)
     if mu is not None and mu == 0:
@@ -215,17 +273,15 @@ def validate_config(data) -> tuple[dict, list[str]]:
     nu_mode = darboux.get("nu_mode", "conjugate")
     nu = None
     if nu_mode == "conjugate":
-        if mu is not None:
-            nu = np.conj(mu)
-            if abs(mu - nu) <= 1e-14 * max(1.0, abs(mu)):
-                errs.add("darboux.mu", "real mu with conjugate nu gives the "
-                         "identity transformation; use a complex mu")
+        if mu is not None and identity_pair(mu, mu.conjugate()):
+            errs.add("darboux.mu", "real mu with conjugate nu gives the "
+                     "identity transformation; use a complex mu")
     elif isinstance(nu_mode, dict) and "explicit" in nu_mode:
         nu = _as_pair(nu_mode["explicit"], "darboux.nu_mode.explicit", errs)
         if nu is not None and nu == 0:
             errs.add("darboux.nu_mode.explicit", "must be nonzero")
             nu = None
-        if None not in (mu, nu) and abs(mu - nu) <= 1e-14 * max(1.0, abs(mu)):
+        if None not in (mu, nu) and identity_pair(mu, nu):
             errs.add("darboux.nu_mode.explicit",
                      "nu must differ from mu (identity transformation)")
     else:
@@ -235,53 +291,45 @@ def validate_config(data) -> tuple[dict, list[str]]:
         lam = _as_pair(darboux["lambda"], "darboux.lambda", errs)
         if lam is not None and mu is not None and lam == mu:
             errs.add("darboux.lambda", "must differ from mu")
-    for pin in ("z_mu_pin", "z_nu_pin", "z_lambda_pin"):
-        if pin in darboux:
-            _as_pair(darboux[pin], f"darboux.{pin}", errs)
+    pins = {pin: _as_pair(darboux[pin], f"darboux.{pin}", errs)
+            for pin in _PINS if pin in darboux}
 
-    times = data.get("times")
-    if not isinstance(times, dict):
-        errs.add("times", "required object with t_min, t_max, samples")
-        times = {}
-    _check_keys(times, "times", errs)
+    times = _section(data, "times", "required object with t_min, t_max, samples",
+                     errs)
     t_min = _real_number(times.get("t_min"), "times.t_min", errs)
     t_max = _real_number(times.get("t_max"), "times.t_max", errs)
     samples = times.get("samples")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
+    if not _count(samples, 2):
         errs.add("times.samples", "must be an integer >= 2")
     if None not in (t_min, t_max) and not t_min < t_max:
         errs.add("times.t_min", "must be strictly below t_max")
     cfg["times"] = dict(times)
 
-    symmetries = data.get("symmetries")
-    if symmetries is not None:
-        if not isinstance(symmetries, dict):
-            errs.add("symmetries", "expected an object")
-            symmetries = {}
-        _check_keys(symmetries, "symmetries", errs)
-        order = symmetries.get("order", "after")
-        if order not in ("before", "after"):
-            errs.add("symmetries.order", 'must be "before" or "after"')
-        if "shift_lambda" in symmetries:
-            _real_number(symmetries["shift_lambda"], "symmetries.shift_lambda", errs)
-        if "shift_x" in symmetries:
-            if "shift_lambda" in symmetries:
-                errs.add("symmetries.shift_x", "mutually exclusive with shift_lambda")
-            _as_matrix(symmetries["shift_x"], "symmetries.shift_x", errs)
-            if order == "before":
-                errs.add("symmetries.shift_x",
-                         'general X supports order "after" only')
-        if "rescale_y" in symmetries:
-            _real_number(symmetries["rescale_y"], "symmetries.rescale_y",
-                         errs, nonzero=True)
-        if (order == "before" and family == "anticommuting"
-                and symmetries.get("shift_lambda", 0.0) != 0.0):
-            errs.add("symmetries.order",
-                     "a uniform shift breaks the anticommuting structure; "
-                     'use order "after" for this family')
-        cfg["symmetries"] = {"order": order, **{k: symmetries[k] for k in
-                             ("shift_lambda", "shift_x", "rescale_y")
-                             if k in symmetries}}
+    has_symmetries = data.get("symmetries") is not None
+    sym = (_section(data, "symmetries", "expected an object", errs)
+           if has_symmetries else {})
+    order = sym.get("order", "after")
+    if order not in ("before", "after"):
+        errs.add("symmetries.order", 'must be "before" or "after"')
+    shift_lambda = _real_number(sym.get("shift_lambda", 0.0),
+                                "symmetries.shift_lambda", errs)
+    shift_x = None
+    if "shift_x" in sym:
+        if "shift_lambda" in sym:
+            errs.add("symmetries.shift_x", "mutually exclusive with shift_lambda")
+        shift_x = _as_matrix(sym["shift_x"], "symmetries.shift_x", errs)
+        if order == "before":
+            errs.add("symmetries.shift_x", 'general X supports order "after" only')
+    rescale_y = _real_number(sym.get("rescale_y", 1.0), "symmetries.rescale_y",
+                             errs, nonzero=True)
+    if (order == "before" and family == "anticommuting"
+            and shift_lambda not in (None, 0.0)):
+        errs.add("symmetries.order",
+                 "a uniform shift breaks the anticommuting structure; "
+                 'use order "after" for this family')
+    if has_symmetries:
+        cfg["symmetries"] = {"order": order, **{k: sym[k] for k in
+                             ("shift_lambda", "shift_x", "rescale_y") if k in sym}}
 
     checks = data.get("checks")
     if checks is not None:
@@ -289,8 +337,8 @@ def validate_config(data) -> tuple[dict, list[str]]:
             errs.add("checks", "expected an object of booleans")
         else:
             for key, val in checks.items():
-                if key not in _CHECK_NAMES:
-                    errs.add(f"checks.{key}", f"unknown check (known: {_CHECK_NAMES})")
+                if key not in CHECKS:
+                    errs.add(f"checks.{key}", f"unknown check (known: {CHECKS})")
                 elif not isinstance(val, bool):
                     errs.add(f"checks.{key}", "expected a boolean")
             cfg["checks"] = dict(checks)
@@ -300,37 +348,44 @@ def validate_config(data) -> tuple[dict, list[str]]:
         if not isinstance(overrides, dict):
             errs.add("tolerances", "expected an object of numbers")
         else:
-            known = set(Tolerances().__dataclass_fields__)
             for key, val in overrides.items():
-                if key not in known:
+                if key not in DEFAULT.__dataclass_fields__:
                     errs.add(f"tolerances.{key}", "unknown tolerance name")
-                elif not isinstance(val, (int, float)) or isinstance(val, bool):
+                elif not _finite(val):
                     errs.add(f"tolerances.{key}", "expected a number")
             cfg["tolerances"] = dict(overrides)
 
-    return cfg, errs.errors
+    if errs:
+        return cfg, None, errs
+    grid = np.linspace(t_min, t_max, samples)
+    grid.setflags(write=False)
+    tolerances = DEFAULT
+    if cfg.get("tolerances"):
+        tolerances = DEFAULT.replaced(
+            **{k: float(v) for k, v in cfg["tolerances"].items()})
+    return cfg, Scenario(
+        config=cfg, family=family, seed_args=seed_args, A=A, mu=mu, nu=nu,
+        lam=lam, pins=pins, times=grid, order=order, shift_lambda=shift_lambda,
+        shift_x=shift_x, rescale_y=rescale_y, checks=cfg.get("checks"),
+        tolerances=tolerances), []
+
+
+def validate_config(data) -> tuple[dict, list[str]]:
+    """Normalize a raw config dict; returns (config, error messages)."""
+    cfg, _, errors = _walk(data)
+    return cfg, list(errors)
+
+
+def read_scenario(cfg) -> Scenario:
+    """The ``Scenario`` of a config; any config error raises ``ValueError``."""
+    _, scenario, errors = _walk(cfg)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return scenario
 
 
 def build_seed(cfg: dict) -> SeedSolution:
-    seed_cfg = cfg["seed"]
-    family = seed_cfg["family"]
-    n = cfg["model"]["n"]
-    if family == "anticommuting":
-        seed = make_anticommuting_seed(seed_cfg["dim_pairs"], seed_cfg["b"],
-                                       alpha=seed_cfg.get("alpha"), n=n)
-    elif family == "delta_commuting":
-        seed = make_delta_commuting_seed([tuple(b) for b in seed_cfg["blocks"]],
-                                         seed_cfg["a"])
-    else:
-        seed = make_commuting_seed(seed_cfg["p"], seed_cfg["alpha"], n=n)
-    if "A" in cfg["model"]:
-        A_given = np.array([[complex(e[0], e[1]) for e in row]
-                            for row in cfg["model"]["A"]])
-        if A_given.shape != seed.spec.A.shape or frob(A_given - seed.spec.A) > 1e-12:
-            raise ValueError(
-                "model.A: does not match the operator derived from the seed "
-                "parameters (A is determined by the seed family)")
-    return seed
+    return read_scenario(cfg).build_seed()
 
 
 # ---------------------------------------------------------------------------
@@ -345,88 +400,55 @@ class ScenarioResult:
     lock: dict
 
 
-def _scenario_tolerances(cfg: dict, tol_scale: float) -> Tolerances:
-    tol = DEFAULT
-    if cfg.get("tolerances"):
-        tol = tol.replaced(**{k: float(v) for k, v in cfg["tolerances"].items()})
-    if tol_scale != 1.0:
-        tol = tol.scaled(tol_scale)
-    return tol
+def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
+    """Seed, Lax solution, dressing, symmetries and checks of one scenario."""
+    s = scenario
+    tolerances = s.tolerances if tol_scale == 1.0 else s.tolerances.scaled(tol_scale)
+    seed = s.build_seed()
+    if s.order == "before":
+        if s.shift_lambda != 0.0:
+            seed = reseed_shift(seed, s.shift_lambda, tolerances=tolerances)
+        if s.rescale_y != 1.0:
+            seed = reseed_rescale(seed, s.rescale_y)
 
-
-def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
-    tolerances = _scenario_tolerances(cfg, tol_scale)
-    seed = build_seed(cfg)
-
-    sym = cfg.get("symmetries") or {}
-    order = sym.get("order", "after")
-    shift_lam = float(sym.get("shift_lambda", 0.0))
-    rescale_y = float(sym.get("rescale_y", 1.0))
-    shift_x = sym.get("shift_x")
-    if order == "before":
-        if shift_lam != 0.0:
-            seed = reseed_shift(seed, shift_lam, tolerances=tolerances)
-        if rescale_y != 1.0:
-            seed = reseed_rescale(seed, rescale_y)
-
-    darboux = cfg["darboux"]
-    mu = complex(darboux["mu"][0], darboux["mu"][1])
-    nu_mode = darboux.get("nu_mode", "conjugate")
-    nu = None if nu_mode == "conjugate" else complex(*nu_mode["explicit"])
-    lam = None
-    if "lambda" in darboux:
-        lam = complex(darboux["lambda"][0], darboux["lambda"][1])
-    pins = {}
-    for pin, kw in (("z_mu_pin", "z_mu_pin"), ("z_nu_pin", "z_nu_pin"),
-                    ("z_lambda_pin", "z_lambda_pin")):
-        if pin in darboux:
-            pins[kw] = complex(darboux[pin][0], darboux[pin][1])
-
-    lax = build_lax(seed, mu, nu, lam, tolerances=tolerances, **pins)
+    lax = build_lax(seed, s.mu, s.nu, s.lam, tolerances=tolerances, **s.pins)
     params = lax.params
-
-    times_cfg = cfg["times"]
-    times = np.linspace(times_cfg["t_min"], times_cfg["t_max"],
-                        times_cfg["samples"])
-    traj = dressed_trajectory(seed, params, times, tolerances=tolerances,
-                              lax=lax)
+    traj = dressed_trajectory(lax, s.times, tolerances=tolerances)
 
     reference = None
     residual_scale = 1.0
     final = traj
-    if order == "after" and (shift_lam != 0.0 or rescale_y != 1.0
-                             or shift_x is not None):
+    shifted = s.shift_x is not None or s.shift_lambda != 0.0
+    if s.order == "after" and (shifted or s.rescale_y != 1.0):
         spec = seed.spec
         flow = traj.rho_at
-        if shift_x is not None:
-            X = np.array([[complex(e[0], e[1]) for e in row] for row in shift_x])
+        reference = np.array(seed.rho0)
+        if shifted:
+            if s.shift_x is not None:
+                X, size = s.shift_x, frob(s.shift_x)
+            else:
+                X = ShiftSpec.uniform(s.shift_lambda, seed.dim).X
+                size = abs(s.shift_lambda)
             flow = ShiftedFlow(spec, flow, X, tolerances=tolerances)
             reference = seed.rho0 + X
-            residual_scale = (1.0 + frob(X)) * max(1.0, frob(spec.A) ** spec.n)
-        elif shift_lam != 0.0:
-            X = ShiftSpec.uniform(shift_lam, seed.dim)
-            flow = ShiftedFlow(spec, flow, X, tolerances=tolerances)
-            reference = seed.rho0 + shift_lam * np.eye(seed.dim)
-            residual_scale = (1.0 + abs(shift_lam)) * max(1.0, frob(spec.A) ** spec.n)
-        else:
-            reference = np.array(seed.rho0)
-        if rescale_y != 1.0:
-            flow = RescaledFlow(flow, rescale_y)
-            reference = rescale_y * reference
-            residual_scale *= rescale_y ** 2
+            residual_scale = (1.0 + size) * max(1.0, frob(spec.A) ** spec.n)
+        if s.rescale_y != 1.0:
+            flow = RescaledFlow(flow, s.rescale_y)
+            reference = s.rescale_y * reference
+            residual_scale *= s.rescale_y ** 2
         states = [state for block in time_blocks(len(traj.times), seed.dim)
                   for state in flow.stack(traj.times[block])]
         final = dataclasses.replace(traj, states=states, rho_at=flow)
 
-    notes = {"symmetry_order": order if sym else None,
-             "shift_lambda": shift_lam, "rescale_y": rescale_y,
+    notes = {"symmetry_order": s.order if "symmetries" in s.config else None,
+             "shift_lambda": s.shift_lambda, "rescale_y": s.rescale_y,
              "hermitian_mode": params.hermitian_mode}
-    report = run_suite(final, scenario_id=cfg["id"], enabled=cfg.get("checks"),
+    report = run_suite(final, scenario_id=s.config["id"], enabled=s.checks,
                        reference=reference, residual_tol_scale=residual_scale,
                        tolerances=tolerances, notes=notes)
 
     lock = {
-        "config": cfg,
+        "config": s.config,
         "resolved": {
             "version": __version__,
             "hermitian_mode": params.hermitian_mode,
@@ -443,16 +465,21 @@ def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
             "singular_t": traj.singular_t,
         },
     }
-    return ScenarioResult(config=cfg, seed=seed, trajectory=final,
+    return ScenarioResult(config=s.config, seed=seed, trajectory=final,
                           report=report, lock=lock)
+
+
+def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
+    return execute(read_scenario(cfg), tol_scale)
 
 
 # ---------------------------------------------------------------------------
 # output files
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    # mode 0o666 lets the umask decide, as for a file made by open()
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -551,13 +578,13 @@ _FAILURES = (
 )
 
 
-def _attempt(cfg: dict, tol_scale: float):
+def _attempt(scenario: Scenario, tol_scale: float):
     """Run one scenario: ``(result or None, exit code, status, message)``.
 
     The message is None when every check passed.
     """
     try:
-        result = execute_scenario(cfg, tol_scale=tol_scale)
+        result = execute(scenario, tol_scale=tol_scale)
     except (ValueError, DarbouxError, ArithmeticError) as exc:
         code, status, prefix = next((code, status, prefix)
                                     for types, code, status, prefix in _FAILURES
@@ -580,14 +607,11 @@ def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
         for e in errors:
             print(e, file=sys.stderr)
         return 2
-    result, code, _, message = _attempt(cfg, tol_scale)
+    result, code, _, message = _attempt(read_scenario(cfg), tol_scale)
     if result is not None:
         if seed_dump:
-            np.set_printoptions(precision=17, linewidth=200)
-            print("rho0 =")
-            print(result.seed.rho0)
-            print("A =")
-            print(result.seed.spec.A)
+            with np.printoptions(precision=17, linewidth=200):
+                print(f"rho0 =\n{result.seed.rho0}\nA =\n{result.seed.spec.A}")
         write_outputs(result, out_dir)
     if message is not None:
         print(message, file=sys.stderr)
@@ -602,11 +626,11 @@ def _check_value(report: VerificationReport, *names: str) -> float | None:
 
 
 def _run_sweep_point(args: tuple) -> dict:
-    cfg, out_dir, tol_scale, param, value_repr, index = args
+    scenario, out_dir, tol_scale, param, value_repr, index = args
     row = {"index": index, "param": param, "value": value_repr,
            "out_dir": out_dir, "status": "ok", "overall": False,
            "worst_residual": "", "worst_spectral_gap": ""}
-    result, _, row["status"], message = _attempt(cfg, tol_scale)
+    result, _, row["status"], message = _attempt(scenario, tol_scale)
     if result is None:
         print(f"{param}={value_repr}: {message}", file=sys.stderr)
         return row
@@ -636,22 +660,21 @@ def sweep(config_path: str, param: str, values, out_dir: str,
             print(e, file=sys.stderr)
         return 2
 
+    section = {"mu": "darboux", "t_max": "times", "a": "seed"}[param]
     points, rows_by_index = [], {}
     for idx, value in enumerate(values):
-        sub = json.loads(json.dumps(cfg))  # deep copy via JSON round trip
         if param == "mu":
             value = complex(value)
-            sub["darboux"]["mu"] = [value.real, value.imag]
+            new = [value.real, value.imag]
             value_repr = f"{value.real:g}{value.imag:+g}j"
-        elif param == "t_max":
-            sub["times"]["t_max"] = float(value)
-            value_repr = f"{float(value):g}"
         else:
-            sub["seed"]["a"] = float(value)
-            value_repr = f"{float(value):g}"
-        sub["id"] = f"{cfg['id']}[{param}={value_repr}]"
+            new = float(value)
+            value_repr = f"{new:g}"
+        # only the touched section is copied; the point goes through the walk
+        sub = {**cfg, "id": f"{cfg['id']}[{param}={value_repr}]",
+               section: {**cfg[section], param: new}}
         sub_dir = os.path.join(out_dir, f"{param}_{idx:03d}_{value_repr}")
-        sub, sub_errors = validate_config(sub)
+        _, scenario, sub_errors = _walk(sub)
         if sub_errors:
             # a failing point never aborts the sweep
             for e in sub_errors:
@@ -662,10 +685,11 @@ def sweep(config_path: str, param: str, values, out_dir: str,
                 "overall": False, "worst_residual": "",
                 "worst_spectral_gap": ""}
             continue
-        points.append((sub, sub_dir, tol_scale, param, value_repr, idx))
+        points.append((scenario, sub_dir, tol_scale, param, value_repr, idx))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(points))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_run_sweep_point, points))
     else:
         computed = [_run_sweep_point(p) for p in points]

@@ -186,7 +186,12 @@ def make_commuting_seed(p, alpha, n: int = 1,
 
 def make_pure_state_seed(spec: ModelSpec, psi0,
                          tolerances: Tolerances = DEFAULT) -> SeedSolution:
-    """Projector seed ``|psi0><psi0|`` for a normalized psi0."""
+    """Projector seed ``|psi0><psi0|`` for a normalized psi0.
+
+    Its exact solution is ``rho_at(t) = U(t) |psi0><psi0| U(t)^dag`` with
+    ``U(t) = exp(-i sum_k Tr(rho(0) A^k) A^{n-k} t)``; the moments are
+    evaluated once at t = 0 (they are conserved along the flow).
+    """
     psi0 = as_state(psi0)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized to 1e-12")
@@ -195,16 +200,6 @@ def make_pure_state_seed(spec: ModelSpec, psi0,
     _certify(frob(rho0 @ rho0 - rho0) <= gate, "pure seed is not idempotent")
     _certify(abs(np.trace(rho0) - 1.0) <= gate, "pure seed trace must be 1")
     return SeedSolution(SeedFamily.PURE_STATE, rho0, spec)
-
-
-def pure_state_solution(spec: ModelSpec, psi0, t: float) -> np.ndarray:
-    """Exact projector solution U(t) |psi0><psi0| U(t)^dag.
-
-    ``U(t) = exp(-i sum_k Tr(rho(0) A^k) A^{n-k} t)`` with the moments
-    evaluated once at t = 0 (they are conserved along the flow).
-    """
-    seed = make_pure_state_seed(spec, psi0)
-    return seed.rho_at(t)
 
 
 def nlse_rhs(spec: ModelSpec, psi) -> np.ndarray:

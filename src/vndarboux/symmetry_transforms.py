@@ -13,9 +13,8 @@ non-normalized solutions into density matrices.
 
 ``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times: the
 shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and a
-``Flow`` underneath is evaluated a stack at a time.  The callables that
-``shifted_flow``/``rescaled_flow`` return, and ``shift``/``rescale``, are
-the one-point case.
+``Flow`` underneath is evaluated a stack at a time.  Calling the flows that
+``shifted_flow``/``rescaled_flow`` return at one time is the one-point case.
 """
 
 from __future__ import annotations
@@ -87,21 +86,10 @@ class RescaledFlow(Flow):
         return self._Y * stack_of(self._rho_at, self._Y * np.asarray(times, dtype=float))
 
 
-def shift(spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray, t: float,
-          tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """Evaluate the shifted solution rho_X at time t."""
-    return ShiftedFlow(spec, rho_at, X, tolerances)(t)
-
-
 def shifted_flow(spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,
                  tolerances: Tolerances = DEFAULT) -> ShiftedFlow:
     """Return ``t -> rho_X(t)`` with the invariants checked once up front."""
     return ShiftedFlow(spec, rho_at, X, tolerances)
-
-
-def rescale(rho_at, Y: float, t: float) -> np.ndarray:
-    """Y rho(Y t)."""
-    return RescaledFlow(rho_at, Y)(t)
 
 
 def rescaled_flow(rho_at, Y: float) -> RescaledFlow:

@@ -24,6 +24,10 @@ from .seed_factory import SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import ModelSpec, default_step, hamiltonian_of, residuals, rhs
 
+# the names ``run_suite(enabled=...)`` switches on and off
+CHECKS = ("residual", "idempotency", "form_gap", "trace", "hermiticity",
+          "spectrum", "moments", "positivity", "covariance")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -153,8 +157,9 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
 
     ``reference`` overrides the matrix whose spectrum / moments / trace the
     samples are compared against (defaults to the seed's rho(0); symmetry
-    pipelines pass the transformed reference).  Check failures become report
-    entries, never exceptions.
+    pipelines pass the transformed reference).  ``enabled`` maps names from
+    ``CHECKS`` to booleans.  Check failures become report entries, never
+    exceptions.
     """
     seed: SeedSolution = traj.seed_ref
     params = traj.params_ref

@@ -77,7 +77,7 @@ def draw_valid_scenario(rng, times, hermitian=None, family=None, max_tries=60):
         nu = None if herm else _random_mu(rng)
         try:
             lax = build_lax(seed, mu, nu)
-            traj = dressed_trajectory(seed, lax.params, times, lax=lax)
+            traj = dressed_trajectory(lax, times)
         except (SingularDarboux, ValueError):
             continue
         if traj.singular_t is None:

@@ -5,6 +5,8 @@ Each test prints one ``ACCEPTANCE k (<name>): PASS/FAIL`` line (visible with
 stream, so the whole suite is deterministic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import SX, SZ, draw_valid_scenario, rk4_ode
 from vndarboux import (InconsistentLax, build_lax, dressed_trajectory,
                        explicit_eavn, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
-                       nlse_rhs, normalize_to_density, pure_state_solution,
+                       make_pure_state_seed, nlse_rhs, normalize_to_density,
                        residual, rescaled_flow, run_suite, shifted_flow,
                        trace_moments, transform_psi)
 from vndarboux.darboux_engine import projector_at
@@ -102,7 +104,7 @@ def test_criterion_4_dressed_solutions_solve_equation():
     worst = 0.0
     for seed in cases:
         lax = build_lax(seed, mu=0.6 + 0.7j)
-        traj = dressed_trajectory(seed, lax.params, SAMPLES)
+        traj = dressed_trajectory(lax, SAMPLES)
         assert traj.singular_t is None
         for t in traj.times:
             worst = max(worst, residual(seed.spec, traj.rho_at, t).residual_norm)
@@ -124,7 +126,7 @@ def test_criterion_5_density_matrix_preservation():
         vals0 = np.linalg.eigvalsh(seed.rho0)
         assert vals0[0] >= 0 and abs(np.trace(seed.rho0) - 1) <= 1e-12
         lax = build_lax(seed, mu=mu)
-        traj = dressed_trajectory(seed, lax.params, SAMPLES)
+        traj = dressed_trajectory(lax, SAMPLES)
         for state, diag in zip(traj.states, traj.diagnostics):
             worst_h = max(worst_h, frob(state - dagger(state)))
             worst_tr = max(worst_tr, abs(np.trace(state) - 1.0))
@@ -148,7 +150,7 @@ def test_criterion_6_covariance_of_transformed_left_solution():
             if abs(lam - lax.params.mu) < 0.3 or abs(lam) < 0.2:
                 continue
             lax = build_lax(seed, lax.params.mu, lax.params.nu, lam)
-            traj = dressed_trajectory(seed, lax.params, times, lax=lax)
+            traj = dressed_trajectory(lax, times)
             if traj.singular_t is not None:
                 continue
         except (DarbouxError, ValueError, RuntimeError):
@@ -192,7 +194,7 @@ def test_criterion_7_explicit_formula_matches_general_dressing():
             ([(0.5, 0.3), (1.2, -0.5), (2.2, 0.4), (3.0, 0.25)], 1 + 1j)):
         seed = make_delta_commuting_seed(blocks, a=0.8)
         lax = build_lax(seed, mu=mu)
-        traj = dressed_trajectory(seed, lax.params, times)
+        traj = dressed_trajectory(lax, times)
         assert traj.singular_t is None
         for t, state in zip(traj.times, traj.states):
             worst = max(worst, frob(explicit_eavn(seed, mu, lax.phi0, t) - state))
@@ -212,7 +214,8 @@ def test_criterion_8_pure_state_equivalence():
             psi0 /= np.linalg.norm(psi0)
             psi_t = rk4_ode(lambda t, y: nlse_rhs(spec, y), psi0, 1.0, 1e-3)
             oracle = np.outer(psi_t, np.conj(psi_t))
-            worst = max(worst, frob(pure_state_solution(spec, psi0, 1.0) - oracle))
+            closed = make_pure_state_seed(spec, psi0).rho_at(1.0)
+            worst = max(worst, frob(closed - oracle))
     # n = 1 reduces to the linear flow
     spec1 = ModelSpec(1, SZ)
     psi = np.array([0.6, 0.8j])
@@ -226,11 +229,9 @@ def test_criterion_8_pure_state_equivalence():
 def test_criterion_9_symmetry_closure():
     # passing trajectories: the reference scenario and a Delta scenario
     sigma_seed = make_anticommuting_seed(1, [1.0], n=2)
-    sigma_traj = dressed_trajectory(sigma_seed, build_lax(sigma_seed, 1j).params,
-                                    SAMPLES)
+    sigma_traj = dressed_trajectory(build_lax(sigma_seed, 1j), SAMPLES)
     delta_seed = make_delta_commuting_seed([(1.0, 0.4)], a=0.6)
-    delta_traj = dressed_trajectory(delta_seed, build_lax(delta_seed, 0.5 + 0.5j).params,
-                                    SAMPLES)
+    delta_traj = dressed_trajectory(build_lax(delta_seed, 0.5 + 0.5j), SAMPLES)
     worst_ratio = 0.0
     for seed, traj in ((sigma_seed, sigma_traj), (delta_seed, delta_traj)):
         spec = seed.spec
@@ -266,7 +267,7 @@ def test_criterion_10_reference_scenario():
     seed = make_anticommuting_seed(1, [1.0], n=2)
     lax = build_lax(seed, mu=1j)
     assert abs(lax.params.nu - (-1j)) <= 1e-15
-    traj = dressed_trajectory(seed, lax.params, SAMPLES)
+    traj = dressed_trajectory(lax, SAMPLES)
     z_gap = abs(lax.params.z_mu)
     p_gap = max(frob(d.P - 0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
                 for d in traj.diagnostics)
@@ -295,11 +296,10 @@ def test_criterion_11_fault_injection():
 
     # (b) hermitian_mode claimed while nu != conj(mu): chi = conj(phi) is not
     # a genuine nu-eigenvector, so the bridge identity trips
-    from vndarboux import evolve_chi
     fake = DarbouxParams(mu=1j, nu=2j, lam=None, z_mu=lax.params.z_mu,
                          z_nu=np.conj(lax.params.z_mu), z_lambda=None,
                          hermitian_mode=True)
-    chi_fake = evolve_chi(seed, fake, 0.0, phi0=lax.phi0)
+    chi_fake = dataclasses.replace(lax, params=fake).chi_at(0.0)
     P_fake = projector(lax.phi0, chi_fake)
     try:
         dress(seed.rho0, seed.spec.A, P_fake, fake.mu, fake.nu)
@@ -308,7 +308,7 @@ def test_criterion_11_fault_injection():
         detected.append(True)
 
     # (c) perturbed trajectory: the residual named check fails
-    traj = dressed_trajectory(seed, lax.params, SAMPLES)
+    traj = dressed_trajectory(lax, SAMPLES)
     from vndarboux import Trajectory
     corrupted_at = lambda t: traj.rho_at(t) + 0.1 * t * SX
     bad = Trajectory(times=traj.times,

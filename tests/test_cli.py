@@ -1,10 +1,12 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vndarboux import scenario_cli
 from vndarboux.scenario_cli import (main, read_trajectory_csv, run, sweep,
                                     validate_config)
 
@@ -58,11 +60,17 @@ def test_csv_round_trip_full_precision(tmp_path):
         npt.assert_array_equal(got, expected)  # 17 digits round-trip exactly
 
 
-def test_lock_replay_is_bitwise(tmp_path):
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", ["delta_density", "shifted_sigma_x",
+                                  "sigma_x_reference"])
+def test_lock_replay_is_bitwise(tmp_path, name):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(_write(tmp_path, DELTA), str(out1)) == 0
+    assert run(os.path.join(CONFIGS, f"{name}.json"), str(out1)) == 0
     assert run(str(out1 / "scenario.lock.json"), str(out2)) == 0
-    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+    for filename in ("trajectory.csv", "scenario.lock.json"):
+        assert (out1 / filename).read_bytes() == (out2 / filename).read_bytes()
 
 
 def test_zero_mu_is_schema_error(tmp_path, capsys):
@@ -150,6 +158,14 @@ def test_seed_dump_prints_matrices(tmp_path, capsys):
                seed_dump=True) == 0
     captured = capsys.readouterr().out
     assert "rho0 =" in captured and "A =" in captured
+
+
+def test_seed_dump_keeps_print_options(tmp_path):
+    with np.printoptions(precision=5, linewidth=70):
+        before = np.get_printoptions()
+        assert run(_write(tmp_path, REFERENCE), str(tmp_path / "out"),
+                   seed_dump=True) == 0
+        assert np.get_printoptions() == before
 
 
 def test_tolerance_overrides_can_fail_a_scenario(tmp_path):
@@ -288,3 +304,145 @@ def test_sweep_numerical_failure_does_not_abort(tmp_path):
     assert code == 1
     rows = (out / "summary.csv").read_text().strip().splitlines()
     assert [row.split(",")[3] for row in rows[1:]] == ["ok", "ok", "check_failed"]
+
+
+# ---------------------------------------------------------------------------
+# the config reader
+
+def _mutated(base, path, value):
+    cfg = json.loads(json.dumps(base))
+    *parents, key = path
+    target = cfg
+    for part in parents:
+        target = target.setdefault(part, {})
+    target[key] = value
+    return cfg
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("base,path,value,field", [
+    (REFERENCE, ("darboux", "mu"), [NAN, 1.0], "darboux.mu"),
+    (REFERENCE, ("darboux", "z_mu_pin"), [0.0, INF], "darboux.z_mu_pin"),
+    (REFERENCE, ("darboux", "nu_mode"), {"explicit": [INF, 0.0]},
+     "darboux.nu_mode.explicit"),
+    (REFERENCE, ("times", "t_max"), INF, "times.t_max"),
+    (REFERENCE, ("times", "t_min"), -INF, "times.t_min"),
+    (REFERENCE, ("times", "t_max"), 10 ** 400, "times.t_max"),
+    (REFERENCE, ("seed", "b"), [True], "seed.b"),
+    (REFERENCE, ("seed", "alpha"), [True], "seed.alpha"),
+    (REFERENCE, ("seed", "b"), [NAN], "seed.b"),
+    (REFERENCE, ("model", "A"), [[[INF, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+     "model.A[0][0]"),
+    (REFERENCE, ("symmetries", "shift_lambda"), NAN, "symmetries.shift_lambda"),
+    (REFERENCE, ("symmetries", "rescale_y"), INF, "symmetries.rescale_y"),
+    (REFERENCE, ("tolerances", "form_gap"), NAN, "tolerances.form_gap"),
+    (REFERENCE, ("tolerances", "idempotency"), True, "tolerances.idempotency"),
+    (DELTA, ("seed", "a"), INF, "seed.a"),
+    (DELTA, ("seed", "blocks"), [[1.0, NAN]], "seed.blocks"),
+    (DELTA, ("seed", "blocks"), [[True, 0.2]], "seed.blocks"),
+    (DELTA, ("darboux", "lambda"), [0.0, NAN], "darboux.lambda"),
+    ({**REFERENCE, "seed": {"family": "commuting", "p": [0.5, 0.5],
+                            "alpha": [1.0, -1.0]}},
+     ("seed", "p"), [0.5, INF], "seed.p"),
+], ids=["mu-nan", "pin-inf", "nu-inf", "t_max-inf", "t_min-inf", "t_max-huge",
+        "b-bool", "alpha-bool", "b-nan", "A-inf", "shift-nan", "rescale-inf",
+        "tolerance-nan", "tolerance-bool", "a-inf", "kappa-nan", "omega-bool",
+        "lambda-nan", "p-inf"])
+def test_numbers_must_be_real_and_finite(tmp_path, capsys, base, path, value,
+                                          field):
+    path = _write(tmp_path, _mutated(base, path, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy work may start
+        assert run(path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_output_files_follow_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        assert run(_write(tmp_path, REFERENCE), str(tmp_path / "out")) == 0
+        assert sweep(_write(tmp_path, REFERENCE), "mu", [1j],
+                     str(tmp_path / "sweep")) == 0
+    finally:
+        os.umask(old)
+    written = [tmp_path / "out" / name for name in
+               ("trajectory.csv", "report.json", "scenario.lock.json")]
+    written.append(tmp_path / "sweep" / "summary.csv")
+    for path in written:
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(scenario_cli, "ProcessPoolExecutor", _RecordingPool)
+    config = _write(tmp_path, REFERENCE)
+    assert sweep(config, "mu", [1j, 2j, 1 + 1j], str(tmp_path / "a"), jobs=64) == 0
+    assert _RecordingPool.sizes == [3]
+    # a config error leaves one valid point: no pool at all
+    assert sweep(config, "mu", [1j, 1.0 + 0j], str(tmp_path / "b"), jobs=64) == 1
+    assert sweep(config, "mu", [1j, 2j], str(tmp_path / "c"), jobs=2) == 0
+    assert _RecordingPool.sizes == [3, 2]
+
+
+def test_shift_x_after_dressing(tmp_path):
+    # block-scalar X commutes with H = diag(1, 2, 3, 4) and the block seed
+    with open(SHIPPED_DELTA) as handle:
+        plain = json.load(handle)
+    X = np.diag([0.3, 0.3, -0.7, -0.7])
+    shifted = dict(plain, symmetries={"shift_x": [
+        [[X[i, j], 0.0] for j in range(4)] for i in range(4)]})
+    assert run(_write(tmp_path, plain, "plain.json"), str(tmp_path / "p")) == 0
+    assert run(_write(tmp_path, shifted, "x.json"), str(tmp_path / "x")) == 0
+    times, base = read_trajectory_csv(str(tmp_path / "p" / "trajectory.csv"))
+    _, states = read_trajectory_csv(str(tmp_path / "x" / "trajectory.csv"))
+    # rho_X(0) = rho[1](0) + X; the trace moves by Tr X at every time
+    zero = int(np.argmin(np.abs(times)))
+    assert times[zero] == 0.0
+    npt.assert_allclose(states[zero], base[zero] + X, atol=1e-13)
+    for state, ref in zip(states, base):
+        assert abs(np.trace(state) - np.trace(ref) - np.trace(X)) <= 1e-12
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert report["overall"] is True
+    assert report["notes"]["symmetry_order"] == "after"
+    lock = json.loads((tmp_path / "x" / "scenario.lock.json").read_text())
+    assert lock["config"]["symmetries"] == {"order": "after",
+                                            **shifted["symmetries"]}
+
+
+def test_z_mu_pin_selects_the_other_root(tmp_path):
+    # pencil sx - 2i diag(1, -1) has roots +-i sqrt 3; the rule picks +i sqrt 3
+    cfg = json.loads(json.dumps(REFERENCE))
+    cfg["darboux"]["mu"] = [0.0, 2.0]
+    assert run(_write(tmp_path, cfg, "default.json"), str(tmp_path / "d")) == 0
+    cfg["darboux"]["z_mu_pin"] = [0.0, -1.7]
+    assert run(_write(tmp_path, cfg, "pinned.json"), str(tmp_path / "p")) == 0
+    default = json.loads((tmp_path / "d" / "scenario.lock.json").read_text())
+    pinned = json.loads((tmp_path / "p" / "scenario.lock.json").read_text())
+    assert complex(*default["resolved"]["z_mu"]) == pytest.approx(1j * np.sqrt(3))
+    assert complex(*pinned["resolved"]["z_mu"]) == pytest.approx(-1j * np.sqrt(3))
+    assert pinned["resolved"]["z_nu"] == pytest.approx([0.0, np.sqrt(3)])
+    assert pinned["config"]["darboux"]["z_mu_pin"] == [0.0, -1.7]

@@ -4,10 +4,9 @@ import pytest
 
 from conftest import SX, SZ, rk4_ode
 from vndarboux import (DarbouxParams, UnsupportedScenario, build_lax,
-                       evolve_chi, evolve_phi, evolve_psi,
-                       make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed, make_pure_state_seed,
-                       solve_initial, solve_initial_left)
+                       lax_generator, make_anticommuting_seed,
+                       make_commuting_seed, make_delta_commuting_seed,
+                       make_pure_state_seed, solve_initial, solve_initial_left)
 from vndarboux.vne_model import ModelSpec, hamiltonian_of
 
 
@@ -53,7 +52,7 @@ def test_solve_initial_left_is_left_eigenvector():
 
 def test_evolve_constant_for_z_zero_even_n():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    phi1 = evolve_phi(SIGMA_SEED, lax.params, lax.phi0, 3.7)
+    phi1 = lax.phi_at(3.7)
     npt.assert_allclose(phi1, lax.phi0, atol=1e-13)
 
 
@@ -62,22 +61,21 @@ def test_evolve_odd_n_scalar_decay():
     seed = make_anticommuting_seed(1, [1.0], n=1)
     lax = build_lax(seed, mu=1j)
     t = 0.9
-    phi_t = evolve_phi(seed, lax.params, lax.phi0, t)
+    phi_t = lax.phi_at(t)
     npt.assert_allclose(phi_t, np.exp(-t) * lax.phi0, atol=1e-13)
 
 
 def test_evolve_at_zero_returns_initial():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    npt.assert_array_equal(evolve_phi(SIGMA_SEED, lax.params, lax.phi0, 0.0),
-                           lax.phi0)
+    npt.assert_array_equal(lax.phi_at(0.0), lax.phi0)
 
 
 def test_evolve_chi_adjoint_relation():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    chi0 = evolve_chi(SIGMA_SEED, lax.params, 0.0, phi0=lax.phi0)
+    chi0 = lax.chi_at(0.0)
     npt.assert_allclose(chi0, np.conj(lax.phi0), atol=1e-14)
     # sigma-x scenario: phi constant, so chi(t) = (1, -i)/sqrt 2 for all t
-    chi_t = evolve_chi(SIGMA_SEED, lax.params, 2.5, phi0=lax.phi0)
+    chi_t = lax.chi_at(2.5)
     npt.assert_allclose(chi_t, np.array([1.0, -1j]) / np.sqrt(2), atol=1e-13)
 
 
@@ -86,7 +84,7 @@ def test_evolve_chi_general_mode_dual_basis():
     lax = build_lax(seed, mu=-0.5, nu=-1.0)
     # left pencil diag(p1 - nu, p2 + nu) = diag(1.7, -0.8): picks e1 row
     npt.assert_allclose(lax.chi0, [1.0, 0.0], atol=1e-14)
-    chi_t = evolve_chi(seed, lax.params, 1.0, chi0=lax.chi0)
+    chi_t = lax.chi_at(1.0)
     assert abs(np.linalg.norm(chi_t) - np.linalg.norm(lax.chi0)) <= 1.0  # finite
 
 
@@ -128,19 +126,10 @@ def test_lambda_must_differ_from_mu():
         build_lax(SIGMA_SEED, mu=1j, lam=1j)
 
 
-def test_evolve_chi_requires_vectors():
-    lax = build_lax(SIGMA_SEED, mu=1j)
-    with pytest.raises(ValueError, match="phi0"):
-        evolve_chi(SIGMA_SEED, lax.params, 0.5)
-    general = build_lax(SIGMA_SEED, mu=1j, nu=2j)
-    with pytest.raises(ValueError, match="chi0"):
-        evolve_chi(SIGMA_SEED, general.params, 0.5)
-
-
 def test_evolve_psi_requires_lambda():
     lax = build_lax(SIGMA_SEED, mu=1j)
     with pytest.raises(ValueError, match="lambda"):
-        evolve_psi(SIGMA_SEED, lax.params, np.array([1.0, 0.0]), 0.2)
+        lax.psi_at(0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +169,8 @@ def test_one_parameter_group():
     phi_s = lax.phi_at(s)
     phi_st = lax.phi_at(s + t)
     import scipy.linalg as sla
-    expected = sla.expm(-1j * t * lax.generator_phi) @ phi_s
+    generator = lax_generator(seed, lax.params.mu, lax.params.z_mu)
+    expected = sla.expm(-1j * t * generator) @ phi_s
     assert np.linalg.norm(phi_st - expected) <= 1e-10 * max(1.0, np.linalg.norm(phi_st))
 
 

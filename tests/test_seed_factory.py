@@ -5,8 +5,7 @@ import pytest
 from conftest import SX, SZ, rk4_ode
 from vndarboux import (ModelSpec, SeedFamily, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
-                       make_pure_state_seed, nlse_rhs, pure_state_solution,
-                       residual)
+                       make_pure_state_seed, nlse_rhs, residual)
 from vndarboux.operator_core import commutator, frob
 
 
@@ -110,14 +109,14 @@ def test_pure_state_n1_reduces_to_linear_conjugation():
     import scipy.linalg as sla
     U = sla.expm(-1j * A * t)
     rho0 = np.outer(psi, psi.conj())
-    npt.assert_allclose(pure_state_solution(spec, psi, t),
+    npt.assert_allclose(make_pure_state_seed(spec, psi).rho_at(t),
                         U @ rho0 @ U.conj().T, atol=1e-12)
 
 
 def test_pure_state_eigenvector_is_stationary():
     spec = ModelSpec(2, SZ)
     psi = np.array([1.0, 0.0], dtype=complex)
-    npt.assert_allclose(pure_state_solution(spec, psi, 2.7),
+    npt.assert_allclose(make_pure_state_seed(spec, psi).rho_at(2.7),
                         np.diag([1.0, 0.0]), atol=1e-13)
 
 
@@ -126,13 +125,13 @@ def test_pure_state_matches_nlse_rk4_oracle():
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
     psi_t = rk4_ode(lambda t, y: nlse_rhs(spec, y), psi0, 1.0, 1e-3)
     oracle = np.outer(psi_t, psi_t.conj())
-    npt.assert_allclose(pure_state_solution(spec, psi0, 1.0), oracle, atol=1e-6)
+    npt.assert_allclose(make_pure_state_seed(spec, psi0).rho_at(1.0), oracle, atol=1e-6)
 
 
 def test_pure_state_rejects_unnormalized():
     spec = ModelSpec(1, SZ)
     with pytest.raises(ValueError, match="normalized"):
-        pure_state_solution(spec, np.array([1.0, 1.0]), 0.0)
+        make_pure_state_seed(spec, np.array([1.0, 1.0])).rho_at(0.0)
 
 
 def test_pure_state_purity_and_trace_along_flow():

@@ -46,7 +46,7 @@ def test_trajectory_matches_point_evaluation(name):
     make, mu, nu = SCENARIOS[name]
     seed = make()
     lax = build_lax(seed, mu, nu)
-    traj = dressed_trajectory(seed, lax.params, TIMES, lax=lax)
+    traj = dressed_trajectory(lax, TIMES)
     assert traj.singular_t is None
     for t, state, diag in zip(traj.times, traj.states, traj.diagnostics):
         point = dressed_state_at(seed, lax, t)
@@ -69,7 +69,7 @@ def test_symmetry_flow_stacks_match_point_evaluation(name):
     make, mu, nu = SCENARIOS[name]
     seed = make()
     lax = build_lax(seed, mu, nu)
-    traj = dressed_trajectory(seed, lax.params, TIMES, lax=lax)
+    traj = dressed_trajectory(lax, TIMES)
     spec = seed.spec
     X = ShiftSpec.uniform(0.7, seed.dim)
     shifted = shifted_flow(spec, traj.rho_at, X)
@@ -177,7 +177,7 @@ def test_projector_stack_reports_first_failing_point():
 def test_library_passes_only_floats_to_user_callables():
     seed = make_anticommuting_seed(1, [1.0], n=2)
     lax = build_lax(seed, 1j)
-    traj = dressed_trajectory(seed, lax.params, np.linspace(-1, 1, 5), lax=lax)
+    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
     seen = []
 
     def scalar_rho_at(t):
@@ -243,7 +243,7 @@ def test_large_t_dressing_has_no_spurious_singularity():
     # phi(t) underflows at |t| ~ 400 without the per-point shift
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
     lax = build_lax(seed, 0.3 + 0.8j)
-    traj = dressed_trajectory(seed, lax.params, np.linspace(-2000, 2000, 9), lax=lax)
+    traj = dressed_trajectory(lax, np.linspace(-2000, 2000, 9))
     assert traj.singular_t is None
     for state in traj.states:
         assert np.all(np.isfinite(state))

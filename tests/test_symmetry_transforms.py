@@ -6,9 +6,8 @@ from conftest import SX, SZ
 from vndarboux import (ShiftSpec, UnnormalizableError, UnsupportedScenario,
                        build_lax, dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
-                       normalize_to_density, rescale, rescaled_flow,
-                       reseed_rescale, reseed_shift, residual, shift,
-                       shifted_flow)
+                       normalize_to_density, rescaled_flow, reseed_rescale,
+                       reseed_shift, residual, shifted_flow)
 from vndarboux.operator_core import eig_hermitian, frob
 
 
@@ -16,13 +15,13 @@ SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
 
 
 def test_shift_zero_is_identity():
-    out = shift(SIGMA_SEED.spec, SIGMA_SEED.rho_at, np.zeros((2, 2)), 1.5)
+    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, np.zeros((2, 2)))(1.5)
     npt.assert_allclose(out, SX, atol=1e-14)
 
 
 def test_shift_at_time_zero_adds_lambda():
     X = ShiftSpec.uniform(0.7, 2)
-    out = shift(SIGMA_SEED.spec, SIGMA_SEED.rho_at, X, 0.0)
+    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, X)(0.0)
     npt.assert_allclose(out, SX + 0.7 * np.eye(2), atol=1e-14)
 
 
@@ -37,18 +36,18 @@ def test_shift_produces_a_solution():
 
 def test_shift_rejects_noncommuting_operator():
     with pytest.raises(ValueError, match="commute"):
-        shift(SIGMA_SEED.spec, SIGMA_SEED.rho_at, np.diag([1.0, 2.0]), 0.5)
+        shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, np.diag([1.0, 2.0]))(0.5)
 
 
 def test_shift_general_commuting_x():
     # X = diag-blocks proportional to A^2 commute with both A and sx-seed
     X = 0.5 * SIGMA_SEED.spec.powers[2]  # 0.5 * identity here
-    out = shift(SIGMA_SEED.spec, SIGMA_SEED.rho_at, X, 0.0)
+    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, X)(0.0)
     npt.assert_allclose(out, SX + 0.5 * np.eye(2), atol=1e-14)
 
 
 def test_rescale_identity():
-    npt.assert_allclose(rescale(SIGMA_SEED.rho_at, 1.0, 0.9), SX, atol=1e-15)
+    npt.assert_allclose(rescaled_flow(SIGMA_SEED.rho_at, 1.0)(0.9), SX, atol=1e-15)
 
 
 def test_rescale_stationary_solution():
@@ -60,7 +59,7 @@ def test_rescale_stationary_solution():
 
 def test_rescale_rejects_zero():
     with pytest.raises(ValueError, match="nonzero"):
-        rescale(SIGMA_SEED.rho_at, 0.0, 1.0)
+        rescaled_flow(SIGMA_SEED.rho_at, 0.0)(1.0)
 
 
 def test_rescale_after_shift_normalizes_trace():
@@ -124,7 +123,7 @@ def test_anticommuting_seed_never_positive():
 def test_symmetries_preserve_dressed_solutions():
     seed = make_delta_commuting_seed([(1.0, 0.4), (2.0, -0.3)], a=0.5)
     lax = build_lax(seed, mu=0.4 + 0.8j)
-    traj = dressed_trajectory(seed, lax.params, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
     spec = seed.spec
     lam, Y = 1.5, 0.5
     flow = rescaled_flow(
@@ -164,7 +163,7 @@ def test_reseed_shift_anticommuting_unsupported():
 def test_reseeded_seed_still_dresses():
     seed = reseed_shift(make_delta_commuting_seed([(1.0, 0.5)], a=0.4), 0.6)
     lax = build_lax(seed, mu=0.5 + 0.5j)
-    traj = dressed_trajectory(seed, lax.params, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
     assert traj.singular_t is None
     for t in traj.times:
         assert residual(seed.spec, traj.rho_at, t).passed
