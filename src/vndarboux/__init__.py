@@ -4,8 +4,9 @@ finite dimension."""
 
 __version__ = "0.1.0"
 
-from .errors import (DarbouxError, DefectiveEigenproblem, InconsistentLax,
-                     SingularDarboux, UnnormalizableError, UnsupportedScenario)
+from .errors import (DarbouxError, DefectiveEigenproblem, FarPin,
+                     InconsistentLax, SingularDarboux, UnnormalizableError,
+                     UnsupportedScenario)
 from .tolerances import DEFAULT, Tolerances
 from .operator_core import (NormalExp, anticommutator, commutator, dagger,
                             eig_hermitian, eig_pair_general, eig_pair_left,

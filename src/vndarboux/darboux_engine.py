@@ -335,12 +335,22 @@ def projector_at(lax: LaxSolution, t: float,
     return P[0]
 
 
-def f_value(seed: SeedSolution, mu: complex, phi0, t: float) -> complex:
-    """F_a(t) = <phi(0)| exp(i ((mu - conj mu)/|mu|^2) Delta_a t) |phi(0)>."""
+def f_value(seed: SeedSolution, mu: complex, phi0, times):
+    """F_a(t) = <phi(0)| exp(i ((mu - conj mu)/|mu|^2) Delta_a t) |phi(0)>.
+
+    ``times`` is one time (the result is one complex number) or a stack of
+    times (one value per time).  A stack takes one stacked ``mat_exp``, which
+    scipy evaluates slice by slice, so every value equals its one-point
+    result bitwise.
+    """
     phi0 = as_state(phi0)
     mu = complex(mu)
-    coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2) * t
-    return complex(np.conj(phi0) @ (mat_exp(coeff * seed.delta_a) @ phi0))
+    t = np.asarray(times, dtype=float)
+    coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2)
+    psi = mat_exp(coeff * t[..., None, None] * seed.delta_a) @ phi0
+    # <phi0|psi> is one (1, d) @ (d, 1) dot product per point, as for a
+    # single vector; [()] turns the 0-d result of one time into a scalar
+    return (np.conj(phi0) @ psi[..., None])[..., 0][()]
 
 
 def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
@@ -358,9 +368,10 @@ def dressed_trajectory(lax: LaxSolution, times,
 
     The grid is evaluated in blocks (``time_blocks``) that depend on the grid
     alone.  Each block dresses its samples and, in separate stacks, builds
-    the projectors at ``t +- dp`` for ``p_dot_norm``.  A ``SingularDarboux``
-    at some sample truncates the trajectory and records the singular time
-    instead of aborting.
+    the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
+    seeds in hermitian mode it evaluates ``f_value`` for all its samples in
+    one call.  A ``SingularDarboux`` at some sample truncates the trajectory
+    and records the singular time instead of aborting.
     """
     times = np.asarray(times, dtype=float)
     seed, params = lax.seed, lax.params
@@ -384,13 +395,14 @@ def dressed_trajectory(lax: LaxSolution, times,
         moments = trace_moments(rho1, seed.dim)
         traces = np.trace(rho1, axis1=-2, axis2=-1)
         p_dot = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
+        F = f_value(seed, params.mu, lax.phi0, t[:done]) if with_f else None
         for i in range(done):
             diagnostics.append(SampleDiagnostics(
                 moments=moments[i],
                 hermiticity_gap=float(herm_gap[i]),
                 min_eig=float(min_eig[i]) if herm else None,
                 phi_norm=float(dressed.phi_norm[i]),
-                F_value=f_value(seed, params.mu, lax.phi0, t[i]) if with_f else None,
+                F_value=complex(F[i]) if with_f else None,
                 form_gap=float(dressed.form_gap[i]),
                 trace=complex(traces[i]),
                 p_dot_norm=float(p_dot[i]),
@@ -429,7 +441,7 @@ def explicit_eavn(seed: SeedSolution, mu: complex, phi0, t: float,
     H = seed.spec.A
     a = seed.a
     delta = seed.delta_a
-    F = f_value(seed, mu, phi0, t)
+    F = complex(f_value(seed, mu, phi0, t))
     if abs(F) < tolerances.f_floor:
         raise SingularDarboux(f"F_a({t}) = {F:.3e} vanished", t=t)
     proj0 = np.outer(phi0, np.conj(phi0))

@@ -21,6 +21,10 @@ class DefectiveEigenproblem(DarbouxError):
     """No eigenvector could be extracted to the residual tolerance."""
 
 
+class FarPin(ValueError):
+    """A pinned eigenvalue lies far from every root of its pencil."""
+
+
 class UnsupportedScenario(DarbouxError):
     """Seed family / parameter combination with no closed-form Lax evolution."""
 

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedScenario
+from .errors import FarPin, UnsupportedScenario
 from .operator_core import NormalExp, eig_pair_general, eig_pair_left
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
@@ -220,6 +220,15 @@ class LaxSolution:
         return _unscaled(*self.psi_rows([t]), "psi(t)", t)
 
 
+def _pinned(name: str, solve, seed: SeedSolution, param: complex,
+            pin: complex | None, tolerances: Tolerances):
+    # a pin far from every root is a config error that names the pin
+    try:
+        return solve(seed, param, pin=pin, tolerances=tolerances)
+    except FarPin as exc:
+        raise FarPin(f"darboux.{name}: {exc}") from None
+
+
 def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
               lam: complex | None = None, *,
               z_mu_pin: complex | None = None,
@@ -229,7 +238,9 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
     """Solve all configured pencils at t = 0 and package the evolution rules.
 
     ``nu`` defaults to ``conj(mu)`` (hermitian mode).  ``lam`` is optional and
-    only needed for covariance checks; it must differ from ``mu``.
+    only needed for covariance checks; it must differ from ``mu``.  A pin far
+    from every root of its pencil raises ``FarPin`` (a ``ValueError``) whose
+    message names it as a config does, e.g. ``darboux.z_mu_pin: ...``.
     """
     mu = complex(mu)
     nu = complex(np.conj(mu) if nu is None else nu)
@@ -237,18 +248,19 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
     check_params(mu, nu, lam)
     herm = hermitian_pairing(mu, nu)
 
-    z_mu, phi0 = solve_initial(seed, mu, pin=z_mu_pin, tolerances=tolerances)
+    z_mu, phi0 = _pinned("z_mu_pin", solve_initial, seed, mu, z_mu_pin,
+                         tolerances)
     if herm:
         z_nu = np.conj(z_mu)
         chi0 = np.conj(phi0)
     else:
-        z_nu, chi0 = solve_initial_left(seed, nu, pin=z_nu_pin,
-                                        tolerances=tolerances)
+        z_nu, chi0 = _pinned("z_nu_pin", solve_initial_left, seed, nu,
+                             z_nu_pin, tolerances)
 
     z_lambda, psi0 = None, None
     if lam is not None:
-        z_lambda, psi0 = solve_initial_left(seed, lam, pin=z_lambda_pin,
-                                            tolerances=tolerances)
+        z_lambda, psi0 = _pinned("z_lambda_pin", solve_initial_left, seed, lam,
+                                 z_lambda_pin, tolerances)
 
     params = DarbouxParams(mu=mu, nu=nu, lam=lam,
                            z_mu=z_mu, z_nu=complex(z_nu), z_lambda=z_lambda,

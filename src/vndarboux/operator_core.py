@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DefectiveEigenproblem
+from .errors import DefectiveEigenproblem, FarPin
 from .tolerances import DEFAULT, Tolerances
 
 #: dimension guard for the general eigenpair extraction
@@ -123,16 +123,18 @@ def mat_exp(M) -> np.ndarray:
     ``M`` is one matrix or a stack ``(..., d, d)``, exponentiated slice by
     slice in one call.  Accurate to ~1e-12 relative in the Frobenius norm for
     ||M||_F <= 50.  Raises ``OverflowError`` instead of returning non-finite
-    entries.
+    entries; the message names the first slice that overflowed.
     """
     M = as_operators(M)
     with warnings.catch_warnings():
         # overflow becomes an explicit error below, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
         E = sla.expm(M)
-    if not np.all(np.isfinite(E)):
+    finite = np.isfinite(E).all(axis=(-2, -1))
+    if not finite.all():
+        first = np.unravel_index(np.argmin(finite), finite.shape)
         raise OverflowError(
-            f"matrix exponential overflowed (||M||_F = {frob_stack(M).max():.3g})")
+            f"matrix exponential overflowed (||M||_F = {frob_stack(M[first]):.3g})")
     return E
 
 
@@ -256,7 +258,9 @@ def _polish_root(M: np.ndarray, z: complex, max_iter: int = 2) -> complex:
 
 def _select_root(roots: np.ndarray, pin: complex | None) -> complex:
     # lexicographic (Re, Im) maximum with a tolerance band on Re, so that
-    # round-off dust on numerically equal real parts cannot flip the choice
+    # round-off dust on numerically equal real parts cannot flip the choice;
+    # a pin selects its nearest root and must lie nearer to it than half the
+    # distance to the next distinct root (roots within the band are one)
     scale = max(1.0, float(np.abs(roots).max()))
     band = 1e-9 * scale
     cands = roots
@@ -264,7 +268,16 @@ def _select_root(roots: np.ndarray, pin: complex | None) -> complex:
         dist = np.abs(roots - pin)
         cands = roots[dist <= dist.min() + band]
     cands = cands[cands.real >= cands.real.max() - band]
-    return complex(cands[int(np.argmax(cands.imag))])
+    z = complex(cands[int(np.argmax(cands.imag))])
+    if pin is not None:
+        gaps = np.abs(roots - z)
+        gaps = gaps[gaps > band]
+        if gaps.size and not abs(pin - z) < gaps.min() / 2:
+            raise FarPin(
+                f"{complex(pin)} lies {abs(pin - z):.3g} from the nearest root "
+                f"{z:.6g}; a pin must lie within {gaps.min() / 2:.3g} of its "
+                "root, half the distance to the next root")
+    return z
 
 
 def _null_vector(B: np.ndarray) -> np.ndarray | None:
@@ -313,7 +326,9 @@ def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
 
     Candidate eigenvalues are polished by Newton iteration on ``det(M - zI)``
     via LU.  Selection: the root maximizing ``(Re z, Im z)`` lexicographically,
-    or the polished root closest to ``pin`` when given.  The eigenvector is a
+    or the polished root closest to ``pin`` when given; a pin that is not
+    nearer that root than half its distance to the next distinct root raises
+    ``FarPin`` (a ``ValueError``).  The eigenvector is a
     deterministic null vector of ``M - zI`` (full-pivot elimination) with its
     first significant component made real positive.
 

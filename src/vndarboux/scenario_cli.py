@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .darboux_engine import Trajectory, dressed_trajectory
-from .errors import DarbouxError, SingularDarboux, UnsupportedScenario
+from .errors import (DarbouxError, DefectiveEigenproblem, SingularDarboux,
+                     UnsupportedScenario)
 from .lax_engine import build_lax, eigenvalue_multiplicity, identity_pair
 from .operator_core import frob, time_blocks
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
@@ -495,6 +496,13 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectory_csv(path: str, result: ScenarioResult):
+    """Write ``trajectory.csv``: one row per sample, every number as ``%.17g``.
+
+    A row's time and state entries go through one prebuilt format string;
+    on Python floats ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  The
+    entries are one ``tolist()`` of the state's row-major (Re, Im) pairs,
+    read from a C-ordered copy only where the state is not C-ordered.
+    """
     traj = result.trajectory
     dim = result.seed.dim
     header = ["t"]
@@ -503,23 +511,20 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     header += ["phi_norm", "form_gap", "hermiticity_gap", "min_eig",
                "F_re", "F_im", "p_dot_norm"]
+    row = ",".join(["%.17g"] * (1 + 2 * dim * dim))
     lines = [",".join(header)]
     diags = traj.diagnostics or [None] * len(traj.states)
-    for t, state, diag in zip(traj.times, traj.states, diags):
-        row = [_fmt(float(t))]
-        for i in range(dim):
-            for j in range(dim):
-                row += [_fmt(state[i, j].real), _fmt(state[i, j].imag)]
+    for t, state, diag in zip(traj.times.tolist(), traj.states, diags):
+        pairs = np.ascontiguousarray(state, dtype=complex).view(float)
         if diag is None:
-            row += [""] * 7
+            cells = [None] * 7
         else:
-            row += [_fmt(diag.phi_norm), _fmt(diag.form_gap),
-                    _fmt(diag.hermiticity_gap),
-                    _fmt(diag.min_eig) if diag.min_eig is not None else "",
-                    _fmt(diag.F_value.real) if diag.F_value is not None else "",
-                    _fmt(diag.F_value.imag) if diag.F_value is not None else "",
-                    _fmt(diag.p_dot_norm)]
-        lines.append(",".join(row))
+            F = diag.F_value
+            cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
+                     diag.min_eig, None if F is None else F.real,
+                     None if F is None else F.imag, diag.p_dot_norm]
+        lines.append(row % (t, *pairs.ravel().tolist()) + "," + ",".join(
+            "" if x is None else _fmt(x) for x in cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -573,6 +578,7 @@ def _load_config(config_path: str) -> tuple[dict | None, list[str]]:
 _FAILURES = (
     ((ValueError, UnsupportedScenario), 2, "config_error", "config error"),
     (SingularDarboux, 3, "singular", "singular dressing"),
+    (DefectiveEigenproblem, 1, "check_failed", "defective eigenproblem"),
     (DarbouxError, 1, "check_failed", "numerical check failure"),
     (ArithmeticError, 1, "check_failed", "numerical failure"),
 )

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vndarboux import scenario_cli
+from vndarboux import DefectiveEigenproblem, lax_engine, scenario_cli
 from vndarboux.scenario_cli import (main, read_trajectory_csv, run, sweep,
                                     validate_config)
 
@@ -446,3 +446,46 @@ def test_z_mu_pin_selects_the_other_root(tmp_path):
     assert complex(*pinned["resolved"]["z_mu"]) == pytest.approx(-1j * np.sqrt(3))
     assert pinned["resolved"]["z_nu"] == pytest.approx([0.0, np.sqrt(3)])
     assert pinned["config"]["darboux"]["z_mu_pin"] == [0.0, -1.7]
+
+
+@pytest.mark.parametrize("pin,darboux", [
+    ("z_mu_pin", {"mu": [0.0, 2.0]}),
+    ("z_nu_pin", {"mu": [0.0, 2.0], "nu_mode": {"explicit": [0.5, -1.0]}}),
+    ("z_lambda_pin", {"mu": [0.0, 2.0], "lambda": [0.0, 3.0]}),
+])
+def test_pin_far_from_every_root_is_config_error(tmp_path, capsys, pin, darboux):
+    cfg = json.loads(json.dumps(REFERENCE))
+    cfg["darboux"].update(darboux)
+    cfg["darboux"][pin] = [100.0, 0.0]
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: darboux.{pin}: (100+0j) lies ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_pin_within_half_the_root_gap_is_kept(tmp_path):
+    # roots +-i sqrt 3 are 2 sqrt 3 apart: a pin within sqrt 3 of one selects it
+    cfg = json.loads(json.dumps(REFERENCE))
+    cfg["darboux"]["mu"] = [0.0, 2.0]
+    for pin, code in (([1.7, 1.7], 0), ([0.0, -0.05], 0), ([1.8, 1.8], 2)):
+        cfg["darboux"]["z_mu_pin"] = pin
+        assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == code
+
+
+def _defective(*args, **kwargs):
+    raise DefectiveEigenproblem("no null direction found for eigenvalue z = 1j")
+
+
+def test_defective_eigenproblem_has_its_own_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lax_engine, "eig_pair_general", _defective)
+    assert run(_write(tmp_path, REFERENCE), str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "defective eigenproblem: no null direction found for eigenvalue z = 1j\n")
+    assert sweep(_write(tmp_path, REFERENCE), "mu", [1j, 2j],
+                 str(tmp_path / "sweep")) == 1
+    rows = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["check_failed"] * 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"mu={v}: defective eigenproblem: no null direction found for "
+        "eigenvalue z = 1j" for v in ("0+1j", "0+2j")]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ
-from vndarboux import DefectiveEigenproblem, Tolerances
+from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
 from vndarboux.operator_core import (anticommutator, canonical_phase,
                                      commutator, eig_hermitian,
                                      eig_pair_general, eig_pair_left, frob,
@@ -77,6 +77,12 @@ def test_mat_exp_matches_eigendecomposition_oracle():
 def test_mat_exp_overflow_is_explicit():
     with pytest.raises(OverflowError):
         mat_exp(np.diag([1e5, 0.0]))
+
+
+def test_mat_exp_overflow_names_the_first_overflowing_slice():
+    stack = np.array([np.eye(2), np.diag([1e3, 0.0]), np.diag([1e5, 0.0])])
+    with pytest.raises(OverflowError, match=r"\|\|M\|\|_F = 1e\+03\)"):
+        mat_exp(stack)
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,6 +173,26 @@ def test_eig_pair_pinning():
     M = np.array([[-2j, 1.0], [1.0, 2j]])
     z, _ = eig_pair_general(M, pin=-1.7j)
     assert z == pytest.approx(-1j * np.sqrt(3.0), abs=1e-12)
+
+
+def test_eig_pair_pin_must_lie_within_half_the_root_gap():
+    M = np.array([[-2j, 1.0], [1.0, 2j]])  # roots +-i sqrt 3
+    with pytest.raises(FarPin, match="half the distance"):
+        eig_pair_general(M, pin=100.0)
+    with pytest.raises(ValueError):
+        eig_pair_general(M, pin=1.0)  # 2 from both roots, beyond sqrt 3
+    z, _ = eig_pair_general(M, pin=0.5 - 0.5j)
+    assert z == pytest.approx(-1j * np.sqrt(3.0), abs=1e-12)
+
+
+def test_eig_pair_pin_counts_repeated_roots_once():
+    M = np.diag([1.0, 1.0, 3.0]).astype(complex)
+    assert eig_pair_general(M, pin=1.9)[0] == pytest.approx(1.0)
+    assert eig_pair_general(M, pin=2.1)[0] == pytest.approx(3.0)
+    with pytest.raises(FarPin):
+        eig_pair_general(M, pin=2.0)  # halfway between the distinct roots
+    # a single distinct root accepts any pin
+    assert eig_pair_general(2.0 * np.eye(3), pin=1e6)[0] == pytest.approx(2.0)
 
 
 def test_eig_pair_dim_cap():
