@@ -22,10 +22,10 @@ def main(out_path="mu_sweep.csv"):
     for im in np.linspace(0.2, 2.0, 10):
         mu = 1.0 + 1j * im
         lax = build_lax(seed, mu=mu)
-        traj = dressed_trajectory(lax, times)
-        min_f = min(abs(d.F_value) for d in traj.diagnostics)
-        max_pdot = max(d.p_dot_norm for d in traj.diagnostics)
-        max_phi = max(d.phi_norm for d in traj.diagnostics)
+        diag = dressed_trajectory(lax, times).diagnostics
+        min_f = np.abs(diag.F_value).min()
+        max_pdot = diag.p_dot_norm.max()
+        max_phi = diag.phi_norm.max()
         rows.append(f"{im:.3f},{min_f:.6e},{max_pdot:.6e},{max_phi:.6e}")
         print(rows[-1])
     with open(out_path, "w") as handle:

@@ -18,7 +18,7 @@ from .seed_factory import (SeedFamily, SeedSolution, make_anticommuting_seed,
                            make_pure_state_seed, nlse_rhs)
 from .lax_engine import (DarbouxParams, LaxSolution, build_lax, lax_generator,
                          solve_initial, solve_initial_left)
-from .darboux_engine import (DressedFlow, DressedState, SampleDiagnostics,
+from .darboux_engine import (Diagnostics, DressedFlow, DressedState,
                              Trajectory, dress, dressed_state_at,
                              dressed_trajectory, explicit_eavn, f_value,
                              projector, projector_at, similarity_T,

@@ -16,8 +16,11 @@ bridge identity, unitarity) is a reduction over the stack, and the first
 failing point in stack order raises what a point-by-point loop would.
 ``projector``, ``similarity_T``, ``dress``, ``projector_at`` and
 ``dressed_state_at`` are the one-point case.  ``dressed_trajectory`` cuts the
-sample grid into blocks (``time_blocks``); the checks in ``verification``
-evaluate their stencils through the same flow.
+sample grid into blocks (``time_blocks``) and fills one ``Trajectory``: the
+states as one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample
+arrays (dressed states, projectors and scalar diagnostics) and the Lax
+solution.  The checks in ``verification`` slice those stacks and evaluate
+their stencils through the same flow.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentLax, SingularDarboux
-from .lax_engine import (DarbouxParams, LaxSolution, check_params,
-                         hermitian_pairing, require_nonzero)
+from .lax_engine import (LaxSolution, check_params, hermitian_pairing,
+                         require_nonzero)
 from .operator_core import (as_operator, as_state, commutator, dagger,
-                            frob_stack, mat_exp, time_blocks, trace_moments)
+                            frob_stack, mat_exp, time_blocks)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
@@ -49,51 +52,54 @@ class DressedState:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleDiagnostics:
-    """Per-sample record of a dressed trajectory.
+class Diagnostics:
+    """Per-sample arrays of a dressed trajectory, one entry per state.
 
-    ``rho1`` is the dressed state itself, before any symmetry flow.
+    ``rho1`` is the ``(N, d, d)`` stack of dressed states, before any
+    symmetry flow, and ``P`` their projectors; ``min_eig`` is None outside
+    hermitian mode and ``F_value`` off Delta-commuting seeds in hermitian
+    mode.
     """
 
-    moments: np.ndarray
-    hermiticity_gap: float
-    min_eig: float | None
-    phi_norm: float
-    F_value: complex | None
-    form_gap: float
-    trace: complex
-    p_dot_norm: float
-    P: np.ndarray
     rho1: np.ndarray
+    P: np.ndarray
+    phi_norm: np.ndarray
+    form_gap: np.ndarray
+    hermiticity_gap: np.ndarray
+    min_eig: np.ndarray | None
+    F_value: np.ndarray | None
+    p_dot_norm: np.ndarray
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled rho[1](t) with per-sample diagnostics and an exact re-evaluator.
+    """Sampled rho[1](t) as one ``(N, d, d)`` stack, with per-sample
+    diagnostics and an exact re-evaluator.
 
-    ``rho_at`` recomputes the state at arbitrary t (used by the residual
-    check; a ``Flow`` evaluates stacks of times); ``lax_ref`` is the Lax
-    solution the samples were dressed with (used by the covariance check);
+    ``states`` may be given as a list and is stored as a stack; ``rho_at``
+    recomputes the state at arbitrary t (used by the residual check; a
+    ``Flow`` evaluates stacks of times); ``lax`` is the Lax solution the
+    samples were dressed with, whose ``seed`` and ``params`` the checks read;
     ``singular_t`` is set when the dressing blew up and the sampling was
     truncated; ``resym_drift`` is the largest re-symmetrization correction of
     an ``rk4_integrate`` run.
     """
 
     times: np.ndarray
-    states: list
-    seed_ref: SeedSolution | None = None
-    params_ref: DarbouxParams | None = None
-    diagnostics: list | None = None
+    states: np.ndarray
+    diagnostics: Diagnostics | None = None
     rho_at: object = None
     singular_t: float | None = None
-    lax_ref: LaxSolution | None = None
+    lax: LaxSolution | None = None
     resym_drift: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        self.states = np.asarray(self.states, dtype=complex)
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if self.diagnostics is not None and len(self.diagnostics) != len(self.states):
+        if (self.diagnostics is not None
+                and len(self.diagnostics.rho1) != len(self.states)):
             raise ValueError("diagnostics length must match states")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
@@ -366,11 +372,12 @@ def dressed_trajectory(lax: LaxSolution, times,
     """Sample rho[1](t), dressed with ``lax``, over a time grid with full
     per-sample diagnostics.
 
-    The grid is evaluated in blocks (``time_blocks``) that depend on the grid
-    alone.  Each block dresses its samples and, in separate stacks, builds
+    The states and every diagnostic are stacks allocated for the whole grid
+    and filled block by block (``time_blocks``, which depend on the grid
+    alone).  Each block dresses its samples and, in separate stacks, builds
     the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
     seeds in hermitian mode it evaluates ``f_value`` for all its samples in
-    one call.  A ``SingularDarboux`` at some sample truncates the trajectory
+    one call.  A ``SingularDarboux`` at some sample cuts the stacks there
     and records the singular time instead of aborting.
     """
     times = np.asarray(times, dtype=float)
@@ -379,37 +386,35 @@ def dressed_trajectory(lax: LaxSolution, times,
     herm = params.hermitian_mode
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
 
-    states, diagnostics = [], []
+    count = len(times)
+    rho1 = np.empty((count, seed.dim, seed.dim), dtype=complex)
+    P = np.empty_like(rho1)
+    phi_norm, form_gap, herm_gap, p_dot = (np.empty(count) for _ in range(4))
+    min_eig = np.empty(count) if herm else None
+    F = np.empty(count, dtype=complex) if with_f else None
+    filled = 0
     singular_t = None
     dp = 1e-4
-    for block in time_blocks(len(times), seed.dim, points_per_item=3):
+    for block in time_blocks(count, seed.dim, points_per_item=3):
         t = times[block]
         dressed = flow.evaluate(t)
         p_plus, _, plus_failure = flow.projectors(t + dp)
         p_minus, _, minus_failure = flow.projectors(t - dp)
         failure = _earliest(dressed.failure, plus_failure, minus_failure)
         done = len(t) if failure is None else failure[0]
-        rho1 = dressed.rho1[:done]
-        herm_gap = frob_stack(rho1 - dagger(rho1))
-        min_eig = np.linalg.eigvalsh((rho1 + dagger(rho1)) / 2)[:, 0] if herm else None
-        moments = trace_moments(rho1, seed.dim)
-        traces = np.trace(rho1, axis1=-2, axis2=-1)
-        p_dot = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
-        F = f_value(seed, params.mu, lax.phi0, t[:done]) if with_f else None
-        for i in range(done):
-            diagnostics.append(SampleDiagnostics(
-                moments=moments[i],
-                hermiticity_gap=float(herm_gap[i]),
-                min_eig=float(min_eig[i]) if herm else None,
-                phi_norm=float(dressed.phi_norm[i]),
-                F_value=complex(F[i]) if with_f else None,
-                form_gap=float(dressed.form_gap[i]),
-                trace=complex(traces[i]),
-                p_dot_norm=float(p_dot[i]),
-                P=dressed.P[i],
-                rho1=rho1[i],
-            ))
-            states.append(rho1[i])
+        out = slice(filled, filled + done)
+        states = dressed.rho1[:done]
+        rho1[out] = states
+        P[out] = dressed.P[:done]
+        phi_norm[out] = dressed.phi_norm[:done]
+        form_gap[out] = dressed.form_gap[:done]
+        herm_gap[out] = frob_stack(states - dagger(states))
+        if herm:
+            min_eig[out] = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
+        p_dot[out] = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
+        if with_f:
+            F[out] = f_value(seed, params.mu, lax.phi0, t[:done])
+        filled += done
         if failure is not None:
             index, error = failure
             if not isinstance(error, SingularDarboux):
@@ -417,10 +422,15 @@ def dressed_trajectory(lax: LaxSolution, times,
             singular_t = float(t[index]) if error.t is None else float(error.t)
             break
 
-    return Trajectory(times=times[:len(states)], states=states,
-                      seed_ref=seed, params_ref=params,
+    cut = slice(0, filled)
+    diagnostics = Diagnostics(
+        rho1=rho1[cut], P=P[cut], phi_norm=phi_norm[cut], form_gap=form_gap[cut],
+        hermiticity_gap=herm_gap[cut],
+        min_eig=None if min_eig is None else min_eig[cut],
+        F_value=None if F is None else F[cut], p_dot_norm=p_dot[cut])
+    return Trajectory(times=times[cut], states=diagnostics.rho1,
                       diagnostics=diagnostics, rho_at=flow,
-                      singular_t=singular_t, lax_ref=lax)
+                      singular_t=singular_t, lax=lax)
 
 
 def explicit_eavn(seed: SeedSolution, mu: complex, phi0, t: float,

@@ -437,8 +437,9 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             flow = RescaledFlow(flow, s.rescale_y)
             reference = s.rescale_y * reference
             residual_scale *= s.rescale_y ** 2
-        states = [state for block in time_blocks(len(traj.times), seed.dim)
-                  for state in flow.stack(traj.times[block])]
+        states = np.empty_like(traj.states)
+        for block in time_blocks(len(traj.times), seed.dim):
+            states[block] = flow.stack(traj.times[block])
         final = dataclasses.replace(traj, states=states, rho_at=flow)
 
     notes = {"symmetry_order": s.order if "symmetries" in s.config else None,
@@ -498,10 +499,11 @@ def _fmt(x: float) -> str:
 def write_trajectory_csv(path: str, result: ScenarioResult):
     """Write ``trajectory.csv``: one row per sample, every number as ``%.17g``.
 
-    A row's time and state entries go through one prebuilt format string;
-    on Python floats ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  The
-    entries are one ``tolist()`` of the state's row-major (Re, Im) pairs,
-    read from a C-ordered copy only where the state is not C-ordered.
+    Each row goes through one prebuilt format string in which the columns of
+    absent diagnostics are fixed empty; on Python floats ``"%.17g" % x`` is
+    ``f"{x:.17g}"``, byte for byte.  A row's state entries are one
+    ``tolist()`` of that state's row-major (Re, Im) pairs, read from a
+    C-ordered copy of the stack only where the stack is not C-ordered.
     """
     traj = result.trajectory
     dim = result.seed.dim
@@ -511,41 +513,40 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
     header += ["phi_norm", "form_gap", "hermiticity_gap", "min_eig",
                "F_re", "F_im", "p_dot_norm"]
-    row = ",".join(["%.17g"] * (1 + 2 * dim * dim))
+    diag = traj.diagnostics
+    cells = [None] * 7
+    if diag is not None:
+        F = diag.F_value
+        cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
+                 diag.min_eig, None if F is None else F.real,
+                 None if F is None else F.imag, diag.p_dot_norm]
+    row = ",".join(["%.17g"] * (1 + 2 * dim * dim)
+                   + ["" if c is None else "%.17g" for c in cells])
+    # per sample: the time, then the diagnostics that are present
+    scalars = np.column_stack(
+        [traj.times] + [c for c in cells if c is not None]).tolist()
+    pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
+    pairs = pairs.reshape(len(pairs), 2 * dim * dim)
     lines = [",".join(header)]
-    diags = traj.diagnostics or [None] * len(traj.states)
-    for t, state, diag in zip(traj.times.tolist(), traj.states, diags):
-        pairs = np.ascontiguousarray(state, dtype=complex).view(float)
-        if diag is None:
-            cells = [None] * 7
-        else:
-            F = diag.F_value
-            cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
-                     diag.min_eig, None if F is None else F.real,
-                     None if F is None else F.imag, diag.p_dot_norm]
-        lines.append(row % (t, *pairs.ravel().tolist()) + "," + ",".join(
-            "" if x is None else _fmt(x) for x in cells))
+    for (t, *values), entries in zip(scalars, pairs):
+        lines.append(row % (t, *entries.tolist(), *values))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path: str) -> tuple[np.ndarray, list]:
-    """Parse a trajectory.csv back into (times, state matrices)."""
+def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a trajectory.csv back into (times, ``(N, d, d)`` state stack)."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    header = rows[0]
-    entry_cols = [c for c in header if c.startswith("re_")]
-    dim = int(np.sqrt(len(entry_cols)))
-    times, states = [], []
-    for row in rows[1:]:
-        times.append(float(row[0]))
-        M = np.empty((dim, dim), dtype=complex)
-        k = 1
-        for i in range(dim):
-            for j in range(dim):
-                M[i, j] = complex(float(row[k]), float(row[k + 1]))
-                k += 2
-        states.append(M)
-    return np.array(times), states
+    dim = int(np.sqrt(sum(c.startswith("re_") for c in rows[0])))
+    times = np.empty(len(rows) - 1)
+    pairs = np.empty((len(rows) - 1, 2 * dim * dim))
+    # filled row by row: a list of every cell as a Python float would hold
+    # several times the memory of the stack
+    for k, row in enumerate(rows[1:]):
+        times[k] = float(row[0])
+        pairs[k] = [float(x) for x in row[1:1 + 2 * dim * dim]]
+    # (Re, Im) pairs viewed as complex keep every bit, signed zeros included
+    return times, pairs.view(complex).reshape(-1, dim, dim)
 
 
 def write_outputs(result: ScenarioResult, out_dir: str):

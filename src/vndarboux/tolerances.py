@@ -9,6 +9,7 @@ large norms use them relative-guarded as ``tol * max(1, scale)``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -43,9 +44,13 @@ class Tolerances:
     _FLOORS = ("overlap_floor", "f_floor")
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Uniformly loosen (factor > 1) or tighten (factor < 1) every gate."""
-        if factor <= 0:
-            raise ValueError("tolerance scale must be positive")
+        """Uniformly loosen (factor > 1) or tighten (factor < 1) every gate.
+
+        A factor that is not a finite positive number raises ``ValueError``:
+        an infinite one would pass every check, a NaN one fail every check.
+        """
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError("tolerance scale must be a finite positive number")
         updates = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)

@@ -4,11 +4,13 @@
 flow; ``run_suite`` aggregates every named check (residual, spectrum or
 trace-moment invariance, Hermiticity, trace, positivity, projector
 idempotency, form gap, covariance of the transformed left solution) into a
-single deterministic report.  Every check reduces over stacks of samples in
-blocks (``time_blocks``): the residual evaluates its stencil through the
-trajectory's flow and reuses the sample states as centres; the covariance
-check reuses the trajectory's Lax solution, dressed states and projectors,
-and builds only the projectors of its stencil.
+single deterministic report.  Every check reduces over slices of the
+trajectory's stacks in blocks (``time_blocks``): the spectrum and positivity
+checks share one eigensolve per state; the residual evaluates its stencil
+through the trajectory's flow and reuses the sample states as centres; the
+covariance check reuses the trajectory's Lax solution and the dressed states
+and projectors of its ``Diagnostics``, and builds only the projectors of its
+stencil.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darboux_engine import DressedFlow, SampleDiagnostics, Trajectory
+from .darboux_engine import DressedFlow, Trajectory
 from .operator_core import (dagger, frob, frob_stack, time_blocks,
                             trace_moments)
-from .seed_factory import SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import ModelSpec, default_step, hamiltonian_of, residuals, rhs
 
@@ -74,11 +75,12 @@ def rk4_integrate(spec: ModelSpec, rho0, t_end: float, dt: float) -> Trajectory:
     rho = np.array(rho0, dtype=complex)
     steps = int(round(abs(t_end) / dt))
     h = dt if t_end >= 0 else -dt
-    times = [0.0]
-    states = [rho.copy()]
+    times = np.zeros(steps + 1)
+    states = np.empty((steps + 1,) + rho.shape, dtype=complex)
+    states[0] = rho
     drift = 0.0
     t = 0.0
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         k1 = rhs(spec, rho)
         k2 = rhs(spec, rho + (h / 2) * k1)
         k3 = rhs(spec, rho + (h / 2) * k2)
@@ -90,12 +92,12 @@ def rk4_integrate(spec: ModelSpec, rho0, t_end: float, dt: float) -> Trajectory:
         if frob(rho) > 1e6:
             raise RuntimeError(f"state norm exceeded 1e6 at t = {t + h:.3g}")
         t += h
-        times.append(t)
-        states.append(rho.copy())
+        times[step] = t
+        states[step] = rho
     if h < 0:
         times = times[::-1]
         states = states[::-1]
-    return Trajectory(times=np.array(times), states=states, resym_drift=drift)
+    return Trajectory(times=times, states=states, resym_drift=drift)
 
 
 def _worst(values, times):
@@ -103,18 +105,17 @@ def _worst(values, times):
     return float(values[idx]), float(times[idx])
 
 
-def _per_sample(matrices, dim: int, measure) -> np.ndarray:
-    # measure(stack) over the matrices, a block at a time
-    return np.concatenate([measure(np.stack(matrices[block]))
+def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
+    # measure(stack) over a stack of matrices, a block at a time
+    return np.concatenate([measure(matrices[block])
                            for block in time_blocks(len(matrices), dim)])
 
 
 def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
     # left lambda-solution psi[1] against the dressed state itself
-    seed, lax = traj.seed_ref, traj.lax_ref
-    if lax is None:
-        raise ValueError("the covariance check needs the trajectory's Lax solution")
+    lax, diagnostics = traj.lax, traj.diagnostics
+    seed = lax.seed
     spec = seed.spec
     params = lax.params
     lam, z_l = params.lam, params.z_lambda
@@ -126,9 +127,8 @@ def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     eig_gaps, teq_gaps = [], []
     for block in time_blocks(len(traj.times), spec.dim, points_per_item=5):
         t = traj.times[block]
-        diags = traj.diagnostics[block]
-        rho1 = np.stack([d.rho1 for d in diags])
-        psi1, shift = flow.psi1_rows(t, P=np.stack([d.P for d in diags]))
+        rho1 = diagnostics.rho1[block]
+        psi1, shift = flow.psi1_rows(t, P=diagnostics.P[block])
         # the stencil shares its centre's shift: one scaled psi is differenced
         ring, _ = flow.psi1_rows((t[:, None] + offsets).ravel(),
                                  shift=np.repeat(shift, len(offsets)))
@@ -161,18 +161,17 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
     ``CHECKS`` to booleans.  Check failures become report entries, never
     exceptions.
     """
-    seed: SeedSolution = traj.seed_ref
-    params = traj.params_ref
-    if seed is None or params is None:
-        raise ValueError("run_suite needs a trajectory with seed and parameter refs")
+    if traj.lax is None:
+        raise ValueError("run_suite needs a trajectory with its Lax solution")
+    seed, params = traj.lax.seed, traj.lax.params
     spec = seed.spec
     dim = spec.dim
     ref = seed.rho0 if reference is None else np.asarray(reference, dtype=complex)
     herm = params.hermitian_mode
-    diags: list[SampleDiagnostics] = traj.diagnostics or []
     times = traj.times
     states = traj.states
     have_samples = len(times) > 0
+    diags = traj.diagnostics if have_samples else None
 
     def on(name: str, default: bool = True) -> bool:
         if enabled is None:
@@ -193,18 +192,17 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         worst_idx = int(np.argmax(norms))
         add("residual", norms[worst_idx], tols[worst_idx], float(times[worst_idx]))
 
-    if on("idempotency") and diags:
-        projectors = [d.P for d in diags]
-        vals = _per_sample(projectors, dim, lambda P: frob_stack(P @ P - P))
+    if on("idempotency") and diags is not None:
+        vals = _per_sample(diags.P, dim, lambda P: frob_stack(P @ P - P))
         worst, loc = _worst(vals, times)
         add("idempotency", worst, tolerances.idempotency, loc)
-        trs = _per_sample(projectors, dim, lambda P: np.abs(
+        trs = _per_sample(diags.P, dim, lambda P: np.abs(
             np.trace(P, axis1=-2, axis2=-1) - 1.0))
         worst, loc = _worst(trs, times)
         add("projector_trace", worst, tolerances.projector_trace, loc)
 
-    if on("form_gap") and diags:
-        worst, loc = _worst([d.form_gap for d in diags], times)
+    if on("form_gap") and diags is not None:
+        worst, loc = _worst(diags.form_gap, times)
         add("form_gap", worst, tolerances.form_gap, loc)
 
     if on("trace") and have_samples:
@@ -223,15 +221,19 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
             worst, loc = _worst(vals, times)
             add("hermiticity", worst, tolerances.hermiticity_gap, loc)
         ref_vals = spectra(ref)
-        if on("spectrum") and have_samples:
-            gaps = _per_sample(states, dim, lambda S: np.max(
-                np.abs(spectra(S) - ref_vals), axis=-1))
+        seed_positive = float(ref_vals[0]) >= tolerances.positivity_floor
+        spectrum = on("spectrum") and have_samples
+        positivity = (on("positivity", default=seed_positive) and seed_positive
+                      and have_samples)
+        if spectrum or positivity:
+            # one eigensolve per state serves both checks
+            eigs = _per_sample(states, dim, spectra)
+        if spectrum:
+            gaps = np.max(np.abs(eigs - ref_vals), axis=-1)
             worst, loc = _worst(gaps, times)
             add("spectrum", worst, tolerances.spectral_match, loc)
-        seed_positive = float(ref_vals[0]) >= tolerances.positivity_floor
-        if on("positivity", default=seed_positive) and seed_positive and have_samples:
-            vals = _per_sample(states, dim, lambda S: -spectra(S)[:, 0])
-            worst, loc = _worst(vals, times)
+        if positivity:
+            worst, loc = _worst(-eigs[:, 0], times)
             add("positivity", worst, -tolerances.positivity_floor, loc)
     else:
         if on("moments") and have_samples:

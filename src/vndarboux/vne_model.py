@@ -146,10 +146,11 @@ def residuals(spec: ModelSpec, rho_at, times, states=None,
     rho' is estimated by the 5-point central stencil (O(h^4)); the default
     tolerance is ``max(residual_floor, C h^4)`` with
     ``C = ((n+1) (1+||A||_F)^{n+1} max(1, ||rho(t)||_F))^5 / 30``, a bound on
-    the fifth time-derivative entering the stencil error.  ``states`` gives
-    rho(t) at the times when it is already known; otherwise it is evaluated
-    first.  Times are taken in blocks (``time_blocks``); within a block the
-    stencil points are evaluated in the order t+2h, t+h, t-h, t-2h per time.
+    the fifth time-derivative entering the stencil error.  ``states`` is the
+    ``(len(times), d, d)`` stack of rho(t) when it is already known;
+    otherwise it is evaluated first.  Times are taken in blocks
+    (``time_blocks``); within a block the stencil points are evaluated in the
+    order t+2h, t+h, t-h, t-2h per time.
     """
     if h is None:
         h = default_step(spec)
@@ -162,7 +163,7 @@ def residuals(spec: ModelSpec, rho_at, times, states=None,
     for block in time_blocks(len(times), spec.dim, points_per_item=len(offsets)):
         t = times[block]
         rho_t = (stack_of(rho_at, t) if states is None
-                 else as_operators(np.stack(states[block])))
+                 else as_operators(states[block]))
         ring = stack_of(rho_at, (t[:, None] + offsets).ravel())
         ring = ring.reshape((len(t), len(offsets)) + rho_t.shape[-2:])
         rdot = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)

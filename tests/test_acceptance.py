@@ -42,9 +42,9 @@ def scenario_batch():
 def test_criterion_1_projector_idempotency(scenario_batch):
     worst_idem, worst_trace = 0.0, 0.0
     for _, _, traj in scenario_batch:
-        for diag in traj.diagnostics:
-            worst_idem = max(worst_idem, frob(diag.P @ diag.P - diag.P))
-            worst_trace = max(worst_trace, abs(np.trace(diag.P) - 1.0))
+        for P in traj.diagnostics.P:
+            worst_idem = max(worst_idem, frob(P @ P - P))
+            worst_trace = max(worst_trace, abs(np.trace(P) - 1.0))
     ok = worst_idem <= 1e-11 and worst_trace <= 1e-11
     _report(1, "idempotency", ok,
             f"200 scenarios, worst |P^2-P| = {worst_idem:.2e}, "
@@ -56,9 +56,9 @@ def test_criterion_2_two_form_equality(scenario_batch):
     for seed, lax, traj in scenario_batch:
         mu, nu = lax.params.mu, lax.params.nu
         A = seed.spec.A
-        for t, diag in zip(traj.times, traj.diagnostics):
-            worst_gap = max(worst_gap, diag.form_gap)
-            P = diag.P
+        diag = traj.diagnostics
+        for t, form_gap, P in zip(traj.times, diag.form_gap, diag.P):
+            worst_gap = max(worst_gap, form_gap)
             rho = seed.rho_at(t)
             bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
                       - (rho @ P) / mu + (P @ rho) / nu)
@@ -127,10 +127,10 @@ def test_criterion_5_density_matrix_preservation():
         assert vals0[0] >= 0 and abs(np.trace(seed.rho0) - 1) <= 1e-12
         lax = build_lax(seed, mu=mu)
         traj = dressed_trajectory(lax, SAMPLES)
-        for state, diag in zip(traj.states, traj.diagnostics):
+        for state, min_eig in zip(traj.states, traj.diagnostics.min_eig):
             worst_h = max(worst_h, frob(state - dagger(state)))
             worst_tr = max(worst_tr, abs(np.trace(state) - 1.0))
-            worst_min = min(worst_min, diag.min_eig)
+            worst_min = min(worst_min, min_eig)
     ok = worst_h <= 1e-10 and worst_tr <= 1e-11 and worst_min >= -1e-10
     _report(5, "hermiticity/trace/positivity", ok,
             f"worst herm gap {worst_h:.2e} (tol 1e-10), trace gap "
@@ -164,8 +164,8 @@ def test_criterion_6_covariance_of_transformed_left_solution():
             P = projector_at(lax, t)
             return transform_psi(lax.psi_at(t), P, params.mu, params.nu, params.lam)
 
-        for t, rho1, diag in zip(traj.times, traj.states, traj.diagnostics):
-            psi1 = transform_psi(lax.psi_at(t), diag.P, params.mu, params.nu,
+        for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
+            psi1 = transform_psi(lax.psi_at(t), P, params.mu, params.nu,
                                  params.lam)
             # the lambda-solution carries an arbitrary (often exponentially
             # growing) scale, so both residuals are measured per unit norm
@@ -269,8 +269,8 @@ def test_criterion_10_reference_scenario():
     assert abs(lax.params.nu - (-1j)) <= 1e-15
     traj = dressed_trajectory(lax, SAMPLES)
     z_gap = abs(lax.params.z_mu)
-    p_gap = max(frob(d.P - 0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
-                for d in traj.diagnostics)
+    p_gap = max(frob(P - 0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
+                for P in traj.diagnostics.P)
     state_gap = max(frob(s - (-SX)) for s in traj.states)
     ok = z_gap <= 1e-12 and p_gap <= 1e-12 and state_gap <= 1e-10
     _report(10, "sigma-x reference scenario", ok,
@@ -313,8 +313,8 @@ def test_criterion_11_fault_injection():
     corrupted_at = lambda t: traj.rho_at(t) + 0.1 * t * SX
     bad = Trajectory(times=traj.times,
                      states=[corrupted_at(t) for t in traj.times],
-                     seed_ref=seed, params_ref=lax.params,
-                     diagnostics=traj.diagnostics, rho_at=corrupted_at)
+                     lax=lax, diagnostics=traj.diagnostics,
+                     rho_at=corrupted_at)
     report = run_suite(bad, scenario_id="fault")
     by_name = {c.name: c.passed for c in report.checks}
     detected.append(not by_name["residual"])

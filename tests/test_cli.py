@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vndarboux import DefectiveEigenproblem, lax_engine, scenario_cli
+from vndarboux import (DefectiveEigenproblem, Tolerances, lax_engine,
+                       scenario_cli)
 from vndarboux.scenario_cli import (main, read_trajectory_csv, run, sweep,
                                     validate_config)
 
@@ -261,6 +262,27 @@ def test_tol_scale_flag(tmp_path):
     cfg["tolerances"] = {"time_equation": 1e-30}
     assert run(_write(tmp_path, cfg, "loose.json"), str(tmp_path / "out2"),
                tol_scale=1e30) == 0
+
+
+@pytest.mark.parametrize("scale", ["inf", "1e400", "nan", "0", "-1"])
+def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
+    # an infinite scale would certify anything, a NaN one nothing
+    config = _write(tmp_path, DELTA)
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out), "--tol-scale", scale]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tolerance scale must be a finite positive number\n")
+    assert not out.exists()
+    sweep_out = tmp_path / "sweep"
+    assert main(["sweep", config, "--param", "t_max", "--values", "1,2",
+                 "--out", str(sweep_out), "--tol-scale", scale]) == 1
+    rows = (sweep_out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["config_error"] * 2
+
+
+def test_tolerances_reject_an_infinite_scale():
+    with pytest.raises(ValueError, match="finite positive"):
+        Tolerances().scaled(float("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ def test_delta_diagnostics_carry_f_value():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     lax = build_lax(seed, mu=1 + 1j)
     traj = dressed_trajectory(lax, [0.0, 1.0])
-    assert traj.diagnostics[0].F_value == pytest.approx(1.0)  # F_a(0) = |phi0|^2
-    assert traj.diagnostics[1].F_value is not None
+    assert traj.diagnostics.F_value[0] == pytest.approx(1.0)  # F_a(0) = |phi0|^2
+    assert traj.diagnostics.F_value.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +223,8 @@ def test_sigma_x_covariance_residual():
     lax = build_lax(SIGMA_SEED, mu=1j, lam=3j)
     params = lax.params
     traj = dressed_trajectory(lax, [0.0, 1.0, 2.0])
-    for t, rho1, diag in zip(traj.times, traj.states, traj.diagnostics):
-        psi1 = transform_psi(lax.psi_at(t), diag.P, params.mu, params.nu,
+    for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
+        psi1 = transform_psi(lax.psi_at(t), P, params.mu, params.nu,
                              params.lam)
         gap = np.linalg.norm(params.z_lambda * psi1
                              - psi1 @ (rho1 - params.lam * SIGMA_SEED.spec.A))
@@ -239,5 +239,5 @@ def test_two_form_agreement_random_scenarios():
     times = np.linspace(-2, 2, 5)
     for _ in range(20):
         _, _, traj = draw_valid_scenario(rng, times)
-        assert max(d.form_gap for d in traj.diagnostics) <= 1e-9
-        assert max(frob(d.P @ d.P - d.P) for d in traj.diagnostics) <= 1e-11
+        assert max(traj.diagnostics.form_gap) <= 1e-9
+        assert max(frob(P @ P - P) for P in traj.diagnostics.P) <= 1e-11

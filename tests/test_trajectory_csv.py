@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vndarboux import (SampleDiagnostics, Trajectory, build_lax,
+from vndarboux import (Diagnostics, Trajectory, build_lax,
                        dressed_trajectory, f_value, make_anticommuting_seed,
                        make_delta_commuting_seed, mat_exp,
                        rk4_integrate)
@@ -22,8 +22,8 @@ def _reference_csv(traj: Trajectory, dim: int) -> str:
     header += ["phi_norm", "form_gap", "hermiticity_gap", "min_eig",
                "F_re", "F_im", "p_dot_norm"]
     lines = [",".join(header)]
-    diags = traj.diagnostics or [None] * len(traj.states)
-    for t, state, diag in zip(traj.times, traj.states, diags):
+    diag = traj.diagnostics
+    for k, (t, state) in enumerate(zip(traj.times, traj.states)):
         cells = [f"{float(t):.17g}"]
         for i in range(dim):
             for j in range(dim):
@@ -31,11 +31,13 @@ def _reference_csv(traj: Trajectory, dim: int) -> str:
         if diag is None:
             cells += [""] * 7
         else:
-            F = diag.F_value
-            for x in (diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
-                      diag.min_eig, None if F is None else F.real,
-                      None if F is None else F.imag, diag.p_dot_norm):
-                cells.append("" if x is None else f"{x:.17g}")
+            F = None if diag.F_value is None else complex(diag.F_value[k])
+            min_eig = None if diag.min_eig is None else diag.min_eig[k]
+            for x in (diag.phi_norm[k], diag.form_gap[k],
+                      diag.hermiticity_gap[k], min_eig,
+                      None if F is None else F.real,
+                      None if F is None else F.imag, diag.p_dot_norm[k]):
+                cells.append("" if x is None else f"{float(x):.17g}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -56,12 +58,13 @@ def test_hermitian_delta_rows_match_per_value_format(tmp_path):
     seed = _delta_seed()
     traj = dressed_trajectory(build_lax(seed, 0.3 + 0.8j),
                               np.linspace(-5.0, 5.0, 201))
-    assert all(d.F_value is not None and d.min_eig is not None
-               for d in traj.diagnostics)
+    assert traj.diagnostics.F_value is not None
+    assert traj.diagnostics.min_eig is not None
     text = _written(tmp_path, traj, seed.dim)
     assert text == _reference_csv(traj, seed.dim)
     times, states = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
     assert np.array_equal(times, traj.times)
+    assert states.shape == traj.states.shape == (201, 4, 4)
     assert all(np.array_equal(a, b) for a, b in zip(states, traj.states))
 
 
@@ -69,7 +72,7 @@ def test_general_mode_rows_leave_min_eig_and_f_empty(tmp_path):
     seed = _delta_seed()
     traj = dressed_trajectory(build_lax(seed, 0.3 + 0.8j, 0.2 - 0.5j),
                               np.linspace(-1.0, 1.0, 21))
-    assert all(d.F_value is None and d.min_eig is None for d in traj.diagnostics)
+    assert traj.diagnostics.F_value is None and traj.diagnostics.min_eig is None
     text = _written(tmp_path, traj, seed.dim)
     assert text == _reference_csv(traj, seed.dim)
     assert all(line.split(",")[-4:-1] == ["", "", ""]
@@ -92,12 +95,17 @@ def test_special_values_and_non_contiguous_states(tmp_path):
     transposed = M.T  # a view in Fortran order
     strided = np.tile(M, (1, 2))[:, ::2]  # every other column of a copy
     assert not (transposed.flags.c_contiguous or strided.flags.c_contiguous)
-    states = [M, transposed, strided]
-    diags = [SampleDiagnostics(
-        moments=np.zeros(2), hermiticity_gap=5e-324, min_eig=-0.0,
-        phi_norm=1e300, F_value=complex(-0.0, 0.1), form_gap=2.0 / 3.0,
-        trace=0j, p_dot_norm=1.0000000000000002, P=M, rho1=M)] * 3
+    # the same three states as a stack that is not C-ordered either
+    states = np.stack([M.T, transposed.T, strided.T]).transpose(0, 2, 1)
+    assert not states.flags.c_contiguous
+    assert all(np.array_equal(a, b) for a, b in zip(states, [M, transposed, strided]))
+    diags = Diagnostics(
+        rho1=states, P=states, phi_norm=np.full(3, 1e300),
+        form_gap=np.full(3, 2.0 / 3.0), hermiticity_gap=np.full(3, 5e-324),
+        min_eig=np.full(3, -0.0), F_value=np.full(3, complex(-0.0, 0.1)),
+        p_dot_norm=np.full(3, 1.0000000000000002))
     traj = Trajectory(times=[-0.0, 0.1, 1e300], states=states, diagnostics=diags)
+    assert not traj.states.flags.c_contiguous
     text = _written(tmp_path, traj, 2)
     assert text == _reference_csv(traj, 2)
     first = text.splitlines()[1].split(",")
@@ -124,14 +132,14 @@ def test_stacked_f_value_equals_one_point_bitwise(blocks):
     times = np.linspace(-5.0, 5.0, 201)
     traj = dressed_trajectory(lax, times)
     coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2)
-    for t, diag in zip(traj.times, traj.diagnostics):
+    for t, F in zip(traj.times, traj.diagnostics.F_value):
         one = f_value(seed, mu, phi0, t)
-        assert isinstance(diag.F_value, complex)
-        assert _bits(diag.F_value) == _bits(one)
+        assert isinstance(F, complex)
+        assert _bits(F) == _bits(one)
         assert _bits(f_value(seed, mu, phi0, float(t))) == _bits(one)
         # the per-point formula: one matrix-vector and one dot product
         point = np.conj(phi0) @ (mat_exp(coeff * t * seed.delta_a) @ phi0)
         assert _bits(point) == _bits(one)
     stack = f_value(seed, mu, phi0, times)
     assert stack.shape == times.shape
-    assert _bits(stack) == _bits([d.F_value for d in traj.diagnostics])
+    assert _bits(stack) == _bits(traj.diagnostics.F_value)

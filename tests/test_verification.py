@@ -86,8 +86,8 @@ def test_suite_detects_corrupted_states():
     corrupted_at = lambda t: traj.rho_at(t) + 0.1 * t * SX
     bad = Trajectory(times=traj.times,
                      states=[corrupted_at(t) for t in traj.times],
-                     seed_ref=traj.seed_ref, params_ref=traj.params_ref,
-                     diagnostics=traj.diagnostics, rho_at=corrupted_at)
+                     lax=traj.lax, diagnostics=traj.diagnostics,
+                     rho_at=corrupted_at)
     report = run_suite(bad, scenario_id="corrupted")
     by_name = {c.name: c for c in report.checks}
     assert not by_name["residual"].passed
