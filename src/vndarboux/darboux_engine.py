@@ -11,7 +11,7 @@ Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
 plan of one scenario: it takes phi and chi from the Lax generators and the
 seed state from its evolution, each factored once, and builds projectors and
 dressed states for a whole stack.  Every gate (overlap floor, idempotency,
-projector trace, ``t_equality`` against one stacked ``expm``, ``form_gap``,
+projector trace, ``t_equality`` against one stacked ``mat_exp``, ``form_gap``,
 bridge identity, unitarity) is a reduction over the stack, and the first
 failing point in stack order raises what a point-by-point loop would.
 ``projector``, ``similarity_T``, ``dress``, ``projector_at`` and
@@ -346,8 +346,8 @@ def f_value(seed: SeedSolution, mu: complex, phi0, times):
 
     ``times`` is one time (the result is one complex number) or a stack of
     times (one value per time).  A stack takes one stacked ``mat_exp``, which
-    scipy evaluates slice by slice, so every value equals its one-point
-    result bitwise.
+    treats each slice on its own (a diagonal ``Delta_a`` gets ``np.exp`` of
+    its diagonal), so every value equals its one-point result bitwise.
     """
     phi0 = as_state(phi0)
     mu = complex(mu)

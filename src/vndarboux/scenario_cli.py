@@ -607,8 +607,22 @@ def _attempt(scenario: Scenario, tol_scale: float):
     return result, 0, "ok", None
 
 
+def _out_is_file(out_dir: str) -> bool:
+    # checked before any work: a file at --out, or at the first of its
+    # ancestors that exists, would fail only when the outputs are written
+    path = out_dir
+    while path and not os.path.lexists(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    if os.path.lexists(path) and not os.path.isdir(path):
+        print(f"--out: {path} exists and is not a directory", file=sys.stderr)
+        return True
+    return False
+
+
 def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
         seed_dump: bool = False) -> int:
+    if _out_is_file(out_dir):
+        return 2
     cfg, errors = _load_config(config_path)
     if errors:
         for e in errors:
@@ -653,6 +667,8 @@ def _run_sweep_point(args: tuple) -> dict:
 
 def sweep(config_path: str, param: str, values, out_dir: str,
           jobs: int = 1, tol_scale: float = 1.0) -> int:
+    if _out_is_file(out_dir):
+        return 2
     cfg, errors = _load_config(config_path)
     if param not in ("mu", "t_max", "a"):
         errors = errors + [f"--param: unknown parameter {param!r}"]
@@ -722,6 +738,19 @@ def _parse_values(text: str, param: str) -> list:
     return [float(tok) for tok in tokens]
 
 
+def _glue_values(argv: list) -> list:
+    # argparse reads a token that starts with "-" as an option unless it is a
+    # plain negative number, so "--values -0.5+1j,1j" would lose its value
+    glued = []
+    for tok in argv:
+        if (glued and glued[-1] == "--values" and tok.startswith("-")
+                and not tok.startswith("--")):
+            glued[-1] = f"--values={tok}"
+        else:
+            glued.append(tok)
+    return glued
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vndarboux",
@@ -742,12 +771,12 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--param", required=True, choices=["mu", "t_max", "a"])
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values; complex literals for mu "
-                              "(e.g. '1j,2j,1+1j')")
+                              "(e.g. '1j,2j,1+1j' or '-0.5+1j,1j')")
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--jobs", type=int, default=1)
     sweep_p.add_argument("--tol-scale", type=float, default=1.0)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     if args.command == "run":
         return run(args.config, args.out, tol_scale=args.tol_scale,
                    seed_dump=args.seed_dump)

@@ -19,7 +19,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .operator_core import NormalExp, as_operator, as_state, commutator, frob
 from .tolerances import DEFAULT, Tolerances
@@ -92,6 +91,14 @@ class SeedSolution:
         return self.rho_stack([t])[0]
 
 
+def _block_diag(blocks) -> np.ndarray:
+    # one complex matrix with the 2 x 2 blocks on its diagonal, zero elsewhere
+    out = np.zeros((2 * len(blocks), 2 * len(blocks)), dtype=complex)
+    for j, block in enumerate(blocks):
+        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = block
+    return out
+
+
 def _certify(condition: bool, message: str):
     if not condition:
         raise ValueError(message)
@@ -124,8 +131,8 @@ def make_anticommuting_seed(dim_pairs: int, b, alpha=None, n: int = 2,
     if np.any(alpha == 0):
         raise ValueError("every alpha_j must be nonzero")
 
-    A = sla.block_diag(*[np.diag([aj, -aj]) for aj in alpha]).astype(complex)
-    rho0 = sla.block_diag(*[np.array([[0.0, bj], [bj, 0.0]]) for bj in b]).astype(complex)
+    A = _block_diag([np.diag([aj, -aj]) for aj in alpha])
+    rho0 = _block_diag([np.array([[0.0, bj], [bj, 0.0]]) for bj in b])
     spec = ModelSpec(n, A)
 
     gate = tolerances.seed_structure
@@ -159,8 +166,8 @@ def make_delta_commuting_seed(blocks, a: float,
             raise ValueError(f"kappa must be nonzero (block {j})")
         h_blocks.append(np.diag([float(omega), float(omega) + 1.0]))
         r_blocks.append((a / 2.0) * np.eye(2) + float(kappa) * sx)
-    H = sla.block_diag(*h_blocks).astype(complex)
-    rho0 = sla.block_diag(*r_blocks).astype(complex)
+    H = _block_diag(h_blocks)
+    rho0 = _block_diag(r_blocks)
     spec = ModelSpec(1, H)
 
     delta = rho0 @ rho0 - a * rho0

@@ -239,6 +239,39 @@ def test_main_bad_values_token(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("form", ["spaced", "joined"])
+def test_main_values_with_a_leading_minus(tmp_path, form, capsys):
+    def values(text):
+        return ["--values", text] if form == "spaced" else [f"--values={text}"]
+    out = tmp_path / "mu"
+    code = main(["sweep", _write(tmp_path, REFERENCE), "--param", "mu",
+                 *values("-0.5+1j,1j"), "--out", str(out)])
+    assert code == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["-0.5+1j", "0+1j"]
+    # t_max = -5 lies below t_min: a config error of that point alone
+    out = tmp_path / "t_max"
+    code = main(["sweep", _write(tmp_path, REFERENCE), "--param", "t_max",
+                 *values("-5,3"), "--out", str(out)])
+    assert code == 1
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["config_error", "ok"]
+    assert "t_max=-5: times.t_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "/sub"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_naming_an_existing_file_exits_two(tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    extra = ["--param", "mu", "--values", "1j,2j"] if command == "sweep" else []
+    code = main([command, _write(tmp_path, REFERENCE), *extra,
+                 "--out", f"{taken}{below}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"--out: {taken} exists and is not a directory\n"
+    assert taken.read_text() == "keep me\n"
+
+
 def test_unknown_field_is_schema_error(tmp_path, capsys):
     cfg = json.loads(json.dumps(REFERENCE))
     cfg["darboux"]["mu_typo"] = [1.0, 0.0]

@@ -1,11 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ
 from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
-from vndarboux.operator_core import (anticommutator, canonical_phase,
+from vndarboux.operator_core import (DIM_CAP, NormalExp, _polish_root,
+                                     anticommutator, canonical_phase,
                                      commutator, eig_hermitian,
                                      eig_pair_general, eig_pair_left, frob,
                                      is_hermitian, mat_exp, trace_moments)
@@ -85,6 +87,12 @@ def test_mat_exp_overflow_names_the_first_overflowing_slice():
         mat_exp(stack)
 
 
+def test_mat_exp_with_a_one_norm_beyond_the_float_range_overflows():
+    M = np.array([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [1e308, 0.0, 0.0]])
+    with pytest.raises(OverflowError, match="matrix exponential overflowed"):
+        mat_exp(np.stack([np.eye(3), M]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
        st.integers(0, 10 ** 6))
@@ -140,6 +148,101 @@ def test_eigh_reconstruction(seed):
     vals, vecs = eig_hermitian(H)
     assert frob(vecs @ np.diag(vals) @ vecs.conj().T - H) <= 1e-10 * max(1.0, frob(H))
     assert frob(vecs.conj().T @ vecs - np.eye(5)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# numpy kernels against scipy, an independent implementation
+
+def _rel_gap(got, expected):
+    return frob(got - expected) / frob(expected)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_mat_exp_of_the_dressing_exponent_matches_scipy(hermitian):
+    # ln(mu/nu) P as t_equality builds it; the general-mode projectors are
+    # oblique, and nearly orthogonal pairs make them large (||.||_F <= 150
+    # tested: beyond it the two implementations drift apart by round-off)
+    rng = np.random.default_rng(11)
+    largest = 0.0
+    for k in range(60):
+        d = int(rng.integers(2, 13))
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        chi = np.conj(phi)
+        mu = complex(rng.uniform(-1, 1), rng.choice([-1, 1]) * rng.uniform(0.4, 1.5))
+        nu = np.conj(mu)
+        if not hermitian:
+            other = rng.normal(size=d) + 1j * rng.normal(size=d)
+            other -= (other @ phi) / (chi @ phi) * chi  # now orthogonal to phi
+            chi = chi * 10.0 ** -rng.uniform(0, 2) + other
+            nu = complex(rng.uniform(-1, 1), rng.uniform(0.4, 1.5))
+        M = np.log(mu / nu) * np.outer(phi, chi) / (chi @ phi)
+        if frob(M) > 150.0:
+            continue
+        largest = max(largest, frob(M))
+        assert _rel_gap(mat_exp(M), sla.expm(M)) <= 1e-12
+    assert largest > (3.0 if hermitian else 100.0)
+
+
+@pytest.mark.parametrize("norm", [1e-8, 1e-4, 0.1, 1.0, 5.0, 20.0, 50.0])
+def test_mat_exp_of_random_matrices_matches_scipy(norm):
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5, 12, 32):
+        M = _random_complex_matrix(rng, d)
+        M *= norm / frob(M)
+        assert _rel_gap(mat_exp(M), sla.expm(M)) <= 1e-12
+
+
+def test_mat_exp_of_a_nilpotent_rank_one_matrix():
+    # u v^T with v.u = 0 squares to zero: exp(M) = 1 + M
+    u = np.array([1.0, 2.0, -1.0, 0.5j])
+    v = np.array([2.0, -1.0, 0.0, 0.0])
+    M = 3.0 * np.outer(u, v)
+    assert frob(M @ M) == 0
+    npt.assert_allclose(mat_exp(M), np.eye(4) + M, rtol=0, atol=1e-14)
+    npt.assert_allclose(mat_exp(M), sla.expm(M), rtol=0, atol=1e-14)
+
+
+def test_mat_exp_of_diagonal_slices_is_np_exp_bitwise():
+    rng = np.random.default_rng(13)
+    diagonals = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)) * 30
+    stack = np.zeros((6, 5, 5), dtype=complex)
+    np.einsum("kii->ki", stack)[:] = diagonals
+    out = mat_exp(stack)
+    npt.assert_array_equal(np.einsum("kii->ki", out), np.exp(diagonals))
+    npt.assert_array_equal(out - np.einsum("kii->ki", out)[:, :, None] * np.eye(5), 0)
+    npt.assert_array_equal(out, sla.expm(stack))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16, DIM_CAP])
+def test_normal_exp_on_degenerate_normal_matrices(d):
+    # eigenvalues repeated, some of them split by 1e-13, in a random basis
+    rng = np.random.default_rng(15 + d)
+    for _ in range(10):
+        V, _ = np.linalg.qr(_random_complex_matrix(rng, d))
+        values = rng.choice(rng.normal(size=max(1, d // 3))
+                            + 1j * rng.normal(size=max(1, d // 3)), size=d)
+        values = values + 1e-13 * (rng.random(d) < 0.3)
+        G = V @ np.diag(values) @ V.conj().T
+        factor = NormalExp(G)
+        Q = factor._Q
+        assert frob(Q.conj().T @ Q - np.eye(d)) <= 1e-13
+        assert _rel_gap(Q @ np.diag(factor.g) @ Q.conj().T, G) <= 1e-13
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        s = np.array([0.7j, -2.5j, 0.4])
+        rows, shift = factor.act(v, s)
+        for row, k, sb in zip(rows, shift, s):
+            expected = sla.expm(sb * G) @ v
+            assert frob(row * np.exp(k) - expected) <= 1e-12 * frob(expected)
+
+
+def test_polish_root_leaves_an_exactly_singular_shift_alone():
+    for M, z in ((np.array([[2.0, 1.0], [0.0, 3.0]]), 2.0),
+                 (np.diag([1.0, 2.0, 3.0]).astype(complex), 2.0 + 0.0j)):
+        assert _polish_root(M, z) == z
+    # and polishes a root that is off by round-off-scale noise
+    M = np.array([[2.0, 1.0], [0.5, 3.0]])
+    root = (5.0 + np.sqrt(3.0)) / 2
+    assert abs(_polish_root(M, root + 1e-9) - root) <= 1e-15 * root
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,15 @@ def test_normal_exp_rows_stay_finite_at_large_s():
 
 
 def test_mat_exp_stack_matches_slices():
+    # each slice is scaled by its own norm: bitwise its one-point result
     rng = np.random.default_rng(9)
-    stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    stack = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+    stack *= np.array([1e-8, 0.3, 1.0, 7.0, 50.0, 300.0, 0.0, 1.0])[:, None, None]
+    stack[7] = np.diag(rng.normal(size=3) * 4j)
     out = mat_exp(stack)
     for M, E in zip(stack, out):
-        npt.assert_allclose(E, mat_exp(M), rtol=1e-14, atol=1e-14)
+        npt.assert_array_equal(E, mat_exp(M))
+    npt.assert_array_equal(out[1:4], mat_exp(stack[1:4]))
     with pytest.raises(OverflowError):
         mat_exp(np.stack([np.zeros((2, 2)), np.diag([1e5, 0.0])]))
 
