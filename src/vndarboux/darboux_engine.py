@@ -11,9 +11,12 @@ Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
 plan of one scenario: it takes phi and chi from the Lax generators and the
 seed state from its evolution, each factored once, and builds projectors and
 dressed states for a whole stack.  Every gate (overlap floor, idempotency,
-projector trace, ``t_equality`` against one stacked ``mat_exp``, ``form_gap``,
-bridge identity, unitarity) is a reduction over the stack, and the first
-failing point in stack order raises what a point-by-point loop would.
+projector trace, ``t_equality``, ``form_gap``, bridge identity, unitarity) is
+a reduction over the stack, and the first failing point in stack order raises
+what a point-by-point loop would.  ``t_equality`` compares T with one stacked
+exponential: in hermitian mode, where P is Hermitian by construction, from
+one batched ``eigh``; otherwise, and for any P a caller hands in, from
+``mat_exp``.
 ``projector``, ``similarity_T``, ``dress``, ``projector_at`` and
 ``dressed_state_at`` are the one-point case.  ``dressed_trajectory`` cuts the
 sample grid into blocks (``time_blocks``) and fills one ``Trajectory``: the
@@ -150,11 +153,22 @@ def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
     return P, failure
 
 
+def _hermitian_exp(z: complex, P: np.ndarray) -> np.ndarray:
+    # exp(z P) for a stack of P Hermitian to round-off, from one batched eigh
+    # of the Hermitian part: V diag(e^{z w}) V^dag.  An anti-Hermitian part
+    # of P is left out, which can only widen the t_equality gap.
+    w, V = np.linalg.eigh((P + dagger(P)) / 2)
+    return (V * np.exp(z * w)[:, None, :]) @ dagger(V)
+
+
 def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,
-                      tolerances: Tolerances):
+                      tolerances: Tolerances, hermitian: bool = False):
+    # hermitian: P is Hermitian by construction (chi = conj(phi)); any other
+    # P, above all one handed in by a caller, goes through mat_exp
     eye = np.eye(P.shape[-1], dtype=complex)
     T = eye + ((mu - nu) / nu) * P
-    gap = frob_stack(T - mat_exp(np.log(mu / nu) * P))
+    z = np.log(mu / nu)
+    gap = frob_stack(T - (_hermitian_exp(z, P) if hermitian else mat_exp(z * P)))
     failure = _first(
         gap > tolerances.t_equality * np.maximum(1.0, frob_stack(T)),
         lambda i: InconsistentLax(
@@ -163,11 +177,11 @@ def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,
 
 
 def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, mu: complex,
-                 nu: complex, tolerances: Tolerances):
+                 nu: complex, tolerances: Tolerances, hermitian: bool = False):
     # (rho1, T, form_gap, failure) for stacks rho and P
     comm_PA = P @ A - A @ P
     rho1 = rho + (mu - nu) * comm_PA
-    T, failure = _similarity_stack(P, mu, nu, tolerances)
+    T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian)
     eye = np.eye(rho.shape[-1], dtype=complex)
     T_inv = eye + ((nu - mu) / mu) * P
     form_gap = frob_stack(rho1 - T @ rho @ T_inv)
@@ -309,7 +323,7 @@ class DressedFlow(Flow):
         params = self.lax.params
         rho1, T, form_gap, dress_failure = _dress_stack(
             self.seed.rho_stack(times[:done]), self.seed.spec.A, P[:done],
-            params.mu, params.nu, self.tolerances)
+            params.mu, params.nu, self.tolerances, params.hermitian_mode)
         return DressedStack(rho1, P[:done], T, form_gap, phi_norm[:done],
                             dress_failure or failure)
 
@@ -395,7 +409,7 @@ def dressed_trajectory(lax: LaxSolution, times,
     filled = 0
     singular_t = None
     dp = 1e-4
-    for block in time_blocks(count, seed.dim, points_per_item=3):
+    for block in time_blocks(count, seed.dim):
         t = times[block]
         dressed = flow.evaluate(t)
         p_plus, _, plus_failure = flow.projectors(t + dp)

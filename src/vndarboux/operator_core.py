@@ -36,8 +36,12 @@ _WORK_MATRICES = 32
 def time_blocks(count: int, dim: int, points_per_item: int = 1) -> list:
     """Consecutive slices of ``range(count)`` sized from ``BLOCK_BYTES``.
 
-    Each item evaluates ``points_per_item`` time points of dimension ``dim``;
-    a block holds as many items as fit the budget, and at least one.  The
+    A dressed time point of dimension ``dim`` is budgeted ``_WORK_MATRICES``
+    work matrices.  Each item holds ``points_per_item`` dressed points (a
+    residual sample and its stencil are four); stacks of projectors or rows
+    beside a sample's dressing, such as the ``t +- dp`` projectors of
+    ``p_dot_norm`` or the psi stencil of the covariance check, fit in its
+    budget.  A block holds as many items as fit, and at least one.  The
     slices depend only on the arguments, so the same grid is always cut the
     same way.
     """

@@ -120,12 +120,14 @@ def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     params = lax.params
     lam, z_l = params.lam, params.z_lambda
     flow = DressedFlow(seed, lax, tolerances)
-    # the psi stencil is roundoff-limited, not truncation-limited, so a
-    # coarser step than the matrix-residual default is strictly better
-    h = 10 * default_step(spec)
+    # the psi stencil balances round-off (~ eps / h) against truncation
+    # (~ h^4); its error is smallest near 3x the matrix-residual step
+    # (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
+    # 6.9e-10 at 5x and 1.0e-8 at 10x, where the h^4 term dominates)
+    h = 3 * default_step(spec)
     offsets = np.array([2 * h, h, -h, -2 * h])
     eig_gaps, teq_gaps = [], []
-    for block in time_blocks(len(traj.times), spec.dim, points_per_item=5):
+    for block in time_blocks(len(traj.times), spec.dim):
         t = traj.times[block]
         rho1 = diagnostics.rho1[block]
         psi1, shift = flow.psi1_rows(t, P=diagnostics.P[block])

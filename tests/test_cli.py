@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -231,6 +232,33 @@ def test_main_entry_sweep_parallel(tmp_path):
                  "--values", "1j,2j", "--out", str(out), "--jobs", "2"])
     assert code == 0
     assert (out / "summary.csv").exists()
+
+
+def _sweep_tree(out):
+    # every file below out, with summary.csv's out_dir column made relative
+    files = {}
+    for path in out.rglob("*"):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.csv":
+                data = data.replace(os.fsencode(out), b"OUT")
+            files[path.relative_to(out)] = data
+    return files
+
+
+def test_parallel_sweep_is_byte_identical_to_serial(tmp_path):
+    # 1+0j is a config error, so the pool runs three points on two workers
+    config = _write(tmp_path, DELTA)
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["sweep", config, "--param", "mu", "--values",
+                     "0.3+0.8j,1j,1+0j,-0.5+1.2j", "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        trees.append(_sweep_tree(out))
+    assert len(trees[0]) == 1 + 3 * 3
+    assert b"OUT" in trees[0][Path("summary.csv")]
+    assert trees[0] == trees[1]
 
 
 def test_main_bad_values_token(tmp_path, capsys):

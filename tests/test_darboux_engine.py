@@ -1,15 +1,18 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ, draw_valid_scenario
-from vndarboux import (InconsistentLax, SingularDarboux, build_lax, dress,
-                       dressed_trajectory, explicit_eavn,
+from vndarboux import (DEFAULT, InconsistentLax, SingularDarboux, build_lax,
+                       darboux_engine, dress, dressed_trajectory, explicit_eavn,
                        make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed, projector, residual,
+                       make_delta_commuting_seed, mat_exp, projector, residual,
                        similarity_T, transform_psi)
-from vndarboux.operator_core import dagger, frob
+from vndarboux.darboux_engine import (DressedFlow, _hermitian_exp,
+                                      _projector_stack, _similarity_stack)
+from vndarboux.operator_core import DIM_CAP, dagger, frob
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
@@ -79,6 +82,68 @@ def test_similarity_negative_ratio_branch_safe():
 def test_similarity_rejects_zero_parameters():
     with pytest.raises(ValueError, match="nonzero"):
         similarity_T(P_REFERENCE, 0.0, 1.0)
+
+
+T_EQUALITY = "rational and exponential forms of T disagree; P is not idempotent"
+
+
+@pytest.mark.parametrize("dim", range(2, DIM_CAP + 1))
+def test_hermitian_exp_matches_expm(dim):
+    rng = np.random.default_rng(dim)
+    phi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    P, failure = _projector_stack(phi, np.conj(phi), DEFAULT)
+    assert failure is None
+    for mu, M in zip((0.3 + 0.8j, -1.1 + 0.2j, 0.05 - 1.4j), P):
+        z = np.log(mu / np.conj(mu))
+        expected = sla.expm(z * M)
+        assert frob(_hermitian_exp(z, M[None])[0] - expected) <= 1e-12 * frob(expected)
+
+
+def test_hermitian_gate_trips_at_the_pade_scale(monkeypatch):
+    # a Hermitian P scaled off idempotency: the eigh exponential of the
+    # hermitian-mode flow and mat_exp agree on where t_equality trips
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
+    mu = 0.9 - 0.4j
+    flow = DressedFlow(seed, build_lax(seed, mu))
+    times = np.linspace(-2.0, 2.0, 9)
+    P = flow.projectors(times)[0]
+    for excess in (1e-9, 1e-10, 3e-11, 1e-11, 1e-12):
+        verdicts = [_similarity_stack((1 + excess) * P, mu, np.conj(mu), DEFAULT,
+                                      hermitian)[1] is None
+                    for hermitian in (True, False)]
+        assert verdicts[0] == verdicts[1] == (excess < 1e-10), excess
+    for excess, trips in ((1e-10, True), (1e-11, False)):
+        try:
+            similarity_T((1 + excess) * P[4], mu, np.conj(mu))
+        except InconsistentLax as error:
+            assert trips and str(error) == T_EQUALITY
+        else:
+            assert not trips
+        # the flow's own projectors, scaled past the projector gates
+        with monkeypatch.context() as patch:
+            patch.setattr(darboux_engine, "_projector_stack", lambda phi, chi, tol: (
+                (1 + excess) * _projector_stack(phi, chi, tol)[0], None))
+            failure = flow.evaluate(times).failure
+        if trips:
+            assert failure[0] == 0 and isinstance(failure[1], InconsistentLax)
+            assert str(failure[1]) == T_EQUALITY
+        else:
+            assert failure is None
+
+
+def test_similarity_T_keeps_mat_exp_for_a_non_hermitian_P(monkeypatch):
+    # an idempotent but non-Hermitian P with nu = conj(mu): the Hermitian
+    # part's exponential would fail the gate, mat_exp passes it
+    P = projector([1.0, 0.4 + 0.3j, -0.2], [0.7, 1.0j, 0.5])
+    mu = 0.3 + 0.8j
+    assert _similarity_stack(P[None], mu, np.conj(mu), DEFAULT, True)[1] is not None
+    calls = []
+    monkeypatch.setattr(darboux_engine, "mat_exp",
+                        lambda M: calls.append(M) or mat_exp(M))
+    T = similarity_T(P, mu, np.conj(mu))
+    assert len(calls) == 1
+    npt.assert_allclose(T, np.eye(3) + ((mu - np.conj(mu)) / np.conj(mu)) * P,
+                        atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from conftest import SX, SZ
-from vndarboux import (ModelSpec, Trajectory, build_lax, dressed_trajectory,
-                       make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed, make_pure_state_seed,
-                       rk4_integrate, run_suite)
+from vndarboux import (DressedFlow, ModelSpec, Trajectory, build_lax,
+                       dressed_trajectory, make_anticommuting_seed,
+                       make_commuting_seed, make_delta_commuting_seed,
+                       make_pure_state_seed, rk4_integrate, run_suite)
 from vndarboux.operator_core import frob
+from vndarboux.scenario_cli import execute_scenario, validate_config
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
@@ -146,3 +147,54 @@ def test_report_serialization_round_trip():
     assert data["scenario_id"] == "json"
     assert all(set(c) == {"name", "pass", "worst_value", "tolerance",
                           "location_t"} for c in data["checks"])
+
+
+# ---------------------------------------------------------------------------
+# covariance: the psi stencil of time_equation
+
+# a drawn benchmark scenario whose psi stencil step once made the truncation
+# error reach the 1e-8 time_equation gate (1.0005e-8 at 10x the residual step)
+DRAWN_DELTA = {
+    "id": "delta-covariance-26", "model": {"n": 1},
+    "seed": {"family": "delta_commuting", "a": 0.714966823691773,
+             "blocks": [[-0.5677626512715199, 0.1095244859116909],
+                        [-0.7598789701885607, 0.07969834107084854],
+                        [-0.5994350470008878, 0.11686334266130464],
+                        [1.911386864739287, -0.1151842931361275],
+                        [-0.6076990293628186, 0.1323424477982713],
+                        [-0.6311108582585776, 0.16826723448553546]]},
+    "darboux": {"mu": [0.8660649254512496, -1.2820349300885736],
+                "nu_mode": "conjugate",
+                "lambda": [-0.06636140793956291, 2.9027980248321046]},
+    "times": {"t_min": -5.0, "t_max": 5.0, "samples": 201},
+}
+
+
+def _covariance_checks(cfg):
+    cfg, errors = validate_config(cfg)
+    assert not errors
+    report = execute_scenario(cfg).report
+    return {c.name: c for c in report.checks if c.name in ("covariance", "time_equation")}
+
+
+def test_time_equation_passes_a_drawn_delta_scenario():
+    checks = _covariance_checks(DRAWN_DELTA)
+    assert checks["time_equation"].passed
+    assert checks["time_equation"].worst_value < 1e-9
+
+
+def test_time_equation_catches_a_planted_generator_error(monkeypatch):
+    # psi1 e^{i eps t} solves the time equation of the generator G + eps 1:
+    # the eigen-equation is blind to the phase, the time equation is not
+    eps = 1e-7
+    rows = DressedFlow.psi1_rows
+
+    def planted(self, times, shift=None, P=None):
+        psi1, shift = rows(self, times, shift, P)
+        return psi1 * np.exp(1j * eps * np.asarray(times))[:, None], shift
+
+    monkeypatch.setattr(DressedFlow, "psi1_rows", planted)
+    checks = _covariance_checks(DRAWN_DELTA)
+    assert checks["covariance"].passed
+    assert not checks["time_equation"].passed
+    assert checks["time_equation"].worst_value > 0.5 * eps
