@@ -8,9 +8,9 @@ from .errors import (DarbouxError, DefectiveEigenproblem, FarPin,
                      InconsistentLax, SingularDarboux, UnnormalizableError,
                      UnsupportedScenario)
 from .tolerances import DEFAULT, Tolerances
-from .operator_core import (NormalExp, anticommutator, commutator, dagger,
-                            eig_hermitian, eig_pair_general, eig_pair_left,
-                            frob, is_hermitian, mat_exp, trace_moments)
+from .operator_core import (NormalExp, commutator, dagger, eig_hermitian,
+                            eig_pair_general, eig_pair_left, frob,
+                            is_hermitian, mat_exp, trace_moments)
 from .vne_model import (Flow, ModelSpec, ResidualReport, hamiltonian_of,
                         residual, residuals, rhs, rhs_alt)
 from .seed_factory import (SeedFamily, SeedSolution, make_anticommuting_seed,
@@ -21,8 +21,7 @@ from .lax_engine import (DarbouxParams, LaxSolution, build_lax, lax_generator,
 from .darboux_engine import (Diagnostics, DressedFlow, DressedState,
                              Trajectory, dress, dressed_state_at,
                              dressed_trajectory, explicit_eavn, f_value,
-                             projector, projector_at, similarity_T,
-                             transform_psi)
+                             projector, similarity_T)
 from .symmetry_transforms import (RescaledFlow, ShiftedFlow, ShiftSpec,
                                   normalize_to_density, rescaled_flow,
                                   reseed_rescale, reseed_shift, shifted_flow)

@@ -10,18 +10,26 @@ an error, never a warning.
 Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
 plan of one scenario: it takes phi and chi from the Lax generators and the
 seed state from its evolution, each factored once, and builds projectors and
-dressed states for a whole stack.  Every gate (overlap floor, idempotency,
+dressed states for a whole stack.  It works on the support J of the Lax
+eigenvector: the union of the connected components, in the nonzero pattern
+of A, rho0 and the generators, that phi0 or chi0 meet.  The paper's seeds are
+built from blocks, so their pencil is block-diagonal and J is one block;
+phi and chi vanish outside J, P and ``rho[1] - rho`` outside ``J x J``, and
+T is the identity there.  Projectors, T and every gate are computed on
+``J x J``, and a dressed state is its seed state with that block replaced;
+for a dense seed J is every index.  Every gate (overlap floor, idempotency,
 projector trace, ``t_equality``, ``form_gap``, bridge identity, unitarity) is
 a reduction over the stack, and the first failing point in stack order raises
 what a point-by-point loop would.  ``t_equality`` compares T with one stacked
 exponential: in hermitian mode, where P is Hermitian by construction, from
 one batched ``eigh``; otherwise, and for any P a caller hands in, from
 ``mat_exp``.
-``projector``, ``similarity_T``, ``dress``, ``projector_at`` and
-``dressed_state_at`` are the one-point case.  ``dressed_trajectory`` cuts the
-sample grid into blocks (``time_blocks``) and fills one ``Trajectory``: the
-states as one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample
-arrays (dressed states, projectors and scalar diagnostics) and the Lax
+``projector``, ``similarity_T``, ``dress`` and ``dressed_state_at`` are the
+one-point case; the first three take whole matrices.  ``dressed_trajectory``
+cuts the sample grid into blocks (``time_blocks``, sized by the full and the
+support matrices a point holds) and fills one ``Trajectory``: the states as
+one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample arrays
+(dressed states, full projectors and scalar diagnostics) and the Lax
 solution.  The checks in ``verification`` slice those stacks and evaluate
 their stencils through the same flow.
 """
@@ -34,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentLax, SingularDarboux
-from .lax_engine import (LaxSolution, check_params, hermitian_pairing,
-                         require_nonzero)
+from .lax_engine import LaxSolution, hermitian_pairing, require_nonzero
 from .operator_core import (as_operator, as_state, commutator, dagger,
                             frob_stack, mat_exp, time_blocks)
 from .seed_factory import SeedFamily, SeedSolution
@@ -162,31 +169,57 @@ def _hermitian_exp(z: complex, P: np.ndarray) -> np.ndarray:
 
 
 def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,
-                      tolerances: Tolerances, hermitian: bool = False):
-    # hermitian: P is Hermitian by construction (chi = conj(phi)); any other
-    # P, above all one handed in by a caller, goes through mat_exp
+                      tolerances: Tolerances, hermitian: bool = False,
+                      outside: int = 0):
+    # T on the block that P lives on; beyond it T is the identity, whose
+    # ``outside`` unit diagonal entries count in ||T||_F.  hermitian: P is
+    # Hermitian by construction (chi = conj(phi)); any other P, above all
+    # one handed in by a caller, goes through mat_exp
     eye = np.eye(P.shape[-1], dtype=complex)
     T = eye + ((mu - nu) / nu) * P
     z = np.log(mu / nu)
     gap = frob_stack(T - (_hermitian_exp(z, P) if hermitian else mat_exp(z * P)))
+    size = np.hypot(frob_stack(T), np.sqrt(outside))
     failure = _first(
-        gap > tolerances.t_equality * np.maximum(1.0, frob_stack(T)),
+        gap > tolerances.t_equality * np.maximum(1.0, size),
         lambda i: InconsistentLax(
             "rational and exponential forms of T disagree; P is not idempotent"))
     return T, failure
 
 
-def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, mu: complex,
-                 nu: complex, tolerances: Tolerances, hermitian: bool = False):
-    # (rho1, T, form_gap, failure) for stacks rho and P
-    comm_PA = P @ A - A @ P
-    rho1 = rho + (mu - nu) * comm_PA
-    T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian)
-    eye = np.eye(rho.shape[-1], dtype=complex)
+def _block(M: np.ndarray, J: np.ndarray) -> np.ndarray:
+    # the J x J block of a matrix or of each matrix of a stack, C-ordered:
+    # numpy lays out a fancy-indexed stack by its length, and matmul rounds
+    # by layout, so a block's bits would depend on how the grid was cut
+    return M.take(J, axis=-2).take(J, axis=-1)
+
+
+def _embed(block: np.ndarray, J: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    # ``outside`` (one matrix or a stack) with the J x J block of each matrix
+    # replaced by ``block``
+    out = np.array(np.broadcast_to(outside, block.shape[:-2] + outside.shape[-2:]))
+    out[..., J[:, None], J] = block
+    return out
+
+
+def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, J: np.ndarray,
+                 mu: complex, nu: complex, tolerances: Tolerances,
+                 hermitian: bool = False):
+    # (rho1, T, form_gap, failure) for a stack rho of seed states whose
+    # projectors vanish outside J x J, with P their J x J blocks.  A couples
+    # no index in J to one outside it, so [P, A], T - 1 and rho1 - rho vanish
+    # outside J x J too: rho1 is rho with its block replaced, T is returned
+    # as its block, and every gate is evaluated on the blocks
+    rho_J, A_J = _block(rho, J), _block(A, J)
+    comm_PA = P @ A_J - A_J @ P
+    rho1_J = rho_J + (mu - nu) * comm_PA
+    T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian,
+                                   rho.shape[-1] - len(J))
+    eye = np.eye(len(J), dtype=complex)
     T_inv = eye + ((nu - mu) / mu) * P
-    form_gap = frob_stack(rho1 - T @ rho @ T_inv)
-    bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
-              - (rho @ P) / mu + (P @ rho) / nu)
+    form_gap = frob_stack(rho1_J - T @ rho_J @ T_inv)
+    bridge = (((nu - mu) / (mu * nu)) * (P @ rho_J @ P)
+              - (rho_J @ P) / mu + (P @ rho_J) / nu)
     bridge_gap = frob_stack(comm_PA - bridge)
     bridge_limit = tolerances.bridge_identity * np.maximum(
         1.0, frob_stack(rho) * frob_stack(P))
@@ -202,7 +235,7 @@ def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, mu: complex,
         unitarity = frob_stack(dagger(T) @ T - eye)
         gates.append(_first(unitarity > tolerances.t_unitarity, lambda i: InconsistentLax(
             f"T fails unitarity by {unitarity[i]:.3e} although nu = conj(mu)")))
-    return rho1, T, form_gap, _earliest(*gates)
+    return _embed(rho1_J, J, rho), T, form_gap, _earliest(*gates)
 
 
 def _transform_rows(psi: np.ndarray, P: np.ndarray, mu: complex, nu: complex,
@@ -262,7 +295,8 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
     mu = complex(mu)
     nu = complex(nu)
     require_nonzero(mu=mu, nu=nu)
-    rho1, T, form_gap, failure = _dress_stack(rho[None], A, P[None], mu, nu,
+    rho1, T, form_gap, failure = _dress_stack(rho[None], A, P[None],
+                                              np.arange(len(A)), mu, nu,
                                               tolerances)
     _raise(failure)
     return DressedState(rho1=rho1[0], P=P, T=T[0], t=float(t),
@@ -270,7 +304,11 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
 
 
 class DressedStack(NamedTuple):
-    """Dressed states of a stack of times, cut at the first failing point."""
+    """Dressed states of a stack of times, cut at the first failing point.
+
+    ``rho1`` holds full states; ``P`` and ``T`` are the blocks on the flow's
+    ``support``, outside which P vanishes and T is the identity.
+    """
 
     rho1: np.ndarray
     P: np.ndarray
@@ -280,11 +318,31 @@ class DressedStack(NamedTuple):
     failure: tuple | None
 
 
+def _support(lax: LaxSolution) -> np.ndarray:
+    # J: the connected components, in the nonzero pattern of A, rho0 and the
+    # generators of the seed, phi and chi, that phi0 or chi0 meet.  All these
+    # operators vanish on J x J^c, so phi(t) and chi(t) vanish outside J
+    seed = lax.seed
+    coupled = np.eye(seed.dim, dtype=bool)
+    for M in (seed.spec.A, seed.rho0, *seed.generators, *lax.generators):
+        coupled |= (M != 0) | (M.T != 0)
+    reach = (lax.phi0 != 0) | (lax.chi0 != 0)
+    while True:
+        grown = coupled[reach].any(axis=0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 class DressedFlow(Flow):
     """rho[1](t) of one seed and Lax solution, evaluated on stacks of times.
 
     Projectors use the scaled rows of ``LaxSolution``, normalized per point,
     so they stay finite at any |t|; ``phi_norm`` is ``e^{shift} |row|``.
+    ``support`` is the index set J, found once, outside which phi and chi
+    vanish: projectors, T and every gate are computed on ``J x J`` and a
+    dressed state is its seed state with that block replaced.  For a dense
+    seed J is every index.
     """
 
     def __init__(self, seed: SeedSolution, lax: LaxSolution,
@@ -292,17 +350,25 @@ class DressedFlow(Flow):
         self.seed = seed
         self.lax = lax
         self.tolerances = tolerances
+        self.support = _support(lax)
+        self.support_size = len(self.support)
+
+    def block(self, M: np.ndarray) -> np.ndarray:
+        """The ``support`` block of a matrix or of each matrix of a stack."""
+        return _block(M, self.support)
 
     def projectors(self, times):
-        """``(P, phi_norm, failure)`` for each time, with every projector gate."""
+        """``(P, phi_norm, failure)`` for each time, with every projector
+        gate; ``P`` holds the ``support`` blocks of the projectors."""
         times = np.asarray(times, dtype=float)
+        J = self.support
         phi, shift = self.lax.phi_rows(times)
         phi_len = np.linalg.norm(phi, axis=-1)
         gates = [_first(phi_len == 0, lambda i: SingularDarboux(
             "phi(t) vanished", t=float(times[i])))]
         with np.errstate(all="ignore"):
             phi_norm = np.exp(shift) * phi_len
-            phi_hat = phi / phi_len[:, None]
+            phi_hat = phi.take(J, axis=-1) / phi_len[:, None]
             if self.lax.params.hermitian_mode:
                 chi_hat = np.conj(phi_hat)
             else:
@@ -310,7 +376,7 @@ class DressedFlow(Flow):
                 chi_len = np.linalg.norm(chi, axis=-1)
                 gates.append(_first(chi_len == 0, lambda i: SingularDarboux(
                     "chi(t) vanished", t=float(times[i]))))
-                chi_hat = chi / chi_len[:, None]
+                chi_hat = chi.take(J, axis=-1) / chi_len[:, None]
         P, failure = _projector_stack(phi_hat, chi_hat, self.tolerances)
         return P, phi_norm, _earliest(*gates, failure)
 
@@ -323,7 +389,8 @@ class DressedFlow(Flow):
         params = self.lax.params
         rho1, T, form_gap, dress_failure = _dress_stack(
             self.seed.rho_stack(times[:done]), self.seed.spec.A, P[:done],
-            params.mu, params.nu, self.tolerances, params.hermitian_mode)
+            self.support, params.mu, params.nu, self.tolerances,
+            params.hermitian_mode)
         return DressedStack(rho1, P[:done], T, form_gap, phi_norm[:done],
                             dress_failure or failure)
 
@@ -334,25 +401,22 @@ class DressedFlow(Flow):
 
     def psi1_rows(self, times, shift: np.ndarray | None = None,
                   P: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled rows of the transformed left lambda-solution (see
-        ``transform_psi``) and their shifts.
+        """Scaled rows of the transformed left lambda-solution
+        ``psi[1] = psi (1 - ((nu - mu)/(lambda - mu)) P)`` and their shifts.
 
-        ``P`` reuses known projectors at the times; otherwise they are built
-        with every gate.  ``shift`` gives points one common scale.
+        ``P`` reuses known projectors at the times, as ``support`` blocks;
+        otherwise they are built with every gate.  ``shift`` gives points one
+        common scale.  Only the ``support`` entries of a row change.
         """
         if P is None:
             P, _, failure = self.projectors(times)
             _raise(failure)
         rows, shift = self.lax.psi_rows(times, shift)
         params = self.lax.params
-        return _transform_rows(rows, P, params.mu, params.nu, params.lam), shift
-
-
-def projector_at(lax: LaxSolution, t: float,
-                 tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    P, _, failure = DressedFlow(lax.seed, lax, tolerances).projectors([t])
-    _raise(failure)
-    return P[0]
+        J = self.support
+        rows[:, J] = _transform_rows(rows.take(J, axis=-1), P, params.mu,
+                                     params.nu, params.lam)
+        return rows, shift
 
 
 def f_value(seed: SeedSolution, mu: complex, phi0, times):
@@ -375,10 +439,13 @@ def f_value(seed: SeedSolution, mu: complex, phi0, times):
 
 def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
                      tolerances: Tolerances = DEFAULT) -> DressedState:
-    dressed = DressedFlow(seed, lax, tolerances).evaluate([t])
+    flow = DressedFlow(seed, lax, tolerances)
+    dressed = flow.evaluate([t])
     _raise(dressed.failure)
-    return DressedState(rho1=dressed.rho1[0], P=dressed.P[0], T=dressed.T[0],
-                        t=float(t), form_gap=float(dressed.form_gap[0]))
+    J, eye = flow.support, np.eye(seed.dim, dtype=complex)
+    return DressedState(rho1=dressed.rho1[0], P=_embed(dressed.P[0], J, 0 * eye),
+                        T=_embed(dressed.T[0], J, eye), t=float(t),
+                        form_gap=float(dressed.form_gap[0]))
 
 
 def dressed_trajectory(lax: LaxSolution, times,
@@ -387,8 +454,9 @@ def dressed_trajectory(lax: LaxSolution, times,
     per-sample diagnostics.
 
     The states and every diagnostic are stacks allocated for the whole grid
-    and filled block by block (``time_blocks``, which depend on the grid
-    alone).  Each block dresses its samples and, in separate stacks, builds
+    and filled block by block (``time_blocks``, which depend on the grid and
+    the flow's support alone); ``P`` holds full projectors, zero outside the
+    support.  Each block dresses its samples and, in separate stacks, builds
     the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
     seeds in hermitian mode it evaluates ``f_value`` for all its samples in
     one call.  A ``SingularDarboux`` at some sample cuts the stacks there
@@ -402,14 +470,15 @@ def dressed_trajectory(lax: LaxSolution, times,
 
     count = len(times)
     rho1 = np.empty((count, seed.dim, seed.dim), dtype=complex)
-    P = np.empty_like(rho1)
+    P = np.zeros_like(rho1)
+    J = flow.support
     phi_norm, form_gap, herm_gap, p_dot = (np.empty(count) for _ in range(4))
     min_eig = np.empty(count) if herm else None
     F = np.empty(count, dtype=complex) if with_f else None
     filled = 0
     singular_t = None
     dp = 1e-4
-    for block in time_blocks(count, seed.dim):
+    for block in time_blocks(count, seed.dim, support=len(J)):
         t = times[block]
         dressed = flow.evaluate(t)
         p_plus, _, plus_failure = flow.projectors(t + dp)
@@ -419,7 +488,7 @@ def dressed_trajectory(lax: LaxSolution, times,
         out = slice(filled, filled + done)
         states = dressed.rho1[:done]
         rho1[out] = states
-        P[out] = dressed.P[:done]
+        P[out, J[:, None], J] = dressed.P[:done]
         phi_norm[out] = dressed.phi_norm[:done]
         form_gap[out] = dressed.form_gap[:done]
         herm_gap[out] = frob_stack(states - dagger(states))
@@ -475,17 +544,3 @@ def explicit_eavn(seed: SeedSolution, mu: complex, phi0, t: float,
     inner = seed.rho0 + ((mu - np.conj(mu)) / F) * core
     U = mat_exp(-1j * a * t * H)
     return U @ inner @ dagger(U)
-
-
-def transform_psi(psi, P, mu: complex, nu: complex, lam: complex) -> np.ndarray:
-    """Covariance transform of the left lambda-solution:
-
-    psi[1] = psi (1 - ((nu - mu)/(lambda - mu)) P).
-    """
-    psi = as_state(psi)
-    P = as_operator(P)
-    mu = complex(mu)
-    nu = complex(nu)
-    lam = complex(lam)
-    check_params(mu, lam=lam)
-    return _transform_rows(psi[None], P[None], mu, nu, lam)[0]

@@ -189,6 +189,13 @@ class LaxSolution:
             raise ValueError("lambda is not configured on these parameters")
         return self._factor(self.params.lam, self.params.z_lambda)
 
+    @property
+    def generators(self) -> tuple:
+        """The factored generators of phi and, outside hermitian mode, chi."""
+        if self.params.hermitian_mode:
+            return (self._phi_factor.G,)
+        return (self._phi_factor.G, self._chi_factor.G)
+
     def phi_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, shift)`` with ``phi(t_b) = e^{shift_b} rows[b]``."""
         return self._phi_factor.act(self.phi0, -1j * np.asarray(times, dtype=float))

@@ -5,7 +5,8 @@ act as operators, 1-D complex arrays as kets (columns) or bras (rows,
 conjugation already folded in).  Stacks ``(..., d, d)`` hold one operator per
 time point; ``as_operators``, ``mat_exp``, ``trace_moments`` and
 ``NormalExp`` work on them, and ``time_blocks`` bounds how many points one
-stack holds.  Nothing here mutates its inputs, so every function is safe to
+stack holds from the whole and the support-sized matrices a point holds.
+Nothing here mutates its inputs, so every function is safe to
 call from multiple threads.
 
 The kernels need numpy alone: ``mat_exp`` is a batched Pade-13
@@ -26,26 +27,36 @@ DIM_CAP = 32
 #: relative pivot threshold deciding numerical rank during elimination
 _PIVOT_RTOL = 1e-12
 
-#: bytes of d x d work arrays one stack of time points may hold
+#: bytes of work arrays one stack of time points may hold
 BLOCK_BYTES = 2 << 20
 
-#: d x d complex work arrays a dressed time point keeps alive at once
-_WORK_MATRICES = 32
+#: d x d complex matrices a dressed time point holds: the seed and dressed
+#: states and the temporaries of the seed's evolution
+_FULL_MATRICES = 8
+
+#: |J| x |J| complex work matrices a dressed time point holds on its support
+#: J: the projector, T and the matrices of its gates
+_SUPPORT_MATRICES = 24
 
 
-def time_blocks(count: int, dim: int, points_per_item: int = 1) -> list:
+def time_blocks(count: int, dim: int, points_per_item: int = 1,
+                support: int | None = None) -> list:
     """Consecutive slices of ``range(count)`` sized from ``BLOCK_BYTES``.
 
-    A dressed time point of dimension ``dim`` is budgeted ``_WORK_MATRICES``
-    work matrices.  Each item holds ``points_per_item`` dressed points (a
-    residual sample and its stencil are four); stacks of projectors or rows
-    beside a sample's dressing, such as the ``t +- dp`` projectors of
-    ``p_dot_norm`` or the psi stencil of the covariance check, fit in its
-    budget.  A block holds as many items as fit, and at least one.  The
-    slices depend only on the arguments, so the same grid is always cut the
-    same way.
+    A dressed time point of dimension ``dim`` is budgeted ``_FULL_MATRICES``
+    matrices of ``dim x dim`` and ``_SUPPORT_MATRICES`` of ``support x
+    support``, the size of the block it is dressed on (``dim`` when None, as
+    for a check that works on whole states).  Each item holds
+    ``points_per_item`` dressed points (a residual sample and its stencil are
+    four); stacks of projectors or rows beside a sample's dressing, such as
+    the ``t +- dp`` projectors of ``p_dot_norm`` or the psi stencil of the
+    covariance check, fit in its budget.  A block holds as many items as
+    fit, and at least one.  The slices depend only on the arguments, so the
+    same grid is always cut the same way.
     """
-    point_bytes = _WORK_MATRICES * 16 * dim * dim
+    support = dim if support is None else support
+    point_bytes = 16 * (_FULL_MATRICES * dim * dim
+                        + _SUPPORT_MATRICES * support * support)
     per_block = max(1, BLOCK_BYTES // (point_bytes * points_per_item))
     return [slice(i, min(i + per_block, count))
             for i in range(0, count, per_block)]
@@ -111,15 +122,6 @@ def commutator(A, B) -> np.ndarray:
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B - B @ A
-
-
-def anticommutator(A, B) -> np.ndarray:
-    """AB + BA."""
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return A @ B + B @ A
 
 
 #: numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp
@@ -196,7 +198,8 @@ class NormalExp:
     eigenvectors of G, which for a normal G is the unitary Schur basis that
     the eigensolver builds, even when eigenvalues repeat.  If ``Q^dag G Q``
     is not diagonal to ``seed_structure * ||G||_F``, G is not normal, and
-    ``DefectiveEigenproblem`` is raised; there is no fallback.
+    ``DefectiveEigenproblem`` is raised; there is no fallback.  G itself is
+    kept as ``G``.
     """
 
     def __init__(self, G, tolerances: Tolerances = DEFAULT):
@@ -209,6 +212,7 @@ class NormalExp:
             raise DefectiveEigenproblem(
                 f"generator is not normal: its Schur factor is {off:.3g} "
                 "away from diagonal")
+        self.G = G
         self._Q = Q
         self._QT = Q.T.copy()
         self._QH = dagger(Q).copy()

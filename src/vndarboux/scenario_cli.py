@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -438,7 +437,8 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             reference = s.rescale_y * reference
             residual_scale *= s.rescale_y ** 2
         states = np.empty_like(traj.states)
-        for block in time_blocks(len(traj.times), seed.dim):
+        for block in time_blocks(len(traj.times), seed.dim,
+                                 support=flow.support_size):
             states[block] = flow.stack(traj.times[block])
         final = dataclasses.replace(traj, states=states, rho_at=flow)
 
@@ -712,6 +712,8 @@ def sweep(config_path: str, param: str, values, out_dir: str,
 
     workers = min(jobs, len(points))  # a pool starts all its workers at once
     if workers > 1:
+        # imported here: the pool's modules would add to every run's start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_run_sweep_point, points))
     else:

@@ -76,6 +76,11 @@ class SeedSolution:
             return NormalExp(self._pure_generator)
         return None  # stationary families
 
+    @property
+    def generators(self) -> tuple:
+        """The generator of the seed's evolution; none for stationary seeds."""
+        return () if self._evolution is None else (self._evolution.G,)
+
     def rho_stack(self, times) -> np.ndarray:
         """Closed-form rho(t) for each time, shape ``(len(times), d, d)``.
 

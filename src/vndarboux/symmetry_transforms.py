@@ -63,6 +63,7 @@ class ShiftedFlow(Flow):
         _check_shift_invariants(X, spec.A, as_operator(rho_at(0.0)), tolerances)
         self._rho_at = rho_at
         self._X = X
+        self.support_size = getattr(rho_at, "support_size", None)
         self._factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]),
                                  tolerances)
 
@@ -81,6 +82,7 @@ class RescaledFlow(Flow):
             raise ValueError("Y must be nonzero")
         self._rho_at = rho_at
         self._Y = Y
+        self.support_size = getattr(rho_at, "support_size", None)
 
     def stack(self, times) -> np.ndarray:
         return self._Y * stack_of(self._rho_at, self._Y * np.asarray(times, dtype=float))

@@ -127,10 +127,10 @@ def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     h = 3 * default_step(spec)
     offsets = np.array([2 * h, h, -h, -2 * h])
     eig_gaps, teq_gaps = [], []
-    for block in time_blocks(len(traj.times), spec.dim):
+    for block in time_blocks(len(traj.times), spec.dim, support=flow.support_size):
         t = traj.times[block]
         rho1 = diagnostics.rho1[block]
-        psi1, shift = flow.psi1_rows(t, P=diagnostics.P[block])
+        psi1, shift = flow.psi1_rows(t, P=flow.block(diagnostics.P[block]))
         # the stencil shares its centre's shift: one scaled psi is differenced
         ring, _ = flow.psi1_rows((t[:, None] + offsets).ravel(),
                                  shift=np.repeat(shift, len(offsets)))

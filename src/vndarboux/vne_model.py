@@ -70,7 +70,11 @@ class Flow:
 
     Subclasses implement ``stack(times)``, returning ``(len(times), d, d)``;
     calling the flow with one time is the one-point case of the same code.
+    ``support_size`` is the size of the block a point is dressed on, which
+    sizes the stacks (``time_blocks``); None means whole states.
     """
+
+    support_size: int | None = None
 
     def stack(self, times) -> np.ndarray:
         raise NotImplementedError
@@ -160,7 +164,8 @@ def residuals(spec: ModelSpec, rho_at, times, states=None,
     offsets = np.array([2 * h, h, -h, -2 * h])
     generator_scale = (spec.n + 1) * (1.0 + frob(spec.A)) ** (spec.n + 1)
     norms, tols = [], []
-    for block in time_blocks(len(times), spec.dim, points_per_item=len(offsets)):
+    support = getattr(rho_at, "support_size", None)
+    for block in time_blocks(len(times), spec.dim, len(offsets), support):
         t = times[block]
         rho_t = (stack_of(rho_at, t) if states is None
                  else as_operators(states[block]))

@@ -16,8 +16,8 @@ from vndarboux import (InconsistentLax, build_lax, dressed_trajectory,
                        make_commuting_seed, make_delta_commuting_seed,
                        make_pure_state_seed, nlse_rhs, normalize_to_density,
                        residual, rescaled_flow, run_suite, shifted_flow,
-                       trace_moments, transform_psi)
-from vndarboux.darboux_engine import projector_at
+                       trace_moments)
+from vndarboux.darboux_engine import DressedFlow
 from vndarboux.lax_engine import DarbouxParams
 from vndarboux.operator_core import dagger, frob
 from vndarboux.symmetry_transforms import ShiftSpec
@@ -160,13 +160,16 @@ def test_criterion_6_covariance_of_transformed_left_solution():
         spec = seed.spec
         h = 10 * default_step(spec)
 
-        def psi1_at(t):
-            P = projector_at(lax, t)
-            return transform_psi(lax.psi_at(t), P, params.mu, params.nu, params.lam)
+        flow = DressedFlow(seed, lax)
+
+        def psi1_at(t, P=None):
+            # one-element stacks; P, when given, is a full projector
+            rows, shift = flow.psi1_rows(
+                [t], P=None if P is None else flow.block(P[None]))
+            return rows[0] * np.exp(shift[0])
 
         for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
-            psi1 = transform_psi(lax.psi_at(t), P, params.mu, params.nu,
-                                 params.lam)
+            psi1 = psi1_at(t, P)
             # the lambda-solution carries an arbitrary (often exponentially
             # growing) scale, so both residuals are measured per unit norm
             scale = max(1.0, float(np.linalg.norm(psi1)))

@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -481,7 +484,7 @@ class _RecordingPool:
 
 def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(scenario_cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     config = _write(tmp_path, REFERENCE)
     assert sweep(config, "mu", [1j, 2j, 1 + 1j], str(tmp_path / "a"), jobs=64) == 0
     assert _RecordingPool.sizes == [3]
@@ -489,6 +492,19 @@ def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
     assert sweep(config, "mu", [1j, 1.0 + 0j], str(tmp_path / "b"), jobs=64) == 1
     assert sweep(config, "mu", [1j, 2j], str(tmp_path / "c"), jobs=2) == 0
     assert _RecordingPool.sizes == [3, 2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # sweep imports the pool when it starts one; run never needs it
+    src = os.path.dirname(os.path.dirname(scenario_cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, vndarboux.scenario_cli; print(sorted("
+            "{'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_shift_x_after_dressing(tmp_path):

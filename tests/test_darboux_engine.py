@@ -9,9 +9,10 @@ from vndarboux import (DEFAULT, InconsistentLax, SingularDarboux, build_lax,
                        darboux_engine, dress, dressed_trajectory, explicit_eavn,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed, mat_exp, projector, residual,
-                       similarity_T, transform_psi)
+                       similarity_T)
 from vndarboux.darboux_engine import (DressedFlow, _hermitian_exp,
-                                      _projector_stack, _similarity_stack)
+                                      _projector_stack, _similarity_stack,
+                                      _transform_rows)
 from vndarboux.operator_core import DIM_CAP, dagger, frob
 
 
@@ -269,28 +270,35 @@ def test_explicit_requires_delta_family():
 # covariance transform
 
 def test_transform_psi_identity_cases():
+    # the kernel of DressedFlow.psi1_rows on one-element stacks
+    def transform(psi, P, mu, nu, lam):
+        return _transform_rows(psi[None], P[None], mu, nu, lam)[0]
+
     psi = np.array([0.3, 0.8 - 0.1j])
-    npt.assert_allclose(transform_psi(psi, P_REFERENCE, 1j, 1j, 3j), psi,
+    npt.assert_allclose(transform(psi, P_REFERENCE, 1j, 1j, 3j), psi,
                         atol=1e-14)
     # psi annihilated by P: psi @ P = (psi @ phi) chi / <chi|phi>
     psi_perp = np.array([1.0, 1j]) / np.sqrt(2)  # contraction with (1, i) vanishes
     assert abs(psi_perp @ np.array([1.0, 1j])) <= 1e-15
-    npt.assert_allclose(transform_psi(psi_perp, P_REFERENCE, 1j, -1j, 3j),
+    npt.assert_allclose(transform(psi_perp, P_REFERENCE, 1j, -1j, 3j),
                         psi_perp, atol=1e-14)
 
 
 def test_transform_psi_rejects_lambda_equal_mu():
+    # the transform needs lambda != mu; the Lax solution that psi1_rows
+    # transforms cannot be built without it
     with pytest.raises(ValueError, match="lambda"):
-        transform_psi(np.array([1.0, 0.0]), P_REFERENCE, 1j, -1j, 1j)
+        build_lax(SIGMA_SEED, mu=1j, nu=-1j, lam=1j)
 
 
 def test_sigma_x_covariance_residual():
     lax = build_lax(SIGMA_SEED, mu=1j, lam=3j)
     params = lax.params
     traj = dressed_trajectory(lax, [0.0, 1.0, 2.0])
+    flow = DressedFlow(SIGMA_SEED, lax)
     for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
-        psi1 = transform_psi(lax.psi_at(t), P, params.mu, params.nu,
-                             params.lam)
+        rows, shift = flow.psi1_rows([t], P=flow.block(P[None]))
+        psi1 = rows[0] * np.exp(shift[0])
         gap = np.linalg.norm(params.z_lambda * psi1
                              - psi1 @ (rho1 - params.lam * SIGMA_SEED.spec.A))
         assert gap <= 1e-9

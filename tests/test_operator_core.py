@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import SX, SZ
 from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
 from vndarboux.operator_core import (DIM_CAP, NormalExp, _polish_root,
-                                     anticommutator, canonical_phase,
-                                     commutator, eig_hermitian,
-                                     eig_pair_general, eig_pair_left, frob,
-                                     is_hermitian, mat_exp, trace_moments)
+                                     canonical_phase, commutator,
+                                     eig_hermitian, eig_pair_general,
+                                     eig_pair_left, frob, is_hermitian,
+                                     mat_exp, trace_moments)
 
 
 def _random_complex_matrix(rng, dim, scale=1.0):
@@ -42,10 +42,6 @@ def test_identity_is_central():
 def test_commutator_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         commutator(np.eye(2), np.eye(3))
-
-
-def test_anticommutator_pauli():
-    npt.assert_allclose(anticommutator(SX, SZ), np.zeros((2, 2)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

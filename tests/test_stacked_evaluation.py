@@ -1,7 +1,8 @@
 """Stacked evaluation: one plan per scenario, blocked, overflow-safe.
 
-The point-by-point entry points (``dressed_state_at``, ``projector_at``,
-``phi_at``, a flow called with one time) are the reference for the stacks.
+The point-by-point entry points (``dressed_state_at``, one-element stacks of
+``DressedFlow.projectors``, ``phi_at``, a flow called with one time) are the
+reference for the stacks.
 """
 
 import dataclasses
@@ -16,9 +17,9 @@ from vndarboux import (DEFAULT, DefectiveEigenproblem, NormalExp, ShiftSpec,
                        SingularDarboux, Trajectory, build_lax, dressed_state_at,
                        dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed, mat_exp,
-                       operator_core, projector, projector_at, rescaled_flow,
-                       residual, run_suite, shifted_flow)
-from vndarboux.darboux_engine import Diagnostics, _projector_stack
+                       operator_core, projector, rescaled_flow, residual,
+                       run_suite, shifted_flow)
+from vndarboux.darboux_engine import Diagnostics, DressedFlow, _projector_stack
 from vndarboux.scenario_cli import execute_scenario, validate_config
 
 TIMES = np.linspace(-1.5, 1.5, 31)
@@ -50,15 +51,23 @@ def test_trajectory_matches_point_evaluation(name):
     traj = dressed_trajectory(lax, TIMES)
     assert traj.singular_t is None
     diag = traj.diagnostics
+    flow = DressedFlow(seed, lax)
+
+    def projector_at(t):
+        # the support block of one projector, from a one-element stack
+        P, _, failure = flow.projectors([t])
+        assert failure is None
+        return P[0]
+
     for k, (t, state) in enumerate(zip(traj.times, traj.states)):
         point = dressed_state_at(seed, lax, t)
         npt.assert_allclose(state, point.rho1, rtol=0, atol=1e-13)
         npt.assert_allclose(diag.P[k], point.P, rtol=0, atol=1e-13)
-        npt.assert_allclose(diag.P[k], projector_at(lax, t), rtol=0, atol=1e-13)
+        npt.assert_allclose(flow.block(diag.P[k]), projector_at(t), rtol=0, atol=1e-13)
         assert abs(diag.form_gap[k] - point.form_gap) <= 1e-13
         phi_norm = np.linalg.norm(lax.phi_at(t))
         assert abs(diag.phi_norm[k] - phi_norm) <= 1e-13 * phi_norm
-        p_dot = np.linalg.norm(projector_at(lax, t + DP) - projector_at(lax, t - DP)) / (2 * DP)
+        p_dot = np.linalg.norm(projector_at(t + DP) - projector_at(t - DP)) / (2 * DP)
         # a difference quotient: round-off in P is amplified by 1 / (2 dp)
         assert abs(diag.p_dot_norm[k] - p_dot) <= 1e-13 / DP
         if diag.min_eig is not None:
@@ -144,7 +153,9 @@ def test_block_boundaries_change_no_verdict(name, monkeypatch):
     cfg = _config(name)
     reference = execute_scenario(cfg)
     dim = reference.seed.dim
-    point_bytes = operator_core._WORK_MATRICES * 16 * dim * dim
+    support = reference.trajectory.rho_at.support_size
+    point_bytes = 16 * (operator_core._FULL_MATRICES * dim * dim
+                        + operator_core._SUPPORT_MATRICES * support * support)
     for points in (1, 3, 5, 7, 11):
         monkeypatch.setattr(operator_core, "BLOCK_BYTES", points * point_bytes)
         result = execute_scenario(cfg)

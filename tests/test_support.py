@@ -1,0 +1,231 @@
+"""The support J of a dressing: found once per flow, and exact.
+
+The paper's seeds are built from blocks, so the pencil ``rho0 - mu A`` is
+block-diagonal and its Lax eigenvector lies in one block.  ``DressedFlow``
+computes projectors, T and every gate on ``J x J``; these tests pin J for
+each family and compare what the flow returns with the whole-matrix formulas.
+"""
+
+import dataclasses
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+import scipy.linalg as sla
+
+from vndarboux import (DEFAULT, InconsistentLax, ModelSpec, SeedFamily,
+                       SeedSolution, SingularDarboux, build_lax,
+                       darboux_engine, dressed_trajectory,
+                       make_anticommuting_seed, make_commuting_seed,
+                       make_delta_commuting_seed, run_suite)
+from vndarboux.darboux_engine import (DressedFlow, _projector_stack,
+                                      _similarity_stack)
+
+TIMES = np.linspace(-1.5, 1.5, 13)
+DP = 1e-4  # the p_dot_norm step of dressed_trajectory
+GENERAL_NU = 0.2 - 0.5j
+
+
+def _rotated_delta_seed():
+    # a Delta-commuting seed in a random unitary basis: every entry of A and
+    # rho0 is nonzero, so J is every index
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    A = U @ seed.spec.A @ U.conj().T
+    return SeedSolution(SeedFamily.DELTA_COMMUTING, U @ seed.rho0 @ U.conj().T,
+                        ModelSpec(1, (A + A.conj().T) / 2), a=seed.a)
+
+
+SEEDS = {
+    **{f"anticommuting-n{n}": (
+        lambda n=n: make_anticommuting_seed(3, [0.7, -0.4, 0.5],
+                                            alpha=[1.0, 1.3, -0.8], n=n), 2)
+       for n in (1, 2, 3)},
+    "delta": (lambda: make_delta_commuting_seed(
+        [(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9), 2),
+    # a diagonal seed: every block is one index
+    "commuting": (lambda: make_commuting_seed([0.3, 0.5, 0.2], [1.0, -0.5, 0.7]), 1),
+    "sigma-x": (lambda: make_anticommuting_seed(1, [1.0], n=2), 2),
+    "dense": (_rotated_delta_seed, 4),
+}
+
+
+def _components(seed):
+    # the blocks of the seed's nonzero pattern, by a plain graph search
+    pattern = (seed.spec.A != 0) | (seed.rho0 != 0)
+    pattern = pattern | pattern.T
+    left, blocks = set(range(seed.dim)), []
+    while left:
+        block, todo = set(), [min(left)]
+        while todo:
+            i = todo.pop()
+            if i not in block:
+                block.add(i)
+                todo.extend(np.flatnonzero(pattern[i]))
+        blocks.append(sorted(block))
+        left -= block
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+@pytest.mark.parametrize("nu", [None, GENERAL_NU])
+def test_support_is_the_block_of_the_eigenvector(name, nu):
+    make, size = SEEDS[name]
+    seed = make()
+    lax = build_lax(seed, 0.3 + 0.9j, nu)
+    support = DressedFlow(seed, lax).support
+    assert len(support) == size
+    assert list(support) in _components(seed)
+    outside = np.setdiff1d(np.arange(seed.dim), support)
+    assert not lax.phi0[outside].any() and not lax.chi0[outside].any()
+
+
+def test_chi_in_another_block_gives_the_union():
+    # a pinned nu root whose left eigenvector lies in the second block
+    seed = make_anticommuting_seed(2, [0.7, -0.4], alpha=[1.0, 1.3], n=1)
+    mu, nu = 0.3 + 0.9j, GENERAL_NU
+    pin = np.linalg.eigvals((seed.rho0 - nu * seed.spec.A)[2:, 2:])[0]
+    lax = build_lax(seed, mu, nu, z_nu_pin=pin)
+    assert not lax.chi0[:2].any() and not lax.phi0[2:].any()
+    npt.assert_array_equal(DressedFlow(seed, lax).support, [0, 1, 2, 3])
+    # <chi|phi> = 0 exactly: singular at the first sample, as before
+    traj = dressed_trajectory(lax, TIMES)
+    assert traj.singular_t == TIMES[0] and len(traj.states) == 0
+
+
+def test_an_operator_coupling_two_blocks_joins_them():
+    # H couples index 1 of the first block to index 2 of the second; equal
+    # |kappa| keep Delta_a a multiple of the identity on both, so the seed is
+    # still Delta-commuting
+    seed = make_delta_commuting_seed([(1.0, 0.2), (1.5, -0.2), (3.0, 0.3)], a=0.9)
+    H = np.array(seed.spec.A)
+    H[1, 2] = H[2, 1] = 0.4
+    coupled = SeedSolution(SeedFamily.DELTA_COMMUTING, seed.rho0, ModelSpec(1, H),
+                           a=seed.a)
+    lax = build_lax(coupled, 0.3 + 0.8j)
+    npt.assert_array_equal(DressedFlow(coupled, lax).support, [0, 1, 2, 3])
+    traj = dressed_trajectory(lax, TIMES)
+    assert run_suite(traj).overall
+    rho1, P, _ = _reference(coupled, lax, TIMES)
+    npt.assert_array_equal(traj.diagnostics.P, P)
+    npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
+    # a coupling through rho0: A is degenerate on indices 0 and 2, which
+    # rho0 joins; the union is not contiguous
+    A = np.diag([1.0, 2.0, 1.0, 3.0]).astype(complex)
+    rho0 = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+    rho0[0, 2] = rho0[2, 0] = 0.05
+    seed = SeedSolution(SeedFamily.COMMUTING, rho0, ModelSpec(1, A))
+    lax = build_lax(seed, 0.3 + 0.9j)
+    npt.assert_array_equal(DressedFlow(seed, lax).support, [0, 2])
+    traj = dressed_trajectory(lax, TIMES)
+    assert run_suite(traj).overall
+    rho1, P, _ = _reference(seed, lax, TIMES)
+    npt.assert_array_equal(traj.diagnostics.P, P)
+    npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
+
+
+def _reference(seed, lax, times):
+    # the whole-matrix formulas: P = |phi><chi| / <chi|phi> from the
+    # normalized rows, rho[1] = rho + (mu - nu) [P, A]
+    params = lax.params
+
+    def projectors(t):
+        phi = lax.phi_rows(t)[0]
+        chi = np.conj(phi) if params.hermitian_mode else lax.chi_rows(t)[0]
+        phi = phi / np.linalg.norm(phi, axis=-1)[:, None]
+        chi = chi / np.linalg.norm(chi, axis=-1)[:, None]
+        overlap = np.sum(chi * phi, axis=-1)
+        return phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
+
+    P = projectors(times)
+    A = seed.spec.A
+    rho1 = seed.rho_stack(times) + (params.mu - params.nu) * (P @ A - A @ P)
+    p_dot = np.linalg.norm((projectors(times + DP) - projectors(times - DP)) / (2 * DP),
+                           axis=(-2, -1))
+    return rho1, P, p_dot
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+@pytest.mark.parametrize("nu", [None, GENERAL_NU])
+def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
+    seed = SEEDS[name][0]()
+    lax = build_lax(seed, 0.3 + 0.9j, nu)
+    traj = dressed_trajectory(lax, TIMES)
+    assert traj.singular_t is None
+    rho1, P, p_dot = _reference(seed, lax, TIMES)
+    diag = traj.diagnostics
+    npt.assert_array_equal(traj.states, rho1)
+    npt.assert_array_equal(diag.rho1, rho1)
+    npt.assert_array_equal(diag.P, P)
+    states = traj.states
+    npt.assert_array_equal(diag.hermiticity_gap,
+                           np.linalg.norm(states - states.conj().transpose(0, 2, 1),
+                                          axis=(-2, -1)))
+    if diag.min_eig is not None:
+        npt.assert_array_equal(diag.min_eig, np.linalg.eigvalsh(
+            (states + states.conj().transpose(0, 2, 1)) / 2)[:, 0])
+    rows, shift = lax.phi_rows(TIMES)
+    npt.assert_array_equal(diag.phi_norm, np.exp(shift) * np.linalg.norm(rows, axis=-1))
+    # the norms below sum a block instead of a whole matrix: round-off only
+    npt.assert_allclose(diag.p_dot_norm, p_dot, rtol=1e-14, atol=0)
+    T = np.eye(seed.dim) + ((lax.params.mu - lax.params.nu) / lax.params.nu) * P
+    T_inv = np.eye(seed.dim) + ((lax.params.nu - lax.params.mu) / lax.params.mu) * P
+    form_gap = np.linalg.norm(rho1 - T @ seed.rho_stack(TIMES) @ T_inv, axis=(-2, -1))
+    assert np.all(np.abs(diag.form_gap - form_gap) <= 1e-14 * np.maximum(1.0, np.abs(P).max()))
+
+
+@pytest.mark.parametrize("nu", [None, 0.5 - 1.1j])
+def test_t_equality_trips_on_the_support_as_on_whole_matrices(nu, monkeypatch):
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
+    mu = 0.9 - 0.4j if nu is None else 0.3 + 0.8j
+    lax = build_lax(seed, mu, nu)
+    flow = DressedFlow(seed, lax)
+    assert len(flow.support) == 2
+    times = np.linspace(-2.0, 2.0, 9)
+    _, P_full, _ = _reference(seed, lax, times)
+    for excess in (1e-10, 1e-11):
+        with monkeypatch.context() as patch:
+            patch.setattr(darboux_engine, "_projector_stack", lambda phi, chi, tol: (
+                (1 + excess) * _projector_stack(phi, chi, tol)[0], None))
+            failure = flow.evaluate(times).failure
+        whole = _similarity_stack((1 + excess) * P_full, mu, lax.params.nu, DEFAULT,
+                                  lax.params.hermitian_mode)[1]
+        assert (failure is None) == (whole is None) == (excess < 1e-10), excess
+        if failure is not None:
+            assert failure[0] == whole[0] == 0
+            assert isinstance(failure[1], InconsistentLax)
+            assert str(failure[1]) == str(whole[1])
+
+
+def test_overlap_floor_trips_at_the_same_sample():
+    # the relative overlap |<chi|phi>| / (|phi| |chi|) from whole rows; a
+    # floor just above it is singular at the first sample, just below passes
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
+    lax = build_lax(seed, 0.3 + 0.8j, 0.5 - 1.1j)
+    phi, chi = lax.phi_rows(TIMES)[0], lax.chi_rows(TIMES)[0]
+    relative = (np.abs(np.sum(chi * phi, axis=-1))
+                / (np.linalg.norm(phi, axis=-1) * np.linalg.norm(chi, axis=-1)))
+    for factor, singular in ((1 + 1e-9, True), (1 - 1e-9, False)):
+        tolerances = DEFAULT.replaced(overlap_floor=float(relative.max() * factor))
+        lax_t = dataclasses.replace(lax, tolerances=tolerances)
+        traj = dressed_trajectory(lax_t, TIMES, tolerances=tolerances)
+        assert traj.singular_t == (TIMES[0] if singular else None)
+        if singular:
+            with pytest.raises(SingularDarboux, match="below the relative floor"):
+                DressedFlow(seed, lax_t, tolerances).stack(TIMES)
+
+
+def test_support_blocks_match_scipy_exponential():
+    # T on the support against scipy's expm of the whole projector
+    seed = SEEDS["delta"][0]()
+    lax = build_lax(seed, 0.3 + 0.8j)
+    flow = DressedFlow(seed, lax)
+    dressed = flow.evaluate(TIMES)
+    _, P_full, _ = _reference(seed, lax, TIMES)
+    z = np.log(lax.params.mu / lax.params.nu)
+    for T, P in zip(dressed.T, P_full):
+        npt.assert_allclose(flow.block(sla.expm(z * P)), T, rtol=0, atol=1e-13)
+        outside = np.setdiff1d(np.arange(seed.dim), flow.support)
+        npt.assert_allclose(sla.expm(z * P)[np.ix_(outside, outside)],
+                            np.eye(len(outside)), rtol=0, atol=1e-13)
