@@ -11,7 +11,9 @@ call from multiple threads.
 
 The kernels need numpy alone: ``mat_exp`` is a batched Pade-13
 scaling-and-squaring, ``NormalExp`` factors with ``np.linalg.eig`` and
-``np.linalg.qr``, and root polishing solves with ``np.linalg.solve``.
+``np.linalg.qr``, and root polishing solves with ``np.linalg.solve``.  An
+exactly diagonal generator needs no factoring: ``NormalExp`` then scales
+entries by their phases, bit for bit what the factored formulas give.
 """
 
 from __future__ import annotations
@@ -200,22 +202,34 @@ class NormalExp:
     is not diagonal to ``seed_structure * ||G||_F``, G is not normal, and
     ``DefectiveEigenproblem`` is raised; there is no fallback.  G itself is
     kept as ``G``.
+
+    A G with no nonzero off-diagonal entry is its own factorization: ``g``
+    is its diagonal and Q the identity, so neither ``eig`` nor ``qr`` runs,
+    and ``act`` and ``similarity`` scale entries instead of multiplying
+    matrices.  Their values are those of the factored formulas bit for bit,
+    and each zero they compute is ``+0.0`` (they add ``+0.0``), as a product
+    with the identity Q sums it; at some sizes a BLAS remainder kernel sums
+    an exact zero to ``-0.0`` instead.
     """
 
     def __init__(self, G, tolerances: Tolerances = DEFAULT):
         G = as_operator(G)
-        Q = np.linalg.qr(np.linalg.eig(G)[1])[0]
-        R = dagger(Q) @ G @ Q
-        self.g = np.diag(R).copy()
-        off = frob(R - np.diag(self.g))
-        if off > tolerances.seed_structure * frob(G):
-            raise DefectiveEigenproblem(
-                f"generator is not normal: its Schur factor is {off:.3g} "
-                "away from diagonal")
         self.G = G
-        self._Q = Q
-        self._QT = Q.T.copy()
-        self._QH = dagger(Q).copy()
+        if not G[~np.eye(len(G), dtype=bool)].any():
+            self.g = np.diag(G) + 0.0
+            self._Q = None
+        else:
+            Q = np.linalg.qr(np.linalg.eig(G)[1])[0]
+            R = dagger(Q) @ G @ Q
+            self.g = np.diag(R).copy()
+            off = frob(R - np.diag(self.g))
+            if off > tolerances.seed_structure * frob(G):
+                raise DefectiveEigenproblem(
+                    f"generator is not normal: its Schur factor is {off:.3g} "
+                    "away from diagonal")
+            self._Q = Q
+            self._QT = Q.T.copy()
+            self._QH = dagger(Q).copy()
         self._gap = self.g[:, None] - self.g[None, :]
 
     def act(self, v: np.ndarray, s, shift: np.ndarray | None = None,
@@ -228,12 +242,18 @@ class NormalExp:
         the shifts.  A row with ``s_b = 0`` and zero shift is ``v`` itself.
         """
         s = np.asarray(s, dtype=complex)
-        coeffs = v @ self._Q if left else self._QH @ v
+        if self._Q is None:
+            coeffs = v
+        else:
+            coeffs = v @ self._Q if left else self._QH @ v
         exponents = s[:, None] * self.g
         if shift is None:
             shift = np.where(coeffs != 0, exponents.real, -np.inf).max(axis=1)
-        rows = (coeffs * np.exp(exponents - shift[:, None])) @ (
-            self._QH if left else self._QT)
+        rows = coeffs * np.exp(exponents - shift[:, None])
+        if self._Q is None:
+            rows += 0.0
+        else:
+            rows = rows @ (self._QH if left else self._QT)
         rows[(s == 0) & (shift == 0)] = v
         return rows, shift
 
@@ -241,12 +261,20 @@ class NormalExp:
         """``exp(s_b G) M_b exp(-s_b G)`` for each ``s_b``.
 
         ``M`` is one matrix or a stack aligned with ``s``; points with
-        ``s_b = 0`` return ``M_b`` itself.  Raises ``OverflowError`` instead
-        of returning non-finite entries.
+        ``s_b = 0`` return ``M_b`` itself.  For a diagonal G the phase is
+        evaluated only on the entries where some ``M_b`` is nonzero; every
+        other entry is ``+0.0``.  Raises ``OverflowError`` instead of
+        returning non-finite entries.
         """
         s = np.asarray(s, dtype=complex)
-        phase = np.exp(s[:, None, None] * self._gap)
-        out = self._Q @ ((self._QH @ M @ self._Q) * phase) @ self._QH
+        if self._Q is None:
+            d = M.shape[-1]
+            i, j = np.nonzero(M.reshape(-1, d, d).any(axis=0))
+            out = np.zeros((len(s), d, d), dtype=complex)
+            out[:, i, j] = M[..., i, j] * np.exp(s[:, None] * self._gap[i, j]) + 0.0
+        else:
+            phase = np.exp(s[:, None, None] * self._gap)
+            out = self._Q @ ((self._QH @ M @ self._Q) * phase) @ self._QH
         zero = s == 0
         out[zero] = M if M.ndim == 2 else M[zero]
         if not np.all(np.isfinite(out)):

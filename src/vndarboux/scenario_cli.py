@@ -500,10 +500,12 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
     """Write ``trajectory.csv``: one row per sample, every number as ``%.17g``.
 
     Each row goes through one prebuilt format string in which the columns of
-    absent diagnostics are fixed empty; on Python floats ``"%.17g" % x`` is
-    ``f"{x:.17g}"``, byte for byte.  A row's state entries are one
-    ``tolist()`` of that state's row-major (Re, Im) pairs, read from a
-    C-ordered copy of the stack only where the stack is not C-ordered.
+    absent diagnostics are fixed empty and a state column that is ``+0.0``
+    in every row is fixed ``0``, which is what ``"%.17g" % 0.0`` prints; on
+    Python floats ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  A row's
+    other state entries are one ``tolist()`` of that state's row-major
+    (Re, Im) pairs, read from a C-ordered copy of the stack only where the
+    stack is not C-ordered.
     """
     traj = result.trajectory
     dim = result.seed.dim
@@ -520,15 +522,17 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
         cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
                  diag.min_eig, None if F is None else F.real,
                  None if F is None else F.imag, diag.p_dot_norm]
-    row = ",".join(["%.17g"] * (1 + 2 * dim * dim)
+    pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
+    pairs = pairs.reshape(len(pairs), 2 * dim * dim)
+    # all 64 bits zero: +0.0, not -0.0
+    zero = ~pairs.view(np.uint64).any(axis=0)
+    row = ",".join(["%.17g"] + ["0" if z else "%.17g" for z in zero]
                    + ["" if c is None else "%.17g" for c in cells])
     # per sample: the time, then the diagnostics that are present
     scalars = np.column_stack(
         [traj.times] + [c for c in cells if c is not None]).tolist()
-    pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
-    pairs = pairs.reshape(len(pairs), 2 * dim * dim)
     lines = [",".join(header)]
-    for (t, *values), entries in zip(scalars, pairs):
+    for (t, *values), entries in zip(scalars, pairs[:, ~zero]):
         lines.append(row % (t, *entries.tolist(), *values))
     _atomic_write(path, "\n".join(lines) + "\n")
 

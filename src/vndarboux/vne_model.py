@@ -102,9 +102,13 @@ def hamiltonian_of(spec: ModelSpec, rho) -> np.ndarray:
     rho = as_operators(rho)
     if rho.shape[-2:] != spec.A.shape:
         raise ValueError(f"dimension mismatch: rho {rho.shape} vs A {spec.A.shape}")
+    n, powers = spec.n, spec.powers
+    # A^0 is the identity: the k = 0 and k = n terms are one product each
     total = np.zeros_like(rho)
-    for k in range(spec.n + 1):
-        total += spec.powers[spec.n - k] @ rho @ spec.powers[k]
+    total += powers[n] @ rho
+    for k in range(1, n):
+        total += powers[n - k] @ rho @ powers[k]
+    total += rho @ powers[n]
     return total
 
 

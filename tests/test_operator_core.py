@@ -231,6 +231,132 @@ def test_normal_exp_on_degenerate_normal_matrices(d):
             assert frob(row * np.exp(k) - expected) <= 1e-12 * frob(expected)
 
 
+# the factored formulas, as NormalExp evaluates a generator that is not
+# diagonal: Q from eig + qr, then whole d x d products
+
+
+def _eig_factor(G):
+    Q = np.linalg.qr(np.linalg.eig(G)[1])[0]
+    return Q, np.diag(Q.conj().T @ G @ Q).copy()
+
+
+def _eig_similarity(G, M, s):
+    Q, g = _eig_factor(G)
+    QH = Q.conj().T.copy()
+    phase = np.exp(s[:, None, None] * (g[:, None] - g[None, :]))
+    out = Q @ ((QH @ M @ Q) * phase) @ QH
+    out[s == 0] = M if M.ndim == 2 else M[s == 0]
+    return out
+
+
+def _eig_act(G, v, s, left):
+    Q, g = _eig_factor(G)
+    QH = Q.conj().T.copy()
+    coeffs = v @ Q if left else QH @ v
+    exponents = s[:, None] * g
+    shift = np.where(coeffs != 0, exponents.real, -np.inf).max(axis=1)
+    rows = (coeffs * np.exp(exponents - shift[:, None])) @ (QH if left else Q.T.copy())
+    rows[(s == 0) & (shift == 0)] = v
+    return rows, shift
+
+
+def _assert_eig_path_bits(out, ref, d):
+    # values bit for bit, and every zero of the diagonal path is +0.0 (rows
+    # 1: are off s = 0, which returns its input as it is)
+    npt.assert_array_equal(out.view(float), ref.view(float))
+    moved = out[1:].view(float)
+    assert not np.signbit(moved[moved == 0]).any()
+    if d % 4 == 0:
+        # the products with the identity Q sum their zeros from +0.0 at these
+        # sizes, so the zero signs match too; at other sizes a BLAS remainder
+        # kernel may sum an exact zero to -0.0, which no output keeps
+        assert out.tobytes() == ref.tobytes()
+
+
+def _diagonal_case(rng, d, count):
+    # repeated diagonal entries; a stack whose entries are zero in some
+    # slices only, with some -0.0 parts; s = 0 in the first row
+    values = rng.choice(rng.normal(size=d // 2 + 1)
+                        + 1j * rng.normal(size=d // 2 + 1), size=d)
+    G = np.diag(values)
+    M = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    M[rng.random(M.shape) < 0.5] = 0
+    M[:, rng.random((d, d)) < 0.3] = 0
+    M.real[rng.random(M.shape) < 0.1] = -0.0
+    s = np.concatenate([[0.0], rng.normal(size=count - 1) * 3j])
+    s[-1] += 0.4  # one point off the imaginary axis
+    return G, M, s
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 12])
+def test_diagonal_generator_skips_the_factorization(d):
+    rng = np.random.default_rng(40 + d)
+    G, M, s = _diagonal_case(rng, d, 7)
+    factor = NormalExp(G)
+    assert factor._Q is None
+    npt.assert_array_equal(factor.g, np.diag(G))
+    for stack in (M, M[2]):
+        out = factor.similarity(stack, s)
+        _assert_eig_path_bits(out, _eig_similarity(G, stack, s), d)
+        slices = np.broadcast_to(stack, M.shape)
+        assert out[0].tobytes() == slices[0].tobytes()
+        for point, Mb, sb in zip(out, slices, s):
+            expected = sla.expm(sb * G) @ Mb @ sla.expm(-sb * G)
+            assert frob(point - expected) <= 1e-12 * max(1.0, frob(expected))
+    # an entry zero in every slice is +0.0 wherever s is not 0
+    empty = ~M.any(axis=0)
+    assert not factor.similarity(M, s)[1:, empty].tobytes().strip(b"\0")
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 12])
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_diagonal_generator_acts_entry_by_entry(d, left):
+    rng = np.random.default_rng(60 + d)
+    G, _, s = _diagonal_case(rng, d, 6)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v[rng.random(d) < 0.3] = 0
+    v[0] = 1.0
+    rows, shift = NormalExp(G).act(v, s, left=left)
+    ref_rows, ref_shift = _eig_act(G, v, s, left)
+    assert shift.tobytes() == ref_shift.tobytes()
+    _assert_eig_path_bits(rows, ref_rows, d)
+    assert rows[0].tobytes() == v.tobytes()
+    for row, k, sb in zip(rows, shift, s):
+        expected = v @ sla.expm(sb * G) if left else sla.expm(sb * G) @ v
+        assert frob(row * np.exp(k) - expected) <= 1e-12 * frob(expected)
+
+
+def test_diagonal_similarity_overflows_only_where_m_is_nonzero():
+    G = np.diag([1.0, -1.0, 0.5])
+    s = np.array([0.3, 400.0])  # exp(400 (g_0 - g_1)) overflows
+    factor = NormalExp(G)
+    coupled = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    coupled[0, 1] = 1e-3
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            OverflowError, match=r"^exp\(sG\) M exp\(-sG\) overflowed$"):
+        factor.similarity(coupled, s)
+    # zero where the phase overflows, in one matrix or in every slice: the
+    # entries there are exact zeros; the factored formula returns NaN
+    diagonal = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    diagonal[2, 0] = 0.25j
+    for M in (diagonal, np.stack([diagonal, 2 * diagonal])):
+        out = factor.similarity(M, s)
+        assert np.isfinite(out).all()
+        assert not out[:, 0, 1].tobytes().strip(b"\0")
+        npt.assert_array_equal(out[1].diagonal(), np.diag(M if M.ndim == 2 else M[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_eig_similarity(G, M, s)).all()
+
+
+def test_dense_generator_keeps_the_factorization():
+    G = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    factor = NormalExp(G)
+    assert factor._Q is not None
+    s = np.array([0.0, 0.7j, -2.5j])
+    M = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    assert factor.similarity(M, s).tobytes() == _eig_similarity(G, M, s).tobytes()
+
+
 def test_polish_root_leaves_an_exactly_singular_shift_alone():
     for M, z in ((np.array([[2.0, 1.0], [0.0, 3.0]]), 2.0),
                  (np.diag([1.0, 2.0, 3.0]).astype(complex), 2.0 + 0.0j)):

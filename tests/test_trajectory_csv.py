@@ -4,6 +4,10 @@ The reference writer below formats every value on its own with
 ``f"{x:.17g}"``; ``write_trajectory_csv`` must produce the same bytes.
 """
 
+import importlib.util
+import os
+import random
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +17,28 @@ from vndarboux import (Diagnostics, Trajectory, build_lax,
                        dressed_trajectory, f_value, make_anticommuting_seed,
                        make_delta_commuting_seed, mat_exp,
                        rk4_integrate)
-from vndarboux.scenario_cli import read_trajectory_csv, write_trajectory_csv
+from vndarboux.scenario_cli import (execute_scenario, read_trajectory_csv,
+                                    write_trajectory_csv)
+
+
+BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
+WORKLOADS = ("anticommuting-shift", "delta-covariance")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # benchmarks/run.py, for its scenario generators; it imports its
+    # neighbour tracing.py, and its dataclasses look the module up by name
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", os.path.join(BENCHMARKS, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, BENCHMARKS)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(BENCHMARKS)
+    return module
 
 
 def _reference_csv(traj: Trajectory, dim: int) -> str:
@@ -114,6 +139,56 @@ def test_special_values_and_non_contiguous_states(tmp_path):
     _, back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
     assert all(np.array_equal(a, b) for a, b in zip(back, states))
     assert np.signbit(back[1][0, 0].real)
+
+
+def _state_cells(text: str, column: str) -> list:
+    header, *rows = text.splitlines()
+    k = header.split(",").index(column)
+    return [row.split(",")[k] for row in rows]
+
+
+def test_zero_columns_print_zero_and_negative_zeros_keep_their_sign(tmp_path):
+    states = np.zeros((3, 2, 2), dtype=complex)
+    states[:, 0, 0] = [1.5, -2.0, 0.25]          # im_0_0 is +0.0 in every row
+    states[1, 0, 1] = complex(-0.0, 0.0)         # re_0_1: -0.0 in one row
+    states[:, 1, 0] = complex(-0.0, 0.0)         # re_1_0: -0.0 in every row
+    states[:, 1, 1] = complex(0.0, -0.0)         # im_1_1: -0.0 in every row
+    traj = Trajectory(times=[0.0, 0.5, 1.0], states=states)
+    text = _written(tmp_path, traj, 2)
+    assert text == _reference_csv(traj, 2)
+    for column in ("im_0_0", "im_0_1", "re_1_1"):
+        assert _state_cells(text, column) == ["0", "0", "0"]
+    assert _state_cells(text, "re_0_1") == ["0", "-0", "0"]
+    assert _state_cells(text, "re_1_0") == ["-0", "-0", "-0"]
+    assert _state_cells(text, "im_1_1") == ["-0", "-0", "-0"]
+    _, back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
+    assert back.tobytes() == states.tobytes()
+
+
+def test_trajectory_cut_at_its_first_sample_writes_the_header_alone(tmp_path):
+    # <chi|phi> = 0 exactly: the dressing is singular at the first sample
+    seed = make_anticommuting_seed(2, [0.7, -0.4], alpha=[1.0, 1.3], n=1)
+    nu = 0.2 - 0.5j
+    pin = np.linalg.eigvals((seed.rho0 - nu * seed.spec.A)[2:, 2:])[0]
+    traj = dressed_trajectory(build_lax(seed, 0.3 + 0.9j, nu, z_nu_pin=pin),
+                              np.linspace(-1.5, 1.5, 13))
+    assert len(traj.states) == 0 and traj.singular_t == -1.5
+    text = _written(tmp_path, traj, seed.dim)
+    assert text == _reference_csv(traj, seed.dim)
+    assert text.count("\n") == 1 and text.startswith("t,re_0_0,")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_drawn_scenario_rows_match_per_value_format(tmp_path, bench, workload):
+    # 12 x 12 states, most of whose entries are zero in every sample
+    cfg = bench.SCENARIO_WORKLOADS[workload](random.Random(31), 0)
+    result = execute_scenario(cfg)
+    traj, dim = result.trajectory, result.seed.dim
+    assert dim == 12 and len(traj.states) == cfg["times"]["samples"]
+    pairs = traj.states.reshape(len(traj.states), -1).view(float)
+    assert (~pairs.view(np.uint64).any(axis=0)).sum() > dim * dim
+    text = _written(tmp_path, traj, dim)
+    assert text == _reference_csv(traj, dim)
 
 
 def _bits(values) -> bytes:
