@@ -2,10 +2,30 @@
 
 The rank-one idempotent ``P = |phi><chi| / <chi|phi>`` turns a seed solution
 rho into ``rho[1] = rho + (mu - nu)[P, A]``, which equals the similarity form
-``T rho T^{-1}`` with ``T = 1 + ((mu - nu)/nu) P = exp(P ln(mu/nu))``.  Both
-forms are computed independently on every call; their distance (``form_gap``)
-is the strongest integrity check of the whole pipeline and a disagreement is
-an error, never a warning.
+``T rho T^{-1}`` with ``T = 1 + ((mu - nu)/nu) P = exp(P ln(mu/nu))``.  The
+two forms are not independent: with the analytic ``T^{-1} = 1 + ((nu -
+mu)/mu) P``, ``T rho T^{-1} - rho = (mu - nu) B`` for any P, rho and A, where
+B is the right side of the bridge identity
+
+    [P, A] = ((nu - mu)/(mu nu)) P rho P - (1/mu) rho P + (1/nu) P rho.
+
+So ``form_gap = |mu - nu| * bridge gap`` before round-off.  Both gates stay:
+each is a named claim of the construction, and a disagreement is an error,
+never a warning.
+
+The similarity form, the bridge and unitarity (``T^dag T = 1`` when
+``nu = conj(mu)``) are computed from P's factors ``P = U W``: with
+``a = W rho``, ``b = rho U`` and ``s = W rho U``,
+``T rho T^{-1} = rho + c U a + c' b W + c c' U s W`` (``c = (mu - nu)/nu``,
+``c' = (nu - mu)/mu``), the bridge is
+``((nu - mu)/(mu nu)) U s W - b W / mu + U a / nu`` and
+``T^dag T - 1 = conj(c) P^dag + c P + |c|^2 W^dag (U^dag U) W``.  A dressed
+point has rank one, ``U = phi / <chi|phi>`` and ``W = chi``, so these are
+vector-matrix and outer products, and ``T^{-1}`` is never built; a P that a
+caller hands to ``dress`` is its own factor (``U = P``, ``W = 1``).  The
+commutator form, the idempotency gate ``P @ P`` and the ``t_equality``
+exponential keep their matrix forms: the first is the state, and the other
+two measure round-off in P itself.
 
 Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
 plan of one scenario: it takes phi and chi from the Lax generators and the
@@ -30,8 +50,11 @@ cuts the sample grid into blocks (``time_blocks``, sized by the full and the
 support matrices a point holds) and fills one ``Trajectory``: the states as
 one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample arrays
 (dressed states, full projectors and scalar diagnostics) and the Lax
-solution.  The checks in ``verification`` slice those stacks and evaluate
-their stencils through the same flow.
+solution.  Under a symmetry flow (``symmetry_transforms``) it dresses each
+sample once, at the time the flow evaluates the dressing (``Y t``), and the
+flow maps that dressing to the sample's state.  The checks in
+``verification`` slice those stacks and evaluate their stencils through the
+same flow.
 """
 
 from __future__ import annotations
@@ -66,9 +89,10 @@ class Diagnostics:
     """Per-sample arrays of a dressed trajectory, one entry per state.
 
     ``rho1`` is the ``(N, d, d)`` stack of dressed states, before any
-    symmetry flow, and ``P`` their projectors; ``min_eig`` is None outside
-    hermitian mode and ``F_value`` off Delta-commuting seeds in hermitian
-    mode.
+    symmetry flow, and ``P`` their projectors; ``spectrum`` holds the
+    ascending eigenvalues of each dressed state's Hermitian part and
+    ``min_eig`` its first column.  Both are None outside hermitian mode, and
+    ``F_value`` off Delta-commuting seeds in hermitian mode.
     """
 
     rho1: np.ndarray
@@ -79,6 +103,7 @@ class Diagnostics:
     min_eig: np.ndarray | None
     F_value: np.ndarray | None
     p_dot_norm: np.ndarray
+    spectrum: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -202,24 +227,45 @@ def _embed(block: np.ndarray, J: np.ndarray, outside: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, J: np.ndarray,
-                 mu: complex, nu: complex, tolerances: Tolerances,
-                 hermitian: bool = False):
+def _similarity_terms(rho: np.ndarray, U: np.ndarray, W: np.ndarray,
+                      mu: complex, nu: complex):
+    # (T rho T^{-1}, bridge expression) for P = U W with U (N, k, r) and
+    # W (N, r, k), from a = W rho, b = rho U and s = W rho U: with
+    # c = (mu - nu)/nu and c' = (nu - mu)/mu, T rho T^{-1} is
+    # rho + c U a + c' b W + c c' U s W, and T^{-1} is never built
+    a = W @ rho
+    b = rho @ U
+    Ua, bW, UsW = U @ a, b @ W, (U @ (a @ U)) @ W
+    c, c_inv = (mu - nu) / nu, (nu - mu) / mu
+    similar = rho + c * Ua + c_inv * bW + (c * c_inv) * UsW
+    bridge = ((nu - mu) / (mu * nu)) * UsW - bW / mu + Ua / nu
+    return similar, bridge
+
+
+def _unitarity_defect(P: np.ndarray, U: np.ndarray, W: np.ndarray,
+                      c: complex) -> np.ndarray:
+    # T^dag T - 1 for T = 1 + c P and P = U W:
+    # conj(c) P^dag + c P + |c|^2 W^dag (U^dag U) W
+    return (np.conj(c) * dagger(P) + c * P
+            + abs(c) ** 2 * (dagger(W) @ ((dagger(U) @ U) @ W)))
+
+
+def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, U: np.ndarray,
+                 W: np.ndarray, J: np.ndarray, mu: complex, nu: complex,
+                 tolerances: Tolerances, hermitian: bool = False):
     # (rho1, T, form_gap, failure) for a stack rho of seed states whose
-    # projectors vanish outside J x J, with P their J x J blocks.  A couples
-    # no index in J to one outside it, so [P, A], T - 1 and rho1 - rho vanish
-    # outside J x J too: rho1 is rho with its block replaced, T is returned
-    # as its block, and every gate is evaluated on the blocks
+    # projectors vanish outside J x J, with P their J x J blocks and U, W
+    # the factors P = U W.  A couples no index in J to one outside it, so
+    # [P, A], T - 1 and rho1 - rho vanish outside J x J too: rho1 is rho
+    # with its block replaced, T is returned as its block, and every gate
+    # is evaluated on the blocks
     rho_J, A_J = _block(rho, J), _block(A, J)
     comm_PA = P @ A_J - A_J @ P
     rho1_J = rho_J + (mu - nu) * comm_PA
     T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian,
                                    rho.shape[-1] - len(J))
-    eye = np.eye(len(J), dtype=complex)
-    T_inv = eye + ((nu - mu) / mu) * P
-    form_gap = frob_stack(rho1_J - T @ rho_J @ T_inv)
-    bridge = (((nu - mu) / (mu * nu)) * (P @ rho_J @ P)
-              - (rho_J @ P) / mu + (P @ rho_J) / nu)
+    similar, bridge = _similarity_terms(rho_J, U, W, mu, nu)
+    form_gap = frob_stack(rho1_J - similar)
     bridge_gap = frob_stack(comm_PA - bridge)
     bridge_limit = tolerances.bridge_identity * np.maximum(
         1.0, frob_stack(rho) * frob_stack(P))
@@ -232,7 +278,7 @@ def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, J: np.ndarray,
             f"[P, A] bridging identity violated by {bridge_gap[i]:.3e}")),
     ]
     if hermitian_pairing(mu, nu):
-        unitarity = frob_stack(dagger(T) @ T - eye)
+        unitarity = frob_stack(_unitarity_defect(P, U, W, (mu - nu) / nu))
         gates.append(_first(unitarity > tolerances.t_unitarity, lambda i: InconsistentLax(
             f"T fails unitarity by {unitarity[i]:.3e} although nu = conj(mu)")))
     return _embed(rho1_J, J, rho), T, form_gap, _earliest(*gates)
@@ -279,9 +325,9 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
           tolerances: Tolerances = DEFAULT) -> DressedState:
     """Dress one state: rho[1] by the commutator form, cross-checked.
 
-    Computes ``rho + (mu - nu)[P, A]`` and ``T rho T^{-1}`` independently
-    (``T^{-1} = 1 + ((nu - mu)/mu) P`` analytically) and records their
-    distance as ``form_gap``.  Also asserts the bridging identity
+    Computes ``rho + (mu - nu)[P, A]`` and ``T rho T^{-1}`` (from P as its
+    own factor, ``T^{-1} = 1 + ((nu - mu)/mu) P`` analytically) and records
+    their distance as ``form_gap``.  Also asserts the bridging identity
 
         [P, A] = ((nu - mu)/(mu nu)) P rho P - (1/mu) rho P + (1/nu) P rho,
 
@@ -295,9 +341,10 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
     mu = complex(mu)
     nu = complex(nu)
     require_nonzero(mu=mu, nu=nu)
-    rho1, T, form_gap, failure = _dress_stack(rho[None], A, P[None],
-                                              np.arange(len(A)), mu, nu,
-                                              tolerances)
+    # the caller's P is its own factor: U = P, W = 1
+    rho1, T, form_gap, failure = _dress_stack(
+        rho[None], A, P[None], P[None], np.eye(len(A), dtype=complex)[None],
+        np.arange(len(A)), mu, nu, tolerances)
     _raise(failure)
     return DressedState(rho1=rho1[0], P=P, T=T[0], t=float(t),
                         form_gap=float(form_gap[0]))
@@ -357,10 +404,9 @@ class DressedFlow(Flow):
         """The ``support`` block of a matrix or of each matrix of a stack."""
         return _block(M, self.support)
 
-    def projectors(self, times):
-        """``(P, phi_norm, failure)`` for each time, with every projector
-        gate; ``P`` holds the ``support`` blocks of the projectors."""
-        times = np.asarray(times, dtype=float)
+    def _rows(self, times):
+        # the support entries of phi and chi per point, normalized, with
+        # phi_norm and the first point where a row vanished
         J = self.support
         phi, shift = self.lax.phi_rows(times)
         phi_len = np.linalg.norm(phi, axis=-1)
@@ -377,20 +423,33 @@ class DressedFlow(Flow):
                 gates.append(_first(chi_len == 0, lambda i: SingularDarboux(
                     "chi(t) vanished", t=float(times[i]))))
                 chi_hat = chi.take(J, axis=-1) / chi_len[:, None]
-        P, failure = _projector_stack(phi_hat, chi_hat, self.tolerances)
-        return P, phi_norm, _earliest(*gates, failure)
+        return phi_hat, chi_hat, phi_norm, _earliest(*gates)
+
+    def projectors(self, times):
+        """``(P, phi_norm, failure)`` for each time, with every projector
+        gate; ``P`` holds the ``support`` blocks of the projectors."""
+        times = np.asarray(times, dtype=float)
+        phi, chi, phi_norm, failure = self._rows(times)
+        P, projector_failure = _projector_stack(phi, chi, self.tolerances)
+        return P, phi_norm, _earliest(failure, projector_failure)
 
     def evaluate(self, times) -> DressedStack:
         """Projectors and dressed states with every gate; the stack stops at
-        the first failing point."""
+        the first failing point.  The dressing gates take P's factors
+        ``U = phi / <chi|phi>`` and ``W = chi`` (rank one)."""
         times = np.asarray(times, dtype=float)
-        P, phi_norm, failure = self.projectors(times)
+        phi, chi, phi_norm, failure = self._rows(times)
+        P, projector_failure = _projector_stack(phi, chi, self.tolerances)
+        failure = _earliest(failure, projector_failure)
         done = len(times) if failure is None else failure[0]
+        phi, chi = phi[:done], chi[:done]
+        with np.errstate(all="ignore"):
+            U = phi / np.sum(chi * phi, axis=-1)[:, None]
         params = self.lax.params
         rho1, T, form_gap, dress_failure = _dress_stack(
             self.seed.rho_stack(times[:done]), self.seed.spec.A, P[:done],
-            self.support, params.mu, params.nu, self.tolerances,
-            params.hermitian_mode)
+            U[:, :, None], chi[:, None, :], self.support, params.mu, params.nu,
+            self.tolerances, params.hermitian_mode)
         return DressedStack(rho1, P[:done], T, form_gap, phi_norm[:done],
                             dress_failure or failure)
 
@@ -449,7 +508,8 @@ def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
 
 
 def dressed_trajectory(lax: LaxSolution, times,
-                       tolerances: Tolerances = DEFAULT) -> Trajectory:
+                       tolerances: Tolerances = DEFAULT,
+                       flow: Flow | None = None) -> Trajectory:
     """Sample rho[1](t), dressed with ``lax``, over a time grid with full
     per-sample diagnostics.
 
@@ -460,40 +520,57 @@ def dressed_trajectory(lax: LaxSolution, times,
     the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
     seeds in hermitian mode it evaluates ``f_value`` for all its samples in
     one call.  A ``SingularDarboux`` at some sample cuts the stacks there
-    and records the singular time instead of aborting.
+    and records the singular sample's time instead of aborting.
+
+    ``flow`` is a symmetry flow whose ``root`` is a ``DressedFlow`` of
+    ``lax`` (``symmetry_transforms``).  Each sample is then dressed once, at
+    the time ``flow.source_times`` maps it to (``Y t`` under a rescaling,
+    in reverse order for a negative Y), and ``flow.finish`` maps the dressed
+    state to the sample's state; the diagnostics describe that dressing.
+    The samples keep ``times`` and its order.
     """
     times = np.asarray(times, dtype=float)
     seed, params = lax.seed, lax.params
-    flow = DressedFlow(seed, lax, tolerances)
+    if flow is None:
+        flow = DressedFlow(seed, lax, tolerances)
+    dressing = flow.root
+    if not (isinstance(dressing, DressedFlow) and dressing.lax is lax):
+        raise ValueError("flow must transform a DressedFlow of this Lax solution")
+    at = flow.source_times(times)
     herm = params.hermitian_mode
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
 
     count = len(times)
     rho1 = np.empty((count, seed.dim, seed.dim), dtype=complex)
+    flowed = flow is not dressing
+    states = np.empty_like(rho1) if flowed else rho1
     P = np.zeros_like(rho1)
-    J = flow.support
+    J = dressing.support
     phi_norm, form_gap, herm_gap, p_dot = (np.empty(count) for _ in range(4))
-    min_eig = np.empty(count) if herm else None
+    spectrum = np.empty((count, seed.dim)) if herm else None
     F = np.empty(count, dtype=complex) if with_f else None
     filled = 0
     singular_t = None
     dp = 1e-4
     for block in time_blocks(count, seed.dim, support=len(J)):
-        t = times[block]
-        dressed = flow.evaluate(t)
-        p_plus, _, plus_failure = flow.projectors(t + dp)
-        p_minus, _, minus_failure = flow.projectors(t - dp)
+        t = at[block]
+        dressed = dressing.evaluate(t)
+        p_plus, _, plus_failure = dressing.projectors(t + dp)
+        p_minus, _, minus_failure = dressing.projectors(t - dp)
         failure = _earliest(dressed.failure, plus_failure, minus_failure)
         done = len(t) if failure is None else failure[0]
         out = slice(filled, filled + done)
-        states = dressed.rho1[:done]
-        rho1[out] = states
+        dressed_states = dressed.rho1[:done]
+        rho1[out] = dressed_states
+        if flowed:
+            states[out] = flow.finish(times[block][:done], dressed_states)
         P[out, J[:, None], J] = dressed.P[:done]
         phi_norm[out] = dressed.phi_norm[:done]
         form_gap[out] = dressed.form_gap[:done]
-        herm_gap[out] = frob_stack(states - dagger(states))
+        herm_gap[out] = frob_stack(dressed_states - dagger(dressed_states))
         if herm:
-            min_eig[out] = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
+            spectrum[out] = np.linalg.eigvalsh(
+                (dressed_states + dagger(dressed_states)) / 2)
         p_dot[out] = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
         if with_f:
             F[out] = f_value(seed, params.mu, lax.phi0, t[:done])
@@ -502,16 +579,18 @@ def dressed_trajectory(lax: LaxSolution, times,
             index, error = failure
             if not isinstance(error, SingularDarboux):
                 raise error
-            singular_t = float(t[index]) if error.t is None else float(error.t)
+            singular_t = float(times[block][index])
             break
 
     cut = slice(0, filled)
     diagnostics = Diagnostics(
         rho1=rho1[cut], P=P[cut], phi_norm=phi_norm[cut], form_gap=form_gap[cut],
         hermiticity_gap=herm_gap[cut],
-        min_eig=None if min_eig is None else min_eig[cut],
-        F_value=None if F is None else F[cut], p_dot_norm=p_dot[cut])
-    return Trajectory(times=times[cut], states=diagnostics.rho1,
+        min_eig=None if spectrum is None else spectrum[cut, 0],
+        F_value=None if F is None else F[cut], p_dot_norm=p_dot[cut],
+        spectrum=None if spectrum is None else spectrum[cut])
+    return Trajectory(times=times[cut],
+                      states=states[cut] if flowed else diagnostics.rho1,
                       diagnostics=diagnostics, rho_at=flow,
                       singular_t=singular_t, lax=lax)
 

@@ -33,11 +33,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .darboux_engine import Trajectory, dressed_trajectory
+from .darboux_engine import DressedFlow, Trajectory, dressed_trajectory
 from .errors import (DarbouxError, DefectiveEigenproblem, SingularDarboux,
                      UnsupportedScenario)
 from .lax_engine import build_lax, eigenvalue_multiplicity, identity_pair
-from .operator_core import frob, time_blocks
+from .operator_core import frob
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
 from .symmetry_transforms import (RescaledFlow, ShiftSpec, ShiftedFlow,
@@ -413,15 +413,13 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
 
     lax = build_lax(seed, s.mu, s.nu, s.lam, tolerances=tolerances, **s.pins)
     params = lax.params
-    traj = dressed_trajectory(lax, s.times, tolerances=tolerances)
+    flow = DressedFlow(seed, lax, tolerances)
 
     reference = None
     residual_scale = 1.0
-    final = traj
     shifted = s.shift_x is not None or s.shift_lambda != 0.0
     if s.order == "after" and (shifted or s.rescale_y != 1.0):
         spec = seed.spec
-        flow = traj.rho_at
         reference = np.array(seed.rho0)
         if shifted:
             if s.shift_x is not None:
@@ -436,16 +434,14 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             flow = RescaledFlow(flow, s.rescale_y)
             reference = s.rescale_y * reference
             residual_scale *= s.rescale_y ** 2
-        states = np.empty_like(traj.states)
-        for block in time_blocks(len(traj.times), seed.dim,
-                                 support=flow.support_size):
-            states[block] = flow.stack(traj.times[block])
-        final = dataclasses.replace(traj, states=states, rho_at=flow)
+    # each sample is dressed once, at the time the flow evaluates the
+    # dressing (Y t), and its state is the flow's map of that dressing
+    traj = dressed_trajectory(lax, s.times, tolerances=tolerances, flow=flow)
 
     notes = {"symmetry_order": s.order if "symmetries" in s.config else None,
              "shift_lambda": s.shift_lambda, "rescale_y": s.rescale_y,
              "hermitian_mode": params.hermitian_mode}
-    report = run_suite(final, scenario_id=s.config["id"], enabled=s.checks,
+    report = run_suite(traj, scenario_id=s.config["id"], enabled=s.checks,
                        reference=reference, residual_tol_scale=residual_scale,
                        tolerances=tolerances, notes=notes)
 
@@ -467,7 +463,7 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             "singular_t": traj.singular_t,
         },
     }
-    return ScenarioResult(config=s.config, seed=seed, trajectory=final,
+    return ScenarioResult(config=s.config, seed=seed, trajectory=traj,
                           report=report, lock=lock)
 
 
@@ -500,8 +496,8 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
     """Write ``trajectory.csv``: one row per sample, every number as ``%.17g``.
 
     Each row goes through one prebuilt format string in which the columns of
-    absent diagnostics are fixed empty and a state column that is ``+0.0``
-    in every row is fixed ``0``, which is what ``"%.17g" % 0.0`` prints; on
+    absent diagnostics are fixed empty and a state column that holds the
+    same 64 bits in every row is fixed to its value, formatted once; on
     Python floats ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  A row's
     other state entries are one ``tolist()`` of that state's row-major
     (Re, Im) pairs, read from a C-ordered copy of the stack only where the
@@ -524,15 +520,18 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
                  None if F is None else F.imag, diag.p_dot_norm]
     pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
     pairs = pairs.reshape(len(pairs), 2 * dim * dim)
-    # all 64 bits zero: +0.0, not -0.0
-    zero = ~pairs.view(np.uint64).any(axis=0)
-    row = ",".join(["%.17g"] + ["0" if z else "%.17g" for z in zero]
+    bits = pairs.view(np.uint64)
+    # equal bits in every row; a file without rows has no constant column
+    constant = (bits == bits[:1]).all(axis=0) & (len(bits) > 0)
+    first = pairs[0].tolist() if len(pairs) else [0.0] * len(constant)
+    row = ",".join(["%.17g"] + ["%.17g" % x if c else "%.17g"
+                                for c, x in zip(constant, first)]
                    + ["" if c is None else "%.17g" for c in cells])
     # per sample: the time, then the diagnostics that are present
     scalars = np.column_stack(
         [traj.times] + [c for c in cells if c is not None]).tolist()
     lines = [",".join(header)]
-    for (t, *values), entries in zip(scalars, pairs[:, ~zero]):
+    for (t, *values), entries in zip(scalars, pairs[:, ~constant]):
         lines.append(row % (t, *entries.tolist(), *values))
     _atomic_write(path, "\n".join(lines) + "\n")
 

@@ -12,8 +12,11 @@ rescales spectrum and time together.  Composing the two turns non-positive or
 non-normalized solutions into density matrices.
 
 ``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times: the
-shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and a
-``Flow`` underneath is evaluated a stack at a time.  Calling the flows that
+shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and the
+flow beneath the chain (its ``root``) is evaluated once per stack, at the
+times ``source_times`` maps the stack to; ``finish`` then applies every
+transform.  ``dressed_trajectory`` dresses the samples of a chain through
+the same two maps.  Calling the flows that
 ``shifted_flow``/``rescaled_flow`` return at one time is the one-point case.
 """
 
@@ -54,38 +57,74 @@ def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
         raise ValueError("shift operator must commute with rho(0)")
 
 
-class ShiftedFlow(Flow):
+class _Points(Flow):
+    # a plain callable as a flow: called once per time with a float
+    def __init__(self, rho_at):
+        self._rho_at = rho_at
+
+    def stack(self, times) -> np.ndarray:
+        return stack_of(self._rho_at, times)
+
+
+class _Transform(Flow):
+    """A map of the solution ``rho_at`` (a ``Flow`` or any callable): the
+    state at t comes from ``rho_at``'s state at ``_inner(t)``, through
+    ``_apply``.  ``stack`` evaluates the root once at ``source_times`` and
+    applies every transform of the chain with ``finish``."""
+
+    def __init__(self, rho_at):
+        self._source = rho_at if isinstance(rho_at, Flow) else _Points(rho_at)
+        self.support_size = self._source.support_size
+
+    @property
+    def root(self) -> Flow:
+        return self._source.root
+
+    def source_times(self, times) -> np.ndarray:
+        return self._source.source_times(self._inner(np.asarray(times, dtype=float)))
+
+    def finish(self, times, states: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        return self._apply(times, self._source.finish(self._inner(times), states))
+
+    def stack(self, times) -> np.ndarray:
+        return self.finish(times, self.root.stack(self.source_times(times)))
+
+
+class ShiftedFlow(_Transform):
     """rho_X on stacks of times; the invariants are checked once up front."""
 
     def __init__(self, spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,
                  tolerances: Tolerances = DEFAULT):
         X = X.X if isinstance(X, ShiftSpec) else as_operator(X)
         _check_shift_invariants(X, spec.A, as_operator(rho_at(0.0)), tolerances)
-        self._rho_at = rho_at
+        super().__init__(rho_at)
         self._X = X
-        self.support_size = getattr(rho_at, "support_size", None)
         self._factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]),
                                  tolerances)
 
-    def stack(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return self._factor.similarity(stack_of(self._rho_at, times) + self._X,
-                                       -1j * times)
+    def _inner(self, times: np.ndarray) -> np.ndarray:
+        return times
+
+    def _apply(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return self._factor.similarity(states + self._X, -1j * times)
 
 
-class RescaledFlow(Flow):
+class RescaledFlow(_Transform):
     """Y rho(Y t) on stacks of times."""
 
     def __init__(self, rho_at, Y: float):
         Y = float(Y)
         if Y == 0:
             raise ValueError("Y must be nonzero")
-        self._rho_at = rho_at
+        super().__init__(rho_at)
         self._Y = Y
-        self.support_size = getattr(rho_at, "support_size", None)
 
-    def stack(self, times) -> np.ndarray:
-        return self._Y * stack_of(self._rho_at, self._Y * np.asarray(times, dtype=float))
+    def _inner(self, times: np.ndarray) -> np.ndarray:
+        return self._Y * times
+
+    def _apply(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return self._Y * states
 
 
 def shifted_flow(spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,

@@ -6,11 +6,12 @@ trace-moment invariance, Hermiticity, trace, positivity, projector
 idempotency, form gap, covariance of the transformed left solution) into a
 single deterministic report.  Every check reduces over slices of the
 trajectory's stacks in blocks (``time_blocks``): the spectrum and positivity
-checks share one eigensolve per state; the residual evaluates its stencil
-through the trajectory's flow and reuses the sample states as centres; the
-covariance check reuses the trajectory's Lax solution and the dressed states
-and projectors of its ``Diagnostics``, and builds only the projectors of its
-stencil.
+checks share one eigensolve per state, the one ``dressed_trajectory`` made
+when the checked states are the dressed states; the residual evaluates its
+stencil through the trajectory's flow and reuses the sample states as
+centres; the covariance check reuses the trajectory's Lax solution and the
+dressed states and projectors of its ``Diagnostics``, at their dressing
+times, and builds only the projectors of its stencil.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .darboux_engine import DressedFlow, Trajectory
 from .operator_core import (dagger, frob, frob_stack, time_blocks,
                             trace_moments)
 from .tolerances import DEFAULT, Tolerances
-from .vne_model import ModelSpec, default_step, hamiltonian_of, residuals, rhs
+from .vne_model import (Flow, ModelSpec, default_step, hamiltonian_of,
+                        residuals, rhs)
 
 # the names ``run_suite(enabled=...)`` switches on and off
 CHECKS = ("residual", "idempotency", "form_gap", "trace", "hermiticity",
@@ -126,9 +128,13 @@ def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     # 6.9e-10 at 5x and 1.0e-8 at 10x, where the h^4 term dominates)
     h = 3 * default_step(spec)
     offsets = np.array([2 * h, h, -h, -2 * h])
+    # the diagnostics hold each sample's dressing, at the time its flow
+    # evaluates the dressed flow
+    times = (traj.rho_at.source_times(traj.times)
+             if isinstance(traj.rho_at, Flow) else traj.times)
     eig_gaps, teq_gaps = [], []
-    for block in time_blocks(len(traj.times), spec.dim, support=flow.support_size):
-        t = traj.times[block]
+    for block in time_blocks(len(times), spec.dim, support=flow.support_size):
+        t = times[block]
         rho1 = diagnostics.rho1[block]
         psi1, shift = flow.psi1_rows(t, P=flow.block(diagnostics.P[block]))
         # the stencil shares its centre's shift: one scaled psi is differenced
@@ -228,8 +234,13 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         positivity = (on("positivity", default=seed_positive) and seed_positive
                       and have_samples)
         if spectrum or positivity:
-            # one eigensolve per state serves both checks
-            eigs = _per_sample(states, dim, spectra)
+            # one eigensolve per state serves both checks; the dressing's own
+            # when the checked states are the dressed states
+            if (diags is not None and diags.spectrum is not None
+                    and states is diags.rho1):
+                eigs = diags.spectrum
+            else:
+                eigs = _per_sample(states, dim, spectra)
         if spectrum:
             gaps = np.max(np.abs(eigs - ref_vals), axis=-1)
             worst, loc = _worst(gaps, times)

@@ -72,9 +72,25 @@ class Flow:
     calling the flow with one time is the one-point case of the same code.
     ``support_size`` is the size of the block a point is dressed on, which
     sizes the stacks (``time_blocks``); None means whole states.
+
+    A flow may transform the states of another (``symmetry_transforms``).
+    ``root`` is the flow beneath every transform; its states at
+    ``source_times(times)``, passed through ``finish(times, states)``, are
+    this flow's states at ``times``.  For a flow that transforms nothing
+    ``root`` is the flow itself and both maps are the identity.
     """
 
     support_size: int | None = None
+
+    @property
+    def root(self) -> "Flow":
+        return self
+
+    def source_times(self, times) -> np.ndarray:
+        return np.asarray(times, dtype=float)
+
+    def finish(self, times, states: np.ndarray) -> np.ndarray:
+        return states
 
     def stack(self, times) -> np.ndarray:
         raise NotImplementedError

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vndarboux import (DefectiveEigenproblem, Tolerances, lax_engine,
-                       scenario_cli)
+from vndarboux import (DefectiveEigenproblem, Tolerances, dressed_trajectory,
+                       lax_engine, scenario_cli)
+from vndarboux.darboux_engine import DressedFlow
+from vndarboux.lax_engine import LaxSolution
+from vndarboux.operator_core import NormalExp
 from vndarboux.scenario_cli import (main, read_trajectory_csv, run, sweep,
                                     validate_config)
 
@@ -132,6 +136,70 @@ def test_symmetry_after_pipeline(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["notes"]["symmetry_order"] == "after"
     assert {c["name"] for c in report["checks"]} >= {"positivity"}
+
+
+def _rescaled_delta(y: float, nu=None) -> dict:
+    cfg = json.loads(json.dumps(DELTA))
+    cfg["times"] = {"t_min": -1.0, "t_max": 1.0, "samples": 11}
+    cfg["symmetries"] = {"order": "after", "shift_lambda": 0.5, "rescale_y": y}
+    if nu is not None:
+        cfg["darboux"]["nu_mode"] = {"explicit": nu}
+    return cfg
+
+
+@pytest.mark.parametrize("y", [-0.5, 2.0])
+def test_after_flow_dresses_each_sample_once_at_y_t(y):
+    # rows keep the config's grid and order; each state is the shift and the
+    # rescale of the one dressing at Y t, bit for bit what composing the
+    # flows by hand gives, and the diagnostics describe that dressing
+    cfg = _rescaled_delta(y)
+    result = scenario_cli.execute_scenario(cfg)
+    traj, seed = result.trajectory, result.seed
+    grid = np.linspace(-1.0, 1.0, 11)
+    assert result.report.overall and traj.singular_t is None
+    assert traj.times.tobytes() == grid.tobytes()
+    dressed = DressedFlow(seed, traj.lax)
+    X = 0.5 * np.eye(seed.dim, dtype=complex)
+    shift = NormalExp(2 * (X @ seed.spec.A))
+    expected = y * shift.similarity(dressed.stack(y * grid) + X, -1j * (y * grid))
+    assert traj.states.tobytes() == expected.tobytes()
+    assert traj.rho_at.stack(grid).tobytes() == expected.tobytes()
+    assert traj.diagnostics.rho1.tobytes() == dressed.stack(y * grid).tobytes()
+    assert traj.diagnostics.P.tobytes() == dressed_trajectory(
+        traj.lax, np.sort(y * grid)).diagnostics.P[::int(np.sign(y))].tobytes()
+    # a flow dresses with its own Lax solution only
+    other = dataclasses.replace(traj.lax)
+    with pytest.raises(ValueError, match="DressedFlow of this Lax solution"):
+        dressed_trajectory(other, grid, flow=traj.rho_at)
+
+
+@pytest.mark.parametrize("y", [-2.0, 2.0])
+def test_singular_dressing_under_rescale_cuts_the_rows(tmp_path, capsys,
+                                                       monkeypatch, y):
+    # chi(s) vanishes at dressing times s = Y t with s / sign(Y) > 1, i.e.
+    # at rows t > 0.5; for Y < 0 the dressing runs from the last row to the
+    # first.  The rows stop at the first singular row in row order, and the
+    # truncated outputs are written
+    original = LaxSolution.chi_rows
+
+    def chi_rows(self, times):
+        rows, shift = original(self, times)
+        rows[np.sign(y) * np.asarray(times) > 1.0] = 0.0
+        return rows, shift
+
+    monkeypatch.setattr(LaxSolution, "chi_rows", chi_rows)
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, _rescaled_delta(y, nu=[0.2, -0.5])), str(out)) == 3
+    grid = np.linspace(-1.0, 1.0, 11)
+    first_singular = int(np.argmax(grid > 0.5))
+    assert first_singular == 8
+    assert f"singular dressing at t = {grid[8]:.6g}" in capsys.readouterr().err
+    times, states = read_trajectory_csv(str(out / "trajectory.csv"))
+    assert times.tobytes() == grid[:8].tobytes() and len(states) == 8
+    lock = json.loads((out / "scenario.lock.json").read_text())
+    assert lock["resolved"]["singular_t"] == grid[8]
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"][-1]["name"] == "singularity"
 
 
 def test_symmetry_before_delta_reseeds(tmp_path):

@@ -10,9 +10,10 @@ from vndarboux import (DEFAULT, InconsistentLax, SingularDarboux, build_lax,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed, mat_exp, projector, residual,
                        similarity_T)
-from vndarboux.darboux_engine import (DressedFlow, _hermitian_exp,
-                                      _projector_stack, _similarity_stack,
-                                      _transform_rows)
+from vndarboux.darboux_engine import (DressedFlow, _dress_stack,
+                                      _hermitian_exp, _projector_stack,
+                                      _similarity_stack, _similarity_terms,
+                                      _transform_rows, _unitarity_defect)
 from vndarboux.operator_core import DIM_CAP, dagger, frob
 
 
@@ -145,6 +146,66 @@ def test_similarity_T_keeps_mat_exp_for_a_non_hermitian_P(monkeypatch):
     assert len(calls) == 1
     npt.assert_allclose(T, np.eye(3) + ((mu - np.conj(mu)) / np.conj(mu)) * P,
                         atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the gates from P's factors
+
+PAIRS = {"hermitian": (0.3 + 0.8j, 0.3 - 0.8j), "general": (0.7 + 0.4j, -0.2 - 1.1j)}
+
+
+def _random_inputs(k: int, seed: int):
+    # rank-one P, rho and A drawn at random: P is no eigenvector projector
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    phi, chi = draw(4, k), draw(4, k)
+    overlap = np.sum(chi * phi, axis=-1)
+    P = phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
+    U, W = (phi / overlap[:, None])[:, :, None], chi[:, None, :]
+    return P, U, W, draw(4, k, k), draw(k, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 32])
+@pytest.mark.parametrize("factors", ["rank-one", "caller-P"])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_factored_gates_equal_the_matrix_products(k, factors, pair):
+    mu, nu = PAIRS[pair]
+    P, U, W, rho, _ = _random_inputs(k, 100 + k)
+    if factors == "caller-P":
+        U, W = P, np.broadcast_to(np.eye(k, dtype=complex), P.shape)
+    c = (mu - nu) / nu
+    T = np.eye(k) + c * P
+    T_inv = np.eye(k) + ((nu - mu) / mu) * P
+    similar, bridge = _similarity_terms(rho, U, W, mu, nu)
+    expected = {
+        "similar": (similar, T @ rho @ T_inv),
+        "bridge": (bridge, ((nu - mu) / (mu * nu)) * (P @ rho @ P)
+                   - (rho @ P) / mu + (P @ rho) / nu),
+        "unitarity": (_unitarity_defect(P, U, W, c), dagger(T) @ T - np.eye(k)),
+    }
+    for name, (got, want) in expected.items():
+        scale = frob(want) + frob(rho) * (1 + frob(T) * frob(T_inv))
+        assert frob(got - want) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_form_gap_is_the_bridge_gap_scaled(k, pair):
+    # T rho T^{-1} - rho = (mu - nu) * bridge for any P, rho and A, so
+    # form_gap = |mu - nu| bridge_gap before round-off
+    mu, nu = PAIRS[pair]
+    P, U, W, rho, A = _random_inputs(k, 200 + k)
+    _, _, form_gap, failure = _dress_stack(rho, A, P, U, W, np.arange(k),
+                                           mu, nu, DEFAULT)
+    assert isinstance(failure[1], InconsistentLax)
+    bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
+              - (rho @ P) / mu + (P @ rho) / nu)
+    bridge_gap = np.linalg.norm((P @ A - A @ P) - bridge, axis=(-2, -1))
+    assert np.all(form_gap > 1e-3)
+    npt.assert_allclose(form_gap, abs(mu - nu) * bridge_gap, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,27 @@ def test_zero_columns_print_zero_and_negative_zeros_keep_their_sign(tmp_path):
     assert back.tobytes() == states.tobytes()
 
 
+def test_constant_columns_are_formatted_once_with_their_bits(tmp_path):
+    # columns equal in every row, of any value, are fixed in the template;
+    # one differing bit (a -0.0 in one row) keeps a column formatted per row
+    states = np.zeros((4, 2, 2), dtype=complex)
+    states[:, 0, 0] = complex(1.0 / 3.0, 5e-324)       # constant nonzero pair
+    states[:, 0, 1] = complex(-0.0, -1e300)            # -0.0 in every row
+    states[:, 1, 0] = [0.25, 0.25, complex(-0.0, 0.0), 0.25]
+    states[2, 1, 1] = complex(0.0, -0.0)               # -0.0 in one row only
+    traj = Trajectory(times=[0.0, 0.5, 1.0, 1.5], states=states)
+    text = _written(tmp_path, traj, 2)
+    assert text == _reference_csv(traj, 2)
+    assert _state_cells(text, "re_0_0") == ["0.33333333333333331"] * 4
+    assert _state_cells(text, "im_0_0") == ["4.9406564584124654e-324"] * 4
+    assert _state_cells(text, "re_0_1") == ["-0"] * 4
+    assert _state_cells(text, "im_0_1") == ["-1.0000000000000001e+300"] * 4
+    assert _state_cells(text, "re_1_0") == ["0.25", "0.25", "-0", "0.25"]
+    assert _state_cells(text, "im_1_1") == ["0", "0", "-0", "0"]
+    _, back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
+    assert back.tobytes() == states.tobytes()
+
+
 def test_trajectory_cut_at_its_first_sample_writes_the_header_alone(tmp_path):
     # <chi|phi> = 0 exactly: the dressing is singular at the first sample
     seed = make_anticommuting_seed(2, [0.7, -0.4], alpha=[1.0, 1.3], n=1)

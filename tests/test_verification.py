@@ -198,3 +198,44 @@ def test_time_equation_catches_a_planted_generator_error(monkeypatch):
     assert checks["covariance"].passed
     assert not checks["time_equation"].passed
     assert checks["time_equation"].worst_value > 0.5 * eps
+
+
+# ---------------------------------------------------------------------------
+# one eigensolve per state
+
+@pytest.mark.parametrize("enabled", [None, {"spectrum": True},
+                                     {"positivity": True}])
+def test_suite_reuses_the_dressing_spectrum(monkeypatch, enabled):
+    # unflowed: the dressed states are the checked states, and their spectra
+    # from dressed_trajectory give the report a recomputation gives, exactly
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
+    traj = dressed_trajectory(build_lax(seed, 0.3 + 0.8j, lam=3j),
+                              np.linspace(-2.0, 2.0, 41))
+    diags = traj.diagnostics
+    assert traj.states is diags.rho1
+    npt.assert_array_equal(diags.min_eig, diags.spectrum[:, 0])
+    copied = dataclasses.replace(traj, states=traj.states.copy())
+    recomputed = run_suite(copied, enabled=enabled).to_dict()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: calls.append(np.shape(M)) or eigvalsh(M))
+    reused = run_suite(traj, enabled=enabled).to_dict()
+    assert reused == recomputed
+    assert calls == [(4, 4)]  # the seed reference alone
+
+
+def test_suite_recomputes_the_spectrum_under_a_flow():
+    cfg = {"id": "shifted", "model": {"n": 2},
+           "seed": {"family": "anticommuting", "dim_pairs": 1, "b": [1.0]},
+           "darboux": {"mu": [0.0, 1.0]},
+           "times": {"t_min": -1.0, "t_max": 1.0, "samples": 5},
+           "symmetries": {"shift_lambda": 1.0, "rescale_y": 0.5}}
+    result = execute_scenario(cfg)
+    traj = result.trajectory
+    assert traj.states is not traj.diagnostics.rho1
+    report = {c.name: c for c in result.report.checks}
+    # the written states (1 - sx)/2 have spectrum {0, 1}; the dressed -sx
+    # has {-1, 1}, so positivity certifies the flowed states
+    assert report["positivity"].passed
+    assert report["positivity"].worst_value == pytest.approx(0.0, abs=1e-12)
