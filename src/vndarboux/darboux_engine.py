@@ -37,7 +37,9 @@ built from blocks, so their pencil is block-diagonal and J is one block;
 phi and chi vanish outside J, P and ``rho[1] - rho`` outside ``J x J``, and
 T is the identity there.  Projectors, T and every gate are computed on
 ``J x J``, and a dressed state is its seed state with that block replaced;
-for a dense seed J is every index.  Every gate (overlap floor, idempotency,
+for a dense seed J is every index.  For an exactly diagonal A, as every seed
+family builds it, ``[P, A_J]`` scales P's entries by A's diagonal instead of
+multiplying matrices.  Every gate (overlap floor, idempotency,
 projector trace, ``t_equality``, ``form_gap``, bridge identity, unitarity) is
 a reduction over the stack, and the first failing point in stack order raises
 what a point-by-point loop would.  ``t_equality`` compares T with one stacked
@@ -250,17 +252,31 @@ def _unitarity_defect(P: np.ndarray, U: np.ndarray, W: np.ndarray,
             + abs(c) ** 2 * (dagger(W) @ ((dagger(U) @ U) @ W)))
 
 
+def _commutator_with(P: np.ndarray, A: np.ndarray, J: np.ndarray,
+                     diagonal: bool = False) -> np.ndarray:
+    # [P, A_J] for a stack P of J x J blocks.  For an exactly diagonal A
+    # with a real diagonal a it is P_ij a_j - a_i P_ij, whose nonzero entries
+    # are those of the matrix products bit for bit
+    if diagonal:
+        a = A.diagonal().take(J)
+        return P * a - a[:, None] * P
+    A_J = _block(A, J)
+    return P @ A_J - A_J @ P
+
+
 def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, U: np.ndarray,
                  W: np.ndarray, J: np.ndarray, mu: complex, nu: complex,
-                 tolerances: Tolerances, hermitian: bool = False):
+                 tolerances: Tolerances, hermitian: bool = False,
+                 diagonal: bool = False):
     # (rho1, T, form_gap, failure) for a stack rho of seed states whose
     # projectors vanish outside J x J, with P their J x J blocks and U, W
     # the factors P = U W.  A couples no index in J to one outside it, so
     # [P, A], T - 1 and rho1 - rho vanish outside J x J too: rho1 is rho
     # with its block replaced, T is returned as its block, and every gate
-    # is evaluated on the blocks
-    rho_J, A_J = _block(rho, J), _block(A, J)
-    comm_PA = P @ A_J - A_J @ P
+    # is evaluated on the blocks.  diagonal: A is exactly diagonal with a
+    # real diagonal (``ModelSpec.diagonals``)
+    rho_J = _block(rho, J)
+    comm_PA = _commutator_with(P, A, J, diagonal)
     rho1_J = rho_J + (mu - nu) * comm_PA
     T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian,
                                    rho.shape[-1] - len(J))
@@ -446,10 +462,11 @@ class DressedFlow(Flow):
         with np.errstate(all="ignore"):
             U = phi / np.sum(chi * phi, axis=-1)[:, None]
         params = self.lax.params
+        spec = self.seed.spec
         rho1, T, form_gap, dress_failure = _dress_stack(
-            self.seed.rho_stack(times[:done]), self.seed.spec.A, P[:done],
+            self.seed.rho_stack(times[:done]), spec.A, P[:done],
             U[:, :, None], chi[:, None, :], self.support, params.mu, params.nu,
-            self.tolerances, params.hermitian_mode)
+            self.tolerances, params.hermitian_mode, spec.diagonals is not None)
         return DressedStack(rho1, P[:done], T, form_gap, phi_norm[:done],
                             dress_failure or failure)
 

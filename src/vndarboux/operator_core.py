@@ -29,6 +29,10 @@ DIM_CAP = 32
 #: relative pivot threshold deciding numerical rank during elimination
 _PIVOT_RTOL = 1e-12
 
+#: the most a polish is taken to move a pencil root, relative to the largest
+#: root; a root more than twice this beyond the selection band is not polished
+_POLISH_MARGIN = 1e-3
+
 #: bytes of work arrays one stack of time points may hold
 BLOCK_BYTES = 2 << 20
 
@@ -41,25 +45,23 @@ _FULL_MATRICES = 8
 _SUPPORT_MATRICES = 24
 
 
-def time_blocks(count: int, dim: int, points_per_item: int = 1,
-                support: int | None = None) -> list:
+def time_blocks(count: int, dim: int, support: int | None = None) -> list:
     """Consecutive slices of ``range(count)`` sized from ``BLOCK_BYTES``.
 
     A dressed time point of dimension ``dim`` is budgeted ``_FULL_MATRICES``
     matrices of ``dim x dim`` and ``_SUPPORT_MATRICES`` of ``support x
     support``, the size of the block it is dressed on (``dim`` when None, as
-    for a check that works on whole states).  Each item holds
-    ``points_per_item`` dressed points (a residual sample and its stencil are
-    four); stacks of projectors or rows beside a sample's dressing, such as
-    the ``t +- dp`` projectors of ``p_dot_norm`` or the psi stencil of the
-    covariance check, fit in its budget.  A block holds as many items as
-    fit, and at least one.  The slices depend only on the arguments, so the
-    same grid is always cut the same way.
+    for a check that works on whole states).  Stacks beside a sample's
+    dressing fit in its budget: the ``t +- dp`` projectors of
+    ``p_dot_norm``, the psi stencil of the covariance check, and the
+    residual's stencil, which is dressed one offset at a time.  A block holds
+    as many points as fit, and at least one.  The slices depend only on the
+    arguments, so the same grid is always cut the same way.
     """
     support = dim if support is None else support
     point_bytes = 16 * (_FULL_MATRICES * dim * dim
                         + _SUPPORT_MATRICES * support * support)
-    per_block = max(1, BLOCK_BYTES // (point_bytes * points_per_item))
+    per_block = max(1, BLOCK_BYTES // point_bytes)
     return [slice(i, min(i + per_block, count))
             for i in range(0, count, per_block)]
 
@@ -337,6 +339,20 @@ def _polish_root(M: np.ndarray, z: complex, max_iter: int = 2) -> complex:
     return complex(z)
 
 
+def _selectable(roots: np.ndarray, pin: complex | None) -> np.ndarray:
+    # indices of the roots that _select_root could pick once polished: those
+    # within the band plus twice _POLISH_MARGIN (one polish for each of two
+    # roots) of the largest real part, or of the pin's nearest distance.  A
+    # polish moves a root by about eps times its condition number, and even
+    # a five-fold defective root by about eps^(1/5) ~ 7e-4 relative
+    scale = max(1.0, float(np.abs(roots).max()))
+    reach = (1e-9 + 2 * _POLISH_MARGIN) * scale
+    if pin is None:
+        return np.flatnonzero(roots.real >= roots.real.max() - reach)
+    dist = np.abs(roots - pin)
+    return np.flatnonzero(dist <= dist.min() + reach)
+
+
 def _select_root(roots: np.ndarray, pin: complex | None) -> complex:
     # lexicographic (Re, Im) maximum with a tolerance band on Re, so that
     # round-off dust on numerically equal real parts cannot flip the choice;
@@ -405,11 +421,12 @@ def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
                      tolerances: Tolerances = DEFAULT) -> tuple[complex, np.ndarray]:
     """One deterministic eigenpair of a general complex matrix.
 
-    Candidate eigenvalues are polished by Newton iteration on ``det(M - zI)``
-    via LU.  Selection: the root maximizing ``(Re z, Im z)`` lexicographically,
-    or the polished root closest to ``pin`` when given; a pin that is not
-    nearer that root than half its distance to the next distinct root raises
-    ``FarPin`` (a ``ValueError``).  The eigenvector is a
+    The eigenvalues that selection can pick are polished by Newton
+    iteration on ``det(M - zI)`` via LU.  Selection: the root maximizing
+    ``(Re z, Im z)`` lexicographically, or the polished root closest to
+    ``pin`` when given; a pin that is not nearer that root than half its
+    distance to the next distinct root raises ``FarPin`` (a
+    ``ValueError``).  The eigenvector is a
     deterministic null vector of ``M - zI`` (full-pivot elimination) with its
     first significant component made real positive.
 
@@ -422,7 +439,11 @@ def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
     n = M.shape[0]
     if n > dim_cap:
         raise ValueError(f"dimension {n} exceeds the configured cap {dim_cap}")
-    roots = np.array([_polish_root(M, z) for z in np.linalg.eigvals(M)])
+    roots = np.linalg.eigvals(M)
+    # only a root that selection can pick is polished; the others enter the
+    # band's scale and the pin's gap unpolished
+    for i in _selectable(roots, pin):
+        roots[i] = _polish_root(M, roots[i])
     z = _select_root(roots, pin)
     v = _null_vector(M - z * np.eye(n))
     if v is None:

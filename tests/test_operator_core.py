@@ -5,8 +5,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ
-from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
-from vndarboux.operator_core import (DIM_CAP, NormalExp, _polish_root,
+from vndarboux import DefectiveEigenproblem, FarPin, Tolerances, operator_core
+from vndarboux.operator_core import (DIM_CAP, NormalExp, _null_vector,
+                                     _polish_root, _select_root,
                                      canonical_phase, commutator,
                                      eig_hermitian, eig_pair_general,
                                      eig_pair_left, frob, is_hermitian,
@@ -418,6 +419,104 @@ def test_eig_pair_pin_counts_repeated_roots_once():
         eig_pair_general(M, pin=2.0)  # halfway between the distinct roots
     # a single distinct root accepts any pin
     assert eig_pair_general(2.0 * np.eye(3), pin=1e6)[0] == pytest.approx(2.0)
+
+
+def _polish_all(M, pin=None):
+    # every root polished before selection, as eig_pair_general once did
+    roots = np.array([_polish_root(M, z) for z in np.linalg.eigvals(M)])
+    z = _select_root(roots, pin)
+    return z, canonical_phase(_null_vector(M - z * np.eye(len(M))))
+
+
+def _outcome(solve, M, pin):
+    # (z, v) as bytes, or the FarPin message
+    try:
+        z, v = solve(M, pin)
+    except FarPin as exc:
+        return str(exc)
+    return np.array([z]).tobytes(), v.tobytes()
+
+
+def _with_roots(rng, roots):
+    # a non-normal matrix with the given eigenvalues
+    V = _random_complex_matrix(rng, len(roots)) + 2 * np.eye(len(roots))
+    return V @ np.diag(roots) @ np.linalg.inv(V)
+
+
+def _pencils(rng):
+    # random matrices, Lax-type pencils rho0 - mu A, and near-ties in Re
+    # around the selection band 1e-9 * max(1, |z|)
+    for d in (2, 3, 5, 8, 12):
+        yield _random_complex_matrix(rng, d)
+        H = _random_complex_matrix(rng, d)
+        A = np.diag(rng.normal(size=d))
+        yield (H + H.conj().T) / 2 - complex(rng.normal(), 1.0) * A
+    for ties in ([0.0, 0.5, 2.0], [0.0, 0.99, 1.01, 1.05, 3e6],
+                 [0.0, 0.0, 1e-3, 0.97, 1.03, 5e5]):
+        roots = np.concatenate([1.5 + 1j * rng.normal(size=len(ties)),
+                                rng.normal(size=3) - 2.0 + 1j * rng.normal(size=3)])
+        band = 1e-9 * np.abs(roots).max()
+        roots[:len(ties)] -= band * np.array(ties)
+        yield _with_roots(rng, roots)
+
+
+def _pins(rng, M):
+    # no pin, pins at the roots, near half of each gap to the nearest other
+    # root, and far away
+    roots = np.linalg.eigvals(M)
+    yield None
+    for z in roots[:4]:
+        others = roots[np.abs(roots - z) > 1e-6]
+        yield z + 1e-7 * (rng.normal() + 1j * rng.normal())
+        if others.size:
+            w = others[np.argmin(np.abs(others - z))]
+            for half in (0.5 - 1e-6, 0.5 + 1e-6):
+                yield z + half * (w - z)
+    yield 100.0 + 100.0j
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-10])
+def test_eig_pair_polishes_only_what_selection_can_pick(noise, monkeypatch):
+    # eigvals is backward stable, so a polish rarely moves its roots; noise
+    # of 1e-10 relative makes every polish move one, by a tenth of the band
+    eigvals = np.linalg.eigvals
+
+    def noisy(M):
+        roots = eigvals(M)
+        jitter = np.random.default_rng(len(M)).normal(size=(2, len(M)))
+        return roots + noise * np.abs(roots).max() * (jitter[0] + 1j * jitter[1])
+
+    monkeypatch.setattr(np.linalg, "eigvals", noisy)
+    rng = np.random.default_rng(90)
+    far = moved = 0
+    for M in _pencils(rng):
+        roots = np.linalg.eigvals(M)
+        moved += any(_polish_root(M, z) != z for z in roots)
+        for pin in _pins(rng, M):
+            got = _outcome(lambda M, pin: eig_pair_general(M, pin=pin), M, pin)
+            assert got == _outcome(_polish_all, M, pin)
+            far += isinstance(got, str)
+    assert far > 10  # the FarPin messages are compared too
+    assert moved == (0 if noise == 0 else 13)
+
+
+def test_eig_pair_polishes_the_selected_root_only(monkeypatch):
+    # the roots of a Lax-type pencil are apart: the one with the largest
+    # real part is polished, and it is what the selection picks
+    rng = np.random.default_rng(91)
+    H = _random_complex_matrix(rng, 12)
+    M = (H + H.conj().T) / 2 - (0.3 + 0.8j) * np.diag(rng.normal(size=12))
+    polished = []
+
+    def spy(M, z):
+        polished.append(z)
+        return _polish_root(M, z)
+
+    monkeypatch.setattr(operator_core, "_polish_root", spy)
+    z, _ = eig_pair_general(M)
+    roots = np.linalg.eigvals(M)
+    assert polished == [roots[np.argmax(roots.real)]]
+    assert np.array([z]).tobytes() == np.array([_polish_root(M, polished[0])]).tobytes()
 
 
 def test_eig_pair_dim_cap():

@@ -172,11 +172,12 @@ def test_block_boundaries_change_no_verdict(name, monkeypatch):
 
 
 def test_time_blocks_cover_the_grid_in_order():
-    blocks = operator_core.time_blocks(1000, 12, points_per_item=4)
+    blocks = operator_core.time_blocks(1000, 12)
     covered = np.concatenate([np.arange(1000)[b] for b in blocks])
     npt.assert_array_equal(covered, np.arange(1000))
     assert len({b.stop - b.start for b in blocks[:-1]}) == 1
-    assert operator_core.time_blocks(3, 32, points_per_item=1000)[0] == slice(0, 1)
+    # a point beyond the whole budget still gets a block of its own
+    assert operator_core.time_blocks(3, 400)[0] == slice(0, 1)
 
 
 def test_projector_stack_reports_first_failing_point():
