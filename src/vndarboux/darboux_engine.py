@@ -25,7 +25,8 @@ vector-matrix and outer products, and ``T^{-1}`` is never built; a P that a
 caller hands to ``dress`` is its own factor (``U = P``, ``W = 1``).  The
 commutator form, the idempotency gate ``P @ P`` and the ``t_equality``
 exponential keep their matrix forms: the first is the state, and the other
-two measure round-off in P itself.
+two measure round-off in P itself.  On a 2 x 2 block those forms are
+written out entry by entry, with no matrix product.
 
 Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
 plan of one scenario: it takes phi and chi from the Lax generators and the
@@ -44,8 +45,9 @@ projector trace, ``t_equality``, ``form_gap``, bridge identity, unitarity) is
 a reduction over the stack, and the first failing point in stack order raises
 what a point-by-point loop would.  ``t_equality`` compares T with one stacked
 exponential: in hermitian mode, where P is Hermitian by construction, from
-one batched ``eigh``; otherwise, and for any P a caller hands in, from
-``mat_exp``.
+one batched ``eigh`` of P's Hermitian part, or on a 2 x 2 block from that
+part's closed-form eigen-split; otherwise, and for any P a caller hands in,
+from ``mat_exp``.
 ``projector``, ``similarity_T``, ``dress`` and ``dressed_state_at`` are the
 one-point case; the first three take whole matrices.  ``dressed_trajectory``
 cuts the sample grid into blocks (``time_blocks``, sized by the full and the
@@ -173,7 +175,7 @@ def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
         floor = (tolerances.overlap_floor * np.linalg.norm(phi, axis=-1)
                  * np.linalg.norm(chi, axis=-1))
         P = phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
-        idempotency = frob_stack(P @ P - P)
+        idempotency = frob_stack(_square(P) - P)
         limit = tolerances.idempotency * np.maximum(1.0, frob_stack(P))
         trace_gap = np.abs(np.trace(P, axis1=-2, axis2=-1) - 1.0)
     failure = _earliest(
@@ -187,12 +189,49 @@ def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
     return P, failure
 
 
+def _square(P: np.ndarray) -> np.ndarray:
+    # P @ P for a stack; at 2 x 2 from its four entry formulas
+    # (P P)_ij = P_i0 P_0j + P_i1 P_1j, which spares a 2 x 2 stack numpy's
+    # per-matrix matmul dispatch
+    if P.shape[-1] != 2:
+        return P @ P
+    return P[..., :, :1] * P[..., :1, :] + P[..., :, 1:] * P[..., 1:, :]
+
+
 def _hermitian_exp(z: complex, P: np.ndarray) -> np.ndarray:
-    # exp(z P) for a stack of P Hermitian to round-off, from one batched eigh
-    # of the Hermitian part: V diag(e^{z w}) V^dag.  An anti-Hermitian part
-    # of P is left out, which can only widen the t_equality gap.
-    w, V = np.linalg.eigh((P + dagger(P)) / 2)
+    # exp(z P) for a stack of P Hermitian to round-off, from the Hermitian
+    # part H = (P + P^dag)/2: V diag(e^{z w}) V^dag, from one batched eigh
+    # or, at 2 x 2, in closed form.  An anti-Hermitian part of P is left
+    # out, which can only widen the t_equality gap.
+    H = (P + dagger(P)) / 2
+    if H.shape[-1] == 2:
+        return _hermitian_exp_2x2(z, H)
+    w, V = np.linalg.eigh(H)
     return (V * np.exp(z * w)[:, None, :]) @ dagger(V)
+
+
+def _hermitian_exp_2x2(z: complex, H: np.ndarray) -> np.ndarray:
+    # V diag(e^{z w}) V^dag written out for a stack of Hermitian
+    # H = [[a, b], [conj(b), d]]: with m = (a + d)/2, h = (a - d)/2 and
+    # r = hypot(h, |b|) the eigenvalues are m +- r, and
+    # exp(zH) = e^{zm} (cosh(zr) 1 + (sinh(zr)/r) (H - m 1)), where
+    # sinh(zr)/r is z to the last bit once |zr| < 1e-8 (the series'
+    # next term is (zr)^2/6), and z at r = 0.  It assumes no idempotency,
+    # trace or rank, so it stays independent of the rational T
+    a, d = H[..., 0, 0].real, H[..., 1, 1].real
+    m, h = (a + d) / 2, (a - d) / 2
+    r = np.hypot(h, np.abs(H[..., 0, 1]))
+    zr = z * r
+    scale = np.exp(z * m)
+    sinc = np.full(r.shape, z, dtype=complex)
+    np.divide(np.sinh(zr), r, out=sinc, where=np.abs(zr) >= 1e-8)
+    cosh, sinc = scale * np.cosh(zr), scale * sinc
+    out = np.empty(H.shape, dtype=complex)
+    out[..., 0, 0] = cosh + sinc * h
+    out[..., 0, 1] = sinc * H[..., 0, 1]
+    out[..., 1, 0] = sinc * H[..., 1, 0]
+    out[..., 1, 1] = cosh - sinc * h
+    return out
 
 
 def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,

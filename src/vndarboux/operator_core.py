@@ -273,7 +273,11 @@ class NormalExp:
             d = M.shape[-1]
             i, j = np.nonzero(M.reshape(-1, d, d).any(axis=0))
             out = np.zeros((len(s), d, d), dtype=complex)
-            out[:, i, j] = M[..., i, j] * np.exp(s[:, None] * self._gap[i, j]) + 0.0
+            # np.multiply, not ``*``: numpy may evaluate ``*`` in place over
+            # the fancy-index temporary once it reaches 256 KiB, and that
+            # kernel rounds complex products differently
+            out[:, i, j] = np.multiply(
+                M[..., i, j], np.exp(s[:, None] * self._gap[i, j])) + 0.0
         else:
             phase = np.exp(s[:, None, None] * self._gap)
             out = self._Q @ ((self._QH @ M @ self._Q) * phase) @ self._QH

@@ -6,8 +6,9 @@ trace-moment invariance, Hermiticity, trace, positivity, projector
 idempotency, form gap, covariance of the transformed left solution) into a
 single deterministic report.  Every check reduces over slices of the
 trajectory's stacks in blocks (``time_blocks``): the spectrum and positivity
-checks share one eigensolve per state, the one ``dressed_trajectory`` made
-when the checked states are the dressed states; the residual evaluates its
+checks share one eigensolve per state, and the hermiticity check reads the
+dressing's gaps, the ones ``dressed_trajectory`` made when the checked states
+are the dressed states; the residual evaluates its
 stencil through the trajectory's flow and reuses the sample states as
 centres; the covariance check reuses the trajectory's Lax solution and the
 dressed states and projectors of its ``Diagnostics``, at their dressing
@@ -224,8 +225,12 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         def spectra(S):
             return np.linalg.eigvalsh((S + dagger(S)) / 2)
 
+        # the dressing's own gaps and spectra when the checked states are
+        # the dressed states; a flow's states get their own
+        dressed = diags is not None and states is diags.rho1
         if on("hermiticity") and have_samples:
-            vals = _per_sample(states, dim, lambda S: frob_stack(S - dagger(S)))
+            vals = (diags.hermiticity_gap if dressed else
+                    _per_sample(states, dim, lambda S: frob_stack(S - dagger(S))))
             worst, loc = _worst(vals, times)
             add("hermiticity", worst, tolerances.hermiticity_gap, loc)
         ref_vals = spectra(ref)
@@ -234,10 +239,8 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         positivity = (on("positivity", default=seed_positive) and seed_positive
                       and have_samples)
         if spectrum or positivity:
-            # one eigensolve per state serves both checks; the dressing's own
-            # when the checked states are the dressed states
-            if (diags is not None and diags.spectrum is not None
-                    and states is diags.rho1):
+            # one eigensolve per state serves both checks
+            if dressed and diags.spectrum is not None:
                 eigs = diags.spectrum
             else:
                 eigs = _per_sample(states, dim, spectra)

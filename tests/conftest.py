@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
+import pytest
 
 from vndarboux import (SingularDarboux, build_lax, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed)
+
+BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -83,3 +90,20 @@ def draw_valid_scenario(rng, times, hermitian=None, family=None, max_tries=60):
         if traj.singular_t is None:
             return seed, lax, traj
     raise RuntimeError("could not draw a valid scenario")
+
+
+@pytest.fixture(scope="session")
+def bench():
+    """``benchmarks/run.py``, for its scenario generators."""
+    # it imports its neighbour tracing.py, and its dataclasses look the
+    # module up by name
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", os.path.join(BENCHMARKS, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, BENCHMARKS)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(BENCHMARKS)
+    return module

@@ -7,6 +7,7 @@ reference for the stacks.
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import numpy.testing as npt
@@ -20,7 +21,8 @@ from vndarboux import (DEFAULT, DefectiveEigenproblem, NormalExp, ShiftSpec,
                        operator_core, projector, rescaled_flow, residual,
                        run_suite, shifted_flow)
 from vndarboux.darboux_engine import Diagnostics, DressedFlow, _projector_stack
-from vndarboux.scenario_cli import execute_scenario, validate_config
+from vndarboux.scenario_cli import (execute_scenario, read_scenario,
+                                    validate_config)
 
 TIMES = np.linspace(-1.5, 1.5, 31)
 DP = 1e-4  # the p_dot_norm step of dressed_trajectory
@@ -271,3 +273,30 @@ def test_large_t_dressing_has_no_spurious_singularity():
     for state in traj.states:
         assert np.all(np.isfinite(state))
         npt.assert_allclose(np.trace(state), np.trace(seed.rho0), atol=1e-10)
+
+
+# numpy evaluates ``a * b`` in place into a temporary operand once it holds
+# 256 KiB; on a 12 x 12 benchmark state with 24 nonzero entries the diagonal
+# similarity's temporaries reach it at 683 points
+ELISION_SIZES = (683, 700, 1400)
+
+
+@pytest.fixture(scope="module")
+def shifted_points(bench):
+    # a drawn anticommuting-shift scenario's shift flow, and its states at
+    # the largest size's times, each evaluated on its own
+    cfg = bench.anticommuting_shift_config(random.Random(1), 0)
+    scenario = read_scenario(cfg)
+    seed = scenario.build_seed()
+    flow = shifted_flow(seed.spec, DressedFlow(seed, build_lax(seed, scenario.mu)),
+                        ShiftSpec.uniform(scenario.shift_lambda, seed.dim))
+    times = np.linspace(-5.0, 5.0, max(ELISION_SIZES))
+    return flow, times, np.concatenate([flow.stack(times[k:k + 1])
+                                        for k in range(len(times))])
+
+
+@pytest.mark.parametrize("size", ELISION_SIZES)
+def test_shifted_stack_past_the_elision_size_matches_point_evaluation(
+        shifted_points, size):
+    flow, times, points = shifted_points
+    npt.assert_array_equal(flow.stack(times[:size]), points[:size])

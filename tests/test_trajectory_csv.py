@@ -4,10 +4,7 @@ The reference writer below formats every value on its own with
 ``f"{x:.17g}"``; ``write_trajectory_csv`` must produce the same bytes.
 """
 
-import importlib.util
-import os
 import random
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,24 +18,7 @@ from vndarboux.scenario_cli import (execute_scenario, read_trajectory_csv,
                                     write_trajectory_csv)
 
 
-BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 WORKLOADS = ("anticommuting-shift", "delta-covariance")
-
-
-@pytest.fixture(scope="module")
-def bench():
-    # benchmarks/run.py, for its scenario generators; it imports its
-    # neighbour tracing.py, and its dataclasses look the module up by name
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_run", os.path.join(BENCHMARKS, "run.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    sys.path.insert(0, BENCHMARKS)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(BENCHMARKS)
-    return module
 
 
 def _reference_csv(traj: Trajectory, dim: int) -> str:

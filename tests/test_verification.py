@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +10,9 @@ from vndarboux import (DressedFlow, ModelSpec, Trajectory, build_lax,
                        dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
                        make_pure_state_seed, rk4_integrate, run_suite)
-from vndarboux.operator_core import frob
+from vndarboux.operator_core import dagger, frob, frob_stack
 from vndarboux.scenario_cli import execute_scenario, validate_config
+from vndarboux.verification import CHECKS
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
@@ -239,3 +241,43 @@ def test_suite_recomputes_the_spectrum_under_a_flow():
     # has {-1, 1}, so positivity certifies the flowed states
     assert report["positivity"].passed
     assert report["positivity"].worst_value == pytest.approx(0.0, abs=1e-12)
+
+
+def _checks(enabled_names):
+    return {name: name in enabled_names for name in CHECKS}
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_suite_reuses_the_dressing_hermiticity_gap(bench, index):
+    # unflowed: the report's hermiticity is the dressing's gap, equal to a
+    # recomputation over a copy of the states; a planted gap shows it is read
+    cfg = bench.delta_covariance_config(random.Random(60 + index), index)
+    traj = execute_scenario(cfg).trajectory
+    diags = traj.diagnostics
+    assert traj.states is diags.rho1
+    enabled = _checks({"hermiticity"})
+    copied = dataclasses.replace(traj, states=traj.states.copy())
+    assert (run_suite(traj, enabled=enabled).to_dict()
+            == run_suite(copied, enabled=enabled).to_dict())
+    planted = np.zeros_like(diags.hermiticity_gap)
+    planted[7] = 0.5
+    traj.diagnostics = dataclasses.replace(diags, hermiticity_gap=planted)
+    assert traj.states is traj.diagnostics.rho1
+    check, = run_suite(traj, enabled=enabled).checks
+    assert (check.worst_value, check.location_t) == (0.5, traj.times[7])
+
+
+def test_suite_recomputes_the_hermiticity_gap_under_a_flow():
+    cfg = {"id": "shifted", "model": {"n": 2},
+           "seed": {"family": "anticommuting", "dim_pairs": 1, "b": [1.0]},
+           "darboux": {"mu": [0.0, 1.0]},
+           "times": {"t_min": -1.0, "t_max": 1.0, "samples": 5},
+           "symmetries": {"shift_lambda": 1.0, "rescale_y": 0.5}}
+    traj = execute_scenario(cfg).trajectory
+    assert traj.states is not traj.diagnostics.rho1
+    traj.diagnostics = dataclasses.replace(
+        traj.diagnostics, hermiticity_gap=np.full(len(traj.times), 0.5))
+    check, = run_suite(traj, enabled=_checks({"hermiticity"})).checks
+    states = traj.states
+    assert check.worst_value == np.max(frob_stack(states - dagger(states)))
+    assert check.worst_value < 0.5
