@@ -307,13 +307,13 @@ def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, U: np.ndarray,
                  W: np.ndarray, J: np.ndarray, mu: complex, nu: complex,
                  tolerances: Tolerances, hermitian: bool = False,
                  diagonal: bool = False):
-    # (rho1, T, form_gap, failure) for a stack rho of seed states whose
+    # (rho1_J, T, form_gap, failure) for a stack rho of seed states whose
     # projectors vanish outside J x J, with P their J x J blocks and U, W
     # the factors P = U W.  A couples no index in J to one outside it, so
     # [P, A], T - 1 and rho1 - rho vanish outside J x J too: rho1 is rho
-    # with its block replaced, T is returned as its block, and every gate
-    # is evaluated on the blocks.  diagonal: A is exactly diagonal with a
-    # real diagonal (``ModelSpec.diagonals``)
+    # with its block replaced by rho1_J, T is returned as its block, and
+    # every gate is evaluated on the blocks.  diagonal: A is exactly
+    # diagonal with a real diagonal (``ModelSpec.diagonals``)
     rho_J = _block(rho, J)
     comm_PA = _commutator_with(P, A, J, diagonal)
     rho1_J = rho_J + (mu - nu) * comm_PA
@@ -336,7 +336,7 @@ def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, U: np.ndarray,
         unitarity = frob_stack(_unitarity_defect(P, U, W, (mu - nu) / nu))
         gates.append(_first(unitarity > tolerances.t_unitarity, lambda i: InconsistentLax(
             f"T fails unitarity by {unitarity[i]:.3e} although nu = conj(mu)")))
-    return _embed(rho1_J, J, rho), T, form_gap, _earliest(*gates)
+    return rho1_J, T, form_gap, _earliest(*gates)
 
 
 def _transform_rows(psi: np.ndarray, P: np.ndarray, mu: complex, nu: complex,
@@ -397,11 +397,12 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
     nu = complex(nu)
     require_nonzero(mu=mu, nu=nu)
     # the caller's P is its own factor: U = P, W = 1
-    rho1, T, form_gap, failure = _dress_stack(
+    J = np.arange(len(A))
+    rho1_J, T, form_gap, failure = _dress_stack(
         rho[None], A, P[None], P[None], np.eye(len(A), dtype=complex)[None],
-        np.arange(len(A)), mu, nu, tolerances)
+        J, mu, nu, tolerances)
     _raise(failure)
-    return DressedState(rho1=rho1[0], P=P, T=T[0], t=float(t),
+    return DressedState(rho1=_embed(rho1_J, J, rho)[0], P=P, T=T[0], t=float(t),
                         form_gap=float(form_gap[0]))
 
 
@@ -502,11 +503,15 @@ class DressedFlow(Flow):
             U = phi / np.sum(chi * phi, axis=-1)[:, None]
         params = self.lax.params
         spec = self.seed.spec
-        rho1, T, form_gap, dress_failure = _dress_stack(
-            self.seed.rho_stack(times[:done]), spec.A, P[:done],
-            U[:, :, None], chi[:, None, :], self.support, params.mu, params.nu,
-            self.tolerances, params.hermitian_mode, spec.diagonals is not None)
-        return DressedStack(rho1, P[:done], T, form_gap, phi_norm[:done],
+        J = self.support
+        rho = self.seed.rho_stack(times[:done])
+        rho1_J, T, form_gap, dress_failure = _dress_stack(
+            rho, spec.A, P[:done], U[:, :, None], chi[:, None, :], J,
+            params.mu, params.nu, self.tolerances, params.hermitian_mode,
+            spec.diagonals is not None)
+        # the seed stack is fresh: it becomes the dressed stack in place
+        rho[:, J[:, None], J] = rho1_J
+        return DressedStack(rho, P[:done], T, form_gap, phi_norm[:done],
                             dress_failure or failure)
 
     def stack(self, times) -> np.ndarray:
@@ -572,8 +577,8 @@ def dressed_trajectory(lax: LaxSolution, times,
     The states and every diagnostic are stacks allocated for the whole grid
     and filled block by block (``time_blocks``, which depend on the grid and
     the flow's support alone); ``P`` holds full projectors, zero outside the
-    support.  Each block dresses its samples and, in separate stacks, builds
-    the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
+    support.  Each block dresses its samples and, in one separate stack,
+    builds the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
     seeds in hermitian mode it evaluates ``f_value`` for all its samples in
     one call.  A ``SingularDarboux`` at some sample cuts the stacks there
     and records the singular sample's time instead of aborting.
@@ -611,9 +616,14 @@ def dressed_trajectory(lax: LaxSolution, times,
     for block in time_blocks(count, seed.dim, support=len(J)):
         t = at[block]
         dressed = dressing.evaluate(t)
-        p_plus, _, plus_failure = dressing.projectors(t + dp)
-        p_minus, _, minus_failure = dressing.projectors(t - dp)
-        failure = _earliest(dressed.failure, plus_failure, minus_failure)
+        # t + dp and t - dp per point, time-major: the first failing entry
+        # is the point's plus side before its minus side
+        ring = np.stack([t + dp, t - dp], axis=-1).ravel()
+        p_ring, _, ring_failure = dressing.projectors(ring)
+        p_plus, p_minus = p_ring[0::2], p_ring[1::2]
+        if ring_failure is not None:
+            ring_failure = (ring_failure[0] // 2, ring_failure[1])
+        failure = _earliest(dressed.failure, ring_failure)
         done = len(t) if failure is None else failure[0]
         out = slice(filled, filled + done)
         dressed_states = dressed.rho1[:done]

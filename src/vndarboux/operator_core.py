@@ -36,13 +36,29 @@ _POLISH_MARGIN = 1e-3
 #: bytes of work arrays one stack of time points may hold
 BLOCK_BYTES = 2 << 20
 
-#: d x d complex matrices a dressed time point holds: the seed and dressed
-#: states and the temporaries of the seed's evolution
-_FULL_MATRICES = 8
+#: d x d complex matrices a dressed time point holds at the peak of the
+#: largest of its blocked operations, traced by tracemalloc on 12 x 12
+#: benchmark scenarios: the residual's derivative stack beside one stencil
+#: stack under a shift and a rescaling (4.0 on delta-covariance, 4.3 on
+#: anticommuting-shift with the support matrices)
+_FULL_MATRICES = 4
 
 #: |J| x |J| complex work matrices a dressed time point holds on its support
-#: J: the projector, T and the matrices of its gates
-_SUPPORT_MATRICES = 24
+#: J beyond those: the projector, T and the matrices of its gates (on a
+#: dense 12 x 12 seed, where J is every index, the residual peaks at 14.5
+#: whole matrices in hermitian mode and 18.4 in general mode)
+_SUPPORT_MATRICES = 16
+
+#: d x d complex matrices a point of a check on whole states holds: the
+#: spectrum check's Hermitian part and its temporaries (2.3 traced)
+_CHECK_MATRICES = 3
+
+
+def _point_bytes(dim: int, support: int | None = None) -> int:
+    # the bytes ``time_blocks`` budgets for one point
+    if support is None:
+        return 16 * _CHECK_MATRICES * dim * dim
+    return 16 * (_FULL_MATRICES * dim * dim + _SUPPORT_MATRICES * support * support)
 
 
 def time_blocks(count: int, dim: int, support: int | None = None) -> list:
@@ -50,18 +66,17 @@ def time_blocks(count: int, dim: int, support: int | None = None) -> list:
 
     A dressed time point of dimension ``dim`` is budgeted ``_FULL_MATRICES``
     matrices of ``dim x dim`` and ``_SUPPORT_MATRICES`` of ``support x
-    support``, the size of the block it is dressed on (``dim`` when None, as
-    for a check that works on whole states).  Stacks beside a sample's
-    dressing fit in its budget: the ``t +- dp`` projectors of
-    ``p_dot_norm``, the psi stencil of the covariance check, and the
-    residual's stencil, which is dressed one offset at a time.  A block holds
-    as many points as fit, and at least one.  The slices depend only on the
+    support``, the size of the block it is dressed on; a point of a check on
+    whole states (``support`` None) is budgeted ``_CHECK_MATRICES`` matrices
+    of ``dim x dim``.  Stacks beside a sample's dressing fit in its budget:
+    the ``t +- dp`` projectors of ``p_dot_norm``, the psi stencil of the
+    covariance check, and the residual's stencil, which is dressed one
+    offset at a time.  The budgets are traced peaks (tests pin them), so a
+    block's work arrays stay near ``BLOCK_BYTES``.  A block holds as many
+    points as fit, and at least one.  The slices depend only on the
     arguments, so the same grid is always cut the same way.
     """
-    support = dim if support is None else support
-    point_bytes = 16 * (_FULL_MATRICES * dim * dim
-                        + _SUPPORT_MATRICES * support * support)
-    per_block = max(1, BLOCK_BYTES // point_bytes)
+    per_block = max(1, BLOCK_BYTES // _point_bytes(dim, support))
     return [slice(i, min(i + per_block, count))
             for i in range(0, count, per_block)]
 
@@ -174,11 +189,14 @@ def mat_exp(M) -> np.ndarray:
     d = M.shape[-1]
     flat = M.reshape(-1, d, d)
     E = np.zeros_like(flat)
-    full = flat[:, ~np.eye(d, dtype=bool)].any(axis=-1)
+    # masks and diagonals, never copies of whole slices
+    off_diagonal = flat != 0
+    off_diagonal[:, np.eye(d, dtype=bool)] = False
+    full = off_diagonal.any(axis=(-2, -1))
     with np.errstate(all="ignore"):
         # overflow becomes an explicit error below, not a warning
         diagonal = np.einsum("kii->ki", E)
-        diagonal[~full] = np.exp(np.einsum("kii->ki", flat[~full]))
+        diagonal[~full] = np.exp(np.einsum("kii->ki", flat)[~full])
         if full.any():
             norm = np.abs(flat[full]).sum(axis=-2).max(axis=-1)
             finite = np.isfinite(norm)
@@ -254,6 +272,10 @@ class NormalExp:
         rows = coeffs * np.exp(exponents - shift[:, None])
         if self._Q is None:
             rows += 0.0
+        elif len(rows) == 1:
+            # numpy multiplies a lone row by gemv, which rounds differently
+            # from the gemm of a larger stack: it goes as a row of two
+            rows = (np.repeat(rows, 2, axis=0) @ (self._QH if left else self._QT))[:1]
         else:
             rows = rows @ (self._QH if left else self._QT)
         rows[(s == 0) & (shift == 0)] = v
@@ -272,12 +294,14 @@ class NormalExp:
         if self._Q is None:
             d = M.shape[-1]
             i, j = np.nonzero(M.reshape(-1, d, d).any(axis=0))
-            out = np.zeros((len(s), d, d), dtype=complex)
             # np.multiply, not ``*``: numpy may evaluate ``*`` in place over
             # the fancy-index temporary once it reaches 256 KiB, and that
-            # kernel rounds complex products differently
-            out[:, i, j] = np.multiply(
-                M[..., i, j], np.exp(s[:, None] * self._gap[i, j])) + 0.0
+            # kernel rounds complex products differently.  The entries are
+            # computed before ``out`` is allocated, so their temporaries and
+            # ``out`` are never alive together
+            values = np.multiply(M[..., i, j], np.exp(s[:, None] * self._gap[i, j])) + 0.0
+            out = np.zeros((len(s), d, d), dtype=complex)
+            out[:, i, j] = values
         else:
             phase = np.exp(s[:, None, None] * self._gap)
             out = self._Q @ ((self._QH @ M @ self._Q) * phase) @ self._QH

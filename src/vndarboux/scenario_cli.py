@@ -18,12 +18,17 @@ every error with its field path and turns a valid config into a frozen
 ``Scenario`` of typed values, which ``execute`` runs.  ``validate_config``,
 ``build_seed`` and ``execute_scenario`` are the JSON-facing entry points
 around it.
+
+The commands run many scenarios in one process (a sweep, each of its pool
+workers), so ``_attempt``, the path every scenario takes, first tells glibc
+to keep freed buffers (``_keep_freed_memory``); library calls are left alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -588,11 +593,41 @@ _FAILURES = (
 )
 
 
+# glibc's mallopt parameters (malloc.h) and the values _keep_freed_memory
+# sets: 32 MiB is the ceiling of glibc's own dynamic mmap threshold on 64-bit
+# hosts, and its rule sets the trim threshold to twice the mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_BYTES, _TRIM_BYTES = 32 << 20, 64 << 20
+_freed_memory_kept = False
+
+
+def _keep_freed_memory():
+    # Once per process, on glibc: serve arrays up to 32 MiB from the heap and
+    # keep up to 64 MiB of freed heap, so a scenario reuses the pages the
+    # last one freed instead of faulting in fresh zeroed ones.  Both are set:
+    # either alone switches off glibc's dynamic thresholds and leaves the
+    # other at 128 KiB.  Elsewhere, or without mallopt, nothing happens
+    global _freed_memory_kept
+    if _freed_memory_kept:
+        return
+    _freed_memory_kept = True
+    try:
+        libc = ctypes.CDLL(None)  # TypeError on Windows
+        libc.gnu_get_libc_version  # glibc only
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
 def _attempt(scenario: Scenario, tol_scale: float):
     """Run one scenario: ``(result or None, exit code, status, message)``.
 
     The message is None when every check passed.
     """
+    _keep_freed_memory()
     try:
         result = execute(scenario, tol_scale=tol_scale)
     except (ValueError, DarbouxError, ArithmeticError) as exc:

@@ -114,6 +114,11 @@ def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
                            for block in time_blocks(len(matrices), dim)])
 
 
+def _spectra(S: np.ndarray) -> np.ndarray:
+    # ascending eigenvalues of the Hermitian part of each matrix
+    return np.linalg.eigvalsh((S + dagger(S)) / 2)
+
+
 def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
     # left lambda-solution psi[1] against the dressed state itself
@@ -222,9 +227,6 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         add("trace", worst, tolerances.trace_match, loc)
 
     if herm:
-        def spectra(S):
-            return np.linalg.eigvalsh((S + dagger(S)) / 2)
-
         # the dressing's own gaps and spectra when the checked states are
         # the dressed states; a flow's states get their own
         dressed = diags is not None and states is diags.rho1
@@ -233,7 +235,7 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
                     _per_sample(states, dim, lambda S: frob_stack(S - dagger(S))))
             worst, loc = _worst(vals, times)
             add("hermiticity", worst, tolerances.hermiticity_gap, loc)
-        ref_vals = spectra(ref)
+        ref_vals = _spectra(ref)
         seed_positive = float(ref_vals[0]) >= tolerances.positivity_floor
         spectrum = on("spectrum") and have_samples
         positivity = (on("positivity", default=seed_positive) and seed_positive
@@ -243,7 +245,7 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
             if dressed and diags.spectrum is not None:
                 eigs = diags.spectrum
             else:
-                eigs = _per_sample(states, dim, spectra)
+                eigs = _per_sample(states, dim, _spectra)
         if spectrum:
             gaps = np.max(np.abs(eigs - ref_vals), axis=-1)
             worst, loc = _worst(gaps, times)

@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
+from test_support import D12_BLOCKS, _rotated_delta_seed
 
 from vndarboux import (DEFAULT, DefectiveEigenproblem, NormalExp, ShiftSpec,
                        SingularDarboux, Trajectory, build_lax, dressed_state_at,
@@ -300,3 +301,86 @@ def test_shifted_stack_past_the_elision_size_matches_point_evaluation(
         shifted_points, size):
     flow, times, points = shifted_points
     npt.assert_array_equal(flow.stack(times[:size]), points[:size])
+
+
+def _whole_result(result):
+    # states, every diagnostic and the report of an executed scenario
+    diagnostics = result.trajectory.diagnostics
+    return (result.trajectory.states,
+            {entry.name: getattr(diagnostics, entry.name)
+             for entry in dataclasses.fields(Diagnostics)},
+            result.report.to_dict())
+
+
+def _assert_bitwise(a, b):
+    npt.assert_array_equal(a[0], b[0])
+    for name, value in b[1].items():
+        assert (a[1][name] is None) == (value is None), name
+        if value is not None:
+            npt.assert_array_equal(a[1][name], value, err_msg=name)
+    assert a[2] == b[2]
+
+
+@pytest.mark.parametrize("workload", ["delta-covariance", "anticommuting-shift"])
+def test_a_whole_grid_in_one_stack_is_bitwise_every_other_cut(bench, workload,
+                                                               monkeypatch):
+    # a drawn 201-sample 12 x 12 scenario (the anticommuting one under the
+    # shift and rescale chain) is one stack now; its states and report are
+    # bitwise those of 105-point blocks (the budget of 8 whole and 24
+    # support matrices per point, 32 whole per checked state) and of
+    # one-point blocks
+    cfg, errors = validate_config(
+        bench.SCENARIO_WORKLOADS[workload](random.Random(21), 0))
+    assert not errors
+    assert operator_core.time_blocks(201, 12, support=2) == [slice(0, 201)]
+    assert operator_core.time_blocks(201, 12) == [slice(0, 201)]
+    whole = _whole_result(execute_scenario(cfg))
+    assert len(whole[0]) == 201
+
+    monkeypatch.setattr(operator_core, "_FULL_MATRICES", 8)
+    monkeypatch.setattr(operator_core, "_SUPPORT_MATRICES", 24)
+    monkeypatch.setattr(operator_core, "_CHECK_MATRICES", 32)
+    assert operator_core.time_blocks(201, 12, support=2)[0] == slice(0, 105)
+    assert operator_core.time_blocks(201, 12)[0] == slice(0, 28)
+    _assert_bitwise(_whole_result(execute_scenario(cfg)), whole)
+
+    monkeypatch.setattr(operator_core, "BLOCK_BYTES", 1)
+    assert len(operator_core.time_blocks(201, 12, support=2)) == 201
+    _assert_bitwise(_whole_result(execute_scenario(cfg)), whole)
+
+
+@pytest.mark.parametrize("dim", [2, 12, 32])
+def test_normal_exp_rows_of_one_point_are_bitwise_rows_of_a_stack(dim):
+    # numpy multiplies a lone row by gemv and a stack of rows by gemm, which
+    # round differently; a one-point stack must give its row of a larger one
+    rng = np.random.default_rng(dim)
+    H = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    factor = NormalExp(H + H.conj().T)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    s = -1j * np.linspace(-3.0, 3.0, 7)
+    for left in (False, True):
+        rows, shift = factor.act(v, s, left=left)
+        for k in range(len(s)):
+            one, one_shift = factor.act(v, s[k:k + 1], left=left)
+            npt.assert_array_equal(one[0], rows[k])
+            assert one_shift[0] == shift[k]
+
+
+@pytest.mark.parametrize("nu", [None, 0.5 - 1.1j], ids=["hermitian", "general"])
+def test_dense_one_point_blocks_are_bitwise_the_whole_stack(nu, monkeypatch):
+    # a 12 x 12 seed in a random frame: J is every index and the Lax rows
+    # are multiplied by the factored generators' bases
+    seed = _rotated_delta_seed(D12_BLOCKS, a=0.9)
+    lax = build_lax(seed, 0.3 + 0.8j, nu, lam=0.2 + 2.0j)
+    times = np.linspace(-2.0, 2.0, 17)
+    whole = dressed_trajectory(lax, times)
+    assert operator_core.time_blocks(len(times), seed.dim, seed.dim) == [slice(0, 17)]
+    report = run_suite(whole).to_dict()
+    monkeypatch.setattr(operator_core, "BLOCK_BYTES", 1)
+    points = dressed_trajectory(lax, times)
+    npt.assert_array_equal(points.states, whole.states)
+    for entry in dataclasses.fields(Diagnostics):
+        a, b = getattr(points.diagnostics, entry.name), getattr(whole.diagnostics, entry.name)
+        if b is not None:
+            npt.assert_array_equal(a, b, err_msg=entry.name)
+    assert run_suite(points).to_dict() == report

@@ -26,12 +26,18 @@ DP = 1e-4  # the p_dot_norm step of dressed_trajectory
 GENERAL_NU = 0.2 - 0.5j
 
 
-def _rotated_delta_seed():
+#: the blocks of a 12 x 12 Delta-commuting seed, the benchmark's dimension
+D12_BLOCKS = ((1.0, 0.2), (3.0, -0.2), (-0.5, 0.3), (2.0, 0.15), (-1.5, -0.25),
+              (0.5, 0.1))
+
+
+def _rotated_delta_seed(blocks=((1.0, 0.2), (3.0, -0.2)), a=0.5):
     # a Delta-commuting seed in a random unitary basis: every entry of A and
     # rho0 is nonzero, so J is every index
-    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
+    seed = make_delta_commuting_seed(blocks, a=a)
     rng = np.random.default_rng(3)
-    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    d = seed.dim
+    U = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
     A = U @ seed.spec.A @ U.conj().T
     return SeedSolution(SeedFamily.DELTA_COMMUTING, U @ seed.rho0 @ U.conj().T,
                         ModelSpec(1, (A + A.conj().T) / 2), a=seed.a)
