@@ -53,12 +53,12 @@ one-point case; the first three take whole matrices.  ``dressed_trajectory``
 cuts the sample grid into blocks (``time_blocks``, sized by the full and the
 support matrices a point holds) and fills one ``Trajectory``: the states as
 one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample arrays
-(dressed states, full projectors and scalar diagnostics) and the Lax
-solution.  Under a symmetry flow (``symmetry_transforms``) it dresses each
-sample once, at the time the flow evaluates the dressing (``Y t``), and the
-flow maps that dressing to the sample's state.  The checks in
-``verification`` slice those stacks and evaluate their stencils through the
-same flow.
+(dressed states, the projectors' ``J x J`` blocks with J, the gates' values
+and other scalar diagnostics) and the Lax solution.  Under a symmetry flow
+(``symmetry_transforms``) it dresses each sample once, at the time the flow
+evaluates the dressing (``Y t``), and the flow maps that dressing to the
+sample's state.  The checks in ``verification`` read those gate values,
+slice those stacks and evaluate their stencils through the same flow.
 """
 
 from __future__ import annotations
@@ -93,17 +93,23 @@ class Diagnostics:
     """Per-sample arrays of a dressed trajectory, one entry per state.
 
     ``rho1`` is the ``(N, d, d)`` stack of dressed states, before any
-    symmetry flow, and ``P`` their projectors; ``spectrum`` holds the
-    ascending eigenvalues of each dressed state's Hermitian part and
-    ``min_eig`` its first column.  Both are None outside hermitian mode, and
-    ``F_value`` off Delta-commuting seeds in hermitian mode.
+    symmetry flow.  ``P`` holds their projectors as the ``(N, |J|, |J|)``
+    blocks on ``support``, the index set J outside which every projector
+    vanishes; ``idempotency_gap`` and ``projector_trace_gap`` are the values
+    their gates compared.  ``spectrum`` holds the ascending eigenvalues of
+    each dressed state's Hermitian part and ``min_eig`` its first column.
+    Both are None outside hermitian mode, and ``F_value`` off
+    Delta-commuting seeds in hermitian mode.
     """
 
     rho1: np.ndarray
     P: np.ndarray
+    support: np.ndarray
     phi_norm: np.ndarray
     form_gap: np.ndarray
     hermiticity_gap: np.ndarray
+    idempotency_gap: np.ndarray
+    projector_trace_gap: np.ndarray
     min_eig: np.ndarray | None
     F_value: np.ndarray | None
     p_dot_norm: np.ndarray
@@ -169,7 +175,8 @@ def _raise(failure):
 
 
 def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
-    # rows of phi and chi -> P per row, with the first failing gate
+    # rows of phi and chi -> (P, idempotency gap, trace gap, first failing
+    # gate) per row
     with np.errstate(all="ignore"):
         overlap = np.sum(chi * phi, axis=-1)
         floor = (tolerances.overlap_floor * np.linalg.norm(phi, axis=-1)
@@ -186,7 +193,7 @@ def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
             "to orthogonal for a reliable dressing")),
         _first(trace_gap > tolerances.projector_trace, lambda i: SingularDarboux(
             "projector trace moved away from 1")))
-    return P, failure
+    return P, idempotency, trace_gap, failure
 
 
 def _square(P: np.ndarray) -> np.ndarray:
@@ -355,7 +362,7 @@ def projector(phi, chi, tolerances: Tolerances = DEFAULT) -> np.ndarray:
     chi = as_state(chi)
     if phi.shape != chi.shape:
         raise ValueError("phi and chi dimensions disagree")
-    P, failure = _projector_stack(phi[None], chi[None], tolerances)
+    P, _, _, failure = _projector_stack(phi[None], chi[None], tolerances)
     _raise(failure)
     return P[0]
 
@@ -411,6 +418,8 @@ class DressedStack(NamedTuple):
 
     ``rho1`` holds full states; ``P`` and ``T`` are the blocks on the flow's
     ``support``, outside which P vanishes and T is the identity.
+    ``idempotency_gap`` (``||P^2 - P||_F``) and ``projector_trace_gap``
+    (``|Tr P - 1|``) are the values the projector gates compared.
     """
 
     rho1: np.ndarray
@@ -418,6 +427,8 @@ class DressedStack(NamedTuple):
     T: np.ndarray
     form_gap: np.ndarray
     phi_norm: np.ndarray
+    idempotency_gap: np.ndarray
+    projector_trace_gap: np.ndarray
     failure: tuple | None
 
 
@@ -456,10 +467,6 @@ class DressedFlow(Flow):
         self.support = _support(lax)
         self.support_size = len(self.support)
 
-    def block(self, M: np.ndarray) -> np.ndarray:
-        """The ``support`` block of a matrix or of each matrix of a stack."""
-        return _block(M, self.support)
-
     def _rows(self, times):
         # the support entries of phi and chi per point, normalized, with
         # phi_norm and the first point where a row vanished
@@ -486,7 +493,7 @@ class DressedFlow(Flow):
         gate; ``P`` holds the ``support`` blocks of the projectors."""
         times = np.asarray(times, dtype=float)
         phi, chi, phi_norm, failure = self._rows(times)
-        P, projector_failure = _projector_stack(phi, chi, self.tolerances)
+        P, _, _, projector_failure = _projector_stack(phi, chi, self.tolerances)
         return P, phi_norm, _earliest(failure, projector_failure)
 
     def evaluate(self, times) -> DressedStack:
@@ -495,7 +502,8 @@ class DressedFlow(Flow):
         ``U = phi / <chi|phi>`` and ``W = chi`` (rank one)."""
         times = np.asarray(times, dtype=float)
         phi, chi, phi_norm, failure = self._rows(times)
-        P, projector_failure = _projector_stack(phi, chi, self.tolerances)
+        P, idempotency, trace_gap, projector_failure = _projector_stack(
+            phi, chi, self.tolerances)
         failure = _earliest(failure, projector_failure)
         done = len(times) if failure is None else failure[0]
         phi, chi = phi[:done], chi[:done]
@@ -512,6 +520,7 @@ class DressedFlow(Flow):
         # the seed stack is fresh: it becomes the dressed stack in place
         rho[:, J[:, None], J] = rho1_J
         return DressedStack(rho, P[:done], T, form_gap, phi_norm[:done],
+                            idempotency[:done], trace_gap[:done],
                             dress_failure or failure)
 
     def stack(self, times) -> np.ndarray:
@@ -576,12 +585,13 @@ def dressed_trajectory(lax: LaxSolution, times,
 
     The states and every diagnostic are stacks allocated for the whole grid
     and filled block by block (``time_blocks``, which depend on the grid and
-    the flow's support alone); ``P`` holds full projectors, zero outside the
-    support.  Each block dresses its samples and, in one separate stack,
-    builds the projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting
-    seeds in hermitian mode it evaluates ``f_value`` for all its samples in
-    one call.  A ``SingularDarboux`` at some sample cuts the stacks there
-    and records the singular sample's time instead of aborting.
+    the flow's support alone).  ``P`` holds the projectors as their blocks
+    on the support J, which is kept beside them, with the values their
+    gates compared.  Each block dresses its samples and, in one separate
+    stack, builds the projectors at ``t +- dp`` for ``p_dot_norm``; on
+    Delta-commuting seeds in hermitian mode it evaluates ``f_value`` for all
+    its samples in one call.  A ``SingularDarboux`` at some sample cuts the
+    stacks there and records the singular sample's time instead of aborting.
 
     ``flow`` is a symmetry flow whose ``root`` is a ``DressedFlow`` of
     ``lax`` (``symmetry_transforms``).  Each sample is then dressed once, at
@@ -605,9 +615,10 @@ def dressed_trajectory(lax: LaxSolution, times,
     rho1 = np.empty((count, seed.dim, seed.dim), dtype=complex)
     flowed = flow is not dressing
     states = np.empty_like(rho1) if flowed else rho1
-    P = np.zeros_like(rho1)
     J = dressing.support
-    phi_norm, form_gap, herm_gap, p_dot = (np.empty(count) for _ in range(4))
+    P = np.empty((count, len(J), len(J)), dtype=complex)
+    phi_norm, form_gap, herm_gap, idempotency, trace_gap, p_dot = (
+        np.empty(count) for _ in range(6))
     spectrum = np.empty((count, seed.dim)) if herm else None
     F = np.empty(count, dtype=complex) if with_f else None
     filled = 0
@@ -630,9 +641,11 @@ def dressed_trajectory(lax: LaxSolution, times,
         rho1[out] = dressed_states
         if flowed:
             states[out] = flow.finish(times[block][:done], dressed_states)
-        P[out, J[:, None], J] = dressed.P[:done]
+        P[out] = dressed.P[:done]
         phi_norm[out] = dressed.phi_norm[:done]
         form_gap[out] = dressed.form_gap[:done]
+        idempotency[out] = dressed.idempotency_gap[:done]
+        trace_gap[out] = dressed.projector_trace_gap[:done]
         herm_gap[out] = frob_stack(dressed_states - dagger(dressed_states))
         if herm:
             spectrum[out] = np.linalg.eigvalsh(
@@ -650,8 +663,9 @@ def dressed_trajectory(lax: LaxSolution, times,
 
     cut = slice(0, filled)
     diagnostics = Diagnostics(
-        rho1=rho1[cut], P=P[cut], phi_norm=phi_norm[cut], form_gap=form_gap[cut],
-        hermiticity_gap=herm_gap[cut],
+        rho1=rho1[cut], P=P[cut], support=J, phi_norm=phi_norm[cut],
+        form_gap=form_gap[cut], hermiticity_gap=herm_gap[cut],
+        idempotency_gap=idempotency[cut], projector_trace_gap=trace_gap[cut],
         min_eig=None if spectrum is None else spectrum[cut, 0],
         F_value=None if F is None else F[cut], p_dot_norm=p_dot[cut],
         spectrum=None if spectrum is None else spectrum[cut])

@@ -11,7 +11,7 @@ call from multiple threads.
 
 The kernels need numpy alone: ``mat_exp`` is a batched Pade-13
 scaling-and-squaring, ``NormalExp`` factors with ``np.linalg.eig`` and
-``np.linalg.qr``, and root polishing solves with ``np.linalg.solve``.  An
+``np.linalg.qr``, and pencil roots are ``np.linalg.eigvals``'s.  An
 exactly diagonal generator needs no factoring: ``NormalExp`` then scales
 entries by their phases, bit for bit what the factored formulas give.
 """
@@ -28,10 +28,6 @@ DIM_CAP = 32
 
 #: relative pivot threshold deciding numerical rank during elimination
 _PIVOT_RTOL = 1e-12
-
-#: the most a polish is taken to move a pencil root, relative to the largest
-#: root; a root more than twice this beyond the selection band is not polished
-_POLISH_MARGIN = 1e-3
 
 #: bytes of work arrays one stack of time points may hold
 BLOCK_BYTES = 2 << 20
@@ -344,43 +340,6 @@ def trace_moments(M, kmax: int) -> np.ndarray:
     return moments
 
 
-def _polish_root(M: np.ndarray, z: complex, max_iter: int = 2) -> complex:
-    # Newton on det(M - zI): dz = 1 / tr((M - zI)^{-1}).  A shift already
-    # singular to machine precision means the root has converged: stop.
-    n = M.shape[0]
-    eye = np.eye(n)
-    scale = max(1.0, frob(M))
-    for _ in range(max_iter):
-        shifted = M - z * eye
-        if np.linalg.svd(shifted, compute_uv=False)[-1] <= 1e-14 * scale:
-            break
-        try:
-            trace_inv = np.trace(np.linalg.solve(shifted, eye))
-        except np.linalg.LinAlgError:
-            break
-        if trace_inv == 0 or not np.isfinite(trace_inv):
-            break
-        dz = 1.0 / trace_inv
-        if not np.isfinite(dz) or abs(dz) > 0.1 * scale:
-            break
-        z = z + dz
-    return complex(z)
-
-
-def _selectable(roots: np.ndarray, pin: complex | None) -> np.ndarray:
-    # indices of the roots that _select_root could pick once polished: those
-    # within the band plus twice _POLISH_MARGIN (one polish for each of two
-    # roots) of the largest real part, or of the pin's nearest distance.  A
-    # polish moves a root by about eps times its condition number, and even
-    # a five-fold defective root by about eps^(1/5) ~ 7e-4 relative
-    scale = max(1.0, float(np.abs(roots).max()))
-    reach = (1e-9 + 2 * _POLISH_MARGIN) * scale
-    if pin is None:
-        return np.flatnonzero(roots.real >= roots.real.max() - reach)
-    dist = np.abs(roots - pin)
-    return np.flatnonzero(dist <= dist.min() + reach)
-
-
 def _select_root(roots: np.ndarray, pin: complex | None) -> complex:
     # lexicographic (Re, Im) maximum with a tolerance band on Re, so that
     # round-off dust on numerically equal real parts cannot flip the choice;
@@ -449,14 +408,14 @@ def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
                      tolerances: Tolerances = DEFAULT) -> tuple[complex, np.ndarray]:
     """One deterministic eigenpair of a general complex matrix.
 
-    The eigenvalues that selection can pick are polished by Newton
-    iteration on ``det(M - zI)`` via LU.  Selection: the root maximizing
-    ``(Re z, Im z)`` lexicographically, or the polished root closest to
-    ``pin`` when given; a pin that is not nearer that root than half its
-    distance to the next distinct root raises ``FarPin`` (a
-    ``ValueError``).  The eigenvector is a
-    deterministic null vector of ``M - zI`` (full-pivot elimination) with its
-    first significant component made real positive.
+    The roots are ``np.linalg.eigvals``'s, unpolished: it is backward
+    stable, so ``M - zI`` is singular to round-off at each of them.
+    Selection: the root maximizing ``(Re z, Im z)`` lexicographically, or
+    the root closest to ``pin`` when given; a pin that is not nearer that
+    root than half its distance to the next distinct root raises ``FarPin``
+    (a ``ValueError``).  The eigenvector is a deterministic null vector of
+    ``M - zI`` (full-pivot elimination) with its first significant component
+    made real positive.
 
     Raises
     ------
@@ -467,12 +426,7 @@ def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
     n = M.shape[0]
     if n > dim_cap:
         raise ValueError(f"dimension {n} exceeds the configured cap {dim_cap}")
-    roots = np.linalg.eigvals(M)
-    # only a root that selection can pick is polished; the others enter the
-    # band's scale and the pin's gap unpolished
-    for i in _selectable(roots, pin):
-        roots[i] = _polish_root(M, roots[i])
-    z = _select_root(roots, pin)
+    z = _select_root(np.linalg.eigvals(M), pin)
     v = _null_vector(M - z * np.eye(n))
     if v is None:
         raise DefectiveEigenproblem(

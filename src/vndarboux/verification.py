@@ -6,13 +6,14 @@ trace-moment invariance, Hermiticity, trace, positivity, projector
 idempotency, form gap, covariance of the transformed left solution) into a
 single deterministic report.  Every check reduces over slices of the
 trajectory's stacks in blocks (``time_blocks``): the spectrum and positivity
-checks share one eigensolve per state, and the hermiticity check reads the
-dressing's gaps, the ones ``dressed_trajectory`` made when the checked states
-are the dressed states; the residual evaluates its
-stencil through the trajectory's flow and reuses the sample states as
-centres; the covariance check reuses the trajectory's Lax solution and the
-dressed states and projectors of its ``Diagnostics``, at their dressing
-times, and builds only the projectors of its stencil.
+checks share one eigensolve per state.  The idempotency, projector trace and
+form gap checks read the values the dressing's gates compared, and the
+hermiticity check the dressing's gaps when the checked states are the
+dressed states.  The residual evaluates its stencil through the
+trajectory's flow and reuses the sample states as centres; the covariance
+check reuses the trajectory's Lax solution and the dressed states and the
+projectors' support blocks of its ``Diagnostics``, at their dressing times,
+and builds only the projectors of its stencil.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
     for block in time_blocks(len(times), spec.dim, support=flow.support_size):
         t = times[block]
         rho1 = diagnostics.rho1[block]
-        psi1, shift = flow.psi1_rows(t, P=flow.block(diagnostics.P[block]))
+        psi1, shift = flow.psi1_rows(t, P=diagnostics.P[block])
         # the stencil shares its centre's shift: one scaled psi is differenced
         ring, _ = flow.psi1_rows((t[:, None] + offsets).ravel(),
                                  shift=np.repeat(shift, len(offsets)))
@@ -207,12 +208,10 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         add("residual", norms[worst_idx], tols[worst_idx], float(times[worst_idx]))
 
     if on("idempotency") and diags is not None:
-        vals = _per_sample(diags.P, dim, lambda P: frob_stack(P @ P - P))
-        worst, loc = _worst(vals, times)
+        # the values the projector gates compared, at the absolute tolerance
+        worst, loc = _worst(diags.idempotency_gap, times)
         add("idempotency", worst, tolerances.idempotency, loc)
-        trs = _per_sample(diags.P, dim, lambda P: np.abs(
-            np.trace(P, axis1=-2, axis2=-1) - 1.0))
-        worst, loc = _worst(trs, times)
+        worst, loc = _worst(diags.projector_trace_gap, times)
         add("projector_trace", worst, tolerances.projector_trace, loc)
 
     if on("form_gap") and diags is not None:

@@ -12,6 +12,7 @@ import pytest
 from vndarboux import (SingularDarboux, build_lax, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed)
+from vndarboux.darboux_engine import _projector_stack
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
@@ -37,6 +38,24 @@ def rk4_ode(f, y0, t_end, dt):
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return y
+
+
+def whole_projectors(diagnostics):
+    """A trajectory's projectors as whole ``(N, d, d)`` matrices: the
+    ``Diagnostics.P`` blocks on ``Diagnostics.support``, zero elsewhere."""
+    J = diagnostics.support
+    dim = diagnostics.rho1.shape[-1]
+    P = np.zeros((len(diagnostics.P), dim, dim), dtype=complex)
+    P[:, J[:, None], J] = diagnostics.P
+    return P
+
+
+def scaled_projectors(factor, phi, chi, tolerances):
+    """``_projector_stack`` with each P scaled by ``factor`` and no gate
+    failure: the stand-in that pushes a flow's projectors past their gates.
+    The gaps are those of the unscaled P."""
+    P, idempotency, trace_gap, _ = _projector_stack(phi, chi, tolerances)
+    return factor * P, idempotency, trace_gap, None
 
 
 def random_seed_solution(rng, family=None):

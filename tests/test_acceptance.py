@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, draw_valid_scenario, rk4_ode
+from conftest import SX, SZ, draw_valid_scenario, rk4_ode, whole_projectors
 from vndarboux import (InconsistentLax, build_lax, dressed_trajectory,
                        explicit_eavn, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
@@ -42,7 +42,7 @@ def scenario_batch():
 def test_criterion_1_projector_idempotency(scenario_batch):
     worst_idem, worst_trace = 0.0, 0.0
     for _, _, traj in scenario_batch:
-        for P in traj.diagnostics.P:
+        for P in whole_projectors(traj.diagnostics):
             worst_idem = max(worst_idem, frob(P @ P - P))
             worst_trace = max(worst_trace, abs(np.trace(P) - 1.0))
     ok = worst_idem <= 1e-11 and worst_trace <= 1e-11
@@ -57,7 +57,7 @@ def test_criterion_2_two_form_equality(scenario_batch):
         mu, nu = lax.params.mu, lax.params.nu
         A = seed.spec.A
         diag = traj.diagnostics
-        for t, form_gap, P in zip(traj.times, diag.form_gap, diag.P):
+        for t, form_gap, P in zip(traj.times, diag.form_gap, whole_projectors(diag)):
             worst_gap = max(worst_gap, form_gap)
             rho = seed.rho_at(t)
             bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
@@ -163,9 +163,8 @@ def test_criterion_6_covariance_of_transformed_left_solution():
         flow = DressedFlow(seed, lax)
 
         def psi1_at(t, P=None):
-            # one-element stacks; P, when given, is a full projector
-            rows, shift = flow.psi1_rows(
-                [t], P=None if P is None else flow.block(P[None]))
+            # one-element stacks; P, when given, is a support block
+            rows, shift = flow.psi1_rows([t], P=None if P is None else P[None])
             return rows[0] * np.exp(shift[0])
 
         for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
@@ -273,7 +272,7 @@ def test_criterion_10_reference_scenario():
     traj = dressed_trajectory(lax, SAMPLES)
     z_gap = abs(lax.params.z_mu)
     p_gap = max(frob(P - 0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
-                for P in traj.diagnostics.P)
+                for P in whole_projectors(traj.diagnostics))
     state_gap = max(frob(s - (-SX)) for s in traj.states)
     ok = z_gap <= 1e-12 and p_gap <= 1e-12 and state_gap <= 1e-10
     _report(10, "sigma-x reference scenario", ok,

@@ -4,7 +4,8 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from conftest import SX, SZ, draw_valid_scenario
+from conftest import (SX, SZ, draw_valid_scenario, scaled_projectors,
+                      whole_projectors)
 from vndarboux import (DEFAULT, InconsistentLax, SingularDarboux, build_lax,
                        darboux_engine, dress, dressed_trajectory, explicit_eavn,
                        make_anticommuting_seed, make_commuting_seed,
@@ -93,7 +94,7 @@ T_EQUALITY = "rational and exponential forms of T disagree; P is not idempotent"
 def test_hermitian_exp_matches_expm(dim):
     rng = np.random.default_rng(dim)
     phi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
-    P, failure = _projector_stack(phi, np.conj(phi), DEFAULT)
+    P, _, _, failure = _projector_stack(phi, np.conj(phi), DEFAULT)
     assert failure is None
     for mu, M in zip((0.3 + 0.8j, -1.1 + 0.2j, 0.05 - 1.4j), P):
         z = np.log(mu / np.conj(mu))
@@ -123,8 +124,8 @@ def test_hermitian_gate_trips_at_the_pade_scale(monkeypatch):
             assert not trips
         # the flow's own projectors, scaled past the projector gates
         with monkeypatch.context() as patch:
-            patch.setattr(darboux_engine, "_projector_stack", lambda phi, chi, tol: (
-                (1 + excess) * _projector_stack(phi, chi, tol)[0], None))
+            patch.setattr(darboux_engine, "_projector_stack", lambda phi, chi, tol:
+                          scaled_projectors(1 + excess, phi, chi, tol))
             failure = flow.evaluate(times).failure
         if trips:
             assert failure[0] == 0 and isinstance(failure[1], InconsistentLax)
@@ -358,7 +359,7 @@ def test_sigma_x_covariance_residual():
     traj = dressed_trajectory(lax, [0.0, 1.0, 2.0])
     flow = DressedFlow(SIGMA_SEED, lax)
     for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
-        rows, shift = flow.psi1_rows([t], P=flow.block(P[None]))
+        rows, shift = flow.psi1_rows([t], P=P[None])
         psi1 = rows[0] * np.exp(shift[0])
         gap = np.linalg.norm(params.z_lambda * psi1
                              - psi1 @ (rho1 - params.lam * SIGMA_SEED.spec.A))
@@ -374,4 +375,4 @@ def test_two_form_agreement_random_scenarios():
     for _ in range(20):
         _, _, traj = draw_valid_scenario(rng, times)
         assert max(traj.diagnostics.form_gap) <= 1e-9
-        assert max(frob(P @ P - P) for P in traj.diagnostics.P) <= 1e-11
+        assert max(frob(P @ P - P) for P in whole_projectors(traj.diagnostics)) <= 1e-11

@@ -190,3 +190,43 @@ def test_traced_peak_stays_within_the_block_budget(cases, case, operation):
     assert len(times) > 1
     peak = _traced_peak(run)
     assert peak / len(times) <= operator_core._point_bytes(lax.seed.dim, support)
+
+
+# ---------------------------------------------------------------------------
+# the retained footprint of a trajectory: whole matrices per sample that
+# dressed_trajectory's outputs keep
+
+def _traced_kept(fn) -> int:
+    # bytes that fn()'s result still holds once fn has returned
+    fn()  # first calls cache what later calls reuse
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept = tracemalloc.get_traced_memory()[0] - base
+        del result
+        return kept
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workload, whole_stacks", [("delta-covariance", 1),
+                                                     ("anticommuting-shift", 2)])
+def test_trajectory_keeps_no_whole_projector_grid(bench, workload, whole_stacks):
+    # the states, and under a flow the dressed states beside them, are the
+    # only (N, d, d) stacks kept: the projectors are their J x J blocks.
+    # With a whole-matrix projector grid the outputs kept 2.07 and 3.06
+    # whole matrices per sample on these scenarios
+    draw = bench.SCENARIO_WORKLOADS[workload]
+    cfg, errors = scenario_cli.validate_config(draw(random.Random(14), 0))
+    assert not errors
+    traj = scenario_cli.execute_scenario(cfg).trajectory
+    flow = None if traj.rho_at is traj.rho_at.root else traj.rho_at
+    count, dim = len(traj.times), traj.lax.seed.dim
+    assert (count, dim) == (201, 12)
+    kept = _traced_kept(lambda: dressed_trajectory(traj.lax, traj.times, flow=flow))
+    assert kept / (count * dim * dim * 16) <= whole_stacks + 0.15
+    diags = dressed_trajectory(traj.lax, traj.times, flow=flow).diagnostics
+    support = len(diags.support)
+    assert support == 2 and diags.P.shape == (count, support, support)
+

@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
+from conftest import whole_projectors
 from test_support import D12_BLOCKS, _rotated_delta_seed
 
 from vndarboux import (DEFAULT, DefectiveEigenproblem, NormalExp, ShiftSpec,
@@ -54,6 +55,7 @@ def test_trajectory_matches_point_evaluation(name):
     traj = dressed_trajectory(lax, TIMES)
     assert traj.singular_t is None
     diag = traj.diagnostics
+    whole = whole_projectors(diag)
     flow = DressedFlow(seed, lax)
 
     def projector_at(t):
@@ -65,8 +67,8 @@ def test_trajectory_matches_point_evaluation(name):
     for k, (t, state) in enumerate(zip(traj.times, traj.states)):
         point = dressed_state_at(seed, lax, t)
         npt.assert_allclose(state, point.rho1, rtol=0, atol=1e-13)
-        npt.assert_allclose(diag.P[k], point.P, rtol=0, atol=1e-13)
-        npt.assert_allclose(flow.block(diag.P[k]), projector_at(t), rtol=0, atol=1e-13)
+        npt.assert_allclose(whole[k], point.P, rtol=0, atol=1e-13)
+        npt.assert_allclose(diag.P[k], projector_at(t), rtol=0, atol=1e-13)
         assert abs(diag.form_gap[k] - point.form_gap) <= 1e-13
         phi_norm = np.linalg.norm(lax.phi_at(t))
         assert abs(diag.phi_norm[k] - phi_norm) <= 1e-13 * phi_norm
@@ -189,7 +191,7 @@ def test_projector_stack_reports_first_failing_point():
     chi = np.conj(phi)
     chi[4] = [phi[4, 1], -phi[4, 0], 0.0]  # <chi|phi> = 0 at points 4 ...
     chi[2] = [phi[2, 1], -phi[2, 0], 0.0]  # ... and 2
-    _, failure = _projector_stack(phi, chi, DEFAULT)
+    *_, failure = _projector_stack(phi, chi, DEFAULT)
     index, error = failure
     assert index == 2 and isinstance(error, SingularDarboux)
     with pytest.raises(SingularDarboux) as point:

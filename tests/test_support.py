@@ -13,13 +13,14 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
 
+from conftest import scaled_projectors, whole_projectors
 from vndarboux import (DEFAULT, InconsistentLax, ModelSpec, SeedFamily,
-                       SeedSolution, SingularDarboux, build_lax,
-                       darboux_engine, dressed_trajectory,
+                       SeedSolution, ShiftSpec, SingularDarboux, build_lax,
+                       darboux_engine, dressed_state_at, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed, run_suite)
-from vndarboux.darboux_engine import (DressedFlow, _projector_stack,
-                                      _similarity_stack)
+                       make_delta_commuting_seed, rescaled_flow, run_suite,
+                       shifted_flow)
+from vndarboux.darboux_engine import DressedFlow, _block, _similarity_stack
 
 TIMES = np.linspace(-1.5, 1.5, 13)
 DP = 1e-4  # the p_dot_norm step of dressed_trajectory
@@ -114,7 +115,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     traj = dressed_trajectory(lax, TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(coupled, lax, TIMES)
-    npt.assert_array_equal(traj.diagnostics.P, P)
+    npt.assert_array_equal(whole_projectors(traj.diagnostics), P)
     npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
     # a coupling through rho0: A is degenerate on indices 0 and 2, which
     # rho0 joins; the union is not contiguous
@@ -127,7 +128,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     traj = dressed_trajectory(lax, TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(seed, lax, TIMES)
-    npt.assert_array_equal(traj.diagnostics.P, P)
+    npt.assert_array_equal(whole_projectors(traj.diagnostics), P)
     npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
 
 
@@ -163,7 +164,7 @@ def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
     diag = traj.diagnostics
     npt.assert_array_equal(traj.states, rho1)
     npt.assert_array_equal(diag.rho1, rho1)
-    npt.assert_array_equal(diag.P, P)
+    npt.assert_array_equal(whole_projectors(diag), P)
     states = traj.states
     npt.assert_array_equal(diag.hermiticity_gap,
                            np.linalg.norm(states - states.conj().transpose(0, 2, 1),
@@ -192,8 +193,8 @@ def test_t_equality_trips_on_the_support_as_on_whole_matrices(nu, monkeypatch):
     _, P_full, _ = _reference(seed, lax, times)
     for excess in (1e-10, 1e-11):
         with monkeypatch.context() as patch:
-            patch.setattr(darboux_engine, "_projector_stack", lambda phi, chi, tol: (
-                (1 + excess) * _projector_stack(phi, chi, tol)[0], None))
+            patch.setattr(darboux_engine, "_projector_stack", lambda phi, chi, tol:
+                          scaled_projectors(1 + excess, phi, chi, tol))
             failure = flow.evaluate(times).failure
         whole = _similarity_stack((1 + excess) * P_full, mu, lax.params.nu, DEFAULT,
                                   lax.params.hermitian_mode)[1]
@@ -231,7 +232,36 @@ def test_support_blocks_match_scipy_exponential():
     _, P_full, _ = _reference(seed, lax, TIMES)
     z = np.log(lax.params.mu / lax.params.nu)
     for T, P in zip(dressed.T, P_full):
-        npt.assert_allclose(flow.block(sla.expm(z * P)), T, rtol=0, atol=1e-13)
+        npt.assert_allclose(_block(sla.expm(z * P), flow.support), T, rtol=0, atol=1e-13)
         outside = np.setdiff1d(np.arange(seed.dim), flow.support)
         npt.assert_allclose(sla.expm(z * P)[np.ix_(outside, outside)],
                             np.eye(len(outside)), rtol=0, atol=1e-13)
+
+
+def _shift_rescale(seed, lax):
+    # a shift, then a rescaling by a negative Y, of the dressing
+    flow = shifted_flow(seed.spec, DressedFlow(seed, lax),
+                        ShiftSpec.uniform(0.7, seed.dim))
+    return rescaled_flow(flow, -0.6)
+
+
+@pytest.mark.parametrize("name, nu, flowed", [
+    ("delta", None, False), ("delta", GENERAL_NU, False),
+    ("dense", None, False), ("dense", GENERAL_NU, False),
+    ("anticommuting-n3", None, True), ("delta", None, True)])
+def test_recorded_projectors_embed_to_the_point_projectors(name, nu, flowed):
+    # each recorded block, put at J into a zero matrix, is bitwise the whole
+    # projector of dressed_state_at at the time the sample was dressed
+    seed = SEEDS[name][0]()
+    lax = build_lax(seed, 0.3 + 0.9j, nu)
+    flow = _shift_rescale(seed, lax) if flowed else None
+    traj = dressed_trajectory(lax, TIMES, flow=flow)
+    assert traj.singular_t is None
+    diag = traj.diagnostics
+    J = DressedFlow(seed, lax).support
+    npt.assert_array_equal(diag.support, J)
+    assert diag.P.shape == (len(TIMES), len(J), len(J))
+    at = TIMES if flow is None else flow.source_times(TIMES)
+    whole = whole_projectors(diag)
+    for k, t in enumerate(at):
+        assert whole[k].tobytes() == dressed_state_at(seed, lax, t).P.tobytes()

@@ -105,8 +105,9 @@ def test_special_values_and_non_contiguous_states(tmp_path):
     assert not states.flags.c_contiguous
     assert all(np.array_equal(a, b) for a, b in zip(states, [M, transposed, strided]))
     diags = Diagnostics(
-        rho1=states, P=states, phi_norm=np.full(3, 1e300),
+        rho1=states, P=states, support=np.arange(2), phi_norm=np.full(3, 1e300),
         form_gap=np.full(3, 2.0 / 3.0), hermiticity_gap=np.full(3, 5e-324),
+        idempotency_gap=np.full(3, 0.1), projector_trace_gap=np.full(3, -0.0),
         min_eig=np.full(3, -0.0), F_value=np.full(3, complex(-0.0, 0.1)),
         p_dot_norm=np.full(3, 1.0000000000000002))
     traj = Trajectory(times=[-0.0, 0.1, 1e300], states=states, diagnostics=diags)

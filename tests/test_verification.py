@@ -5,8 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SX, SZ
-from vndarboux import (DressedFlow, ModelSpec, Trajectory, build_lax,
+from conftest import SX, SZ, whole_projectors
+from vndarboux import (DEFAULT, DressedFlow, ModelSpec, Trajectory, build_lax,
                        dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
                        make_pure_state_seed, rk4_integrate, run_suite)
@@ -281,3 +281,41 @@ def test_suite_recomputes_the_hermiticity_gap_under_a_flow():
     states = traj.states
     assert check.worst_value == np.max(frob_stack(states - dagger(states)))
     assert check.worst_value < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the projector checks read the values the projector gates compared
+
+@pytest.mark.parametrize("workload, index", [("delta-covariance", 0),
+                                             ("anticommuting-shift", 1)])
+def test_projector_checks_read_the_gate_values(bench, workload, index):
+    cfg = bench.SCENARIO_WORKLOADS[workload](random.Random(80 + index), index)
+    result = execute_scenario(cfg)
+    traj, report = result.trajectory, result.report
+    diags = traj.diagnostics
+    checks = {c.name: c for c in report.checks}
+    for name, gaps in (("idempotency", diags.idempotency_gap),
+                       ("projector_trace", diags.projector_trace_gap)):
+        k = int(np.argmax(gaps))
+        assert (checks[name].worst_value, checks[name].location_t) == (gaps[k], traj.times[k])
+        assert checks[name].worst_value == np.max(gaps)
+    # the absolute tolerance, not the gate's limit relative to max(1, |P|)
+    assert checks["idempotency"].tolerance == DEFAULT.idempotency
+    # the gates' values on the J x J blocks: the trace gap is bitwise the
+    # whole matrix's, and the idempotency gap is the whole matrix's to
+    # round-off (P squares in another order)
+    whole = whole_projectors(diags)
+    npt.assert_array_equal(diags.projector_trace_gap,
+                           np.abs(np.trace(whole, axis1=-2, axis2=-1) - 1.0))
+    npt.assert_allclose(diags.idempotency_gap, frob_stack(whole @ whole - whole),
+                        rtol=0, atol=1e-15)
+    # a planted gap is what the report reads
+    enabled = _checks({"idempotency"})
+    planted = np.zeros_like(diags.idempotency_gap)
+    planted[7] = 0.5
+    traj.diagnostics = dataclasses.replace(diags, idempotency_gap=planted)
+    idempotency, trace = run_suite(traj, enabled=enabled).checks
+    assert not idempotency.passed
+    assert (idempotency.worst_value, idempotency.location_t) == (0.5, traj.times[7])
+    assert trace == checks["projector_trace"]
+
