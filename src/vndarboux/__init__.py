@@ -15,15 +15,14 @@ from .vne_model import (Flow, ModelSpec, ResidualReport, hamiltonian_of,
                         residual, residuals, rhs, rhs_alt)
 from .seed_factory import (SeedFamily, SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed,
-                           make_pure_state_seed, nlse_rhs)
+                           make_pure_state_seed)
 from .lax_engine import (DarbouxParams, LaxSolution, build_lax, lax_generator,
                          solve_initial, solve_initial_left)
 from .darboux_engine import (Diagnostics, DressedFlow, DressedState,
                              Trajectory, dress, dressed_state_at,
                              dressed_trajectory, explicit_eavn, f_value,
-                             projector, similarity_T)
-from .symmetry_transforms import (RescaledFlow, ShiftedFlow, ShiftSpec,
+                             projector)
+from .symmetry_transforms import (RescaledFlow, ShiftedFlow,
                                   normalize_to_density, rescaled_flow,
                                   reseed_rescale, reseed_shift, shifted_flow)
-from .verification import (CheckResult, VerificationReport, rk4_integrate,
-                           run_suite)
+from .verification import CheckResult, VerificationReport, run_suite

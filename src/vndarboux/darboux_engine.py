@@ -48,8 +48,8 @@ exponential: in hermitian mode, where P is Hermitian by construction, from
 one batched ``eigh`` of P's Hermitian part, or on a 2 x 2 block from that
 part's closed-form eigen-split; otherwise, and for any P a caller hands in,
 from ``mat_exp``.
-``projector``, ``similarity_T``, ``dress`` and ``dressed_state_at`` are the
-one-point case; the first three take whole matrices.  ``dressed_trajectory``
+``projector``, ``dress`` and ``dressed_state_at`` are the one-point case;
+the first two take whole matrices.  ``dressed_trajectory``
 cuts the sample grid into blocks (``time_blocks``, sized by the full and the
 support matrices a point holds) and fills one ``Trajectory``: the states as
 one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample arrays
@@ -122,21 +122,19 @@ class Trajectory:
     diagnostics and an exact re-evaluator.
 
     ``states`` may be given as a list and is stored as a stack; ``rho_at``
-    recomputes the state at arbitrary t (used by the residual check; a
-    ``Flow`` evaluates stacks of times); ``lax`` is the Lax solution the
-    samples were dressed with, whose ``seed`` and ``params`` the checks read;
-    ``singular_t`` is set when the dressing blew up and the sampling was
-    truncated; ``resym_drift`` is the largest re-symmetrization correction of
-    an ``rk4_integrate`` run.
+    is the ``Flow`` that recomputes the states at arbitrary times (the
+    residual and covariance checks evaluate their stencils through it);
+    ``lax`` is the Lax solution the samples were dressed with, whose ``seed``
+    and ``params`` the checks read; ``singular_t`` is set when the dressing
+    blew up and the sampling was truncated.
     """
 
     times: np.ndarray
     states: np.ndarray
     diagnostics: Diagnostics | None = None
-    rho_at: object = None
+    rho_at: Flow | None = None
     singular_t: float | None = None
     lax: LaxSolution | None = None
-    resym_drift: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -367,22 +365,6 @@ def projector(phi, chi, tolerances: Tolerances = DEFAULT) -> np.ndarray:
     return P[0]
 
 
-def similarity_T(P, mu: complex, nu: complex,
-                 tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """T = 1 + ((mu - nu)/nu) P, asserted equal to exp(P ln(mu/nu)).
-
-    The principal branch is used for the logarithm; the equality is
-    branch-independent because exp(zP) = 1 - P + e^z P for idempotent P.
-    """
-    P = as_operator(P)
-    mu = complex(mu)
-    nu = complex(nu)
-    require_nonzero(mu=mu, nu=nu)
-    T, failure = _similarity_stack(P[None], mu, nu, tolerances)
-    _raise(failure)
-    return T[0]
-
-
 def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
           tolerances: Tolerances = DEFAULT) -> DressedState:
     """Dress one state: rho[1] by the commutator form, cross-checked.
@@ -459,9 +441,8 @@ class DressedFlow(Flow):
     seed J is every index.
     """
 
-    def __init__(self, seed: SeedSolution, lax: LaxSolution,
-                 tolerances: Tolerances = DEFAULT):
-        self.seed = seed
+    def __init__(self, lax: LaxSolution, tolerances: Tolerances = DEFAULT):
+        self.seed = lax.seed
         self.lax = lax
         self.tolerances = tolerances
         self.support = _support(lax)
@@ -512,7 +493,7 @@ class DressedFlow(Flow):
         params = self.lax.params
         spec = self.seed.spec
         J = self.support
-        rho = self.seed.rho_stack(times[:done])
+        rho = self.seed.stack(times[:done])
         rho1_J, T, form_gap, dress_failure = _dress_stack(
             rho, spec.A, P[:done], U[:, :, None], chi[:, None, :], J,
             params.mu, params.nu, self.tolerances, params.hermitian_mode,
@@ -568,7 +549,11 @@ def f_value(seed: SeedSolution, mu: complex, phi0, times):
 
 def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
                      tolerances: Tolerances = DEFAULT) -> DressedState:
-    flow = DressedFlow(seed, lax, tolerances)
+    """rho[1](t) with its P and T as whole matrices; ``seed`` must be the
+    seed ``lax`` was solved for."""
+    if seed is not lax.seed:
+        raise ValueError("seed is not the seed of this Lax solution")
+    flow = DressedFlow(lax, tolerances)
     dressed = flow.evaluate([t])
     _raise(dressed.failure)
     J, eye = flow.support, np.eye(seed.dim, dtype=complex)
@@ -603,7 +588,7 @@ def dressed_trajectory(lax: LaxSolution, times,
     times = np.asarray(times, dtype=float)
     seed, params = lax.seed, lax.params
     if flow is None:
-        flow = DressedFlow(seed, lax, tolerances)
+        flow = DressedFlow(lax, tolerances)
     dressing = flow.root
     if not (isinstance(dressing, DressedFlow) and dressing.lax is lax):
         raise ValueError("flow must transform a DressedFlow of this Lax solution")

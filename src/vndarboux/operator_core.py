@@ -97,14 +97,14 @@ def as_operator(M) -> np.ndarray:
     return as_operators(M)
 
 
-def as_state(v, allow_zero: bool = False) -> np.ndarray:
-    """Validate and return ``v`` as a 1-D complex vector."""
+def as_state(v) -> np.ndarray:
+    """Validate and return ``v`` as a nonzero 1-D complex vector."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"expected a 1-D state vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite entries")
-    if not allow_zero and not np.any(v):
+    if not np.any(v):
         raise ValueError("zero vector is not a valid state here")
     return v
 
@@ -404,7 +404,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / abs(pivot))
 
 
-def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
+def eig_pair_general(M, pin: complex | None = None,
                      tolerances: Tolerances = DEFAULT) -> tuple[complex, np.ndarray]:
     """One deterministic eigenpair of a general complex matrix.
 
@@ -419,13 +419,15 @@ def eig_pair_general(M, pin: complex | None = None, dim_cap: int = DIM_CAP,
 
     Raises
     ------
+    ValueError
+        when ``M`` is larger than ``DIM_CAP``.
     DefectiveEigenproblem
         when no vector meets ``|Mv - zv| <= tol * ||M||_F * |v|``.
     """
     M = as_operator(M)
     n = M.shape[0]
-    if n > dim_cap:
-        raise ValueError(f"dimension {n} exceeds the configured cap {dim_cap}")
+    if n > DIM_CAP:
+        raise ValueError(f"dimension {n} exceeds the configured cap {DIM_CAP}")
     z = _select_root(np.linalg.eigvals(M), pin)
     v = _null_vector(M - z * np.eye(n))
     if v is None:

@@ -45,8 +45,8 @@ from .lax_engine import build_lax, eigenvalue_multiplicity, identity_pair
 from .operator_core import frob
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
-from .symmetry_transforms import (RescaledFlow, ShiftSpec, ShiftedFlow,
-                                  reseed_rescale, reseed_shift)
+from .symmetry_transforms import (RescaledFlow, ShiftedFlow, reseed_rescale,
+                                  reseed_shift)
 from .tolerances import DEFAULT, Tolerances
 from .verification import CHECKS, VerificationReport, run_suite
 
@@ -418,7 +418,7 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
 
     lax = build_lax(seed, s.mu, s.nu, s.lam, tolerances=tolerances, **s.pins)
     params = lax.params
-    flow = DressedFlow(seed, lax, tolerances)
+    flow = DressedFlow(lax, tolerances)
 
     reference = None
     residual_scale = 1.0
@@ -430,7 +430,7 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             if s.shift_x is not None:
                 X, size = s.shift_x, frob(s.shift_x)
             else:
-                X = ShiftSpec.uniform(s.shift_lambda, seed.dim).X
+                X = float(s.shift_lambda) * np.eye(seed.dim, dtype=complex)
                 size = abs(s.shift_lambda)
             flow = ShiftedFlow(spec, flow, X, tolerances=tolerances)
             reference = seed.rho0 + X

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import NormalExp, as_operator, as_state, commutator, frob
-from .tolerances import DEFAULT, Tolerances
-from .vne_model import ModelSpec, rhs
+from .tolerances import DEFAULT
+from .vne_model import Flow, ModelSpec, rhs
 
 
 class SeedFamily(str, Enum):
@@ -33,8 +33,9 @@ class SeedFamily(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SeedSolution:
-    """A certified seed rho(0) together with its exact evolution rule."""
+class SeedSolution(Flow):
+    """A certified seed rho(0) together with its exact evolution rule: a
+    ``Flow`` whose ``stack`` is the closed-form rho(t)."""
 
     family: SeedFamily
     rho0: np.ndarray
@@ -81,7 +82,7 @@ class SeedSolution:
         """The generator of the seed's evolution; none for stationary seeds."""
         return () if self._evolution is None else (self._evolution.G,)
 
-    def rho_stack(self, times) -> np.ndarray:
+    def stack(self, times) -> np.ndarray:
         """Closed-form rho(t) for each time, shape ``(len(times), d, d)``.
 
         Rows at t = 0 are exactly ``rho0``.
@@ -93,7 +94,7 @@ class SeedSolution:
 
     def rho_at(self, t: float) -> np.ndarray:
         """Closed-form rho(t); ``rho_at(0)`` is exactly ``rho0``."""
-        return self.rho_stack([t])[0]
+        return self.stack([t])[0]
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -109,8 +110,8 @@ def _certify(condition: bool, message: str):
         raise ValueError(message)
 
 
-def make_anticommuting_seed(dim_pairs: int, b, alpha=None, n: int = 2,
-                            tolerances: Tolerances = DEFAULT) -> SeedSolution:
+def make_anticommuting_seed(dim_pairs: int, b, alpha=None,
+                            n: int = 2) -> SeedSolution:
     """Block seed with ``A rho0 = -rho0 A``, stationary for every n.
 
     Block j couples the eigenvalue pair ``(+alpha_j, -alpha_j)`` of A through
@@ -140,7 +141,7 @@ def make_anticommuting_seed(dim_pairs: int, b, alpha=None, n: int = 2,
     rho0 = _block_diag([np.array([[0.0, bj], [bj, 0.0]]) for bj in b])
     spec = ModelSpec(n, A)
 
-    gate = tolerances.seed_structure
+    gate = DEFAULT.seed_structure
     _certify(frob(A @ rho0 + rho0 @ A) <= gate, "anticommutation failed at build")
     _certify(abs(np.trace(rho0 @ A)) <= gate, "Tr(rho0 A) must vanish")
     _certify(frob(commutator(rho0, A @ A)) <= gate, "rho0 must commute with A^2")
@@ -149,8 +150,7 @@ def make_anticommuting_seed(dim_pairs: int, b, alpha=None, n: int = 2,
     return SeedSolution(SeedFamily.ANTICOMMUTING, rho0, spec)
 
 
-def make_delta_commuting_seed(blocks, a: float,
-                              tolerances: Tolerances = DEFAULT) -> SeedSolution:
+def make_delta_commuting_seed(blocks, a: float) -> SeedSolution:
     """n = 1 seed with ``[rho0^2 - a rho0, H] = 0`` but ``[rho0, H] != 0``.
 
     Each block ``(omega_j, kappa_j)`` contributes H_j = diag(omega_j,
@@ -176,13 +176,12 @@ def make_delta_commuting_seed(blocks, a: float,
     spec = ModelSpec(1, H)
 
     delta = rho0 @ rho0 - a * rho0
-    _certify(frob(commutator(delta, H)) <= tolerances.seed_structure,
+    _certify(frob(commutator(delta, H)) <= DEFAULT.seed_structure,
              "[rho0^2 - a rho0, H] does not vanish at build")
     return SeedSolution(SeedFamily.DELTA_COMMUTING, rho0, spec, a=a)
 
 
-def make_commuting_seed(p, alpha, n: int = 1,
-                        tolerances: Tolerances = DEFAULT) -> SeedSolution:
+def make_commuting_seed(p, alpha, n: int = 1) -> SeedSolution:
     """Diagonal seed with ``[rho0, A] = 0``; stationary and dressing-trivial."""
     p = np.asarray(p, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -191,13 +190,12 @@ def make_commuting_seed(p, alpha, n: int = 1,
     rho0 = np.diag(p).astype(complex)
     A = np.diag(alpha).astype(complex)
     spec = ModelSpec(n, A)
-    _certify(frob(commutator(rho0, A)) <= tolerances.seed_structure,
+    _certify(frob(commutator(rho0, A)) <= DEFAULT.seed_structure,
              "commuting seed failed to commute")
     return SeedSolution(SeedFamily.COMMUTING, rho0, spec)
 
 
-def make_pure_state_seed(spec: ModelSpec, psi0,
-                         tolerances: Tolerances = DEFAULT) -> SeedSolution:
+def make_pure_state_seed(spec: ModelSpec, psi0) -> SeedSolution:
     """Projector seed ``|psi0><psi0|`` for a normalized psi0.
 
     Its exact solution is ``rho_at(t) = U(t) |psi0><psi0| U(t)^dag`` with
@@ -208,21 +206,7 @@ def make_pure_state_seed(spec: ModelSpec, psi0,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized to 1e-12")
     rho0 = np.outer(psi0, np.conj(psi0))
-    gate = tolerances.seed_structure
+    gate = DEFAULT.seed_structure
     _certify(frob(rho0 @ rho0 - rho0) <= gate, "pure seed is not idempotent")
     _certify(abs(np.trace(rho0) - 1.0) <= gate, "pure seed trace must be 1")
     return SeedSolution(SeedFamily.PURE_STATE, rho0, spec)
-
-
-def nlse_rhs(spec: ModelSpec, psi) -> np.ndarray:
-    """-i sum_{k=0}^{n-1} <psi|A^k|psi> A^{n-k} |psi>, the state-vector flow.
-
-    Used only as a cross-check oracle against the projector dynamics; for
-    n = 1 it reduces to the linear -i A |psi> on normalized states.
-    """
-    psi = as_state(psi)
-    total = np.zeros_like(psi)
-    for k in range(spec.n):
-        coeff = np.conj(psi) @ (spec.powers[k] @ psi)
-        total = total + coeff * (spec.powers[spec.n - k] @ psi)
-    return -1j * total

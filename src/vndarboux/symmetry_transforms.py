@@ -16,13 +16,11 @@ shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and the
 flow beneath the chain (its ``root``) is evaluated once per stack, at the
 times ``source_times`` maps the stack to; ``finish`` then applies every
 transform.  ``dressed_trajectory`` dresses the samples of a chain through
-the same two maps.  Calling the flows that
+the same two maps.  Each transforms a ``Flow``; calling the flows that
 ``shifted_flow``/``rescaled_flow`` return at one time is the one-point case.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +29,7 @@ from .operator_core import (NormalExp, as_operator, commutator, eig_hermitian,
                             frob, is_hermitian)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
-from .vne_model import Flow, ModelSpec, stack_of
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftSpec:
-    """A shift operator X; must commute with both A and rho(0) where used."""
-
-    X: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", as_operator(self.X))
-
-    @classmethod
-    def uniform(cls, lam: float, dim: int) -> "ShiftSpec":
-        return cls(float(lam) * np.eye(dim, dtype=complex))
+from .vne_model import Flow, ModelSpec
 
 
 def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
@@ -57,24 +41,15 @@ def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
         raise ValueError("shift operator must commute with rho(0)")
 
 
-class _Points(Flow):
-    # a plain callable as a flow: called once per time with a float
-    def __init__(self, rho_at):
-        self._rho_at = rho_at
-
-    def stack(self, times) -> np.ndarray:
-        return stack_of(self._rho_at, times)
-
-
 class _Transform(Flow):
-    """A map of the solution ``rho_at`` (a ``Flow`` or any callable): the
-    state at t comes from ``rho_at``'s state at ``_inner(t)``, through
-    ``_apply``.  ``stack`` evaluates the root once at ``source_times`` and
-    applies every transform of the chain with ``finish``."""
+    """A map of the flow ``source``: the state at t comes from ``source``'s
+    state at ``_inner(t)``, through ``_apply``.  ``stack`` evaluates the root
+    once at ``source_times`` and applies every transform of the chain with
+    ``finish``."""
 
-    def __init__(self, rho_at):
-        self._source = rho_at if isinstance(rho_at, Flow) else _Points(rho_at)
-        self.support_size = self._source.support_size
+    def __init__(self, source: Flow):
+        self._source = source
+        self.support_size = source.support_size
 
     @property
     def root(self) -> Flow:
@@ -94,11 +69,11 @@ class _Transform(Flow):
 class ShiftedFlow(_Transform):
     """rho_X on stacks of times; the invariants are checked once up front."""
 
-    def __init__(self, spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,
+    def __init__(self, spec: ModelSpec, source: Flow, X: np.ndarray,
                  tolerances: Tolerances = DEFAULT):
-        X = X.X if isinstance(X, ShiftSpec) else as_operator(X)
-        _check_shift_invariants(X, spec.A, as_operator(rho_at(0.0)), tolerances)
-        super().__init__(rho_at)
+        X = as_operator(X)
+        _check_shift_invariants(X, spec.A, as_operator(source(0.0)), tolerances)
+        super().__init__(source)
         self._X = X
         self._factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]),
                                  tolerances)
@@ -113,11 +88,11 @@ class ShiftedFlow(_Transform):
 class RescaledFlow(_Transform):
     """Y rho(Y t) on stacks of times."""
 
-    def __init__(self, rho_at, Y: float):
+    def __init__(self, source: Flow, Y: float):
         Y = float(Y)
         if Y == 0:
             raise ValueError("Y must be nonzero")
-        super().__init__(rho_at)
+        super().__init__(source)
         self._Y = Y
 
     def _inner(self, times: np.ndarray) -> np.ndarray:
@@ -127,39 +102,39 @@ class RescaledFlow(_Transform):
         return self._Y * states
 
 
-def shifted_flow(spec: ModelSpec, rho_at, X: ShiftSpec | np.ndarray,
+def shifted_flow(spec: ModelSpec, source: Flow, X: np.ndarray,
                  tolerances: Tolerances = DEFAULT) -> ShiftedFlow:
     """Return ``t -> rho_X(t)`` with the invariants checked once up front."""
-    return ShiftedFlow(spec, rho_at, X, tolerances)
+    return ShiftedFlow(spec, source, X, tolerances)
 
 
-def rescaled_flow(rho_at, Y: float) -> RescaledFlow:
+def rescaled_flow(source: Flow, Y: float) -> RescaledFlow:
     """Return ``t -> Y rho(Y t)``."""
-    return RescaledFlow(rho_at, Y)
+    return RescaledFlow(source, Y)
 
 
-def normalize_to_density(rho_at, spec: ModelSpec, margin: float = 0.0,
+def normalize_to_density(source: Flow, spec: ModelSpec,
                          tolerances: Tolerances = DEFAULT):
     """Shift then rescale a Hermitian solution into a density matrix.
 
-    Chooses ``Lambda = max(0, -lambda_min(rho(0))) + margin`` and
-    ``Y = 1 / (Tr rho(0) + Lambda dim)``; returns ``(ShiftSpec, Y, flow)``
-    where ``flow(t) = Y rho_X(Y t)`` has unit trace and no eigenvalue below
-    the positivity floor at t = 0.
+    Chooses ``Lambda = max(0, -lambda_min(rho(0)))`` and
+    ``Y = 1 / (Tr rho(0) + Lambda dim)``; returns ``(X, Y, flow)`` with
+    ``X = Lambda 1``, where ``flow(t) = Y rho_X(Y t)`` has unit trace and no
+    eigenvalue below the positivity floor at t = 0.
     """
-    rho0 = as_operator(rho_at(0.0))
+    rho0 = as_operator(source(0.0))
     if not is_hermitian(rho0, tolerances.hermiticity):
         raise ValueError("normalize_to_density requires a Hermitian rho(0)")
     values, _ = eig_hermitian(rho0, eps=tolerances.hermiticity)
-    lam = max(0.0, -float(values[0])) + float(margin)
+    lam = max(0.0, -float(values[0]))
     dim = rho0.shape[0]
     total = float(np.trace(rho0).real) + lam * dim
     if abs(total) < 1e-14 * max(1.0, frob(rho0)):
         raise UnnormalizableError(
             "shifted solution has zero trace and cannot be normalized")
     Y = 1.0 / total
-    X = ShiftSpec.uniform(lam, dim)
-    base = shifted_flow(spec, rho_at, X, tolerances=tolerances)
+    X = lam * np.eye(dim, dtype=complex)
+    base = shifted_flow(spec, source, X, tolerances=tolerances)
     flow = rescaled_flow(base, Y)
 
     start = flow(0.0)

@@ -3,9 +3,9 @@
 ``ModelSpec`` fixes the nonlinearity order n and the time-independent
 self-adjoint operator A; ``rhs`` evaluates the flow and ``residuals``
 certifies, on stacks of times, that a trajectory actually solves the
-equation (``residual`` is its one-point case).  A ``Flow`` is a solution the
-library evaluates on stacks; ``stack_of`` calls any other callable once per
-time, never with an array.
+equation (``residual`` is its one-point case).  A ``Flow`` is a solution
+evaluated on stacks of times, and the only form in which the library takes
+one.
 """
 
 from __future__ import annotations
@@ -108,17 +108,6 @@ class Flow:
         return self.stack([t])[0]
 
 
-def stack_of(rho_at, times) -> np.ndarray:
-    """``rho_at`` at each time as a ``(len(times), d, d)`` stack.
-
-    A ``Flow`` evaluates the whole stack at once; any other callable is
-    called once per time with a float.
-    """
-    if isinstance(rho_at, Flow):
-        return rho_at.stack(times)
-    return np.stack([as_operator(rho_at(float(t))) for t in times])
-
-
 def hamiltonian_of(spec: ModelSpec, rho) -> np.ndarray:
     """sum_{k=0}^{n} A^{n-k} rho A^k, the state-dependent generator.
 
@@ -195,14 +184,14 @@ def _defect(spec: ModelSpec, rdot: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return rdot
 
 
-def residuals(spec: ModelSpec, rho_at, times, states=None,
-              h: float | None = None, tol: float | None = None,
+def residuals(spec: ModelSpec, flow: Flow, times, states=None,
               tol_scale: float = 1.0,
               tolerances: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """Residual norm and tolerance of ``rho_at`` at each time.
+    """Residual norm and tolerance of ``flow`` at each time.
 
-    rho' is estimated by the 5-point central stencil (O(h^4)); the default
-    tolerance is ``max(residual_floor, C h^4)`` with
+    rho' is estimated by the 5-point central stencil (O(h^4)) with
+    ``h = default_step(spec)``; the tolerance is
+    ``max(residual_floor, C h^4)`` with
     ``C = ((n+1) (1+||A||_F)^{n+1} max(1, ||rho(t)||_F))^5 / 30``, a bound on
     the fifth time-derivative entering the stencil error.  ``states`` is the
     ``(len(times), d, d)`` stack of rho(t) when it is already known;
@@ -213,49 +202,42 @@ def residuals(spec: ModelSpec, rho_at, times, states=None,
     points time by time, each time's four offsets in that order, raises
     first.
     """
-    if h is None:
-        h = default_step(spec)
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = default_step(spec)
     times = np.asarray(times, dtype=float)
     offsets = np.array([2 * h, h, -h, -2 * h])
     generator_scale = (spec.n + 1) * (1.0 + frob(spec.A)) ** (spec.n + 1)
     norms, tols = [], []
     # a flow without a support is budgeted as a dressing on whole states
-    support = getattr(rho_at, "support_size", None) or spec.dim
+    support = flow.support_size or spec.dim
     for block in time_blocks(len(times), spec.dim, support=support):
         t = times[block]
-        rho_t = (stack_of(rho_at, t) if states is None
+        rho_t = (flow.stack(t) if states is None
                  else as_operators(states[block]))
         try:
-            rdot = -stack_of(rho_at, t + offsets[0])
-            rdot += 8 * stack_of(rho_at, t + offsets[1])
-            rdot -= 8 * stack_of(rho_at, t + offsets[2])
-            rdot += stack_of(rho_at, t + offsets[3])
+            rdot = -flow.stack(t + offsets[0])
+            rdot += 8 * flow.stack(t + offsets[1])
+            rdot -= 8 * flow.stack(t + offsets[2])
+            rdot += flow.stack(t + offsets[3])
         except Exception:
             # offset by offset the stacks meet failing points in another
             # order: raise what the time-major ring meets first
-            stack_of(rho_at, (t[:, None] + offsets).ravel())
+            flow.stack((t[:, None] + offsets).ravel())
             raise
         rdot /= 12 * h
         norms.append(frob_stack(_defect(spec, rdot, rho_t)))
-        if tol is None:
-            C = (generator_scale * np.maximum(1.0, frob_stack(rho_t))) ** 5 / 30.0
-            tols.append(np.maximum(tolerances.residual_floor, C * h ** 4))
-        else:
-            tols.append(np.full(len(t), float(tol)))
+        C = (generator_scale * np.maximum(1.0, frob_stack(rho_t))) ** 5 / 30.0
+        tols.append(np.maximum(tolerances.residual_floor, C * h ** 4))
     return np.concatenate(norms), np.concatenate(tols) * tol_scale
 
 
-def residual(spec: ModelSpec, rho_at, t: float, h: float | None = None,
-             tol: float | None = None, tol_scale: float = 1.0,
+def residual(spec: ModelSpec, flow: Flow, t: float, tol_scale: float = 1.0,
              tolerances: Tolerances = DEFAULT) -> ResidualReport:
-    """Finite-difference check that ``rho_at`` solves the equation at ``t``.
+    """Finite-difference check that ``flow`` solves the equation at ``t``.
 
     The one-point case of ``residuals``, which documents the stencil and
-    the default tolerance.
+    the tolerance.
     """
-    norms, tols = residuals(spec, rho_at, [t], h=h, tol=tol,
-                            tol_scale=tol_scale, tolerances=tolerances)
+    norms, tols = residuals(spec, flow, [t], tol_scale=tol_scale,
+                            tolerances=tolerances)
     return ResidualReport(t=float(t), residual_norm=float(norms[0]),
                           tolerance_used=float(tols[0]))

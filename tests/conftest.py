@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from vndarboux import (SingularDarboux, build_lax, dressed_trajectory,
+from vndarboux import (Flow, SingularDarboux, build_lax, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed)
 from vndarboux.darboux_engine import _projector_stack
+from vndarboux.operator_core import as_state
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
@@ -38,6 +39,34 @@ def rk4_ode(f, y0, t_end, dt):
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return y
+
+
+def nlse_rhs(spec, psi):
+    """-i sum_{k=0}^{n-1} <psi|A^k|psi> A^{n-k} |psi>, the state-vector flow.
+
+    The oracle for the projector dynamics of pure states; for n = 1 it
+    reduces to the linear -i A |psi> on normalized states.
+    """
+    psi = as_state(psi)
+    total = np.zeros_like(psi)
+    for k in range(spec.n):
+        coeff = np.conj(psi) @ (spec.powers[k] @ psi)
+        total = total + coeff * (spec.powers[spec.n - k] @ psi)
+    return -1j * total
+
+
+class PlantedError(Flow):
+    """The states of ``source`` plus ``t * error`` at each time t: a flow
+    that solves nothing, for the checks to catch."""
+
+    def __init__(self, source, error):
+        self.source = source
+        self.error = np.asarray(error, dtype=complex)
+        self.support_size = source.support_size
+
+    def stack(self, times):
+        times = np.asarray(times, dtype=float)
+        return self.source.stack(times) + times[:, None, None] * self.error
 
 
 def whole_projectors(diagnostics):

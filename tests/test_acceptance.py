@@ -10,17 +10,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SX, SZ, draw_valid_scenario, rk4_ode, whole_projectors
+from conftest import (SX, SZ, PlantedError, draw_valid_scenario, nlse_rhs,
+                      rk4_ode, whole_projectors)
 from vndarboux import (InconsistentLax, build_lax, dressed_trajectory,
                        explicit_eavn, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
-                       make_pure_state_seed, nlse_rhs, normalize_to_density,
+                       make_pure_state_seed, normalize_to_density,
                        residual, rescaled_flow, run_suite, shifted_flow,
                        trace_moments)
 from vndarboux.darboux_engine import DressedFlow
 from vndarboux.lax_engine import DarbouxParams
 from vndarboux.operator_core import dagger, frob
-from vndarboux.symmetry_transforms import ShiftSpec
 from vndarboux.vne_model import ModelSpec, default_step, hamiltonian_of
 
 
@@ -59,7 +59,7 @@ def test_criterion_2_two_form_equality(scenario_batch):
         diag = traj.diagnostics
         for t, form_gap, P in zip(traj.times, diag.form_gap, whole_projectors(diag)):
             worst_gap = max(worst_gap, form_gap)
-            rho = seed.rho_at(t)
+            rho = seed(t)
             bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
                       - (rho @ P) / mu + (P @ rho) / nu)
             worst_bridge = max(worst_bridge, frob((P @ A - A @ P) - bridge))
@@ -160,7 +160,7 @@ def test_criterion_6_covariance_of_transformed_left_solution():
         spec = seed.spec
         h = 10 * default_step(spec)
 
-        flow = DressedFlow(seed, lax)
+        flow = DressedFlow(lax)
 
         def psi1_at(t, P=None):
             # one-element stacks; P, when given, is a support block
@@ -216,7 +216,7 @@ def test_criterion_8_pure_state_equivalence():
             psi0 /= np.linalg.norm(psi0)
             psi_t = rk4_ode(lambda t, y: nlse_rhs(spec, y), psi0, 1.0, 1e-3)
             oracle = np.outer(psi_t, np.conj(psi_t))
-            closed = make_pure_state_seed(spec, psi0).rho_at(1.0)
+            closed = make_pure_state_seed(spec, psi0)(1.0)
             worst = max(worst, frob(closed - oracle))
     # n = 1 reduces to the linear flow
     spec1 = ModelSpec(1, SZ)
@@ -238,7 +238,7 @@ def test_criterion_9_symmetry_closure():
     for seed, traj in ((sigma_seed, sigma_traj), (delta_seed, delta_traj)):
         spec = seed.spec
         for lam in (-1.0, 0.5, 2.0):
-            flow = shifted_flow(spec, traj.rho_at, ShiftSpec.uniform(lam, seed.dim))
+            flow = shifted_flow(spec, traj.rho_at, lam * np.eye(seed.dim))
             tol = 1e-6 * (1.0 + abs(lam)) * max(1.0, frob(spec.A) ** spec.n)
             for t in traj.times:
                 worst_ratio = max(worst_ratio,
@@ -250,7 +250,7 @@ def test_criterion_9_symmetry_closure():
                 worst_ratio = max(worst_ratio,
                                   residual(spec, flow, t).residual_norm / tol)
     # normalize_to_density on the sigma-x seed
-    X, Y, flow = normalize_to_density(sigma_seed.rho_at, sigma_seed.spec)
+    X, Y, flow = normalize_to_density(sigma_seed, sigma_seed.spec)
     start = flow(0.0)
     vals = np.linalg.eigvalsh((start + dagger(start)) / 2)
     eig_gap = float(np.max(np.abs(vals - np.array([0.0, 1.0]))))
@@ -312,11 +312,9 @@ def test_criterion_11_fault_injection():
     # (c) perturbed trajectory: the residual named check fails
     traj = dressed_trajectory(lax, SAMPLES)
     from vndarboux import Trajectory
-    corrupted_at = lambda t: traj.rho_at(t) + 0.1 * t * SX
-    bad = Trajectory(times=traj.times,
-                     states=[corrupted_at(t) for t in traj.times],
-                     lax=lax, diagnostics=traj.diagnostics,
-                     rho_at=corrupted_at)
+    corrupted = PlantedError(traj.rho_at, 0.1 * SX)
+    bad = Trajectory(times=traj.times, states=corrupted.stack(traj.times),
+                     lax=lax, diagnostics=traj.diagnostics, rho_at=corrupted)
     report = run_suite(bad, scenario_id="fault")
     by_name = {c.name: c.passed for c in report.checks}
     detected.append(not by_name["residual"])

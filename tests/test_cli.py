@@ -158,7 +158,7 @@ def test_after_flow_dresses_each_sample_once_at_y_t(y):
     grid = np.linspace(-1.0, 1.0, 11)
     assert result.report.overall and traj.singular_t is None
     assert traj.times.tobytes() == grid.tobytes()
-    dressed = DressedFlow(seed, traj.lax)
+    dressed = DressedFlow(traj.lax)
     X = 0.5 * np.eye(seed.dim, dtype=complex)
     shift = NormalExp(2 * (X @ seed.spec.A))
     expected = y * shift.similarity(dressed.stack(y * grid) + X, -1j * (y * grid))

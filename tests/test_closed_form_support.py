@@ -82,7 +82,7 @@ def _workload_projectors(bench, workload, draws=4):
         scenario = read_scenario(cfg)
         seed = scenario.build_seed()
         lax = build_lax(seed, scenario.mu, scenario.nu, scenario.lam)
-        flow = DressedFlow(seed, lax)
+        flow = DressedFlow(lax)
         assert flow.support_size == 2 and lax.params.hermitian_mode
         P, _, failure = flow.projectors(scenario.rescale_y * scenario.times)
         assert failure is None
@@ -123,7 +123,7 @@ def _verdicts(P, mu, monkeypatch):
 def _delta_projectors():
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
     mu = 0.9 - 0.4j
-    flow = DressedFlow(seed, build_lax(seed, mu))
+    flow = DressedFlow(build_lax(seed, mu))
     assert flow.support_size == 2
     return flow.projectors(np.linspace(-2.0, 2.0, 9))[0], mu
 
@@ -211,7 +211,7 @@ def test_each_support_takes_its_exponential(case, monkeypatch):
         seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.9)
     nu = 0.5 - 1.1j if case == "general" else None
     lax = build_lax(seed, 0.3 + 0.8j, nu)
-    flow = DressedFlow(seed, lax)
+    flow = DressedFlow(lax)
     times = np.linspace(-1.0, 1.0, 7)
     eigh = _spy(monkeypatch, np.linalg, "eigh")
     mat_exp = _spy(monkeypatch, darboux_engine, "mat_exp")

@@ -9,8 +9,7 @@ from conftest import (SX, SZ, draw_valid_scenario, scaled_projectors,
 from vndarboux import (DEFAULT, InconsistentLax, SingularDarboux, build_lax,
                        darboux_engine, dress, dressed_trajectory, explicit_eavn,
                        make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed, mat_exp, projector, residual,
-                       similarity_T)
+                       make_delta_commuting_seed, mat_exp, projector, residual)
 from vndarboux.darboux_engine import (DressedFlow, _dress_stack,
                                       _hermitian_exp, _projector_stack,
                                       _similarity_stack, _similarity_terms,
@@ -59,18 +58,28 @@ def test_projector_idempotent_and_unit_trace(dim, seed):
 # ---------------------------------------------------------------------------
 # similarity operator
 
+def _similarity(P, mu, nu):
+    # T = 1 + ((mu - nu)/nu) P from a one-element stack, raising the error
+    # of its t_equality gate
+    T, failure = _similarity_stack(np.asarray(P, dtype=complex)[None],
+                                   complex(mu), complex(nu), DEFAULT)
+    if failure is not None:
+        raise failure[1]
+    return T[0]
+
+
 def test_similarity_identity_when_parameters_match():
-    npt.assert_allclose(similarity_T(P_REFERENCE, 2.0, 2.0), np.eye(2), atol=1e-14)
+    npt.assert_allclose(_similarity(P_REFERENCE, 2.0, 2.0), np.eye(2), atol=1e-14)
 
 
 def test_similarity_imaginary_mu_gives_reflection():
-    npt.assert_allclose(similarity_T(P_REFERENCE, 1j, -1j),
+    npt.assert_allclose(_similarity(P_REFERENCE, 1j, -1j),
                         np.eye(2) - 2 * P_REFERENCE, atol=1e-13)
 
 
 def test_similarity_diagonal_example():
     P = np.diag([1.0, 0.0]).astype(complex)
-    T = similarity_T(P, 2.0, 1.0)
+    T = _similarity(P, 2.0, 1.0)
     npt.assert_allclose(T, np.diag([2.0, 1.0]), atol=1e-14)
     T_inv = np.eye(2) + ((1.0 - 2.0) / 2.0) * P
     npt.assert_allclose(T @ T_inv, np.eye(2), atol=1e-14)
@@ -78,13 +87,8 @@ def test_similarity_diagonal_example():
 
 def test_similarity_negative_ratio_branch_safe():
     # mu/nu on the negative real axis exercises the principal branch
-    T = similarity_T(P_REFERENCE, 1.0 + 0.0j, -2.0 + 0.0j)
+    T = _similarity(P_REFERENCE, 1.0 + 0.0j, -2.0 + 0.0j)
     npt.assert_allclose(T, np.eye(2) + (3.0 / -2.0) * P_REFERENCE, atol=1e-13)
-
-
-def test_similarity_rejects_zero_parameters():
-    with pytest.raises(ValueError, match="nonzero"):
-        similarity_T(P_REFERENCE, 0.0, 1.0)
 
 
 T_EQUALITY = "rational and exponential forms of T disagree; P is not idempotent"
@@ -107,7 +111,7 @@ def test_hermitian_gate_trips_at_the_pade_scale(monkeypatch):
     # hermitian-mode flow and mat_exp agree on where t_equality trips
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
     mu = 0.9 - 0.4j
-    flow = DressedFlow(seed, build_lax(seed, mu))
+    flow = DressedFlow(build_lax(seed, mu))
     times = np.linspace(-2.0, 2.0, 9)
     P = flow.projectors(times)[0]
     for excess in (1e-9, 1e-10, 3e-11, 1e-11, 1e-12):
@@ -117,7 +121,7 @@ def test_hermitian_gate_trips_at_the_pade_scale(monkeypatch):
         assert verdicts[0] == verdicts[1] == (excess < 1e-10), excess
     for excess, trips in ((1e-10, True), (1e-11, False)):
         try:
-            similarity_T((1 + excess) * P[4], mu, np.conj(mu))
+            _similarity((1 + excess) * P[4], mu, np.conj(mu))
         except InconsistentLax as error:
             assert trips and str(error) == T_EQUALITY
         else:
@@ -143,7 +147,7 @@ def test_similarity_T_keeps_mat_exp_for_a_non_hermitian_P(monkeypatch):
     calls = []
     monkeypatch.setattr(darboux_engine, "mat_exp",
                         lambda M: calls.append(M) or mat_exp(M))
-    T = similarity_T(P, mu, np.conj(mu))
+    T = _similarity(P, mu, np.conj(mu))
     assert len(calls) == 1
     npt.assert_allclose(T, np.eye(3) + ((mu - np.conj(mu)) / np.conj(mu)) * P,
                         atol=1e-15)
@@ -271,7 +275,7 @@ def test_commuting_trajectory_trivial():
     lax = build_lax(seed, mu=0.5 + 0.5j)
     traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
     for t, state in zip(traj.times, traj.states):
-        npt.assert_allclose(state, seed.rho_at(t), atol=1e-12)
+        npt.assert_allclose(state, seed(t), atol=1e-12)
 
 
 def test_truncation_reports_singular_time():
@@ -357,7 +361,7 @@ def test_sigma_x_covariance_residual():
     lax = build_lax(SIGMA_SEED, mu=1j, lam=3j)
     params = lax.params
     traj = dressed_trajectory(lax, [0.0, 1.0, 2.0])
-    flow = DressedFlow(SIGMA_SEED, lax)
+    flow = DressedFlow(lax)
     for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
         rows, shift = flow.psi1_rows([t], P=P[None])
         psi1 = rows[0] * np.exp(shift[0])

@@ -15,12 +15,12 @@ import pytest
 
 from test_support import _rotated_delta_seed
 from vndarboux import (DEFAULT, ModelSpec, build_lax, dressed_trajectory,
-                       hamiltonian_of, residuals)
+                       hamiltonian_of, rescaled_flow, residuals)
 from vndarboux import darboux_engine
 from vndarboux.darboux_engine import _commutator_with
 from vndarboux.operator_core import frob, frob_stack, time_blocks
 from vndarboux.scenario_cli import execute_scenario
-from vndarboux.vne_model import Flow, default_step, stack_of
+from vndarboux.vne_model import Flow, default_step
 
 
 def _matmul_hamiltonian(spec, rho):
@@ -176,7 +176,7 @@ def _time_major_residuals(spec, flow, times, states):
     norms = []
     for start in range(0, len(times), per_ring):
         t, rho = times[start:start + per_ring], states[start:start + per_ring]
-        ring = stack_of(flow, (t[:, None] + offsets).ravel())
+        ring = flow.stack((t[:, None] + offsets).ravel())
         ring = ring.reshape((len(t), len(offsets)) + rho.shape[-2:])
         rdot = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
         H = _matmul_hamiltonian(spec, rho)
@@ -245,7 +245,7 @@ class _PlantedFlow(Flow):
         return np.broadcast_to(np.eye(2, dtype=complex), (len(times), 2, 2)).copy()
 
 
-@pytest.mark.parametrize("kind", ["flow", "callable"])
+@pytest.mark.parametrize("kind", ["flow", "rescaled"])
 def test_a_ring_with_two_failing_points_raises_the_time_major_error(kind):
     spec = ModelSpec(1, np.diag([1.0, -1.0]))
     h = default_step(spec)
@@ -255,14 +255,15 @@ def test_a_ring_with_two_failing_points_raises_the_time_major_error(kind):
     # offset by offset, the t+2h stack comes first
     first, later = times[1] + offsets[3], times[3] + offsets[0]
     flow = _PlantedFlow({float(first), float(later)})
-    rho_at = flow if kind == "flow" else (lambda t: flow.stack([t])[0])
+    # Y = 1 maps every time to itself, bit for bit, through a transform
+    checked = flow if kind == "flow" else rescaled_flow(flow, 1.0)
     with pytest.raises(ArithmeticError) as time_major:
-        stack_of(rho_at, (times[:, None] + offsets).ravel())
+        flow.stack((times[:, None] + offsets).ravel())
     assert repr(float(first)) in str(time_major.value)
     with pytest.raises(ArithmeticError) as raised:
-        residuals(spec, rho_at, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))
+        residuals(spec, checked, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))
     assert str(raised.value) == str(time_major.value)
     # one failing point in the first offset's stack only
     flow.planted = {float(later)}
     with pytest.raises(ArithmeticError, match=repr(float(later))):
-        residuals(spec, rho_at, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))
+        residuals(spec, checked, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))

@@ -144,7 +144,7 @@ def test_evolve_psi_requires_lambda():
 def test_eigen_relation_persists(make, mu):
     seed = make()
     lax = build_lax(seed, mu)
-    pencil_of = lambda t: seed.rho_at(t) - mu * seed.spec.A
+    pencil_of = lambda t: seed(t) - mu * seed.spec.A
     for t in (-2.0, -0.7, 0.0, 1.1, 2.0):
         phi = lax.phi_at(t)
         gap = np.linalg.norm(pencil_of(t) @ phi - lax.params.z_mu * phi)
@@ -187,7 +187,7 @@ def test_evolve_phi_matches_rk4_of_time_equation(make, mu):
     spec = seed.spec
 
     def f(t, y):
-        G = hamiltonian_of(spec, seed.rho_at(t)) - mu * spec.powers[spec.n + 1]
+        G = hamiltonian_of(spec, seed(t)) - mu * spec.powers[spec.n + 1]
         return -1j * (G @ y)
 
     oracle = rk4_ode(f, lax.phi0, 1.0, 1e-3)
@@ -202,7 +202,7 @@ def test_evolve_chi_matches_rk4_general_mode():
     spec = seed.spec
 
     def f(t, y):
-        G = hamiltonian_of(spec, seed.rho_at(t)) - lax.params.nu * spec.powers[spec.n + 1]
+        G = hamiltonian_of(spec, seed(t)) - lax.params.nu * spec.powers[spec.n + 1]
         return 1j * (y @ G)
 
     oracle = rk4_ode(f, lax.chi0, 1.0, 1e-3)

@@ -119,7 +119,7 @@ def cases(bench):
     seed = _rotated_delta_seed(D12_BLOCKS, a=0.9)
     for mode, nu in (("hermitian", None), ("general", 0.5 - 1.1j)):
         lax = build_lax(seed, 0.3 + 0.8j, nu, lam=0.2 + 2.0j)
-        built[f"rotated-{mode}"] = (lax, DressedFlow(seed, lax))
+        built[f"rotated-{mode}"] = (lax, DressedFlow(lax))
     return built
 
 

@@ -470,7 +470,8 @@ def test_eig_pair_selects_among_the_unpolished_roots():
 
 
 def test_eig_pair_dim_cap():
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError,
+                       match="^dimension 40 exceeds the configured cap 32$"):
         eig_pair_general(np.eye(40))
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SX, SZ, rk4_ode
+from conftest import SX, SZ, nlse_rhs, rk4_ode
 from vndarboux import (ModelSpec, SeedFamily, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
-                       make_pure_state_seed, nlse_rhs, residual)
+                       make_pure_state_seed, residual, residuals)
 from vndarboux.operator_core import commutator, frob
 
 
@@ -55,7 +55,7 @@ def test_delta_single_block_hand_values():
     # evolution for a = 1 is plain conjugation with exp(-iHt)
     t = 0.8
     U = np.diag(np.exp(-1j * np.array([1.0, 2.0]) * t))
-    npt.assert_allclose(seed.rho_at(t), U @ seed.rho0 @ U.conj().T, atol=1e-13)
+    npt.assert_allclose(seed(t), U @ seed.rho0 @ U.conj().T, atol=1e-13)
 
 
 def test_delta_a_zero_means_rho_squared_commutes():
@@ -84,7 +84,7 @@ def test_delta_invariant_along_evolution():
     seed = make_delta_commuting_seed([(1.0, 0.4), (2.5, -0.6)], a=0.7)
     d0 = seed.delta_a
     for t in (-2.0, -0.5, 1.3, 2.0):
-        rho_t = seed.rho_at(t)
+        rho_t = seed(t)
         drift = frob(rho_t @ rho_t - 0.7 * rho_t - d0)
         assert drift <= 1e-10
 
@@ -109,14 +109,14 @@ def test_pure_state_n1_reduces_to_linear_conjugation():
     import scipy.linalg as sla
     U = sla.expm(-1j * A * t)
     rho0 = np.outer(psi, psi.conj())
-    npt.assert_allclose(make_pure_state_seed(spec, psi).rho_at(t),
+    npt.assert_allclose(make_pure_state_seed(spec, psi)(t),
                         U @ rho0 @ U.conj().T, atol=1e-12)
 
 
 def test_pure_state_eigenvector_is_stationary():
     spec = ModelSpec(2, SZ)
     psi = np.array([1.0, 0.0], dtype=complex)
-    npt.assert_allclose(make_pure_state_seed(spec, psi).rho_at(2.7),
+    npt.assert_allclose(make_pure_state_seed(spec, psi)(2.7),
                         np.diag([1.0, 0.0]), atol=1e-13)
 
 
@@ -125,26 +125,26 @@ def test_pure_state_matches_nlse_rk4_oracle():
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
     psi_t = rk4_ode(lambda t, y: nlse_rhs(spec, y), psi0, 1.0, 1e-3)
     oracle = np.outer(psi_t, psi_t.conj())
-    npt.assert_allclose(make_pure_state_seed(spec, psi0).rho_at(1.0), oracle, atol=1e-6)
+    npt.assert_allclose(make_pure_state_seed(spec, psi0)(1.0), oracle, atol=1e-6)
 
 
 def test_pure_state_rejects_unnormalized():
     spec = ModelSpec(1, SZ)
     with pytest.raises(ValueError, match="normalized"):
-        make_pure_state_seed(spec, np.array([1.0, 1.0])).rho_at(0.0)
+        make_pure_state_seed(spec, np.array([1.0, 1.0]))(0.0)
 
 
 def test_pure_state_purity_and_trace_along_flow():
     spec = ModelSpec(3, SZ)
     seed = make_pure_state_seed(spec, np.array([0.6, 0.8], dtype=complex))
     for t in (-2.0, 0.4, 1.9):
-        rho = seed.rho_at(t)
+        rho = seed(t)
         assert frob(rho @ rho - rho) <= 1e-10
         assert abs(np.trace(rho) - 1.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
-# nlse_rhs
+# nlse_rhs, the tests' oracle for pure states (conftest)
 
 def test_nlse_n1_is_linear():
     spec = ModelSpec(1, SZ)
@@ -188,13 +188,33 @@ def test_nlse_rejects_zero_state():
 def test_every_seed_solves_the_equation(make):
     seed = make()
     for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        report = residual(seed.spec, seed.rho_at, t)
+        report = residual(seed.spec, seed, t)
         assert report.passed and report.residual_norm <= 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_anticommuting_seed(2, [0.8, -1.1], alpha=[1.0, 1.3], n=3),
+    lambda: make_delta_commuting_seed([(1.0, 0.5), (2.0, -0.4)], a=0.6),
+    lambda: make_commuting_seed([0.2, 0.5, 0.9], [1.0, -0.5, 0.7], n=2),
+    lambda: make_pure_state_seed(ModelSpec(2, np.diag([1.0, -0.5, 2.0])),
+                                 np.array([0.6, 0.48j, 0.64])),
+], ids=["anticommuting", "delta_commuting", "commuting", "pure_state"])
+def test_a_seed_is_a_flow_of_its_closed_form(make):
+    # the stack of a seed is its one-point rho_at at each time, bit for bit,
+    # and it solves the equation on that stack
+    seed = make()
+    times = np.linspace(-3.0, 3.0, 13)
+    states = seed.stack(times)
+    assert states.shape == (len(times), seed.dim, seed.dim)
+    for t, state in zip(times, states):
+        assert state.tobytes() == seed.rho_at(t).tobytes()
+    norms, tols = residuals(seed.spec, seed, times)
+    assert np.all(norms <= tols)
 
 
 def test_evolution_at_zero_is_exact():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
-    npt.assert_array_equal(seed.rho_at(0.0), seed.rho0)
+    npt.assert_array_equal(seed(0.0), seed.rho0)
 
 
 def test_family_tags():

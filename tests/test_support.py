@@ -15,7 +15,7 @@ import scipy.linalg as sla
 
 from conftest import scaled_projectors, whole_projectors
 from vndarboux import (DEFAULT, InconsistentLax, ModelSpec, SeedFamily,
-                       SeedSolution, ShiftSpec, SingularDarboux, build_lax,
+                       SeedSolution, SingularDarboux, build_lax,
                        darboux_engine, dressed_state_at, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed, rescaled_flow, run_suite,
@@ -81,7 +81,7 @@ def test_support_is_the_block_of_the_eigenvector(name, nu):
     make, size = SEEDS[name]
     seed = make()
     lax = build_lax(seed, 0.3 + 0.9j, nu)
-    support = DressedFlow(seed, lax).support
+    support = DressedFlow(lax).support
     assert len(support) == size
     assert list(support) in _components(seed)
     outside = np.setdiff1d(np.arange(seed.dim), support)
@@ -95,7 +95,7 @@ def test_chi_in_another_block_gives_the_union():
     pin = np.linalg.eigvals((seed.rho0 - nu * seed.spec.A)[2:, 2:])[0]
     lax = build_lax(seed, mu, nu, z_nu_pin=pin)
     assert not lax.chi0[:2].any() and not lax.phi0[2:].any()
-    npt.assert_array_equal(DressedFlow(seed, lax).support, [0, 1, 2, 3])
+    npt.assert_array_equal(DressedFlow(lax).support, [0, 1, 2, 3])
     # <chi|phi> = 0 exactly: singular at the first sample, as before
     traj = dressed_trajectory(lax, TIMES)
     assert traj.singular_t == TIMES[0] and len(traj.states) == 0
@@ -111,7 +111,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     coupled = SeedSolution(SeedFamily.DELTA_COMMUTING, seed.rho0, ModelSpec(1, H),
                            a=seed.a)
     lax = build_lax(coupled, 0.3 + 0.8j)
-    npt.assert_array_equal(DressedFlow(coupled, lax).support, [0, 1, 2, 3])
+    npt.assert_array_equal(DressedFlow(lax).support, [0, 1, 2, 3])
     traj = dressed_trajectory(lax, TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(coupled, lax, TIMES)
@@ -124,7 +124,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     rho0[0, 2] = rho0[2, 0] = 0.05
     seed = SeedSolution(SeedFamily.COMMUTING, rho0, ModelSpec(1, A))
     lax = build_lax(seed, 0.3 + 0.9j)
-    npt.assert_array_equal(DressedFlow(seed, lax).support, [0, 2])
+    npt.assert_array_equal(DressedFlow(lax).support, [0, 2])
     traj = dressed_trajectory(lax, TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(seed, lax, TIMES)
@@ -147,7 +147,7 @@ def _reference(seed, lax, times):
 
     P = projectors(times)
     A = seed.spec.A
-    rho1 = seed.rho_stack(times) + (params.mu - params.nu) * (P @ A - A @ P)
+    rho1 = seed.stack(times) + (params.mu - params.nu) * (P @ A - A @ P)
     p_dot = np.linalg.norm((projectors(times + DP) - projectors(times - DP)) / (2 * DP),
                            axis=(-2, -1))
     return rho1, P, p_dot
@@ -178,7 +178,7 @@ def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
     npt.assert_allclose(diag.p_dot_norm, p_dot, rtol=1e-14, atol=0)
     T = np.eye(seed.dim) + ((lax.params.mu - lax.params.nu) / lax.params.nu) * P
     T_inv = np.eye(seed.dim) + ((lax.params.nu - lax.params.mu) / lax.params.mu) * P
-    form_gap = np.linalg.norm(rho1 - T @ seed.rho_stack(TIMES) @ T_inv, axis=(-2, -1))
+    form_gap = np.linalg.norm(rho1 - T @ seed.stack(TIMES) @ T_inv, axis=(-2, -1))
     assert np.all(np.abs(diag.form_gap - form_gap) <= 1e-14 * np.maximum(1.0, np.abs(P).max()))
 
 
@@ -187,7 +187,7 @@ def test_t_equality_trips_on_the_support_as_on_whole_matrices(nu, monkeypatch):
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
     mu = 0.9 - 0.4j if nu is None else 0.3 + 0.8j
     lax = build_lax(seed, mu, nu)
-    flow = DressedFlow(seed, lax)
+    flow = DressedFlow(lax)
     assert len(flow.support) == 2
     times = np.linspace(-2.0, 2.0, 9)
     _, P_full, _ = _reference(seed, lax, times)
@@ -220,14 +220,14 @@ def test_overlap_floor_trips_at_the_same_sample():
         assert traj.singular_t == (TIMES[0] if singular else None)
         if singular:
             with pytest.raises(SingularDarboux, match="below the relative floor"):
-                DressedFlow(seed, lax_t, tolerances).stack(TIMES)
+                DressedFlow(lax_t, tolerances).stack(TIMES)
 
 
 def test_support_blocks_match_scipy_exponential():
     # T on the support against scipy's expm of the whole projector
     seed = SEEDS["delta"][0]()
     lax = build_lax(seed, 0.3 + 0.8j)
-    flow = DressedFlow(seed, lax)
+    flow = DressedFlow(lax)
     dressed = flow.evaluate(TIMES)
     _, P_full, _ = _reference(seed, lax, TIMES)
     z = np.log(lax.params.mu / lax.params.nu)
@@ -240,8 +240,8 @@ def test_support_blocks_match_scipy_exponential():
 
 def _shift_rescale(seed, lax):
     # a shift, then a rescaling by a negative Y, of the dressing
-    flow = shifted_flow(seed.spec, DressedFlow(seed, lax),
-                        ShiftSpec.uniform(0.7, seed.dim))
+    flow = shifted_flow(seed.spec, DressedFlow(lax),
+                        0.7 * np.eye(seed.dim))
     return rescaled_flow(flow, -0.6)
 
 
@@ -258,7 +258,7 @@ def test_recorded_projectors_embed_to_the_point_projectors(name, nu, flowed):
     traj = dressed_trajectory(lax, TIMES, flow=flow)
     assert traj.singular_t is None
     diag = traj.diagnostics
-    J = DressedFlow(seed, lax).support
+    J = DressedFlow(lax).support
     npt.assert_array_equal(diag.support, J)
     assert diag.P.shape == (len(TIMES), len(J), len(J))
     at = TIMES if flow is None else flow.source_times(TIMES)

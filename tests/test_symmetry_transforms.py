@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import SX, SZ
-from vndarboux import (ShiftSpec, UnnormalizableError, UnsupportedScenario,
+from vndarboux import (UnnormalizableError, UnsupportedScenario,
                        build_lax, dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
                        normalize_to_density, rescaled_flow, reseed_rescale,
@@ -15,20 +15,20 @@ SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
 
 
 def test_shift_zero_is_identity():
-    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, np.zeros((2, 2)))(1.5)
+    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED, np.zeros((2, 2)))(1.5)
     npt.assert_allclose(out, SX, atol=1e-14)
 
 
 def test_shift_at_time_zero_adds_lambda():
-    X = ShiftSpec.uniform(0.7, 2)
-    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, X)(0.0)
+    X = 0.7 * np.eye(2)
+    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED, X)(0.0)
     npt.assert_allclose(out, SX + 0.7 * np.eye(2), atol=1e-14)
 
 
 def test_shift_produces_a_solution():
     # n = 1 gauge transformation checked by the residual oracle
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
-    flow = shifted_flow(seed.spec, seed.rho_at, ShiftSpec.uniform(0.8, 2))
+    flow = shifted_flow(seed.spec, seed, 0.8 * np.eye(2))
     for t in (-1.0, 0.0, 1.4):
         report = residual(seed.spec, flow, t)
         assert report.passed and report.residual_norm <= 1e-6
@@ -36,22 +36,22 @@ def test_shift_produces_a_solution():
 
 def test_shift_rejects_noncommuting_operator():
     with pytest.raises(ValueError, match="commute"):
-        shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, np.diag([1.0, 2.0]))(0.5)
+        shifted_flow(SIGMA_SEED.spec, SIGMA_SEED, np.diag([1.0, 2.0]))(0.5)
 
 
 def test_shift_general_commuting_x():
     # X = diag-blocks proportional to A^2 commute with both A and sx-seed
     X = 0.5 * SIGMA_SEED.spec.powers[2]  # 0.5 * identity here
-    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at, X)(0.0)
+    out = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED, X)(0.0)
     npt.assert_allclose(out, SX + 0.5 * np.eye(2), atol=1e-14)
 
 
 def test_rescale_identity():
-    npt.assert_allclose(rescaled_flow(SIGMA_SEED.rho_at, 1.0)(0.9), SX, atol=1e-15)
+    npt.assert_allclose(rescaled_flow(SIGMA_SEED, 1.0)(0.9), SX, atol=1e-15)
 
 
 def test_rescale_stationary_solution():
-    flow = rescaled_flow(SIGMA_SEED.rho_at, 2.0)
+    flow = rescaled_flow(SIGMA_SEED, 2.0)
     npt.assert_allclose(flow(1.1), 2.0 * SX, atol=1e-14)
     report = residual(SIGMA_SEED.spec, flow, 0.7, tol_scale=4.0)
     assert report.passed
@@ -59,13 +59,13 @@ def test_rescale_stationary_solution():
 
 def test_rescale_rejects_zero():
     with pytest.raises(ValueError, match="nonzero"):
-        rescaled_flow(SIGMA_SEED.rho_at, 0.0)(1.0)
+        rescaled_flow(SIGMA_SEED, 0.0)(1.0)
 
 
 def test_rescale_after_shift_normalizes_trace():
     lam = 1.0
-    flow = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED.rho_at,
-                        ShiftSpec.uniform(lam, 2))
+    flow = shifted_flow(SIGMA_SEED.spec, SIGMA_SEED,
+                        lam * np.eye(2))
     Y = 1.0 / np.trace(flow(0.0)).real
     final = rescaled_flow(flow, Y)
     assert np.trace(final(0.0)).real == pytest.approx(1.0, abs=1e-14)
@@ -76,16 +76,16 @@ def test_rescale_after_shift_normalizes_trace():
 
 def test_normalize_already_density():
     seed = make_commuting_seed([0.3, 0.7], [1.0, -1.0])
-    X, Y, flow = normalize_to_density(seed.rho_at, seed.spec)
-    assert frob(X.X) == 0.0
+    X, Y, flow = normalize_to_density(seed, seed.spec)
+    assert frob(X) == 0.0
     assert Y == pytest.approx(1.0)
     npt.assert_allclose(flow(0.0), seed.rho0, atol=1e-14)
 
 
 def test_normalize_sigma_x_seed():
     # eigenvalues +-1 -> Lambda = 1, trace 2 -> Y = 1/2, spectrum {0, 1}
-    X, Y, flow = normalize_to_density(SIGMA_SEED.rho_at, SIGMA_SEED.spec)
-    npt.assert_allclose(X.X, np.eye(2), atol=1e-14)
+    X, Y, flow = normalize_to_density(SIGMA_SEED, SIGMA_SEED.spec)
+    npt.assert_allclose(X, np.eye(2), atol=1e-14)
     assert Y == pytest.approx(0.5)
     start = flow(0.0)
     npt.assert_allclose(start, (SX + np.eye(2)) / 2, atol=1e-13)
@@ -97,7 +97,7 @@ def test_normalize_sigma_x_seed():
 def test_normalize_degenerate_trace_rejected():
     seed = make_commuting_seed([-1.0, -1.0], [1.0, -1.0])
     with pytest.raises(UnnormalizableError):
-        normalize_to_density(seed.rho_at, seed.spec)
+        normalize_to_density(seed, seed.spec)
 
 
 def test_spectrum_shift_identity():
@@ -127,7 +127,7 @@ def test_symmetries_preserve_dressed_solutions():
     spec = seed.spec
     lam, Y = 1.5, 0.5
     flow = rescaled_flow(
-        shifted_flow(spec, traj.rho_at, ShiftSpec.uniform(lam, seed.dim)), Y)
+        shifted_flow(spec, traj.rho_at, lam * np.eye(seed.dim)), Y)
     scale = (1.0 + abs(lam)) * max(1.0, frob(spec.A) ** spec.n) * Y ** 2
     for t in traj.times:
         report = residual(spec, flow, t, tol_scale=scale)
@@ -142,17 +142,17 @@ def test_reseed_shift_delta_matches_shifted_flow():
     lam = 0.7
     reseeded = reseed_shift(seed, lam)
     assert reseeded.a == pytest.approx(1.0 + 2 * lam)
-    flow = shifted_flow(seed.spec, seed.rho_at, ShiftSpec.uniform(lam, 2))
+    flow = shifted_flow(seed.spec, seed, lam * np.eye(2))
     for t in (-1.2, 0.0, 0.9):
-        npt.assert_allclose(reseeded.rho_at(t), flow(t), atol=1e-12)
+        npt.assert_allclose(reseeded(t), flow(t), atol=1e-12)
 
 
 def test_reseed_rescale_delta_matches_rescaled_flow():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     reseeded = reseed_rescale(seed, 2.0)
-    flow = rescaled_flow(seed.rho_at, 2.0)
+    flow = rescaled_flow(seed, 2.0)
     for t in (-0.8, 0.3, 1.1):
-        npt.assert_allclose(reseeded.rho_at(t), flow(t), atol=1e-12)
+        npt.assert_allclose(reseeded(t), flow(t), atol=1e-12)
 
 
 def test_reseed_shift_anticommuting_unsupported():

@@ -10,10 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import rk4_ode
 from vndarboux import (Diagnostics, Trajectory, build_lax,
                        dressed_trajectory, f_value, make_anticommuting_seed,
-                       make_delta_commuting_seed, mat_exp,
-                       rk4_integrate)
+                       make_delta_commuting_seed, mat_exp, rhs)
 from vndarboux.scenario_cli import (execute_scenario, read_trajectory_csv,
                                     write_trajectory_csv)
 
@@ -86,7 +86,11 @@ def test_general_mode_rows_leave_min_eig_and_f_empty(tmp_path):
 
 def test_rk4_rows_without_diagnostics(tmp_path):
     seed = make_anticommuting_seed(1, [1.0], n=2)
-    traj = rk4_integrate(seed.spec, seed.rho0, 0.5, 0.05)
+    times = np.linspace(0.0, 0.5, 11)
+    states = [seed.rho0]
+    for _ in times[1:]:
+        states.append(rk4_ode(lambda t, y: rhs(seed.spec, y), states[-1], 0.05, 0.05))
+    traj = Trajectory(times=times, states=states)
     assert traj.diagnostics is None
     text = _written(tmp_path, traj, seed.dim)
     assert text == _reference_csv(traj, seed.dim)

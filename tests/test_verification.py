@@ -5,11 +5,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SX, SZ, whole_projectors
+from conftest import SX, SZ, PlantedError, rk4_ode, whole_projectors
 from vndarboux import (DEFAULT, DressedFlow, ModelSpec, Trajectory, build_lax,
                        dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed,
-                       make_pure_state_seed, rk4_integrate, run_suite)
+                       make_pure_state_seed, rhs, run_suite)
 from vndarboux.operator_core import dagger, frob, frob_stack
 from vndarboux.scenario_cli import execute_scenario, validate_config
 from vndarboux.verification import CHECKS
@@ -19,26 +19,28 @@ SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
 
 
 # ---------------------------------------------------------------------------
-# RK4 oracle
+# RK4 oracle (conftest.rk4_ode on the model's rhs)
+
+def _rk4(spec, rho0, t_end, dt):
+    return rk4_ode(lambda t, rho: rhs(spec, rho), rho0, t_end, dt)
+
 
 def test_rk4_commuting_seed_constant():
     seed = make_commuting_seed([0.4, 0.6], [1.0, -1.0], n=2)
-    traj = rk4_integrate(seed.spec, seed.rho0, t_end=1.0, dt=1e-2)
-    npt.assert_allclose(traj.states[-1], seed.rho0, atol=1e-12)
+    npt.assert_allclose(_rk4(seed.spec, seed.rho0, 1.0, 1e-2), seed.rho0, atol=1e-12)
 
 
 def test_rk4_matches_pure_state_closed_form():
     spec = ModelSpec(2, SZ)
     seed = make_pure_state_seed(spec, np.array([1.0, 1.0]) / np.sqrt(2))
-    traj = rk4_integrate(spec, seed.rho0, t_end=1.0, dt=1e-3)
-    npt.assert_allclose(traj.states[-1], seed.rho_at(1.0), atol=1e-6)
+    npt.assert_allclose(_rk4(spec, seed.rho0, 1.0, 1e-3), seed(1.0), atol=1e-6)
 
 
 def test_rk4_matches_dressed_trajectory():
     lax = build_lax(SIGMA_SEED, mu=1j)
     dressed = dressed_trajectory(lax, [0.0, 1.0])
-    traj = rk4_integrate(SIGMA_SEED.spec, dressed.states[0], t_end=1.0, dt=1e-2)
-    npt.assert_allclose(traj.states[-1], dressed.states[-1], atol=1e-10)
+    npt.assert_allclose(_rk4(SIGMA_SEED.spec, dressed.states[0], 1.0, 1e-2),
+                        dressed.states[-1], atol=1e-10)
 
 
 def test_rk4_matches_delta_dressing_both_directions():
@@ -46,28 +48,10 @@ def test_rk4_matches_delta_dressing_both_directions():
     lax = build_lax(seed, mu=1 + 1j)
     dressed = dressed_trajectory(lax, np.linspace(-2, 2, 5))
     start = dressed.rho_at(0.0)
-    fwd = rk4_integrate(seed.spec, start, t_end=2.0, dt=1e-3)
-    bwd = rk4_integrate(seed.spec, start, t_end=-2.0, dt=1e-3)
-    assert frob(fwd.states[-1] - dressed.rho_at(2.0)) <= 1e-6
-    assert frob(bwd.states[0] - dressed.rho_at(-2.0)) <= 1e-6
-
-
-def test_rk4_rejects_bad_step():
-    with pytest.raises(ValueError):
-        rk4_integrate(SIGMA_SEED.spec, SX, 1.0, dt=0.0)
-
-
-def test_rk4_norm_guard():
-    seed = make_commuting_seed([1.0, 0.0], [1.0, -1.0])
-    with pytest.raises(RuntimeError, match="1e6"):
-        rk4_integrate(seed.spec, 1e7 * seed.rho0, t_end=0.1, dt=0.05)
-
-
-def test_rk4_resymmetrization_drift_logged():
-    seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
-    traj = rk4_integrate(seed.spec, seed.rho0, t_end=0.5, dt=1e-2)
-    assert traj.resym_drift <= 1e-12
-    assert "resym_drift" in {f.name for f in dataclasses.fields(Trajectory)}
+    fwd = _rk4(seed.spec, start, 2.0, 1e-3)
+    bwd = _rk4(seed.spec, start, -2.0, 1e-3)
+    assert frob(fwd - dressed.rho_at(2.0)) <= 1e-6
+    assert frob(bwd - dressed.rho_at(-2.0)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +70,10 @@ def test_suite_reference_scenario_passes():
 def test_suite_detects_corrupted_states():
     lax = build_lax(SIGMA_SEED, mu=1j)
     traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
-    corrupted_at = lambda t: traj.rho_at(t) + 0.1 * t * SX
-    bad = Trajectory(times=traj.times,
-                     states=[corrupted_at(t) for t in traj.times],
+    corrupted = PlantedError(traj.rho_at, 0.1 * SX)
+    bad = Trajectory(times=traj.times, states=corrupted.stack(traj.times),
                      lax=traj.lax, diagnostics=traj.diagnostics,
-                     rho_at=corrupted_at)
+                     rho_at=corrupted)
     report = run_suite(bad, scenario_id="corrupted")
     by_name = {c.name: c for c in report.checks}
     assert not by_name["residual"].passed

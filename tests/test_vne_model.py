@@ -3,10 +3,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SX, SZ
-from vndarboux import (ModelSpec, hamiltonian_of, make_delta_commuting_seed,
+from conftest import SX, SZ, PlantedError, rk4_ode
+from vndarboux import (ModelSpec, hamiltonian_of, make_anticommuting_seed,
+                       make_commuting_seed, make_delta_commuting_seed,
                        make_pure_state_seed, residual, rhs, rhs_alt,
-                       rk4_integrate, trace_moments)
+                       trace_moments)
 
 
 def _random_hermitian(rng, dim, scale=1.0):
@@ -108,9 +109,9 @@ def test_rhs_trace_free_and_hermiticity_preserving(n, dim, seed):
 # residual
 
 def test_residual_constant_commuting_trajectory():
-    spec = ModelSpec(2, SZ)
-    rho0 = np.diag([0.4, 0.6]).astype(complex)
-    report = residual(spec, lambda t: rho0, 0.3)
+    seed = make_commuting_seed([0.4, 0.6], [1.0, -1.0], n=2)
+    npt.assert_array_equal(seed.spec.A, SZ)
+    report = residual(seed.spec, seed, 0.3)
     assert report.passed
     assert report.residual_norm <= 1e-10
 
@@ -119,34 +120,28 @@ def test_residual_pure_state_solution_passes():
     spec = ModelSpec(2, SZ)
     seed = make_pure_state_seed(spec, np.array([1.0, 1.0]) / np.sqrt(2))
     for t in (-1.0, 0.0, 0.7):
-        report = residual(spec, seed.rho_at, t)
+        report = residual(spec, seed, t)
         assert report.passed and report.residual_norm <= 1e-6
 
 
 def test_residual_detects_corruption():
     spec = ModelSpec(2, SZ)
     seed = make_pure_state_seed(spec, np.array([1.0, 1.0]) / np.sqrt(2))
-    corrupted = lambda t: seed.rho_at(t) + 0.1 * t * SX
-    report = residual(spec, corrupted, 1.0)
+    report = residual(spec, PlantedError(seed, 0.1 * SX), 1.0)
     assert not report.passed
 
 
 def test_residual_report_consistency():
-    spec = ModelSpec(1, SZ)
-    report = residual(spec, lambda t: SX.astype(complex), 0.0, tol=1e-3)
+    # SX held constant against A = SZ at n = 1
+    seed = make_anticommuting_seed(1, [1.0], n=1)
+    report = residual(seed.spec, seed, 0.0)
     assert report.passed == (report.residual_norm <= report.tolerance_used)
-
-
-def test_residual_rejects_nonpositive_step():
-    spec = ModelSpec(1, SZ)
-    with pytest.raises(ValueError, match="positive"):
-        residual(spec, lambda t: SX, 0.0, h=-1.0)
 
 
 def test_moment_conservation_along_rk4_flow():
     # isospectral flow: Tr rho^m conserved to 1e-7 per unit time at dt = 1e-3
     seed = make_delta_commuting_seed([(1.0, 0.5), (2.0, -0.3)], a=0.8)
-    traj = rk4_integrate(seed.spec, seed.rho0, t_end=1.0, dt=1e-3)
-    start = trace_moments(traj.states[0], seed.dim)
-    end = trace_moments(traj.states[-1], seed.dim)
+    rho = rk4_ode(lambda t, y: rhs(seed.spec, y), seed.rho0, 1.0, 1e-3)
+    start = trace_moments(seed.rho0, seed.dim)
+    end = trace_moments(rho, seed.dim)
     assert np.max(np.abs(end - start)) <= 1e-7
