@@ -38,7 +38,12 @@ built from blocks, so their pencil is block-diagonal and J is one block;
 phi and chi vanish outside J, P and ``rho[1] - rho`` outside ``J x J``, and
 T is the identity there.  Projectors, T and every gate are computed on
 ``J x J``, and a dressed state is its seed state with that block replaced;
-for a dense seed J is every index.  For an exactly diagonal A, as every seed
+for a dense seed J is every index.  States are evaluated as the blocks of
+the flow's partition (``operator_core.partition``: the components of A,
+rho0 and the seed's generator, with J as one part), ``(N, B, b, b)``: the
+seed's blocks, with ``rho1_J`` written into J's part.  When the parts
+differ in size or the seed's generator is not diagonal the partition is one
+whole block, the same code with ``B = 1``.  For an exactly diagonal A, as every seed
 family builds it, ``[P, A_J]`` scales P's entries by A's diagonal instead of
 multiplying matrices.  Every gate (overlap floor, idempotency,
 projector trace, ``t_equality``, ``form_gap``, bridge identity, unitarity) is
@@ -51,13 +56,14 @@ from ``mat_exp``.
 ``projector``, ``dress`` and ``dressed_state_at`` are the one-point case;
 the first two take whole matrices.  ``dressed_trajectory``
 cuts the sample grid into blocks (``time_blocks``, sized by the full and the
-support matrices a point holds) and fills one ``Trajectory``: the states as
-one ``(N, d, d)`` stack, a ``Diagnostics`` record of per-sample arrays
+support matrices a point holds) and fills one ``Trajectory``: the states,
+assembled from their blocks, as one ``(N, d, d)`` stack, a ``Diagnostics``
+record of per-sample arrays
 (dressed states, the projectors' ``J x J`` blocks with J, the gates' values
 and other scalar diagnostics) and the Lax solution.  Under a symmetry flow
 (``symmetry_transforms``) it dresses each sample once, at the time the flow
-evaluates the dressing (``Y t``), and the flow maps that dressing to the
-sample's state.  The checks in ``verification`` read those gate values,
+evaluates the dressing (``Y t``), and the flow maps that dressing's blocks
+to the sample's.  The checks in ``verification`` read those gate values,
 slice those stacks and evaluate their stencils through the same flow.
 """
 
@@ -70,8 +76,10 @@ import numpy as np
 
 from .errors import InconsistentLax, SingularDarboux
 from .lax_engine import LaxSolution, hermitian_pairing, require_nonzero
-from .operator_core import (as_operator, as_state, commutator, dagger,
-                            frob_stack, mat_exp, time_blocks)
+from .operator_core import (as_operator, as_state, assemble, block_matmul,
+                            commutator, components, coupling, dagger,
+                            frob_stack, mat_exp, off_diagonal, outside_value,
+                            partition, time_blocks)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
@@ -180,27 +188,19 @@ def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
         floor = (tolerances.overlap_floor * np.linalg.norm(phi, axis=-1)
                  * np.linalg.norm(chi, axis=-1))
         P = phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
-        idempotency = frob_stack(_square(P) - P)
-        limit = tolerances.idempotency * np.maximum(1.0, frob_stack(P))
+        idempotency = frob_stack(block_matmul(P, P) - P)
         trace_gap = np.abs(np.trace(P, axis1=-2, axis2=-1) - 1.0)
     failure = _earliest(
         _first(np.abs(overlap) < floor, lambda i: SingularDarboux(
             f"<chi|phi> = {overlap[i]:.3e} is below the relative floor {floor[i]:.3e}")),
-        _first(idempotency > limit, lambda i: SingularDarboux(
+        # the report's absolute limit: an oblique P, whose ||P||_F is about
+        # 1/overlap, is not dressed past the gap its report would fail
+        _first(idempotency > tolerances.idempotency, lambda i: SingularDarboux(
             "projector lost idempotency to round-off; the pair is too close "
             "to orthogonal for a reliable dressing")),
         _first(trace_gap > tolerances.projector_trace, lambda i: SingularDarboux(
             "projector trace moved away from 1")))
     return P, idempotency, trace_gap, failure
-
-
-def _square(P: np.ndarray) -> np.ndarray:
-    # P @ P for a stack; at 2 x 2 from its four entry formulas
-    # (P P)_ij = P_i0 P_0j + P_i1 P_1j, which spares a 2 x 2 stack numpy's
-    # per-matrix matmul dispatch
-    if P.shape[-1] != 2:
-        return P @ P
-    return P[..., :, :1] * P[..., :1, :] + P[..., :, 1:] * P[..., 1:, :]
 
 
 def _hermitian_exp(z: complex, P: np.ndarray) -> np.ndarray:
@@ -308,27 +308,26 @@ def _commutator_with(P: np.ndarray, A: np.ndarray, J: np.ndarray,
     return P @ A_J - A_J @ P
 
 
-def _dress_stack(rho: np.ndarray, A: np.ndarray, P: np.ndarray, U: np.ndarray,
-                 W: np.ndarray, J: np.ndarray, mu: complex, nu: complex,
+def _dress_stack(rho_J: np.ndarray, rho_norm: np.ndarray, dim: int,
+                 A: np.ndarray, P: np.ndarray, U: np.ndarray, W: np.ndarray,
+                 J: np.ndarray, mu: complex, nu: complex,
                  tolerances: Tolerances, hermitian: bool = False,
                  diagonal: bool = False):
-    # (rho1_J, T, form_gap, failure) for a stack rho of seed states whose
+    # (rho1_J, T, form_gap, failure) for seed states of dimension dim given
+    # as their J x J blocks rho_J and their norms ||rho||_F, whose
     # projectors vanish outside J x J, with P their J x J blocks and U, W
     # the factors P = U W.  A couples no index in J to one outside it, so
     # [P, A], T - 1 and rho1 - rho vanish outside J x J too: rho1 is rho
     # with its block replaced by rho1_J, T is returned as its block, and
     # every gate is evaluated on the blocks.  diagonal: A is exactly
     # diagonal with a real diagonal (``ModelSpec.diagonals``)
-    rho_J = _block(rho, J)
     comm_PA = _commutator_with(P, A, J, diagonal)
     rho1_J = rho_J + (mu - nu) * comm_PA
-    T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian,
-                                   rho.shape[-1] - len(J))
+    T, failure = _similarity_stack(P, mu, nu, tolerances, hermitian, dim - len(J))
     similar, bridge = _similarity_terms(rho_J, U, W, mu, nu)
     form_gap = frob_stack(rho1_J - similar)
     bridge_gap = frob_stack(comm_PA - bridge)
-    bridge_limit = tolerances.bridge_identity * np.maximum(
-        1.0, frob_stack(rho) * frob_stack(P))
+    bridge_limit = tolerances.bridge_identity * np.maximum(1.0, rho_norm * frob_stack(P))
     gates = [
         failure,
         _first(form_gap > tolerances.form_gap, lambda i: InconsistentLax(
@@ -387,18 +386,19 @@ def dress(rho, A, P, mu: complex, nu: complex, t: float = 0.0,
     require_nonzero(mu=mu, nu=nu)
     # the caller's P is its own factor: U = P, W = 1
     J = np.arange(len(A))
-    rho1_J, T, form_gap, failure = _dress_stack(
-        rho[None], A, P[None], P[None], np.eye(len(A), dtype=complex)[None],
-        J, mu, nu, tolerances)
+    rho1, T, form_gap, failure = _dress_stack(
+        _block(rho[None], J), frob_stack(rho[None]), len(A), A, P[None], P[None],
+        np.eye(len(A), dtype=complex)[None], J, mu, nu, tolerances)
     _raise(failure)
-    return DressedState(rho1=_embed(rho1_J, J, rho)[0], P=P, T=T[0], t=float(t),
+    return DressedState(rho1=rho1[0], P=P, T=T[0], t=float(t),
                         form_gap=float(form_gap[0]))
 
 
 class DressedStack(NamedTuple):
     """Dressed states of a stack of times, cut at the first failing point.
 
-    ``rho1`` holds full states; ``P`` and ``T`` are the blocks on the flow's
+    ``rho1`` holds the states as their blocks on a partition of the flow
+    (``Flow.blocks``); ``P`` and ``T`` are the blocks on the flow's
     ``support``, outside which P vanishes and T is the identity.
     ``idempotency_gap`` (``||P^2 - P||_F``) and ``projector_trace_gap``
     (``|Tr P - 1|``) are the values the projector gates compared.
@@ -414,39 +414,47 @@ class DressedStack(NamedTuple):
     failure: tuple | None
 
 
-def _support(lax: LaxSolution) -> np.ndarray:
-    # J: the connected components, in the nonzero pattern of A, rho0 and the
-    # generators of the seed, phi and chi, that phi0 or chi0 meet.  All these
-    # operators vanish on J x J^c, so phi(t) and chi(t) vanish outside J
-    seed = lax.seed
-    coupled = np.eye(seed.dim, dtype=bool)
-    for M in (seed.spec.A, seed.rho0, *seed.generators, *lax.generators):
-        coupled |= (M != 0) | (M.T != 0)
-    reach = (lax.phi0 != 0) | (lax.chi0 != 0)
-    while True:
-        grown = coupled[reach].any(axis=0)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
-
-
 class DressedFlow(Flow):
     """rho[1](t) of one seed and Lax solution, evaluated on stacks of times.
 
     Projectors use the scaled rows of ``LaxSolution``, normalized per point,
     so they stay finite at any |t|; ``phi_norm`` is ``e^{shift} |row|``.
     ``support`` is the index set J, found once, outside which phi and chi
-    vanish: projectors, T and every gate are computed on ``J x J`` and a
-    dressed state is its seed state with that block replaced.  For a dense
-    seed J is every index.
+    vanish: the union of the connected components, in the nonzero pattern
+    of A, rho0 and the generators of the seed, phi and chi, that phi0 or
+    chi0 meet.  Projectors, T and every gate are computed on ``J x J``.
+    ``partition`` is the components of the pattern of A, rho0 and the
+    seed's generator with J as one part (``operator_core.partition``): a
+    dressed state is its seed state's blocks with J's block replaced.  It
+    is one whole block when the parts differ in size, when the seed's
+    generator is not diagonal, and for a dense seed, where J is every
+    index.
     """
 
     def __init__(self, lax: LaxSolution, tolerances: Tolerances = DEFAULT):
-        self.seed = lax.seed
+        seed = lax.seed
+        self.seed = seed
         self.lax = lax
         self.tolerances = tolerances
-        self.support = _support(lax)
+        states = (seed.spec.A, seed.rho0, *seed.generators)
+        label = components(coupling(seed.dim, states + lax.generators))
+        met = np.zeros(seed.dim, dtype=bool)
+        met[label[(lax.phi0 != 0) | (lax.chi0 != 0)]] = True
+        self.support = np.flatnonzero(met[label])
         self.support_size = len(self.support)
+        parts = partition(coupling(seed.dim, states, [self.support]))
+        # off the blocks a state is rho0's zero (which may be -0.0) where
+        # the seed is rho0 itself, and +0.0 where its evolution ran
+        self._outside = outside_value(seed.rho0, parts)
+        if self._outside is None or any(off_diagonal(G) for G in seed.generators):
+            parts, self._outside = np.arange(seed.dim)[None], 0j
+        self.partition = parts
+
+    def outside(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        if self.seed.generators:
+            return np.where(times == 0, self._outside, 0j)
+        return np.full(len(times), self._outside, dtype=complex)
 
     def _rows(self, times):
         # the support entries of phi and chi per point, normalized, with
@@ -477,11 +485,14 @@ class DressedFlow(Flow):
         P, _, _, projector_failure = _projector_stack(phi, chi, self.tolerances)
         return P, phi_norm, _earliest(failure, projector_failure)
 
-    def evaluate(self, times) -> DressedStack:
+    def evaluate(self, times, parts: np.ndarray | None = None) -> DressedStack:
         """Projectors and dressed states with every gate; the stack stops at
-        the first failing point.  The dressing gates take P's factors
-        ``U = phi / <chi|phi>`` and ``W = chi`` (rank one)."""
+        the first failing point.  The states are their blocks on ``parts``,
+        a partition no finer than ``partition`` (its default).  The dressing
+        gates take P's factors ``U = phi / <chi|phi>`` and ``W = chi`` (rank
+        one)."""
         times = np.asarray(times, dtype=float)
+        parts = self.partition if parts is None else parts
         phi, chi, phi_norm, failure = self._rows(times)
         P, idempotency, trace_gap, projector_failure = _projector_stack(
             phi, chi, self.tolerances)
@@ -493,19 +504,23 @@ class DressedFlow(Flow):
         params = self.lax.params
         spec = self.seed.spec
         J = self.support
-        rho = self.seed.stack(times[:done])
+        # J lies in one part; its indices sit at ``local`` within it
+        part = int(np.flatnonzero((parts == J[0]).any(axis=-1))[0])
+        local = np.searchsorted(parts[part], J)
+        rho = self.seed.blocks(times[:done], parts)
         rho1_J, T, form_gap, dress_failure = _dress_stack(
-            rho, spec.A, P[:done], U[:, :, None], chi[:, None, :], J,
-            params.mu, params.nu, self.tolerances, params.hermitian_mode,
-            spec.diagonals is not None)
+            rho[:, part].take(local, axis=-2).take(local, axis=-1),
+            np.linalg.norm(frob_stack(rho), axis=-1), spec.dim, spec.A,
+            P[:done], U[:, :, None], chi[:, None, :], J, params.mu, params.nu,
+            self.tolerances, params.hermitian_mode, spec.diagonals is not None)
         # the seed stack is fresh: it becomes the dressed stack in place
-        rho[:, J[:, None], J] = rho1_J
+        rho[:, part, local[:, None], local] = rho1_J
         return DressedStack(rho, P[:done], T, form_gap, phi_norm[:done],
                             idempotency[:done], trace_gap[:done],
                             dress_failure or failure)
 
-    def stack(self, times) -> np.ndarray:
-        dressed = self.evaluate(times)
+    def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
+        dressed = self.evaluate(times, parts)
         _raise(dressed.failure)
         return dressed.rho1
 
@@ -557,7 +572,8 @@ def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
     dressed = flow.evaluate([t])
     _raise(dressed.failure)
     J, eye = flow.support, np.eye(seed.dim, dtype=complex)
-    return DressedState(rho1=dressed.rho1[0], P=_embed(dressed.P[0], J, 0 * eye),
+    rho1 = assemble(dressed.rho1, flow.partition, flow.outside([t]))
+    return DressedState(rho1=rho1[0], P=_embed(dressed.P[0], J, 0 * eye),
                         T=_embed(dressed.T[0], J, eye), t=float(t),
                         form_gap=float(dressed.form_gap[0]))
 
@@ -582,8 +598,9 @@ def dressed_trajectory(lax: LaxSolution, times,
     ``lax`` (``symmetry_transforms``).  Each sample is then dressed once, at
     the time ``flow.source_times`` maps it to (``Y t`` under a rescaling,
     in reverse order for a negative Y), and ``flow.finish`` maps the dressed
-    state to the sample's state; the diagnostics describe that dressing.
-    The samples keep ``times`` and its order.
+    state's blocks on the flow's ``partition`` to the sample's; the whole
+    states are assembled from those blocks.  The diagnostics describe that
+    dressing.  The samples keep ``times`` and its order.
     """
     times = np.asarray(times, dtype=float)
     seed, params = lax.seed, lax.params
@@ -597,6 +614,7 @@ def dressed_trajectory(lax: LaxSolution, times,
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
 
     count = len(times)
+    parts = flow.partition
     rho1 = np.empty((count, seed.dim, seed.dim), dtype=complex)
     flowed = flow is not dressing
     states = np.empty_like(rho1) if flowed else rho1
@@ -611,7 +629,7 @@ def dressed_trajectory(lax: LaxSolution, times,
     dp = 1e-4
     for block in time_blocks(count, seed.dim, support=len(J)):
         t = at[block]
-        dressed = dressing.evaluate(t)
+        dressed = dressing.evaluate(t, parts)
         # t + dp and t - dp per point, time-major: the first failing entry
         # is the point's plus side before its minus side
         ring = np.stack([t + dp, t - dp], axis=-1).ravel()
@@ -622,10 +640,12 @@ def dressed_trajectory(lax: LaxSolution, times,
         failure = _earliest(dressed.failure, ring_failure)
         done = len(t) if failure is None else failure[0]
         out = slice(filled, filled + done)
-        dressed_states = dressed.rho1[:done]
-        rho1[out] = dressed_states
+        dressed_states = assemble(dressed.rho1[:done], parts,
+                                  dressing.outside(t[:done]), out=rho1[out])
         if flowed:
-            states[out] = flow.finish(times[block][:done], dressed_states)
+            sample_t = times[block][:done]
+            assemble(flow.finish(sample_t, dressed.rho1[:done], parts), parts,
+                     flow.outside(sample_t), out=states[out])
         P[out] = dressed.P[:done]
         phi_norm[out] = dressed.phi_norm[:done]
         form_gap[out] = dressed.form_gap[:done]

@@ -6,6 +6,9 @@ conjugation already folded in).  Stacks ``(..., d, d)`` hold one operator per
 time point; ``as_operators``, ``mat_exp``, ``trace_moments`` and
 ``NormalExp`` work on them, and ``time_blocks`` bounds how many points one
 stack holds from the whole and the support-sized matrices a point holds.
+A ``partition`` of the indices into equal parts, on which operators are
+block-diagonal, lets a stack of states be held as the ``(N, B, b, b)``
+stack of its diagonal blocks (``blocks_of``, ``assemble``).
 Nothing here mutates its inputs, so every function is safe to
 call from multiple threads.
 
@@ -32,17 +35,19 @@ _PIVOT_RTOL = 1e-12
 #: bytes of work arrays one stack of time points may hold
 BLOCK_BYTES = 2 << 20
 
-#: d x d complex matrices a dressed time point holds at the peak of the
-#: largest of its blocked operations, traced by tracemalloc on 12 x 12
-#: benchmark scenarios: the residual's derivative stack beside one stencil
-#: stack under a shift and a rescaling (4.0 on delta-covariance, 4.3 on
-#: anticommuting-shift with the support matrices)
+#: states, whole or as their blocks, a dressed time point holds at the peak
+#: of the largest of its blocked operations, traced by tracemalloc on 12 x 12
+#: benchmark scenarios: the covariance check's whole states (2.9 whole
+#: matrices per sample on delta-covariance with the support matrices) and
+#: the residual's ring, four points of blocks per time (5,430 B of its
+#: 10,240 on delta-covariance, 8,473 B on anticommuting-shift under a shift
+#: and a rescaling)
 _FULL_MATRICES = 4
 
 #: |J| x |J| complex work matrices a dressed time point holds on its support
 #: J beyond those: the projector, T and the matrices of its gates (on a
-#: dense 12 x 12 seed, where J is every index, the residual peaks at 14.5
-#: whole matrices in hermitian mode and 18.4 in general mode)
+#: dense 12 x 12 seed, where J is every index, the residual peaks at 14.4
+#: whole matrices in hermitian mode and 18.3 in general mode)
 _SUPPORT_MATRICES = 16
 
 #: d x d complex matrices a point of a check on whole states holds: the
@@ -50,31 +55,126 @@ _SUPPORT_MATRICES = 16
 _CHECK_MATRICES = 3
 
 
-def _point_bytes(dim: int, support: int | None = None) -> int:
-    # the bytes ``time_blocks`` budgets for one point
+def _point_bytes(dim: int, support: int | None = None, block: int | None = None) -> int:
+    # the bytes ``time_blocks`` budgets for one point; a state held as its
+    # blocks of size ``block`` has dim * block entries, a whole one dim * dim
     if support is None:
         return 16 * _CHECK_MATRICES * dim * dim
-    return 16 * (_FULL_MATRICES * dim * dim + _SUPPORT_MATRICES * support * support)
+    state = dim * (dim if block is None else block)
+    return 16 * (_FULL_MATRICES * state + _SUPPORT_MATRICES * support * support)
 
 
-def time_blocks(count: int, dim: int, support: int | None = None) -> list:
+def time_blocks(count: int, dim: int, support: int | None = None,
+                block: int | None = None, per_time: int = 1) -> list:
     """Consecutive slices of ``range(count)`` sized from ``BLOCK_BYTES``.
 
     A dressed time point of dimension ``dim`` is budgeted ``_FULL_MATRICES``
-    matrices of ``dim x dim`` and ``_SUPPORT_MATRICES`` of ``support x
-    support``, the size of the block it is dressed on; a point of a check on
-    whole states (``support`` None) is budgeted ``_CHECK_MATRICES`` matrices
-    of ``dim x dim``.  Stacks beside a sample's dressing fit in its budget:
-    the ``t +- dp`` projectors of ``p_dot_norm``, the psi stencil of the
-    covariance check, and the residual's stencil, which is dressed one
-    offset at a time.  The budgets are traced peaks (tests pin them), so a
-    block's work arrays stay near ``BLOCK_BYTES``.  A block holds as many
-    points as fit, and at least one.  The slices depend only on the
-    arguments, so the same grid is always cut the same way.
+    states, whole or as their blocks of size ``block`` (``partition``), and
+    ``_SUPPORT_MATRICES`` matrices of ``support x support``, the size of the
+    block it is dressed on; a point of a check on whole states (``support``
+    None) is budgeted ``_CHECK_MATRICES`` matrices of ``dim x dim``.  Stacks
+    beside a sample's dressing fit in its budget: the ``t +- dp``
+    projectors of ``p_dot_norm`` and the psi stencil of the covariance
+    check.  The budgets are traced peaks (tests pin them), so a block's
+    work arrays stay near ``BLOCK_BYTES``.  A block holds as many points as
+    fit, and at least one; a time that is evaluated at ``per_time`` points
+    (the residual's stencil ring holds four per time, as blocks) takes that
+    many, so a block holds that share of the points, to the nearest whole
+    time.  The slices depend only on the arguments, so the same grid is
+    always cut the same way.
     """
-    per_block = max(1, BLOCK_BYTES // _point_bytes(dim, support))
+    points = BLOCK_BYTES // _point_bytes(dim, support, block)
+    per_block = max(1, round(points / per_time))
     return [slice(i, min(i + per_block, count))
             for i in range(0, count, per_block)]
+
+
+def coupling(dim: int, operators, parts=()) -> np.ndarray:
+    """The symmetric ``(dim, dim)`` pattern of index pairs that some operator
+    couples (its nonzero entries, either way round), with each index set of
+    ``parts`` coupled within itself and each index with itself."""
+    coupled = np.eye(dim, dtype=bool)
+    for M in operators:
+        coupled |= (M != 0) | (M.T != 0)
+    for part in parts:
+        coupled[np.ix_(part, part)] = True
+    return coupled
+
+
+def components(coupled: np.ndarray) -> np.ndarray:
+    """The connected components of a symmetric pattern: each index labelled
+    by the smallest index of its component."""
+    label = np.arange(len(coupled))
+    while True:
+        grown = np.where(coupled, label, len(label)).min(axis=1)
+        if np.array_equal(grown, label):
+            return label
+        label = grown
+
+
+def partition(coupled: np.ndarray) -> np.ndarray:
+    """The components of a pattern as a ``(B, b)`` array of sorted index
+    sets, ordered by their first index, or one whole block ``(1, dim)`` when
+    the components differ in size.  Operators that couple nothing across
+    the parts act on a stack of states as one ``(N, B, b, b)`` stack of
+    their diagonal blocks."""
+    label = components(coupled)
+    parts = [np.flatnonzero(label == k) for k in np.flatnonzero(label == np.arange(len(label)))]
+    if len({len(part) for part in parts}) > 1:
+        return np.arange(len(coupled))[None]
+    return np.array(parts)
+
+
+def blocks_of(M: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The diagonal blocks ``(..., B, b, b)`` on ``parts`` of a matrix or of
+    each matrix of a stack, C-ordered; one whole block is a view."""
+    if len(parts) == 1:
+        return M[..., None, :, :]
+    return np.ascontiguousarray(M[..., parts[:, :, None], parts[:, None, :]])
+
+
+def assemble(blocks: np.ndarray, parts: np.ndarray, outside: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Whole ``(N, d, d)`` states from their ``(N, B, b, b)`` blocks on
+    ``parts``; every entry off the blocks of state k is ``outside[k]``.
+    One whole block is returned as a view unless ``out`` is given."""
+    if len(parts) == 1 and out is None:
+        return blocks[:, 0]
+    if out is None:
+        out = np.empty((len(blocks), parts.size, parts.size), dtype=complex)
+    if len(parts) == 1:
+        out[...] = blocks[:, 0]
+        return out
+    out[...] = outside[:, None, None]
+    out[:, parts[:, :, None], parts[:, None, :]] = blocks
+    return out
+
+
+def outside_value(M: np.ndarray, parts: np.ndarray):
+    """The one value, bit for bit, of ``M``'s entries off the blocks of
+    ``parts`` (``0j`` if there are none), or None if they differ; the zeros
+    there may be ``-0.0``, which a state's output keeps."""
+    inside = np.zeros(M.shape, dtype=bool)
+    inside[parts[:, :, None], parts[:, None, :]] = True
+    off = M[~inside]
+    if not off.size:
+        return 0j
+    bits = off.view(np.uint64).reshape(-1, 2)
+    return off[0] if np.array_equal(bits, np.broadcast_to(bits[0], bits.shape)) else None
+
+
+def off_diagonal(M: np.ndarray) -> bool:
+    """True when the square matrix ``M`` has a nonzero entry off its diagonal."""
+    return bool(M[~np.eye(len(M), dtype=bool)].any())
+
+
+def block_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``X @ Y`` for stacks of matrices; at 2 x 2 from its four entry
+    formulas ``(XY)_ij = X_i0 Y_0j + X_i1 Y_1j``, which spares a stack of
+    2 x 2 blocks numpy's per-matrix matmul dispatch."""
+    if X.shape[-1] != 2:
+        return X @ Y
+    return X[..., :, :1] * Y[..., :1, :] + X[..., :, 1:] * Y[..., 1:, :]
 
 
 def as_operators(M) -> np.ndarray:
@@ -120,8 +220,11 @@ def frob(M) -> float:
 
 
 def frob_stack(M) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack ``(..., d, d)``."""
-    return np.linalg.norm(M, axis=(-2, -1))
+    """Frobenius norm of each matrix of a stack ``(..., d, d)``: the formula
+    of ``np.linalg.norm(M, axis=(-2, -1))``, bit for bit, without its
+    argument handling, which costs more than the norm of a small stack."""
+    M = np.asarray(M)
+    return np.sqrt(np.add.reduce((M.conj() * M).real, axis=(-2, -1)))
 
 
 def is_hermitian(M, eps: float = DEFAULT.hermiticity) -> bool:
@@ -231,7 +334,7 @@ class NormalExp:
     def __init__(self, G, tolerances: Tolerances = DEFAULT):
         G = as_operator(G)
         self.G = G
-        if not G[~np.eye(len(G), dtype=bool)].any():
+        if not off_diagonal(G):
             self.g = np.diag(G) + 0.0
             self._Q = None
         else:
@@ -277,32 +380,39 @@ class NormalExp:
         rows[(s == 0) & (shift == 0)] = v
         return rows, shift
 
-    def similarity(self, M: np.ndarray, s) -> np.ndarray:
+    def similarity(self, M: np.ndarray, s, parts: np.ndarray | None = None) -> np.ndarray:
         """``exp(s_b G) M_b exp(-s_b G)`` for each ``s_b``.
 
         ``M`` is one matrix or a stack aligned with ``s``; points with
-        ``s_b = 0`` return ``M_b`` itself.  For a diagonal G the phase is
-        evaluated only on the entries where some ``M_b`` is nonzero; every
-        other entry is ``+0.0``.  Raises ``OverflowError`` instead of
-        returning non-finite entries.
+        ``s_b = 0`` return ``M_b`` itself.  With ``parts`` (``partition``),
+        on whose blocks G is diagonal, ``M`` and the result are the blocks
+        ``(B, b, b)`` or ``(N, B, b, b)``; a factored G takes one whole
+        block.  For a diagonal G the phase is evaluated only on the entries
+        where some ``M_b`` is nonzero; every other entry is ``+0.0``.
+        Raises ``OverflowError`` instead of returning non-finite entries.
         """
         s = np.asarray(s, dtype=complex)
         if self._Q is None:
-            d = M.shape[-1]
-            i, j = np.nonzero(M.reshape(-1, d, d).any(axis=0))
+            gap = self._gap if parts is None else self._gap[parts[:, :, None], parts[:, None, :]]
+            index = np.nonzero(M.reshape((-1,) + gap.shape).any(axis=0))
             # np.multiply, not ``*``: numpy may evaluate ``*`` in place over
             # the fancy-index temporary once it reaches 256 KiB, and that
             # kernel rounds complex products differently.  The entries are
             # computed before ``out`` is allocated, so their temporaries and
             # ``out`` are never alive together
-            values = np.multiply(M[..., i, j], np.exp(s[:, None] * self._gap[i, j])) + 0.0
-            out = np.zeros((len(s), d, d), dtype=complex)
-            out[:, i, j] = values
+            values = np.multiply(M[(..., *index)], np.exp(s[:, None] * gap[index])) + 0.0
+            out = np.zeros((len(s),) + gap.shape, dtype=complex)
+            out[(slice(None), *index)] = values
         else:
+            if parts is not None and len(parts) != 1:
+                raise ValueError("a generator that is not diagonal acts on whole states")
+            whole = M if parts is None else M[..., 0, :, :]
             phase = np.exp(s[:, None, None] * self._gap)
-            out = self._Q @ ((self._QH @ M @ self._Q) * phase) @ self._QH
+            out = self._Q @ ((self._QH @ whole @ self._Q) * phase) @ self._QH
+            if parts is not None:
+                out = out[:, None]
         zero = s == 0
-        out[zero] = M if M.ndim == 2 else M[zero]
+        out[zero] = M if M.ndim < out.ndim else M[zero]
         if not np.all(np.isfinite(out)):
             raise OverflowError("exp(sG) M exp(-sG) overflowed")
         return out

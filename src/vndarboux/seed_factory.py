@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator_core import NormalExp, as_operator, as_state, commutator, frob
+from .operator_core import (NormalExp, as_operator, as_state, blocks_of,
+                            commutator, frob)
 from .tolerances import DEFAULT
 from .vne_model import Flow, ModelSpec, rhs
 
@@ -82,15 +83,21 @@ class SeedSolution(Flow):
         """The generator of the seed's evolution; none for stationary seeds."""
         return () if self._evolution is None else (self._evolution.G,)
 
-    def stack(self, times) -> np.ndarray:
-        """Closed-form rho(t) for each time, shape ``(len(times), d, d)``.
-
-        Rows at t = 0 are exactly ``rho0``.
-        """
+    def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
+        """Closed-form rho(t) for each time as its ``(len(times), B, b, b)``
+        blocks on ``parts`` (default one whole block), a partition on whose
+        blocks A, rho0 and a diagonal generator act.  Rows at t = 0 are
+        exactly ``rho0``'s blocks."""
         times = np.asarray(times, dtype=float)
+        parts = np.arange(self.dim)[None] if parts is None else parts
+        rho0 = blocks_of(self.rho0, parts)
         if self._evolution is None:
-            return np.repeat(self.rho0[None], len(times), axis=0)
-        return self._evolution.similarity(self.rho0, -1j * times)
+            return np.repeat(rho0[None], len(times), axis=0)
+        return self._evolution.similarity(rho0, -1j * times, parts)
+
+    def stack(self, times) -> np.ndarray:
+        """Closed-form rho(t) for each time, shape ``(len(times), d, d)``."""
+        return self.blocks(times)[:, 0]
 
     def rho_at(self, t: float) -> np.ndarray:
         """Closed-form rho(t); ``rho_at(0)`` is exactly ``rho0``."""

@@ -14,8 +14,9 @@ non-normalized solutions into density matrices.
 ``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times: the
 shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and the
 flow beneath the chain (its ``root``) is evaluated once per stack, at the
-times ``source_times`` maps the stack to; ``finish`` then applies every
-transform.  ``dressed_trajectory`` dresses the samples of a chain through
+times ``source_times`` maps the stack to, as the blocks of the chain's
+partition; ``finish`` then applies every transform to those blocks, entry
+by entry.  ``dressed_trajectory`` dresses the samples of a chain through
 the same two maps.  Each transforms a ``Flow``; calling the flows that
 ``shifted_flow``/``rescaled_flow`` return at one time is the one-point case.
 """
@@ -25,8 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnnormalizableError, UnsupportedScenario
-from .operator_core import (NormalExp, as_operator, commutator, eig_hermitian,
-                            frob, is_hermitian)
+from .operator_core import (NormalExp, as_operator, blocks_of, commutator,
+                            coupling, eig_hermitian, frob, is_hermitian,
+                            off_diagonal, outside_value, partition)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow, ModelSpec
@@ -43,13 +45,15 @@ def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
 
 class _Transform(Flow):
     """A map of the flow ``source``: the state at t comes from ``source``'s
-    state at ``_inner(t)``, through ``_apply``.  ``stack`` evaluates the root
-    once at ``source_times`` and applies every transform of the chain with
+    state at ``_inner(t)``, through ``_apply``, which maps blocks entry by
+    entry.  ``blocks`` evaluates the root once at ``source_times`` on this
+    flow's partition and applies every transform of the chain with
     ``finish``."""
 
-    def __init__(self, source: Flow):
+    def __init__(self, source: Flow, partition: np.ndarray | None):
         self._source = source
         self.support_size = source.support_size
+        self.partition = partition
 
     @property
     def root(self) -> Flow:
@@ -58,31 +62,52 @@ class _Transform(Flow):
     def source_times(self, times) -> np.ndarray:
         return self._source.source_times(self._inner(np.asarray(times, dtype=float)))
 
-    def finish(self, times, states: np.ndarray) -> np.ndarray:
+    def finish(self, times, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        return self._apply(times, self._source.finish(self._inner(times), states))
+        inner = self._inner(times)
+        return self._apply(times, self._source.finish(inner, blocks, parts), parts)
 
-    def stack(self, times) -> np.ndarray:
-        return self.finish(times, self.root.stack(self.source_times(times)))
+    def outside(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        return self._apply_outside(times, self._source.outside(self._inner(times)))
+
+    def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
+        parts = self.partition if parts is None else parts
+        return self.finish(times, self.root.blocks(self.source_times(times), parts), parts)
 
 
 class ShiftedFlow(_Transform):
-    """rho_X on stacks of times; the invariants are checked once up front."""
+    """rho_X on stacks of times; the invariants are checked once up front.
+
+    The partition is the source's with the parts that X or the shift
+    generator couple joined (one whole block for a source without one, or
+    a generator that is not diagonal)."""
 
     def __init__(self, spec: ModelSpec, source: Flow, X: np.ndarray,
                  tolerances: Tolerances = DEFAULT):
         X = as_operator(X)
         _check_shift_invariants(X, spec.A, as_operator(source(0.0)), tolerances)
-        super().__init__(source)
+        factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]), tolerances)
+        parts = np.arange(spec.dim)[None]
+        if source.partition is not None and not off_diagonal(factor.G):
+            parts = partition(coupling(spec.dim, (X,), source.partition))
+        # at s = 0 the state is rho + X itself, off the blocks too
+        x_outside = outside_value(X, parts)
+        if x_outside is None:
+            parts, x_outside = np.arange(spec.dim)[None], 0j
+        super().__init__(source, parts)
         self._X = X
-        self._factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]),
-                                 tolerances)
+        self._x_outside = x_outside
+        self._factor = factor
 
     def _inner(self, times: np.ndarray) -> np.ndarray:
         return times
 
-    def _apply(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return self._factor.similarity(states + self._X, -1j * times)
+    def _apply(self, times: np.ndarray, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        return self._factor.similarity(blocks + blocks_of(self._X, parts), -1j * times, parts)
+
+    def _apply_outside(self, times: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        return np.where(times == 0, outside + self._x_outside, 0j)
 
 
 class RescaledFlow(_Transform):
@@ -92,14 +117,17 @@ class RescaledFlow(_Transform):
         Y = float(Y)
         if Y == 0:
             raise ValueError("Y must be nonzero")
-        super().__init__(source)
+        super().__init__(source, source.partition)
         self._Y = Y
 
     def _inner(self, times: np.ndarray) -> np.ndarray:
         return self._Y * times
 
-    def _apply(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return self._Y * states
+    def _apply(self, times: np.ndarray, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        return self._Y * blocks
+
+    def _apply_outside(self, times: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        return self._Y * outside
 
 
 def shifted_flow(spec: ModelSpec, source: Flow, X: np.ndarray,

@@ -10,9 +10,10 @@ form gap checks read the values the dressing's gates compared, and the
 hermiticity check the dressing's gaps when the checked states are the
 dressed states.  The residual evaluates its stencil through the
 trajectory's flow and reuses the sample states as centres; the covariance
-check reuses the trajectory's Lax solution and the dressed states and the
-projectors' support blocks of its ``Diagnostics``, at their dressing times,
-and builds only the projectors of its stencil.
+check reuses the trajectory's dressing (its flow's ``root``) and Lax
+solution and the dressed states and the projectors' support blocks of its
+``Diagnostics``, at their dressing times, and builds only the projectors of
+its stencil.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .darboux_engine import DressedFlow, Trajectory
+from .darboux_engine import Trajectory
 from .operator_core import dagger, frob_stack, time_blocks, trace_moments
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import default_step, hamiltonian_of, residuals
@@ -79,14 +80,16 @@ def _spectra(S: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((S + dagger(S)) / 2)
 
 
-def _covariance_gaps(traj: Trajectory, tolerances: Tolerances):
+def _covariance_gaps(traj: Trajectory):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
     # left lambda-solution psi[1] against the dressed state itself
     lax, diagnostics = traj.lax, traj.diagnostics
     spec = lax.seed.spec
     params = lax.params
     lam, z_l = params.lam, params.z_lambda
-    flow = DressedFlow(lax, tolerances)
+    # the trajectory's own dressing: dressed_trajectory checked that it is
+    # a DressedFlow of this Lax solution
+    flow = traj.rho_at.root
     # the psi stencil balances round-off (~ eps / h) against truncation
     # (~ h^4); its error is smallest near 3x the matrix-residual step
     # (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
@@ -219,7 +222,7 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
 
     if (params.lam is not None and on("covariance") and have_samples
             and traj.rho_at is not None):
-        eig_gaps, teq_gaps = _covariance_gaps(traj, tolerances)
+        eig_gaps, teq_gaps = _covariance_gaps(traj)
         worst, loc = _worst(eig_gaps, times)
         add("covariance", worst, tolerances.covariance, loc)
         worst, loc = _worst(teq_gaps, times)

@@ -4,8 +4,9 @@
 self-adjoint operator A; ``rhs`` evaluates the flow and ``residuals``
 certifies, on stacks of times, that a trajectory actually solves the
 equation (``residual`` is its one-point case).  A ``Flow`` is a solution
-evaluated on stacks of times, and the only form in which the library takes
-one.
+evaluated on stacks of times, as the diagonal blocks of its states or as
+whole states, and the only form in which the library takes one; the
+residual works on the blocks.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_core import (as_operator, as_operators, commutator, frob,
-                            frob_stack, is_hermitian, time_blocks)
+from .operator_core import (as_operator, as_operators, assemble, block_matmul,
+                            blocks_of, commutator, frob, frob_stack,
+                            is_hermitian, off_diagonal, time_blocks)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -50,7 +52,7 @@ class ModelSpec:
         for p in powers:
             p.setflags(write=False)
         diagonals = None
-        if not (A[~np.eye(len(A), dtype=bool)].any() or A.diagonal().imag.any()):
+        if not (off_diagonal(A) or A.diagonal().imag.any()):
             diagonals = tuple(p.diagonal() for p in powers)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "A", A)
@@ -77,19 +79,27 @@ class ResidualReport:
 class Flow:
     """A solution ``t -> rho(t)`` that the library evaluates on stacks of times.
 
-    Subclasses implement ``stack(times)``, returning ``(len(times), d, d)``;
-    calling the flow with one time is the one-point case of the same code.
-    ``support_size`` is the size of the block a point is dressed on, which
-    sizes the stacks (``time_blocks``); None means whole states.
+    A flow's states are block-diagonal on its ``partition``, a ``(B, b)``
+    array of index sets (``operator_core.partition``); None is one whole
+    block.  ``blocks(times, parts)`` evaluates the states as the
+    ``(len(times), B, b, b)`` stack of their blocks on ``parts``, a
+    partition no finer than ``partition`` (its default); ``stack(times)``
+    assembles the whole ``(len(times), d, d)`` states, whose entries off the
+    blocks are ``outside(times)``.  A subclass implements ``blocks``, or
+    only ``stack`` and is one whole block.  Calling the flow with one time
+    is the one-point case of the same code.  ``support_size`` is the size
+    of the block a point is dressed on, which sizes the stacks
+    (``time_blocks``); None means whole states.
 
     A flow may transform the states of another (``symmetry_transforms``).
-    ``root`` is the flow beneath every transform; its states at
-    ``source_times(times)``, passed through ``finish(times, states)``, are
-    this flow's states at ``times``.  For a flow that transforms nothing
+    ``root`` is the flow beneath every transform; its blocks at
+    ``source_times(times)``, passed through ``finish(times, blocks, parts)``,
+    are this flow's blocks at ``times``.  For a flow that transforms nothing
     ``root`` is the flow itself and both maps are the identity.
     """
 
     support_size: int | None = None
+    partition: np.ndarray | None = None
 
     @property
     def root(self) -> "Flow":
@@ -98,20 +108,34 @@ class Flow:
     def source_times(self, times) -> np.ndarray:
         return np.asarray(times, dtype=float)
 
-    def finish(self, times, states: np.ndarray) -> np.ndarray:
-        return states
+    def finish(self, times, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        return blocks
+
+    def outside(self, times) -> np.ndarray:
+        """The value of each state's entries off the blocks, one per time."""
+        return np.zeros(len(times), dtype=complex)
+
+    def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
+        if parts is not None and len(parts) != 1:
+            raise ValueError("this flow evaluates whole states only")
+        return self.stack(times)[:, None]
 
     def stack(self, times) -> np.ndarray:
-        raise NotImplementedError
+        times = np.asarray(times, dtype=float)
+        if self.partition is None:
+            return self.blocks(times)[:, 0]
+        return assemble(self.blocks(times), self.partition, self.outside(times))
 
     def __call__(self, t: float) -> np.ndarray:
         return self.stack([t])[0]
 
 
-def hamiltonian_of(spec: ModelSpec, rho) -> np.ndarray:
+def hamiltonian_of(spec: ModelSpec, rho, parts: np.ndarray | None = None) -> np.ndarray:
     """sum_{k=0}^{n} A^{n-k} rho A^k, the state-dependent generator.
 
-    ``rho`` may be a stack ``(..., d, d)``; the result has its shape.  For an
+    ``rho`` may be a stack ``(..., d, d)``; the result has its shape.  With
+    ``parts``, on whose blocks A is block-diagonal, ``rho`` and the result
+    are the blocks ``(..., B, b, b)`` (``operator_core.blocks_of``).  For an
     exactly diagonal A (``ModelSpec.diagonals``) each term is
     ``(a_i^{n-k} rho_ij) a_j^k``, multiplied and summed in the order of the
     matrix products, which it equals bit for bit: every term's nonzero
@@ -119,19 +143,20 @@ def hamiltonian_of(spec: ModelSpec, rho) -> np.ndarray:
     exact zero of the total is ``+0.0`` either way.
     """
     rho = as_operators(rho)
-    if rho.shape[-2:] != spec.A.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape} vs A {spec.A.shape}")
+    shape = spec.A.shape if parts is None else parts.shape + parts.shape[-1:]
+    if rho.shape[-len(shape):] != shape:
+        raise ValueError(f"dimension mismatch: rho {rho.shape} vs blocks {shape}")
     n = spec.n
     # A^0 is the identity: the k = 0 and k = n terms are one product each
     total = np.zeros_like(rho)
     if spec.diagonals is not None:
-        a = spec.diagonals
-        total += a[n][:, None] * rho
+        a = [d if parts is None else d[parts] for d in spec.diagonals]
+        total += a[n][..., :, None] * rho
         for k in range(1, n):
-            total += (a[n - k][:, None] * rho) * a[k]
-        total += rho * a[n]
+            total += (a[n - k][..., :, None] * rho) * a[k][..., None, :]
+        total += rho * a[n][..., None, :]
         return total
-    powers = spec.powers
+    powers = spec.powers if parts is None else [blocks_of(p, parts) for p in spec.powers]
     total += powers[n] @ rho
     for k in range(1, n):
         total += powers[n - k] @ rho @ powers[k]
@@ -172,13 +197,14 @@ def default_step(spec: ModelSpec) -> float:
     return 1e-3 * (1.0 + frob(spec.A)) ** (-(spec.n + 1))
 
 
-def _defect(spec: ModelSpec, rdot: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # i rho' - [H(rho), rho], written over the stack rdot: the products and
-    # differences of ``1j * rdot - (H @ rho - rho @ H)`` in their order, with
-    # two whole stacks fewer alive
-    H = hamiltonian_of(spec, rho)
-    drift = H @ rho
-    drift -= rho @ H
+def _defect(spec: ModelSpec, rdot: np.ndarray, rho: np.ndarray,
+            parts: np.ndarray) -> np.ndarray:
+    # i rho' - [H(rho), rho] on the blocks, written over the stack rdot:
+    # the products and differences of ``1j * rdot - (H @ rho - rho @ H)``
+    # in their order, with two stacks fewer alive
+    H = hamiltonian_of(spec, rho, parts)
+    drift = block_matmul(H, rho)
+    drift -= block_matmul(rho, H)
     rdot *= 1j
     rdot -= drift
     return rdot
@@ -195,36 +221,33 @@ def residuals(spec: ModelSpec, flow: Flow, times, states=None,
     ``C = ((n+1) (1+||A||_F)^{n+1} max(1, ||rho(t)||_F))^5 / 30``, a bound on
     the fifth time-derivative entering the stencil error.  ``states`` is the
     ``(len(times), d, d)`` stack of rho(t) when it is already known;
-    otherwise it is evaluated first.  Times are taken in the blocks of the
-    trajectory (``time_blocks``); within a block the stencil is evaluated one
-    offset at a time, t+2h, t+h, t-h, t-2h, and summed into one array in
-    that order.  A failing stencil point raises what evaluating the block's
-    points time by time, each time's four offsets in that order, raises
-    first.
+    otherwise it is evaluated first.  The residual is taken on the blocks of
+    the flow's ``partition``, where A and every state are block-diagonal:
+    each block of times is one time-major ring of stencil points, t+2h,
+    t+h, t-h, t-2h per time, evaluated in one ``flow.blocks`` call, so a
+    failing point raises what evaluating the times one by one raises first.
+    ``i rho' - [H(rho), rho]`` is formed block by block, every block of
+    every time, and its norm is the root-sum-square of the block norms; the
+    tolerance takes the whole states' norms.
     """
     h = default_step(spec)
     times = np.asarray(times, dtype=float)
     offsets = np.array([2 * h, h, -h, -2 * h])
     generator_scale = (spec.n + 1) * (1.0 + frob(spec.A)) ** (spec.n + 1)
+    parts = np.arange(spec.dim)[None] if flow.partition is None else flow.partition
     norms, tols = [], []
     # a flow without a support is budgeted as a dressing on whole states
     support = flow.support_size or spec.dim
-    for block in time_blocks(len(times), spec.dim, support=support):
+    for block in time_blocks(len(times), spec.dim, support=support,
+                             block=parts.shape[1], per_time=len(offsets)):
         t = times[block]
         rho_t = (flow.stack(t) if states is None
                  else as_operators(states[block]))
-        try:
-            rdot = -flow.stack(t + offsets[0])
-            rdot += 8 * flow.stack(t + offsets[1])
-            rdot -= 8 * flow.stack(t + offsets[2])
-            rdot += flow.stack(t + offsets[3])
-        except Exception:
-            # offset by offset the stacks meet failing points in another
-            # order: raise what the time-major ring meets first
-            flow.stack((t[:, None] + offsets).ravel())
-            raise
-        rdot /= 12 * h
-        norms.append(frob_stack(_defect(spec, rdot, rho_t)))
+        ring = flow.blocks((t[:, None] + offsets).ravel(), parts)
+        ring = ring.reshape((len(t), len(offsets)) + ring.shape[1:])
+        rdot = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
+        defect = _defect(spec, rdot, blocks_of(rho_t, parts), parts)
+        norms.append(np.linalg.norm(frob_stack(defect), axis=-1))
         C = (generator_scale * np.maximum(1.0, frob_stack(rho_t))) ** 5 / 30.0
         tols.append(np.maximum(tolerances.residual_floor, C * h ** 4))
     return np.concatenate(norms), np.concatenate(tols) * tol_scale

@@ -13,7 +13,7 @@ from vndarboux import (Flow, SingularDarboux, build_lax, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed)
 from vndarboux.darboux_engine import _projector_stack
-from vndarboux.operator_core import as_state
+from vndarboux.operator_core import as_state, blocks_of, coupling, partition
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
@@ -57,16 +57,28 @@ def nlse_rhs(spec, psi):
 
 class PlantedError(Flow):
     """The states of ``source`` plus ``t * error`` at each time t: a flow
-    that solves nothing, for the checks to catch."""
+    that solves nothing, for the checks to catch.  It is evaluated on the
+    blocks of the source's partition, with the parts that ``error``
+    couples joined (one whole block for a source without a partition)."""
 
     def __init__(self, source, error):
         self.source = source
         self.error = np.asarray(error, dtype=complex)
         self.support_size = source.support_size
+        if source.partition is not None:
+            self.partition = partition(
+                coupling(len(self.error), (self.error,), source.partition))
 
-    def stack(self, times):
+    def outside(self, times):
+        return self.source.outside(times)
+
+    def blocks(self, times, parts=None):
         times = np.asarray(times, dtype=float)
-        return self.source.stack(times) + times[:, None, None] * self.error
+        parts = self.partition if parts is None else parts
+        if parts is None:
+            parts = np.arange(len(self.error))[None]
+        return (self.source.blocks(times, parts)
+                + times[:, None, None, None] * blocks_of(self.error, parts))
 
 
 def whole_projectors(diagnostics):

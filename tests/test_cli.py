@@ -124,6 +124,29 @@ def test_orthogonal_pair_exits_three(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
+def test_a_near_orthogonal_pair_exits_three(tmp_path, capsys, eps):
+    # nu = mu + eps e^{i pi/4} with nu's root pinned away from conj(z_mu):
+    # the pair's overlap is about 0.3 eps, so ||P||_F is about 3 / eps.  The
+    # idempotency gate takes the report's absolute limit, so the dressing
+    # stops at the first sample instead of dressing a state whose report
+    # fails idempotency (exit 1 at 1e-3 and 1e-4 with a limit scaled by
+    # ||P||_F)
+    mu = 0.3 + 0.8j
+    nu = mu + eps * np.exp(1j * np.pi / 4)
+    cfg = {
+        "id": "near-orthogonal",
+        "model": {"n": 1},
+        "seed": {"family": "delta_commuting", "a": 0.9, "blocks": [[0.3, 0.2]]},
+        "darboux": {"mu": [mu.real, mu.imag], "nu_mode": {"explicit": [nu.real, nu.imag]},
+                    "z_nu_pin": [0.04, -0.995]},
+        "times": {"t_min": -1.0, "t_max": 1.0, "samples": 11},
+    }
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "singular dressing at t = -1; trajectory truncated"
+
+
 def test_symmetry_after_pipeline(tmp_path):
     cfg = json.loads(json.dumps(REFERENCE))
     cfg["symmetries"] = {"order": "after", "shift_lambda": 1.0, "rescale_y": 0.5}

@@ -18,8 +18,8 @@ from vndarboux import (DEFAULT, ModelSpec, SeedFamily, SeedSolution, build_lax,
                        darboux_engine, make_commuting_seed,
                        make_delta_commuting_seed)
 from vndarboux.darboux_engine import (DressedFlow, _hermitian_exp,
-                                      _similarity_stack, _square)
-from vndarboux.operator_core import dagger, frob_stack
+                                      _similarity_stack)
+from vndarboux.operator_core import block_matmul, dagger, frob_stack
 from vndarboux.scenario_cli import read_scenario
 
 MU = (0.3 + 0.8j, -1.1 + 0.2j, 0.05 - 1.4j, 0.9 - 0.4j)
@@ -106,7 +106,7 @@ def test_square_is_the_matrix_product_to_one_ulp(bench, workload):
     for P in stacks:
         terms = (np.abs(P[..., :, :1]) * np.abs(P[..., :1, :])
                  + np.abs(P[..., :, 1:]) * np.abs(P[..., 1:, :]))
-        gap = _square(P) - P @ P
+        gap = block_matmul(P, P) - P @ P
         for part in (gap.real, gap.imag):
             assert np.all(np.abs(part) <= np.spacing(terms))
 

@@ -14,7 +14,7 @@ from vndarboux.darboux_engine import (DressedFlow, _dress_stack,
                                       _hermitian_exp, _projector_stack,
                                       _similarity_stack, _similarity_terms,
                                       _transform_rows, _unitarity_defect)
-from vndarboux.operator_core import DIM_CAP, dagger, frob
+from vndarboux.operator_core import DIM_CAP, dagger, frob, frob_stack
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
@@ -203,8 +203,8 @@ def test_form_gap_is_the_bridge_gap_scaled(k, pair):
     # form_gap = |mu - nu| bridge_gap before round-off
     mu, nu = PAIRS[pair]
     P, U, W, rho, A = _random_inputs(k, 200 + k)
-    _, _, form_gap, failure = _dress_stack(rho, A, P, U, W, np.arange(k),
-                                           mu, nu, DEFAULT)
+    _, _, form_gap, failure = _dress_stack(rho, frob_stack(rho), k, A, P, U, W,
+                                           np.arange(k), mu, nu, DEFAULT)
     assert isinstance(failure[1], InconsistentLax)
     bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
               - (rho @ P) / mu + (P @ rho) / nu)

@@ -13,12 +13,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from test_support import _rotated_delta_seed
+from conftest import PlantedError
+from test_support import D12_BLOCKS, _rotated_delta_seed
 from vndarboux import (DEFAULT, ModelSpec, build_lax, dressed_trajectory,
-                       hamiltonian_of, rescaled_flow, residuals)
+                       hamiltonian_of, make_delta_commuting_seed, rescaled_flow,
+                       residuals, shifted_flow)
 from vndarboux import darboux_engine
-from vndarboux.darboux_engine import _commutator_with
-from vndarboux.operator_core import frob, frob_stack, time_blocks
+from vndarboux.darboux_engine import DressedFlow, _commutator_with
+from vndarboux.operator_core import blocks_of, frob, frob_stack, time_blocks
 from vndarboux.scenario_cli import execute_scenario
 from vndarboux.vne_model import Flow, default_step
 
@@ -165,25 +167,34 @@ def _drawn(name):
 
 
 def _time_major_residuals(spec, flow, times, states):
-    # the stencil as time-major rings, t+2h, t+h, t-h, t-2h per time,
-    # differenced by one formula, and H from the matrix products.  A ring
-    # holds a block's four stencil points per time within the budget of a
-    # block's points, as the rings were cut when they were evaluated whole
+    # the stencil as time-major rings of whole states, differenced by one
+    # formula, and H from the matrix products.  A ring holds a block's four
+    # stencil points per time within the budget of a block's points
     h = default_step(spec)
     offsets = np.array([2 * h, h, -h, -2 * h])
     block = time_blocks(1 << 20, spec.dim, support=flow.support_size)[0]
     per_ring = (block.stop - block.start) // len(offsets)
-    norms = []
+    norms, scales = [], []
     for start in range(0, len(times), per_ring):
         t, rho = times[start:start + per_ring], states[start:start + per_ring]
-        ring = flow.stack((t[:, None] + offsets).ravel())
+        # the whole-matrix evaluation: the flow's code on one whole block
+        ring = flow.blocks((t[:, None] + offsets).ravel(), np.arange(spec.dim)[None])
         ring = ring.reshape((len(t), len(offsets)) + rho.shape[-2:])
         rdot = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
         H = _matmul_hamiltonian(spec, rho)
         norms.append(frob_stack(1j * rdot - (H @ rho - rho @ H)))
+        scales.append(frob_stack(H) * frob_stack(rho))
     generator_scale = (spec.n + 1) * (1.0 + frob(spec.A)) ** (spec.n + 1)
     C = (generator_scale * np.maximum(1.0, frob_stack(states))) ** 5 / 30.0
-    return np.concatenate(norms), np.maximum(DEFAULT.residual_floor, C * h ** 4)
+    return (np.concatenate(norms), np.maximum(DEFAULT.residual_floor, C * h ** 4),
+            np.concatenate(scales))
+
+
+#: the residual's norms on blocks against the whole-matrix formula, per
+#: sample, in units of eps ||H(rho)||_F ||rho||_F: the commutator's products
+#: and the norm's sums round in another order (measured at most 0.092 on
+#: the drawn scenarios)
+RESIDUAL_ROUNDOFF = 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN))
@@ -193,10 +204,81 @@ def test_offset_by_offset_residual_is_the_time_major_formula(name):
     spec = result.seed.spec
     assert spec.diagonals is not None and len(traj.times) == 201
     norms, tols = residuals(spec, traj.rho_at, traj.times, states=traj.states)
-    ref_norms, ref_tols = _time_major_residuals(spec, traj.rho_at, traj.times,
-                                                traj.states)
-    assert norms.tobytes() == ref_norms.tobytes()
+    ref_norms, ref_tols, scales = _time_major_residuals(spec, traj.rho_at, traj.times,
+                                                        traj.states)
+    assert np.all(np.abs(norms - ref_norms) <= RESIDUAL_ROUNDOFF * scales)
     assert tols.tobytes() == ref_tols.tobytes()
+
+
+def _flow(name):
+    # a drawn scenario's flow, a shift and a rescaling by a negative Y of a
+    # Delta seed in either order, or a shift by a matrix X
+    if name in DRAWN:
+        return _drawn(name).trajectory.rho_at
+    seed = make_delta_commuting_seed(D12_BLOCKS, a=0.9)
+    dressed = DressedFlow(build_lax(seed, 0.3 + 0.8j))
+    X = 0.5 * np.eye(seed.dim, dtype=complex)
+    if name == "shift-rescale-negative":
+        return rescaled_flow(shifted_flow(seed.spec, dressed, X), -0.5)
+    if name == "rescale-negative-shift":
+        return shifted_flow(seed.spec, rescaled_flow(dressed, -0.5), -X)
+    X_blocks = np.diag(np.repeat([0.25, 0.0, 0.5, 0.25, 0.0, 0.75], 2)).astype(complex)
+    return shifted_flow(seed.spec, dressed, X_blocks)
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN) + ["shift-rescale-negative",
+                                                  "rescale-negative-shift", "shift-x"])
+def test_ring_blocks_are_the_blocks_of_the_whole_matrix_stencil(name):
+    flow = _flow(name)
+    parts = flow.partition
+    dim = parts.size
+    assert len(parts) == dim // 2 and parts.shape[1] == 2
+    h = default_step(flow.root.seed.spec)
+    # the samples themselves (t = 0 among them) and their stencil rings
+    t = np.linspace(-1.0, 1.0, 11)
+    ring = np.concatenate([t, (t[:, None] + np.array([2 * h, h, -h, -2 * h])).ravel()])
+    whole = flow.blocks(ring, np.arange(dim)[None])[:, 0]
+    blocks = flow.blocks(ring)
+    assert blocks.tobytes() == blocks_of(whole, parts).tobytes()
+    assert flow.stack(ring).tobytes() == whole.tobytes()
+    # off the partition every entry is the zero the whole evaluation gives:
+    # Y * (+0.0) under a rescaling, -0.0 in its real part for a negative Y
+    inside = np.zeros((dim, dim), dtype=bool)
+    inside[parts[:, :, None], parts[:, None, :]] = True
+    Y = -0.5 if "negative" in name else 1.0
+    expected = Y * np.zeros((len(ring), int((~inside).sum())), dtype=complex)
+    if name == "rescale-negative-shift":
+        # a shift of Y rho by X = -0.5 1: +0.0 wherever the shift's phase
+        # ran, and at t = 0, where the state is Y rho + X itself, Y * 0.0
+        # plus X's off-diagonal -(0.0 + 0.0j)
+        at_zero = expected[ring == 0] + -np.zeros(1, dtype=complex)
+        expected = np.zeros_like(expected)
+        expected[ring == 0] = at_zero
+        assert np.signbit(at_zero.real).all()
+    assert whole[:, ~inside].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("where", ["outside-J", "on-J"])
+def test_a_planted_error_fails_the_residual_at_its_block(where):
+    # t * E on one 2 x 2 block: off the support J, which the dressing never
+    # touches, or on J; the residual checks every block at every point
+    seed = make_delta_commuting_seed(D12_BLOCKS, a=0.9)
+    lax = build_lax(seed, 0.3 + 0.8j)
+    flow = DressedFlow(lax)
+    J = flow.support
+    part = J if where == "on-J" else next(p for p in flow.partition if not np.isin(p, J).any())
+    E = np.zeros((seed.dim, seed.dim), dtype=complex)
+    E[np.ix_(part, part)] = 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    planted = PlantedError(flow, E)
+    npt.assert_array_equal(planted.partition, flow.partition)
+    times = np.linspace(-1.0, 1.0, 21)
+    states = planted.stack(times)
+    spec = seed.spec
+    clean, _ = residuals(spec, flow, times, states=flow.stack(times))
+    norms, tols = residuals(spec, planted, times, states=states)
+    assert np.all(clean <= tols) and np.all(norms > tols)
+    ref_norms, _, scales = _time_major_residuals(spec, planted, times, states)
+    assert np.all(np.abs(norms - ref_norms) <= RESIDUAL_ROUNDOFF * scales)
 
 
 _diagonal_post_init = ModelSpec.__post_init__
@@ -225,8 +307,8 @@ def test_offset_by_offset_residual_on_a_dense_seed():
     times = np.linspace(-1.0, 1.0, 21)
     traj = dressed_trajectory(lax, times)
     norms, tols = residuals(seed.spec, traj.rho_at, times, states=traj.states)
-    ref_norms, ref_tols = _time_major_residuals(seed.spec, traj.rho_at, times,
-                                                traj.states)
+    ref_norms, ref_tols, _ = _time_major_residuals(seed.spec, traj.rho_at, times,
+                                                   traj.states)
     assert norms.tobytes() == ref_norms.tobytes()
     assert tols.tobytes() == ref_tols.tobytes()
     assert np.all(norms <= tols)

@@ -18,7 +18,7 @@ import pytest
 
 import vndarboux
 from test_support import D12_BLOCKS, _rotated_delta_seed
-from vndarboux import DEFAULT, build_lax, dressed_trajectory, operator_core, scenario_cli
+from vndarboux import build_lax, dressed_trajectory, operator_core, scenario_cli
 from vndarboux.darboux_engine import DressedFlow
 from vndarboux.verification import _covariance_gaps, _per_sample, _spectra
 from vndarboux.vne_model import residuals
@@ -149,7 +149,7 @@ def _residual(lax, flow):
 def _covariance(lax, flow):
     t = _block(lax.seed.dim, flow.support_size)
     traj = dressed_trajectory(lax, t, flow=flow)
-    return t, flow.support_size, lambda: _covariance_gaps(traj, DEFAULT)
+    return t, flow.support_size, lambda: _covariance_gaps(traj)
 
 
 def _spectrum(lax, flow):
