@@ -38,32 +38,34 @@ built from blocks, so their pencil is block-diagonal and J is one block;
 phi and chi vanish outside J, P and ``rho[1] - rho`` outside ``J x J``, and
 T is the identity there.  Projectors, T and every gate are computed on
 ``J x J``, and a dressed state is its seed state with that block replaced;
-for a dense seed J is every index.  States are evaluated as the blocks of
-the flow's partition (``operator_core.partition``: the components of A,
-rho0 and the seed's generator, with J as one part), ``(N, B, b, b)``: the
-seed's blocks, with ``rho1_J`` written into J's part.  When the parts
-differ in size or the seed's generator is not diagonal the partition is one
-whole block, the same code with ``B = 1``.  For an exactly diagonal A, as every seed
-family builds it, ``[P, A_J]`` scales P's entries by A's diagonal instead of
-multiplying matrices.  Every gate (overlap floor, idempotency,
-projector trace, ``t_equality``, ``form_gap``, bridge identity, unitarity) is
-a reduction over the stack, and the first failing point in stack order raises
-what a point-by-point loop would.  ``t_equality`` compares T with one stacked
-exponential: in hermitian mode, where P is Hermitian by construction, from
-one batched ``eigh`` of P's Hermitian part, or on a 2 x 2 block from that
-part's closed-form eigen-split; otherwise, and for any P a caller hands in,
-from ``mat_exp``.
+for a dense seed J is every index.  States are evaluated as their blocks
+on a partition no finer than the flow's (``operator_core.partition``: the
+components of A, rho0 and the seed's generator, with J as one part),
+``(N, B, b, b)``: the seed's blocks, with ``rho1_J`` written into J's part.
+Whole states are the one whole block, ``B = 1``; only the residual's
+stencil ring takes finer blocks.  When the parts differ in size or the
+seed's generator is not diagonal the flow's partition is one whole block.
+For an exactly diagonal A, as every seed family builds it, ``[P, A_J]``
+scales P's entries by A's diagonal instead of multiplying matrices.  Every
+gate (overlap floor, idempotency, projector trace, ``t_equality``,
+``form_gap``, bridge identity, unitarity) is a reduction over the stack, and
+the first failing point in stack order raises what a point-by-point loop
+would.  ``t_equality`` compares T with one stacked exponential: in
+hermitian mode, where P is Hermitian by construction, from one batched
+``eigh`` of P's Hermitian part, or on a 2 x 2 block from that part's
+closed-form eigen-split; otherwise, and for any P a caller hands in, from
+``mat_exp``.
 ``projector``, ``dress`` and ``dressed_state_at`` are the one-point case;
-the first two take whole matrices.  ``dressed_trajectory``
-cuts the sample grid into blocks (``time_blocks``, sized by the full and the
-support matrices a point holds) and fills one ``Trajectory``: the states,
-assembled from their blocks, as one ``(N, d, d)`` stack, a ``Diagnostics``
-record of per-sample arrays
-(dressed states, the projectors' ``J x J`` blocks with J, the gates' values
-and other scalar diagnostics) and the Lax solution.  Under a symmetry flow
+the first two take whole matrices.  ``dressed_trajectory`` cuts the sample
+grid into blocks (``time_blocks``, sized by the full and the support
+matrices a point holds) and fills one ``Trajectory``: the whole states,
+each block's evaluated as one whole block, as one ``(N, d, d)`` stack, a
+``Diagnostics`` record of per-sample arrays (dressed states, the
+projectors' ``J x J`` blocks with J, the gates' values and other scalar
+diagnostics) and the Lax solution.  Under a symmetry flow
 (``symmetry_transforms``) it dresses each sample once, at the time the flow
-evaluates the dressing (``Y t``), and the flow maps that dressing's blocks
-to the sample's.  The checks in ``verification`` read those gate values,
+evaluates the dressing (``Y t``), and the flow maps that dressing to the
+sample's state.  The checks in ``verification`` read those gate values,
 slice those stacks and evaluate their stencils through the same flow.
 """
 
@@ -76,10 +78,10 @@ import numpy as np
 
 from .errors import InconsistentLax, SingularDarboux
 from .lax_engine import LaxSolution, hermitian_pairing, require_nonzero
-from .operator_core import (as_operator, as_state, assemble, block_matmul,
-                            commutator, components, coupling, dagger,
-                            frob_stack, mat_exp, off_diagonal, outside_value,
-                            partition, time_blocks)
+from .operator_core import (as_operator, as_state, block_matmul, commutator,
+                            components, coupling, dagger, frob_stack,
+                            hermitian_spectra, hermiticity_gaps, mat_exp,
+                            off_diagonal, partition, time_blocks)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
@@ -241,16 +243,16 @@ def _hermitian_exp_2x2(z: complex, H: np.ndarray) -> np.ndarray:
 
 def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,
                       tolerances: Tolerances, hermitian: bool = False,
-                      outside: int = 0):
+                      beyond: int = 0):
     # T on the block that P lives on; beyond it T is the identity, whose
-    # ``outside`` unit diagonal entries count in ||T||_F.  hermitian: P is
+    # ``beyond`` unit diagonal entries count in ||T||_F.  hermitian: P is
     # Hermitian by construction (chi = conj(phi)); any other P, above all
     # one handed in by a caller, goes through mat_exp
     eye = np.eye(P.shape[-1], dtype=complex)
     T = eye + ((mu - nu) / nu) * P
     z = np.log(mu / nu)
     gap = frob_stack(T - (_hermitian_exp(z, P) if hermitian else mat_exp(z * P)))
-    size = np.hypot(frob_stack(T), np.sqrt(outside))
+    size = np.hypot(frob_stack(T), np.sqrt(beyond))
     failure = _first(
         gap > tolerances.t_equality * np.maximum(1.0, size),
         lambda i: InconsistentLax(
@@ -265,10 +267,10 @@ def _block(M: np.ndarray, J: np.ndarray) -> np.ndarray:
     return M.take(J, axis=-2).take(J, axis=-1)
 
 
-def _embed(block: np.ndarray, J: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    # ``outside`` (one matrix or a stack) with the J x J block of each matrix
+def _embed(block: np.ndarray, J: np.ndarray, base: np.ndarray) -> np.ndarray:
+    # ``base`` (one matrix or a stack) with the J x J block of each matrix
     # replaced by ``block``
-    out = np.array(np.broadcast_to(outside, block.shape[:-2] + outside.shape[-2:]))
+    out = np.array(np.broadcast_to(base, block.shape[:-2] + base.shape[-2:]))
     out[..., J[:, None], J] = block
     return out
 
@@ -427,8 +429,8 @@ class DressedFlow(Flow):
     seed's generator with J as one part (``operator_core.partition``): a
     dressed state is its seed state's blocks with J's block replaced.  It
     is one whole block when the parts differ in size, when the seed's
-    generator is not diagonal, and for a dense seed, where J is every
-    index.
+    generator is not diagonal (its similarity does not act on blocks), and
+    for a dense seed, where J is every index.
     """
 
     def __init__(self, lax: LaxSolution, tolerances: Tolerances = DEFAULT):
@@ -442,19 +444,9 @@ class DressedFlow(Flow):
         met[label[(lax.phi0 != 0) | (lax.chi0 != 0)]] = True
         self.support = np.flatnonzero(met[label])
         self.support_size = len(self.support)
-        parts = partition(coupling(seed.dim, states, [self.support]))
-        # off the blocks a state is rho0's zero (which may be -0.0) where
-        # the seed is rho0 itself, and +0.0 where its evolution ran
-        self._outside = outside_value(seed.rho0, parts)
-        if self._outside is None or any(off_diagonal(G) for G in seed.generators):
-            parts, self._outside = np.arange(seed.dim)[None], 0j
-        self.partition = parts
-
-    def outside(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.seed.generators:
-            return np.where(times == 0, self._outside, 0j)
-        return np.full(len(times), self._outside, dtype=complex)
+        self.partition = partition(coupling(seed.dim, states, [self.support]))
+        if any(off_diagonal(G) for G in seed.generators):
+            self.partition = np.arange(seed.dim)[None]
 
     def _rows(self, times):
         # the support entries of phi and chi per point, normalized, with
@@ -569,13 +561,19 @@ def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
     if seed is not lax.seed:
         raise ValueError("seed is not the seed of this Lax solution")
     flow = DressedFlow(lax, tolerances)
-    dressed = flow.evaluate([t])
+    dressed = flow.evaluate([t], np.arange(seed.dim)[None])
     _raise(dressed.failure)
     J, eye = flow.support, np.eye(seed.dim, dtype=complex)
-    rho1 = assemble(dressed.rho1, flow.partition, flow.outside([t]))
-    return DressedState(rho1=rho1[0], P=_embed(dressed.P[0], J, 0 * eye),
+    return DressedState(rho1=dressed.rho1[0, 0], P=_embed(dressed.P[0], J, 0 * eye),
                         T=_embed(dressed.T[0], J, eye), t=float(t),
                         form_gap=float(dressed.form_gap[0]))
+
+
+def _joined(pieces: list, dim: int) -> np.ndarray:
+    # the blocks' state stacks as one; a one-block grid keeps its fresh stack
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate(pieces) if pieces else np.empty((0, dim, dim), dtype=complex)
 
 
 def dressed_trajectory(lax: LaxSolution, times,
@@ -584,23 +582,25 @@ def dressed_trajectory(lax: LaxSolution, times,
     """Sample rho[1](t), dressed with ``lax``, over a time grid with full
     per-sample diagnostics.
 
-    The states and every diagnostic are stacks allocated for the whole grid
-    and filled block by block (``time_blocks``, which depend on the grid and
-    the flow's support alone).  ``P`` holds the projectors as their blocks
-    on the support J, which is kept beside them, with the values their
-    gates compared.  Each block dresses its samples and, in one separate
-    stack, builds the projectors at ``t +- dp`` for ``p_dot_norm``; on
-    Delta-commuting seeds in hermitian mode it evaluates ``f_value`` for all
-    its samples in one call.  A ``SingularDarboux`` at some sample cuts the
+    The grid is evaluated block by block (``time_blocks``, which depend on
+    the grid and the flow's support alone), each block's states as the one
+    whole block of ``DressedFlow.evaluate``.  The states are those fresh
+    stacks, joined when the grid has more than one block; every other
+    diagnostic is a stack allocated for the whole grid and filled block by
+    block.  ``P`` holds the projectors as their blocks on the support J,
+    which is kept beside them, with the values their gates compared.  Each
+    block dresses its samples and, in one separate stack, builds the
+    projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting seeds
+    in hermitian mode it evaluates ``f_value`` for all its samples in one
+    call.  A ``SingularDarboux`` at some sample cuts the
     stacks there and records the singular sample's time instead of aborting.
 
     ``flow`` is a symmetry flow whose ``root`` is a ``DressedFlow`` of
     ``lax`` (``symmetry_transforms``).  Each sample is then dressed once, at
     the time ``flow.source_times`` maps it to (``Y t`` under a rescaling,
     in reverse order for a negative Y), and ``flow.finish`` maps the dressed
-    state's blocks on the flow's ``partition`` to the sample's; the whole
-    states are assembled from those blocks.  The diagnostics describe that
-    dressing.  The samples keep ``times`` and its order.
+    state to the sample's.  The diagnostics describe that dressing.  The
+    samples keep ``times`` and its order.
     """
     times = np.asarray(times, dtype=float)
     seed, params = lax.seed, lax.params
@@ -614,10 +614,9 @@ def dressed_trajectory(lax: LaxSolution, times,
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
 
     count = len(times)
-    parts = flow.partition
-    rho1 = np.empty((count, seed.dim, seed.dim), dtype=complex)
+    whole = np.arange(seed.dim)[None]
+    rho1, states = [], []
     flowed = flow is not dressing
-    states = np.empty_like(rho1) if flowed else rho1
     J = dressing.support
     P = np.empty((count, len(J), len(J)), dtype=complex)
     phi_norm, form_gap, herm_gap, idempotency, trace_gap, p_dot = (
@@ -629,7 +628,7 @@ def dressed_trajectory(lax: LaxSolution, times,
     dp = 1e-4
     for block in time_blocks(count, seed.dim, support=len(J)):
         t = at[block]
-        dressed = dressing.evaluate(t, parts)
+        dressed = dressing.evaluate(t, whole)
         # t + dp and t - dp per point, time-major: the first failing entry
         # is the point's plus side before its minus side
         ring = np.stack([t + dp, t - dp], axis=-1).ravel()
@@ -640,21 +639,19 @@ def dressed_trajectory(lax: LaxSolution, times,
         failure = _earliest(dressed.failure, ring_failure)
         done = len(t) if failure is None else failure[0]
         out = slice(filled, filled + done)
-        dressed_states = assemble(dressed.rho1[:done], parts,
-                                  dressing.outside(t[:done]), out=rho1[out])
+        dressed_states = dressed.rho1[:done, 0]
+        rho1.append(dressed_states)
         if flowed:
             sample_t = times[block][:done]
-            assemble(flow.finish(sample_t, dressed.rho1[:done], parts), parts,
-                     flow.outside(sample_t), out=states[out])
+            states.append(flow.finish(sample_t, dressed.rho1[:done], whole)[:, 0])
         P[out] = dressed.P[:done]
         phi_norm[out] = dressed.phi_norm[:done]
         form_gap[out] = dressed.form_gap[:done]
         idempotency[out] = dressed.idempotency_gap[:done]
         trace_gap[out] = dressed.projector_trace_gap[:done]
-        herm_gap[out] = frob_stack(dressed_states - dagger(dressed_states))
+        herm_gap[out] = hermiticity_gaps(dressed_states)
         if herm:
-            spectrum[out] = np.linalg.eigvalsh(
-                (dressed_states + dagger(dressed_states)) / 2)
+            spectrum[out] = hermitian_spectra(dressed_states)
         p_dot[out] = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
         if with_f:
             F[out] = f_value(seed, params.mu, lax.phi0, t[:done])
@@ -667,15 +664,16 @@ def dressed_trajectory(lax: LaxSolution, times,
             break
 
     cut = slice(0, filled)
+    rho1 = _joined(rho1, seed.dim)
     diagnostics = Diagnostics(
-        rho1=rho1[cut], P=P[cut], support=J, phi_norm=phi_norm[cut],
+        rho1=rho1, P=P[cut], support=J, phi_norm=phi_norm[cut],
         form_gap=form_gap[cut], hermiticity_gap=herm_gap[cut],
         idempotency_gap=idempotency[cut], projector_trace_gap=trace_gap[cut],
         min_eig=None if spectrum is None else spectrum[cut, 0],
         F_value=None if F is None else F[cut], p_dot_norm=p_dot[cut],
         spectrum=None if spectrum is None else spectrum[cut])
     return Trajectory(times=times[cut],
-                      states=states[cut] if flowed else diagnostics.rho1,
+                      states=_joined(states, seed.dim) if flowed else rho1,
                       diagnostics=diagnostics, rho_at=flow,
                       singular_t=singular_t, lax=lax)
 

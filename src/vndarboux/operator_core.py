@@ -7,8 +7,9 @@ time point; ``as_operators``, ``mat_exp``, ``trace_moments`` and
 ``NormalExp`` work on them, and ``time_blocks`` bounds how many points one
 stack holds from the whole and the support-sized matrices a point holds.
 A ``partition`` of the indices into equal parts, on which operators are
-block-diagonal, lets a stack of states be held as the ``(N, B, b, b)``
-stack of its diagonal blocks (``blocks_of``, ``assemble``).
+block-diagonal, lets a stack of states be read as the ``(N, B, b, b)``
+stack of its diagonal blocks (``blocks_of``); ``hermitian_spectra`` and
+``hermiticity_gaps`` measure whole states.
 Nothing here mutates its inputs, so every function is safe to
 call from multiple threads.
 
@@ -133,36 +134,6 @@ def blocks_of(M: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(M[..., parts[:, :, None], parts[:, None, :]])
 
 
-def assemble(blocks: np.ndarray, parts: np.ndarray, outside: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Whole ``(N, d, d)`` states from their ``(N, B, b, b)`` blocks on
-    ``parts``; every entry off the blocks of state k is ``outside[k]``.
-    One whole block is returned as a view unless ``out`` is given."""
-    if len(parts) == 1 and out is None:
-        return blocks[:, 0]
-    if out is None:
-        out = np.empty((len(blocks), parts.size, parts.size), dtype=complex)
-    if len(parts) == 1:
-        out[...] = blocks[:, 0]
-        return out
-    out[...] = outside[:, None, None]
-    out[:, parts[:, :, None], parts[:, None, :]] = blocks
-    return out
-
-
-def outside_value(M: np.ndarray, parts: np.ndarray):
-    """The one value, bit for bit, of ``M``'s entries off the blocks of
-    ``parts`` (``0j`` if there are none), or None if they differ; the zeros
-    there may be ``-0.0``, which a state's output keeps."""
-    inside = np.zeros(M.shape, dtype=bool)
-    inside[parts[:, :, None], parts[:, None, :]] = True
-    off = M[~inside]
-    if not off.size:
-        return 0j
-    bits = off.view(np.uint64).reshape(-1, 2)
-    return off[0] if np.array_equal(bits, np.broadcast_to(bits[0], bits.shape)) else None
-
-
 def off_diagonal(M: np.ndarray) -> bool:
     """True when the square matrix ``M`` has a nonzero entry off its diagonal."""
     return bool(M[~np.eye(len(M), dtype=bool)].any())
@@ -225,6 +196,17 @@ def frob_stack(M) -> np.ndarray:
     argument handling, which costs more than the norm of a small stack."""
     M = np.asarray(M)
     return np.sqrt(np.add.reduce((M.conj() * M).real, axis=(-2, -1)))
+
+
+def hermitian_spectra(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part ``(S + S^dag)/2`` of a
+    matrix or of each matrix of a stack."""
+    return np.linalg.eigvalsh((S + dagger(S)) / 2)
+
+
+def hermiticity_gaps(S: np.ndarray) -> np.ndarray:
+    """``||S - S^dag||_F`` of each matrix of a stack."""
+    return frob_stack(S - dagger(S))
 
 
 def is_hermitian(M, eps: float = DEFAULT.hermiticity) -> bool:

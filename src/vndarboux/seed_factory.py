@@ -95,10 +95,6 @@ class SeedSolution(Flow):
             return np.repeat(rho0[None], len(times), axis=0)
         return self._evolution.similarity(rho0, -1j * times, parts)
 
-    def stack(self, times) -> np.ndarray:
-        """Closed-form rho(t) for each time, shape ``(len(times), d, d)``."""
-        return self.blocks(times)[:, 0]
-
     def rho_at(self, t: float) -> np.ndarray:
         """Closed-form rho(t); ``rho_at(0)`` is exactly ``rho0``."""
         return self.stack([t])[0]

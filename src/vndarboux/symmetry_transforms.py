@@ -14,11 +14,13 @@ non-normalized solutions into density matrices.
 ``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times: the
 shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and the
 flow beneath the chain (its ``root``) is evaluated once per stack, at the
-times ``source_times`` maps the stack to, as the blocks of the chain's
-partition; ``finish`` then applies every transform to those blocks, entry
-by entry.  ``dressed_trajectory`` dresses the samples of a chain through
-the same two maps.  Each transforms a ``Flow``; calling the flows that
-``shifted_flow``/``rescaled_flow`` return at one time is the one-point case.
+times ``source_times`` maps the stack to, as the blocks of a partition no
+finer than the chain's (whole states unless the residual's stencil ring
+asks for blocks); ``finish`` then applies every transform to those blocks,
+entry by entry.  ``dressed_trajectory`` dresses the samples of a chain
+through the same two maps, on one whole block.  Each transforms a
+``Flow``; calling the flows that ``shifted_flow``/``rescaled_flow`` return
+at one time is the one-point case.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import UnnormalizableError, UnsupportedScenario
 from .operator_core import (NormalExp, as_operator, blocks_of, commutator,
                             coupling, eig_hermitian, frob, is_hermitian,
-                            off_diagonal, outside_value, partition)
+                            off_diagonal, partition)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow, ModelSpec
@@ -46,9 +48,9 @@ def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
 class _Transform(Flow):
     """A map of the flow ``source``: the state at t comes from ``source``'s
     state at ``_inner(t)``, through ``_apply``, which maps blocks entry by
-    entry.  ``blocks`` evaluates the root once at ``source_times`` on this
-    flow's partition and applies every transform of the chain with
-    ``finish``."""
+    entry.  ``blocks`` evaluates the root once at ``source_times`` on
+    ``parts`` (this flow's partition by default) and applies every
+    transform of the chain with ``finish``."""
 
     def __init__(self, source: Flow, partition: np.ndarray | None):
         self._source = source
@@ -66,10 +68,6 @@ class _Transform(Flow):
         times = np.asarray(times, dtype=float)
         inner = self._inner(times)
         return self._apply(times, self._source.finish(inner, blocks, parts), parts)
-
-    def outside(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return self._apply_outside(times, self._source.outside(self._inner(times)))
 
     def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
         parts = self.partition if parts is None else parts
@@ -91,13 +89,8 @@ class ShiftedFlow(_Transform):
         parts = np.arange(spec.dim)[None]
         if source.partition is not None and not off_diagonal(factor.G):
             parts = partition(coupling(spec.dim, (X,), source.partition))
-        # at s = 0 the state is rho + X itself, off the blocks too
-        x_outside = outside_value(X, parts)
-        if x_outside is None:
-            parts, x_outside = np.arange(spec.dim)[None], 0j
         super().__init__(source, parts)
         self._X = X
-        self._x_outside = x_outside
         self._factor = factor
 
     def _inner(self, times: np.ndarray) -> np.ndarray:
@@ -105,9 +98,6 @@ class ShiftedFlow(_Transform):
 
     def _apply(self, times: np.ndarray, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
         return self._factor.similarity(blocks + blocks_of(self._X, parts), -1j * times, parts)
-
-    def _apply_outside(self, times: np.ndarray, outside: np.ndarray) -> np.ndarray:
-        return np.where(times == 0, outside + self._x_outside, 0j)
 
 
 class RescaledFlow(_Transform):
@@ -125,9 +115,6 @@ class RescaledFlow(_Transform):
 
     def _apply(self, times: np.ndarray, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
         return self._Y * blocks
-
-    def _apply_outside(self, times: np.ndarray, outside: np.ndarray) -> np.ndarray:
-        return self._Y * outside
 
 
 def shifted_flow(spec: ModelSpec, source: Flow, X: np.ndarray,

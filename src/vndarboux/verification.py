@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .darboux_engine import Trajectory
-from .operator_core import dagger, frob_stack, time_blocks, trace_moments
+from .operator_core import (hermiticity_gaps, time_blocks, trace_moments,
+                            hermitian_spectra as _spectra)
 from .tolerances import DEFAULT, Tolerances
-from .vne_model import default_step, hamiltonian_of, residuals
+from .vne_model import default_step, five_point, hamiltonian_of, residuals
 
 # the names ``run_suite(enabled=...)`` switches on and off
 CHECKS = ("residual", "idempotency", "form_gap", "trace", "hermiticity",
@@ -75,11 +76,6 @@ def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
                            for block in time_blocks(len(matrices), dim)])
 
 
-def _spectra(S: np.ndarray) -> np.ndarray:
-    # ascending eigenvalues of the Hermitian part of each matrix
-    return np.linalg.eigvalsh((S + dagger(S)) / 2)
-
-
 def _covariance_gaps(traj: Trajectory):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
     # left lambda-solution psi[1] against the dressed state itself
@@ -95,7 +91,6 @@ def _covariance_gaps(traj: Trajectory):
     # (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
     # 6.9e-10 at 5x and 1.0e-8 at 10x, where the h^4 term dominates)
     h = 3 * default_step(spec)
-    offsets = np.array([2 * h, h, -h, -2 * h])
     # the diagnostics hold each sample's dressing, at the time its flow
     # evaluates the dressed flow
     times = traj.rho_at.source_times(traj.times)
@@ -105,10 +100,8 @@ def _covariance_gaps(traj: Trajectory):
         rho1 = diagnostics.rho1[block]
         psi1, shift = flow.psi1_rows(t, P=diagnostics.P[block])
         # the stencil shares its centre's shift: one scaled psi is differenced
-        ring, _ = flow.psi1_rows((t[:, None] + offsets).ravel(),
-                                 shift=np.repeat(shift, len(offsets)))
-        ring = ring.reshape(len(t), len(offsets), -1)
-        dpsi = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
+        dpsi = five_point(lambda ring: flow.psi1_rows(
+            ring, shift=np.repeat(shift, 4))[0], t, h)
         # psi solves a linear equation and carries an arbitrary scale (often
         # exponentially growing), so residuals are per unit norm of
         # e^{shift} psi1, floored at 1 as in max(1, |psi1|)
@@ -191,7 +184,7 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         dressed = diags is not None and states is diags.rho1
         if on("hermiticity") and have_samples:
             vals = (diags.hermiticity_gap if dressed else
-                    _per_sample(states, dim, lambda S: frob_stack(S - dagger(S))))
+                    _per_sample(states, dim, hermiticity_gaps))
             worst, loc = _worst(vals, times)
             add("hermiticity", worst, tolerances.hermiticity_gap, loc)
         ref_vals = _spectra(ref)

@@ -4,9 +4,9 @@
 self-adjoint operator A; ``rhs`` evaluates the flow and ``residuals``
 certifies, on stacks of times, that a trajectory actually solves the
 equation (``residual`` is its one-point case).  A ``Flow`` is a solution
-evaluated on stacks of times, as the diagonal blocks of its states or as
-whole states, and the only form in which the library takes one; the
-residual works on the blocks.
+evaluated on stacks of times, as whole states, and the only form in which
+the library takes one; the residual evaluates its stencil ring
+(``five_point``) as the states' diagonal blocks.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_core import (as_operator, as_operators, assemble, block_matmul,
-                            blocks_of, commutator, frob, frob_stack,
-                            is_hermitian, off_diagonal, time_blocks)
+from .operator_core import (as_operator, as_operators, block_matmul, blocks_of,
+                            commutator, frob, frob_stack, is_hermitian,
+                            off_diagonal, time_blocks)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -79,17 +79,18 @@ class ResidualReport:
 class Flow:
     """A solution ``t -> rho(t)`` that the library evaluates on stacks of times.
 
-    A flow's states are block-diagonal on its ``partition``, a ``(B, b)``
+    ``stack(times)`` evaluates the whole ``(len(times), d, d)`` states.  A
+    flow's states are block-diagonal on its ``partition``, a ``(B, b)``
     array of index sets (``operator_core.partition``); None is one whole
     block.  ``blocks(times, parts)`` evaluates the states as the
     ``(len(times), B, b, b)`` stack of their blocks on ``parts``, a
-    partition no finer than ``partition`` (its default); ``stack(times)``
-    assembles the whole ``(len(times), d, d)`` states, whose entries off the
-    blocks are ``outside(times)``.  A subclass implements ``blocks``, or
-    only ``stack`` and is one whole block.  Calling the flow with one time
-    is the one-point case of the same code.  ``support_size`` is the size
-    of the block a point is dressed on, which sizes the stacks
-    (``time_blocks``); None means whole states.
+    partition no finer than ``partition`` (its default); ``stack`` is its
+    one whole block, and the residual's stencil ring is the only caller of
+    a finer one.  A subclass implements ``blocks``, or only ``stack`` and
+    is one whole block.  Calling the flow with one time is the one-point
+    case of the same code.  ``support_size`` is the size of the block a
+    point is dressed on, which sizes the stacks (``time_blocks``); None
+    means whole states.
 
     A flow may transform the states of another (``symmetry_transforms``).
     ``root`` is the flow beneath every transform; its blocks at
@@ -111,20 +112,14 @@ class Flow:
     def finish(self, times, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
         return blocks
 
-    def outside(self, times) -> np.ndarray:
-        """The value of each state's entries off the blocks, one per time."""
-        return np.zeros(len(times), dtype=complex)
-
     def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
         if parts is not None and len(parts) != 1:
             raise ValueError("this flow evaluates whole states only")
         return self.stack(times)[:, None]
 
     def stack(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.partition is None:
-            return self.blocks(times)[:, 0]
-        return assemble(self.blocks(times), self.partition, self.outside(times))
+        whole = None if self.partition is None else np.arange(self.partition.size)[None]
+        return self.blocks(np.asarray(times, dtype=float), whole)[:, 0]
 
     def __call__(self, t: float) -> np.ndarray:
         return self.stack([t])[0]
@@ -197,6 +192,19 @@ def default_step(spec: ModelSpec) -> float:
     return 1e-3 * (1.0 + frob(spec.A)) ** (-(spec.n + 1))
 
 
+def five_point(evaluate, t: np.ndarray, h: float) -> np.ndarray:
+    """The time derivative at each of the times ``t`` of what ``evaluate``
+    returns, by the 5-point central stencil (O(h^4)) with step ``h``.
+
+    ``evaluate`` takes the stencil points as one time-major ring, t+2h, t+h,
+    t-h, t-2h per time, and returns one stack with a row per point, so a
+    failing point raises what evaluating the times one by one raises first.
+    """
+    ring = evaluate((t[:, None] + np.array([2 * h, h, -h, -2 * h])).ravel())
+    ring = ring.reshape((len(t), 4) + ring.shape[1:])
+    return (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
+
+
 def _defect(spec: ModelSpec, rdot: np.ndarray, rho: np.ndarray,
             parts: np.ndarray) -> np.ndarray:
     # i rho' - [H(rho), rho] on the blocks, written over the stack rdot:
@@ -223,29 +231,26 @@ def residuals(spec: ModelSpec, flow: Flow, times, states=None,
     ``(len(times), d, d)`` stack of rho(t) when it is already known;
     otherwise it is evaluated first.  The residual is taken on the blocks of
     the flow's ``partition``, where A and every state are block-diagonal:
-    each block of times is one time-major ring of stencil points, t+2h,
-    t+h, t-h, t-2h per time, evaluated in one ``flow.blocks`` call, so a
-    failing point raises what evaluating the times one by one raises first.
-    ``i rho' - [H(rho), rho]`` is formed block by block, every block of
-    every time, and its norm is the root-sum-square of the block norms; the
-    tolerance takes the whole states' norms.
+    each block of times is one ring of stencil points (``five_point``),
+    evaluated in one ``flow.blocks`` call.  ``i rho' - [H(rho), rho]`` is
+    formed block by block, every block of every time, and its norm is the
+    root-sum-square of the block norms; the tolerance takes the whole
+    states' norms.
     """
     h = default_step(spec)
     times = np.asarray(times, dtype=float)
-    offsets = np.array([2 * h, h, -h, -2 * h])
     generator_scale = (spec.n + 1) * (1.0 + frob(spec.A)) ** (spec.n + 1)
     parts = np.arange(spec.dim)[None] if flow.partition is None else flow.partition
     norms, tols = [], []
     # a flow without a support is budgeted as a dressing on whole states
     support = flow.support_size or spec.dim
+    # the stencil ring holds four points per time
     for block in time_blocks(len(times), spec.dim, support=support,
-                             block=parts.shape[1], per_time=len(offsets)):
+                             block=parts.shape[1], per_time=4):
         t = times[block]
         rho_t = (flow.stack(t) if states is None
                  else as_operators(states[block]))
-        ring = flow.blocks((t[:, None] + offsets).ravel(), parts)
-        ring = ring.reshape((len(t), len(offsets)) + ring.shape[1:])
-        rdot = (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
+        rdot = five_point(lambda ring: flow.blocks(ring, parts), t, h)
         defect = _defect(spec, rdot, blocks_of(rho_t, parts), parts)
         norms.append(np.linalg.norm(frob_stack(defect), axis=-1))
         C = (generator_scale * np.maximum(1.0, frob_stack(rho_t))) ** 5 / 30.0

@@ -69,9 +69,6 @@ class PlantedError(Flow):
             self.partition = partition(
                 coupling(len(self.error), (self.error,), source.partition))
 
-    def outside(self, times):
-        return self.source.outside(times)
-
     def blocks(self, times, parts=None):
         times = np.asarray(times, dtype=float)
         parts = self.partition if parts is None else parts

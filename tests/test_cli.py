@@ -73,7 +73,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 @pytest.mark.parametrize("name", ["delta_density", "shifted_sigma_x",
-                                  "sigma_x_reference"])
+                                  "sigma_x_reference", "reversed_anticommuting"])
 def test_lock_replay_is_bitwise(tmp_path, name):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(os.path.join(CONFIGS, f"{name}.json"), str(out1)) == 0
