@@ -28,8 +28,9 @@ exponential keep their matrix forms: the first is the state, and the other
 two measure round-off in P itself.  On a 2 x 2 block those forms are
 written out entry by entry, with no matrix product.
 
-Dressing runs on stacks of time points.  ``DressedFlow`` is the evaluation
-plan of one scenario: it takes phi and chi from the Lax generators and the
+Dressing runs on stacks of time points.  ``DressedFlow(lax)`` is the
+evaluation plan of one scenario: it takes the seed, its model and the
+tolerances from the Lax solution, phi and chi from the Lax generators and the
 seed state from its evolution, each factored once, and builds projectors and
 dressed states for a whole stack.  It works on the support J of the Lax
 eigenvector: the union of the connected components, in the nonzero pattern
@@ -56,8 +57,9 @@ hermitian mode, where P is Hermitian by construction, from one batched
 closed-form eigen-split; otherwise, and for any P a caller hands in, from
 ``mat_exp``.
 ``projector``, ``dress`` and ``dressed_state_at`` are the one-point case;
-the first two take whole matrices.  ``dressed_trajectory`` cuts the sample
-grid into blocks (``time_blocks``, sized by the full and the support
+the first two take whole matrices.  ``dressed_trajectory(flow, times)``
+samples a ``DressedFlow`` or a symmetry flow of one: it cuts the sample grid
+into blocks (``time_blocks``, sized by the full and the support
 matrices a point holds) and fills one ``Trajectory``: the whole states,
 each block's evaluated as one whole block, as one ``(N, d, d)`` stack, a
 ``Diagnostics`` record of per-sample arrays (dressed states, the
@@ -417,10 +419,12 @@ class DressedStack(NamedTuple):
 
 
 class DressedFlow(Flow):
-    """rho[1](t) of one seed and Lax solution, evaluated on stacks of times.
+    """rho[1](t) of one Lax solution, evaluated on stacks of times.
 
-    Projectors use the scaled rows of ``LaxSolution``, normalized per point,
-    so they stay finite at any |t|; ``phi_norm`` is ``e^{shift} |row|``.
+    The seed, the model and every gate's tolerance are the Lax solution's
+    (``lax.seed``, its ``spec`` and ``lax.tolerances``).  Projectors use the
+    scaled rows of ``LaxSolution``, normalized per point, so they stay
+    finite at any |t|; ``phi_norm`` is ``e^{shift} |row|``.
     ``support`` is the index set J, found once, outside which phi and chi
     vanish: the union of the connected components, in the nonzero pattern
     of A, rho0 and the generators of the seed, phi and chi, that phi0 or
@@ -433,11 +437,11 @@ class DressedFlow(Flow):
     for a dense seed, where J is every index.
     """
 
-    def __init__(self, lax: LaxSolution, tolerances: Tolerances = DEFAULT):
+    def __init__(self, lax: LaxSolution):
         seed = lax.seed
         self.seed = seed
+        self.spec = seed.spec
         self.lax = lax
-        self.tolerances = tolerances
         states = (seed.spec.A, seed.rho0, *seed.generators)
         label = components(coupling(seed.dim, states + lax.generators))
         met = np.zeros(seed.dim, dtype=bool)
@@ -474,7 +478,7 @@ class DressedFlow(Flow):
         gate; ``P`` holds the ``support`` blocks of the projectors."""
         times = np.asarray(times, dtype=float)
         phi, chi, phi_norm, failure = self._rows(times)
-        P, _, _, projector_failure = _projector_stack(phi, chi, self.tolerances)
+        P, _, _, projector_failure = _projector_stack(phi, chi, self.lax.tolerances)
         return P, phi_norm, _earliest(failure, projector_failure)
 
     def evaluate(self, times, parts: np.ndarray | None = None) -> DressedStack:
@@ -487,14 +491,14 @@ class DressedFlow(Flow):
         parts = self.partition if parts is None else parts
         phi, chi, phi_norm, failure = self._rows(times)
         P, idempotency, trace_gap, projector_failure = _projector_stack(
-            phi, chi, self.tolerances)
+            phi, chi, self.lax.tolerances)
         failure = _earliest(failure, projector_failure)
         done = len(times) if failure is None else failure[0]
         phi, chi = phi[:done], chi[:done]
         with np.errstate(all="ignore"):
             U = phi / np.sum(chi * phi, axis=-1)[:, None]
         params = self.lax.params
-        spec = self.seed.spec
+        spec = self.spec
         J = self.support
         # J lies in one part; its indices sit at ``local`` within it
         part = int(np.flatnonzero((parts == J[0]).any(axis=-1))[0])
@@ -504,7 +508,7 @@ class DressedFlow(Flow):
             rho[:, part].take(local, axis=-2).take(local, axis=-1),
             np.linalg.norm(frob_stack(rho), axis=-1), spec.dim, spec.A,
             P[:done], U[:, :, None], chi[:, None, :], J, params.mu, params.nu,
-            self.tolerances, params.hermitian_mode, spec.diagonals is not None)
+            self.lax.tolerances, params.hermitian_mode, spec.diagonals is not None)
         # the seed stack is fresh: it becomes the dressed stack in place
         rho[:, part, local[:, None], local] = rho1_J
         return DressedStack(rho, P[:done], T, form_gap, phi_norm[:done],
@@ -554,13 +558,12 @@ def f_value(seed: SeedSolution, mu: complex, phi0, times):
     return (np.conj(phi0) @ psi[..., None])[..., 0][()]
 
 
-def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float,
-                     tolerances: Tolerances = DEFAULT) -> DressedState:
-    """rho[1](t) with its P and T as whole matrices; ``seed`` must be the
-    seed ``lax`` was solved for."""
+def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float) -> DressedState:
+    """rho[1](t) with its P and T as whole matrices, gated by
+    ``lax.tolerances``; ``seed`` must be the seed ``lax`` was solved for."""
     if seed is not lax.seed:
         raise ValueError("seed is not the seed of this Lax solution")
-    flow = DressedFlow(lax, tolerances)
+    flow = DressedFlow(lax)
     dressed = flow.evaluate([t], np.arange(seed.dim)[None])
     _raise(dressed.failure)
     J, eye = flow.support, np.eye(seed.dim, dtype=complex)
@@ -576,11 +579,10 @@ def _joined(pieces: list, dim: int) -> np.ndarray:
     return np.concatenate(pieces) if pieces else np.empty((0, dim, dim), dtype=complex)
 
 
-def dressed_trajectory(lax: LaxSolution, times,
-                       tolerances: Tolerances = DEFAULT,
-                       flow: Flow | None = None) -> Trajectory:
-    """Sample rho[1](t), dressed with ``lax``, over a time grid with full
-    per-sample diagnostics.
+def dressed_trajectory(flow: Flow, times) -> Trajectory:
+    """Sample ``flow``, a ``DressedFlow`` or a symmetry flow of one
+    (``symmetry_transforms``), over a time grid with full per-sample
+    diagnostics.
 
     The grid is evaluated block by block (``time_blocks``, which depend on
     the grid and the flow's support alone), each block's states as the one
@@ -595,20 +597,17 @@ def dressed_trajectory(lax: LaxSolution, times,
     call.  A ``SingularDarboux`` at some sample cuts the
     stacks there and records the singular sample's time instead of aborting.
 
-    ``flow`` is a symmetry flow whose ``root`` is a ``DressedFlow`` of
-    ``lax`` (``symmetry_transforms``).  Each sample is then dressed once, at
-    the time ``flow.source_times`` maps it to (``Y t`` under a rescaling,
-    in reverse order for a negative Y), and ``flow.finish`` maps the dressed
-    state to the sample's.  The diagnostics describe that dressing.  The
-    samples keep ``times`` and its order.
+    The dressing is ``flow.root``, and the trajectory's Lax solution is its
+    ``lax``.  Under a symmetry flow each sample is dressed once, at the time
+    ``flow.source_times`` maps it to (``Y t`` under a rescaling, in reverse
+    order for a negative Y), and ``flow.finish`` maps the dressed state to
+    the sample's.  The diagnostics describe that dressing.  The samples keep
+    ``times`` and its order.
     """
     times = np.asarray(times, dtype=float)
-    seed, params = lax.seed, lax.params
-    if flow is None:
-        flow = DressedFlow(lax, tolerances)
     dressing = flow.root
-    if not (isinstance(dressing, DressedFlow) and dressing.lax is lax):
-        raise ValueError("flow must transform a DressedFlow of this Lax solution")
+    lax = dressing.lax
+    seed, params = lax.seed, lax.params
     at = flow.source_times(times)
     herm = params.hermitian_mode
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm

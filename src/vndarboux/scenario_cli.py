@@ -418,13 +418,12 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
 
     lax = build_lax(seed, s.mu, s.nu, s.lam, tolerances=tolerances, **s.pins)
     params = lax.params
-    flow = DressedFlow(lax, tolerances)
+    flow = DressedFlow(lax)
 
     reference = None
     residual_scale = 1.0
     shifted = s.shift_x is not None or s.shift_lambda != 0.0
     if s.order == "after" and (shifted or s.rescale_y != 1.0):
-        spec = seed.spec
         reference = np.array(seed.rho0)
         if shifted:
             if s.shift_x is not None:
@@ -432,23 +431,23 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             else:
                 X = float(s.shift_lambda) * np.eye(seed.dim, dtype=complex)
                 size = abs(s.shift_lambda)
-            flow = ShiftedFlow(spec, flow, X, tolerances=tolerances)
+            flow = ShiftedFlow(flow, X, tolerances=tolerances)
             reference = seed.rho0 + X
-            residual_scale = (1.0 + size) * max(1.0, frob(spec.A) ** spec.n)
+            residual_scale = (1.0 + size) * max(1.0, frob(seed.spec.A) ** seed.spec.n)
         if s.rescale_y != 1.0:
             flow = RescaledFlow(flow, s.rescale_y)
             reference = s.rescale_y * reference
             residual_scale *= s.rescale_y ** 2
     # each sample is dressed once, at the time the flow evaluates the
     # dressing (Y t), and its state is the flow's map of that dressing
-    traj = dressed_trajectory(lax, s.times, tolerances=tolerances, flow=flow)
+    traj = dressed_trajectory(flow, s.times)
 
     notes = {"symmetry_order": s.order if "symmetries" in s.config else None,
              "shift_lambda": s.shift_lambda, "rescale_y": s.rescale_y,
              "hermitian_mode": params.hermitian_mode}
     report = run_suite(traj, scenario_id=s.config["id"], enabled=s.checks,
                        reference=reference, residual_tol_scale=residual_scale,
-                       tolerances=tolerances, notes=notes)
+                       notes=notes)
 
     lock = {
         "config": s.config,

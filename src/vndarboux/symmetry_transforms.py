@@ -11,11 +11,12 @@ is again a solution, with the inner spectrum shifted by Lambda; and
 rescales spectrum and time together.  Composing the two turns non-positive or
 non-normalized solutions into density matrices.
 
-``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times: the
-shift generator ``(n+1) X A^n`` is factored once (``NormalExp``), and the
-flow beneath the chain (its ``root``) is evaluated once per stack, at the
-times ``source_times`` maps the stack to, as the blocks of a partition no
-finer than the chain's (whole states unless the residual's stencil ring
+``ShiftedFlow`` and ``RescaledFlow`` evaluate both on stacks of times, in
+the model of the flow they transform (its ``spec``): the shift generator
+``(n+1) X A^n`` is factored once (``NormalExp``), and the flow beneath the
+chain (its ``root``) is evaluated once per stack, at the times
+``source_times`` maps the stack to, as the blocks of a partition no finer
+than the chain's (whole states unless the residual's stencil ring
 asks for blocks); ``finish`` then applies every transform to those blocks,
 entry by entry.  ``dressed_trajectory`` dresses the samples of a chain
 through the same two maps, on one whole block.  Each transforms a
@@ -28,21 +29,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnnormalizableError, UnsupportedScenario
-from .operator_core import (NormalExp, as_operator, blocks_of, commutator,
-                            coupling, eig_hermitian, frob, is_hermitian,
-                            off_diagonal, partition)
+from .operator_core import (NormalExp, as_operator, block_matmul, blocks_of,
+                            commutator, coupling, eig_hermitian, frob,
+                            frob_stack, is_hermitian, off_diagonal, partition)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
-from .vne_model import Flow, ModelSpec
+from .vne_model import Flow
 
 
-def _check_shift_invariants(X: np.ndarray, A: np.ndarray, rho0: np.ndarray,
-                            tolerances: Tolerances):
-    gate = tolerances.seed_structure
-    if frob(commutator(X, A)) > gate * max(1.0, frob(X) * frob(A)):
-        raise ValueError("shift operator must commute with A")
-    if frob(commutator(X, rho0)) > gate * max(1.0, frob(X) * frob(rho0)):
-        raise ValueError("shift operator must commute with rho(0)")
+def _check_commutes(X: np.ndarray, M: np.ndarray, gate: float, name: str):
+    # X and M as their (B, b, b) blocks on one partition
+    gap = np.linalg.norm(frob_stack(block_matmul(X, M) - block_matmul(M, X)))
+    size = np.linalg.norm(frob_stack(X)) * np.linalg.norm(frob_stack(M))
+    if gap > gate * max(1.0, size):
+        raise ValueError(f"shift operator must commute with {name}")
 
 
 class _Transform(Flow):
@@ -54,6 +54,7 @@ class _Transform(Flow):
 
     def __init__(self, source: Flow, partition: np.ndarray | None):
         self._source = source
+        self.spec = source.spec
         self.support_size = source.support_size
         self.partition = partition
 
@@ -75,16 +76,22 @@ class _Transform(Flow):
 
 
 class ShiftedFlow(_Transform):
-    """rho_X on stacks of times; the invariants are checked once up front.
+    """rho_X on stacks of times, in the model of ``source``.
 
+    ``[X, A] = 0`` is checked up front.  Given it, ``[X, rho(t)]`` solves a
+    linear homogeneous equation along the solution, so it vanishes at every
+    t or at none, and ``[X, rho(0)] = 0`` is checked on the first state of
+    each stack the flow maps: a trajectory's first regular sample, so a
+    dressing that is singular at t = 0 does not fail the construction.
     The partition is the source's with the parts that X or the shift
     generator couple joined (one whole block for a source without one, or
     a generator that is not diagonal)."""
 
-    def __init__(self, spec: ModelSpec, source: Flow, X: np.ndarray,
+    def __init__(self, source: Flow, X: np.ndarray,
                  tolerances: Tolerances = DEFAULT):
+        spec = source.spec
         X = as_operator(X)
-        _check_shift_invariants(X, spec.A, as_operator(source(0.0)), tolerances)
+        _check_commutes(X[None], spec.A[None], tolerances.seed_structure, "A")
         factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]), tolerances)
         parts = np.arange(spec.dim)[None]
         if source.partition is not None and not off_diagonal(factor.G):
@@ -92,12 +99,16 @@ class ShiftedFlow(_Transform):
         super().__init__(source, parts)
         self._X = X
         self._factor = factor
+        self._gate = tolerances.seed_structure
 
     def _inner(self, times: np.ndarray) -> np.ndarray:
         return times
 
     def _apply(self, times: np.ndarray, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
-        return self._factor.similarity(blocks + blocks_of(self._X, parts), -1j * times, parts)
+        X = blocks_of(self._X, parts)
+        if len(blocks):
+            _check_commutes(X, blocks[0], self._gate, "rho(0)")
+        return self._factor.similarity(blocks + X, -1j * times, parts)
 
 
 class RescaledFlow(_Transform):
@@ -117,10 +128,10 @@ class RescaledFlow(_Transform):
         return self._Y * blocks
 
 
-def shifted_flow(spec: ModelSpec, source: Flow, X: np.ndarray,
+def shifted_flow(source: Flow, X: np.ndarray,
                  tolerances: Tolerances = DEFAULT) -> ShiftedFlow:
-    """Return ``t -> rho_X(t)`` with the invariants checked once up front."""
-    return ShiftedFlow(spec, source, X, tolerances)
+    """Return ``t -> rho_X(t)`` in the model of ``source`` (``ShiftedFlow``)."""
+    return ShiftedFlow(source, X, tolerances)
 
 
 def rescaled_flow(source: Flow, Y: float) -> RescaledFlow:
@@ -128,8 +139,7 @@ def rescaled_flow(source: Flow, Y: float) -> RescaledFlow:
     return RescaledFlow(source, Y)
 
 
-def normalize_to_density(source: Flow, spec: ModelSpec,
-                         tolerances: Tolerances = DEFAULT):
+def normalize_to_density(source: Flow, tolerances: Tolerances = DEFAULT):
     """Shift then rescale a Hermitian solution into a density matrix.
 
     Chooses ``Lambda = max(0, -lambda_min(rho(0)))`` and
@@ -149,7 +159,7 @@ def normalize_to_density(source: Flow, spec: ModelSpec,
             "shifted solution has zero trace and cannot be normalized")
     Y = 1.0 / total
     X = lam * np.eye(dim, dtype=complex)
-    base = shifted_flow(spec, source, X, tolerances=tolerances)
+    base = shifted_flow(source, X, tolerances=tolerances)
     flow = rescaled_flow(base, Y)
 
     start = flow(0.0)

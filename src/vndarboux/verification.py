@@ -25,7 +25,6 @@ import numpy as np
 from .darboux_engine import Trajectory
 from .operator_core import (hermiticity_gaps, time_blocks, trace_moments,
                             hermitian_spectra as _spectra)
-from .tolerances import DEFAULT, Tolerances
 from .vne_model import default_step, five_point, hamiltonian_of, residuals
 
 # the names ``run_suite(enabled=...)`` switches on and off
@@ -83,8 +82,7 @@ def _covariance_gaps(traj: Trajectory):
     spec = lax.seed.spec
     params = lax.params
     lam, z_l = params.lam, params.z_lambda
-    # the trajectory's own dressing: dressed_trajectory checked that it is
-    # a DressedFlow of this Lax solution
+    # the trajectory's own dressing, a DressedFlow of this Lax solution
     flow = traj.rho_at.root
     # the psi stencil balances round-off (~ eps / h) against truncation
     # (~ h^4); its error is smallest near 3x the matrix-residual step
@@ -119,9 +117,9 @@ def _covariance_gaps(traj: Trajectory):
 def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
               enabled: dict | None = None, reference: np.ndarray | None = None,
               residual_tol_scale: float = 1.0,
-              tolerances: Tolerances = DEFAULT,
               notes: dict | None = None) -> VerificationReport:
-    """Run every applicable named check over a dressed trajectory.
+    """Run every applicable named check over a dressed trajectory, at the
+    tolerances of its Lax solution (``traj.lax.tolerances``).
 
     ``reference`` overrides the matrix whose spectrum / moments / trace the
     samples are compared against (defaults to the seed's rho(0); symmetry
@@ -131,9 +129,8 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
     """
     if traj.lax is None:
         raise ValueError("run_suite needs a trajectory with its Lax solution")
-    seed, params = traj.lax.seed, traj.lax.params
-    spec = seed.spec
-    dim = spec.dim
+    seed, params, tolerances = traj.lax.seed, traj.lax.params, traj.lax.tolerances
+    dim = seed.dim
     ref = seed.rho0 if reference is None else np.asarray(reference, dtype=complex)
     herm = params.hermitian_mode
     times = traj.times
@@ -154,7 +151,7 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
                                   location_t=loc))
 
     if on("residual") and have_samples and traj.rho_at is not None:
-        norms, tols = residuals(spec, traj.rho_at, times, states=states,
+        norms, tols = residuals(traj.rho_at, times, states=states,
                                 tol_scale=residual_tol_scale,
                                 tolerances=tolerances)
         worst_idx = int(np.argmax(norms))

@@ -1,12 +1,13 @@
 """The nonlinear von Neumann family i rho' = sum_k [A^{n-k} rho A^k, rho].
 
 ``ModelSpec`` fixes the nonlinearity order n and the time-independent
-self-adjoint operator A; ``rhs`` evaluates the flow and ``residuals``
-certifies, on stacks of times, that a trajectory actually solves the
-equation (``residual`` is its one-point case).  A ``Flow`` is a solution
-evaluated on stacks of times, as whole states, and the only form in which
-the library takes one; the residual evaluates its stencil ring
-(``five_point``) as the states' diagonal blocks.
+self-adjoint operator A; ``rhs`` evaluates the flow.  A ``Flow`` is a
+solution of one model, its ``spec``, evaluated on stacks of times, as whole
+states, and the only form in which the library takes one.
+``residuals(flow, times)`` certifies, on stacks of times, that a flow
+actually solves the equation of its model (``residual`` is its one-point
+case); it evaluates its stencil ring (``five_point``) as the states'
+diagonal blocks.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class Flow:
     point is dressed on, which sizes the stacks (``time_blocks``); None
     means whole states.
 
+    ``spec`` is the model the flow solves: a seed's own, and the one of the
+    flow beneath it for a dressing or a transform.
+
     A flow may transform the states of another (``symmetry_transforms``).
     ``root`` is the flow beneath every transform; its blocks at
     ``source_times(times)``, passed through ``finish(times, blocks, parts)``,
@@ -99,6 +103,7 @@ class Flow:
     ``root`` is the flow itself and both maps are the identity.
     """
 
+    spec: ModelSpec
     support_size: int | None = None
     partition: np.ndarray | None = None
 
@@ -218,10 +223,10 @@ def _defect(spec: ModelSpec, rdot: np.ndarray, rho: np.ndarray,
     return rdot
 
 
-def residuals(spec: ModelSpec, flow: Flow, times, states=None,
-              tol_scale: float = 1.0,
+def residuals(flow: Flow, times, states=None, tol_scale: float = 1.0,
               tolerances: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """Residual norm and tolerance of ``flow`` at each time.
+    """Residual norm and tolerance of ``flow`` at each time, in its model
+    ``flow.spec``.
 
     rho' is estimated by the 5-point central stencil (O(h^4)) with
     ``h = default_step(spec)``; the tolerance is
@@ -237,6 +242,7 @@ def residuals(spec: ModelSpec, flow: Flow, times, states=None,
     root-sum-square of the block norms; the tolerance takes the whole
     states' norms.
     """
+    spec = flow.spec
     h = default_step(spec)
     times = np.asarray(times, dtype=float)
     generator_scale = (spec.n + 1) * (1.0 + frob(spec.A)) ** (spec.n + 1)
@@ -258,14 +264,13 @@ def residuals(spec: ModelSpec, flow: Flow, times, states=None,
     return np.concatenate(norms), np.concatenate(tols) * tol_scale
 
 
-def residual(spec: ModelSpec, flow: Flow, t: float, tol_scale: float = 1.0,
+def residual(flow: Flow, t: float, tol_scale: float = 1.0,
              tolerances: Tolerances = DEFAULT) -> ResidualReport:
     """Finite-difference check that ``flow`` solves the equation at ``t``.
 
     The one-point case of ``residuals``, which documents the stencil and
     the tolerance.
     """
-    norms, tols = residuals(spec, flow, [t], tol_scale=tol_scale,
-                            tolerances=tolerances)
+    norms, tols = residuals(flow, [t], tol_scale=tol_scale, tolerances=tolerances)
     return ResidualReport(t=float(t), residual_norm=float(norms[0]),
                           tolerance_used=float(tols[0]))

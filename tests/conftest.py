@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from vndarboux import (Flow, SingularDarboux, build_lax, dressed_trajectory,
-                       make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed)
+from vndarboux import (DressedFlow, Flow, SingularDarboux, build_lax,
+                       dressed_trajectory, make_anticommuting_seed,
+                       make_commuting_seed, make_delta_commuting_seed)
 from vndarboux.darboux_engine import _projector_stack
 from vndarboux.operator_core import as_state, blocks_of, coupling, partition
 
@@ -59,10 +59,12 @@ class PlantedError(Flow):
     """The states of ``source`` plus ``t * error`` at each time t: a flow
     that solves nothing, for the checks to catch.  It is evaluated on the
     blocks of the source's partition, with the parts that ``error``
-    couples joined (one whole block for a source without a partition)."""
+    couples joined (one whole block for a source without a partition), in
+    the source's model."""
 
     def __init__(self, source, error):
         self.source = source
+        self.spec = source.spec
         self.error = np.asarray(error, dtype=complex)
         self.support_size = source.support_size
         if source.partition is not None:
@@ -141,7 +143,7 @@ def draw_valid_scenario(rng, times, hermitian=None, family=None, max_tries=60):
         nu = None if herm else _random_mu(rng)
         try:
             lax = build_lax(seed, mu, nu)
-            traj = dressed_trajectory(lax, times)
+            traj = dressed_trajectory(DressedFlow(lax), times)
         except (SingularDarboux, ValueError):
             continue
         if traj.singular_t is None:

@@ -104,10 +104,10 @@ def test_criterion_4_dressed_solutions_solve_equation():
     worst = 0.0
     for seed in cases:
         lax = build_lax(seed, mu=0.6 + 0.7j)
-        traj = dressed_trajectory(lax, SAMPLES)
+        traj = dressed_trajectory(DressedFlow(lax), SAMPLES)
         assert traj.singular_t is None
         for t in traj.times:
-            worst = max(worst, residual(seed.spec, traj.rho_at, t).residual_norm)
+            worst = max(worst, residual(traj.rho_at, t).residual_norm)
     ok = worst <= 1e-6
     _report(4, "dressed solutions solve the flow", ok,
             f"families x n in {{1,2,3}}, worst residual = {worst:.2e}, tol 1e-6")
@@ -126,7 +126,7 @@ def test_criterion_5_density_matrix_preservation():
         vals0 = np.linalg.eigvalsh(seed.rho0)
         assert vals0[0] >= 0 and abs(np.trace(seed.rho0) - 1) <= 1e-12
         lax = build_lax(seed, mu=mu)
-        traj = dressed_trajectory(lax, SAMPLES)
+        traj = dressed_trajectory(DressedFlow(lax), SAMPLES)
         for state, min_eig in zip(traj.states, traj.diagnostics.min_eig):
             worst_h = max(worst_h, frob(state - dagger(state)))
             worst_tr = max(worst_tr, abs(np.trace(state) - 1.0))
@@ -150,7 +150,7 @@ def test_criterion_6_covariance_of_transformed_left_solution():
             if abs(lam - lax.params.mu) < 0.3 or abs(lam) < 0.2:
                 continue
             lax = build_lax(seed, lax.params.mu, lax.params.nu, lam)
-            traj = dressed_trajectory(lax, times)
+            traj = dressed_trajectory(DressedFlow(lax), times)
             if traj.singular_t is not None:
                 continue
         except (DarbouxError, ValueError, RuntimeError):
@@ -196,7 +196,7 @@ def test_criterion_7_explicit_formula_matches_general_dressing():
             ([(0.5, 0.3), (1.2, -0.5), (2.2, 0.4), (3.0, 0.25)], 1 + 1j)):
         seed = make_delta_commuting_seed(blocks, a=0.8)
         lax = build_lax(seed, mu=mu)
-        traj = dressed_trajectory(lax, times)
+        traj = dressed_trajectory(DressedFlow(lax), times)
         assert traj.singular_t is None
         for t, state in zip(traj.times, traj.states):
             worst = max(worst, frob(explicit_eavn(seed, mu, lax.phi0, t) - state))
@@ -231,26 +231,27 @@ def test_criterion_8_pure_state_equivalence():
 def test_criterion_9_symmetry_closure():
     # passing trajectories: the reference scenario and a Delta scenario
     sigma_seed = make_anticommuting_seed(1, [1.0], n=2)
-    sigma_traj = dressed_trajectory(build_lax(sigma_seed, 1j), SAMPLES)
+    sigma_traj = dressed_trajectory(DressedFlow(build_lax(sigma_seed, 1j)), SAMPLES)
     delta_seed = make_delta_commuting_seed([(1.0, 0.4)], a=0.6)
-    delta_traj = dressed_trajectory(build_lax(delta_seed, 0.5 + 0.5j), SAMPLES)
+    delta_lax = build_lax(delta_seed, 0.5 + 0.5j)
+    delta_traj = dressed_trajectory(DressedFlow(delta_lax), SAMPLES)
     worst_ratio = 0.0
     for seed, traj in ((sigma_seed, sigma_traj), (delta_seed, delta_traj)):
         spec = seed.spec
         for lam in (-1.0, 0.5, 2.0):
-            flow = shifted_flow(spec, traj.rho_at, lam * np.eye(seed.dim))
+            flow = shifted_flow(traj.rho_at, lam * np.eye(seed.dim))
             tol = 1e-6 * (1.0 + abs(lam)) * max(1.0, frob(spec.A) ** spec.n)
             for t in traj.times:
                 worst_ratio = max(worst_ratio,
-                                  residual(spec, flow, t).residual_norm / tol)
+                                  residual(flow, t).residual_norm / tol)
         for Y in (0.5, 2.0):
             flow = rescaled_flow(traj.rho_at, Y)
             tol = 1e-6 * Y ** 2
             for t in traj.times:
                 worst_ratio = max(worst_ratio,
-                                  residual(spec, flow, t).residual_norm / tol)
+                                  residual(flow, t).residual_norm / tol)
     # normalize_to_density on the sigma-x seed
-    X, Y, flow = normalize_to_density(sigma_seed, sigma_seed.spec)
+    X, Y, flow = normalize_to_density(sigma_seed)
     start = flow(0.0)
     vals = np.linalg.eigvalsh((start + dagger(start)) / 2)
     eig_gap = float(np.max(np.abs(vals - np.array([0.0, 1.0]))))
@@ -269,7 +270,7 @@ def test_criterion_10_reference_scenario():
     seed = make_anticommuting_seed(1, [1.0], n=2)
     lax = build_lax(seed, mu=1j)
     assert abs(lax.params.nu - (-1j)) <= 1e-15
-    traj = dressed_trajectory(lax, SAMPLES)
+    traj = dressed_trajectory(DressedFlow(lax), SAMPLES)
     z_gap = abs(lax.params.z_mu)
     p_gap = max(frob(P - 0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
                 for P in whole_projectors(traj.diagnostics))
@@ -310,7 +311,7 @@ def test_criterion_11_fault_injection():
         detected.append(True)
 
     # (c) perturbed trajectory: the residual named check fails
-    traj = dressed_trajectory(lax, SAMPLES)
+    traj = dressed_trajectory(DressedFlow(lax), SAMPLES)
     from vndarboux import Trajectory
     corrupted = PlantedError(traj.rho_at, 0.1 * SX)
     bad = Trajectory(times=traj.times, states=corrupted.stack(traj.times),

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import os
 import subprocess
@@ -189,11 +188,7 @@ def test_after_flow_dresses_each_sample_once_at_y_t(y):
     assert traj.rho_at.stack(grid).tobytes() == expected.tobytes()
     assert traj.diagnostics.rho1.tobytes() == dressed.stack(y * grid).tobytes()
     assert traj.diagnostics.P.tobytes() == dressed_trajectory(
-        traj.lax, np.sort(y * grid)).diagnostics.P[::int(np.sign(y))].tobytes()
-    # a flow dresses with its own Lax solution only
-    other = dataclasses.replace(traj.lax)
-    with pytest.raises(ValueError, match="DressedFlow of this Lax solution"):
-        dressed_trajectory(other, grid, flow=traj.rho_at)
+        dressed, np.sort(y * grid)).diagnostics.P[::int(np.sign(y))].tobytes()
 
 
 @pytest.mark.parametrize("y", [-2.0, 2.0])
@@ -465,6 +460,43 @@ def test_large_t_max_passes(tmp_path, capsys, t_max, with_lambda):
     assert capsys.readouterr().err == ""
 
 
+def _anticommuting(b, alpha):
+    return {"id": f"anticommuting-{len(b)}", "model": {"n": 2},
+            "seed": {"family": "anticommuting", "dim_pairs": len(b), "b": b,
+                     "alpha": alpha},
+            "darboux": {"mu": [0.0, 1.0], "nu_mode": "conjugate"},
+            "times": {"t_min": -2.0, "t_max": 2.0, "samples": 9}}
+
+
+@pytest.mark.parametrize("pairs, code, first_line", [
+    (17, 2, "config error: dimension 34 exceeds the configured cap 32"),
+    (16, 0, None)])
+def test_the_dimension_cap_holds_at_32(tmp_path, capsys, pairs, code, first_line):
+    cfg = _anticommuting([0.5 + 0.01 * k for k in range(pairs)], [1.0] * pairs)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert (err.splitlines() or [None])[0] == first_line
+
+
+def test_the_reference_passes_on_a_large_time_range(tmp_path, capsys):
+    with open(os.path.join(CONFIGS, "sigma_x_reference.json")) as handle:
+        cfg = json.load(handle)
+    cfg["times"] = {"t_min": -1e4, "t_max": 1e4, "samples": 41}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_two_equal_pairs_dress_a_degenerate_pencil(tmp_path, capsys):
+    # z_nu is a fourfold root; the run picks one vector of its eigenspace
+    # and passes (rank-one dressing of a degenerate pencil, as it stands)
+    cfg = _anticommuting([1.0, 1.0], [1.0, 1.0])
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 0
+    assert capsys.readouterr().err == ""
+    lock = json.loads((out / "scenario.lock.json").read_text())
+    assert lock["resolved"]["z_nu_multiplicity"] == 4
+
+
 def test_numerical_failure_exits_one_without_traceback(tmp_path, capsys):
     # F_a(t) itself overflows at t = 20000: a numerical failure, not a crash
     cfg = _shipped_delta(20000.0)
@@ -621,6 +653,53 @@ def test_shift_x_after_dressing(tmp_path):
     lock = json.loads((tmp_path / "x" / "scenario.lock.json").read_text())
     assert lock["config"]["symmetries"] == {"order": "after",
                                             **shifted["symmetries"]}
+
+
+@pytest.mark.parametrize("X, first_line", [
+    (np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
+     "config error: shift operator must commute with A"),
+    (np.diag([0.3, -0.7, 0.3, -0.7]),
+     "config error: shift operator must commute with rho(0)")],
+    ids=["sigma-x-blocks", "diagonal"])
+def test_a_shift_breaking_an_invariant_is_config_error(tmp_path, capsys, X,
+                                                       first_line):
+    # sigma_x in each block does not commute with the diagonal A; the
+    # diagonal X does, but mixes the seed's blocks
+    with open(SHIPPED_DELTA) as handle:
+        cfg = json.load(handle)
+    cfg["symmetries"] = {"shift_x": [[[X[i, j], 0.0] for j in range(4)]
+                                     for i in range(4)]}
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 2
+    assert capsys.readouterr().err.splitlines()[0] == first_line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_shift_of_a_singular_dressing_writes_the_truncated_outputs(
+        tmp_path, capsys, n):
+    # <chi|phi> = 0 exactly for this pair, at every t: no sample is dressed.
+    # The shift checks [X, rho] on the first state it maps, so it leaves
+    # the run as it is without the shift: exit 3 and the truncated outputs
+    plain = {
+        "id": "singular", "model": {"n": n},
+        "seed": {"family": "anticommuting", "dim_pairs": 3,
+                 "b": [0.5, -0.7, 0.9], "alpha": [1.0, -1.3, 0.8]},
+        "darboux": {"mu": [0.2, 0.9], "nu_mode": {"explicit": [0.5, -1.1]}},
+        "times": {"t_min": -1.0, "t_max": 1.0, "samples": 5},
+        "symmetries": {"order": "after", "rescale_y": -0.5},
+    }
+    shifted = json.loads(json.dumps(plain))
+    shifted["symmetries"]["shift_lambda"] = 1.0
+    for name, cfg in (("plain", plain), ("shifted", shifted)):
+        out = tmp_path / name
+        assert run(_write(tmp_path, cfg, f"{name}.json"), str(out)) == 3
+        assert (capsys.readouterr().err.splitlines()[0]
+                == "singular dressing at t = -1; trajectory truncated")
+        report = json.loads((out / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == ["singularity"]
+    assert ((tmp_path / "plain" / "trajectory.csv").read_bytes()
+            == (tmp_path / "shifted" / "trajectory.csv").read_bytes())
 
 
 def test_z_mu_pin_selects_the_other_root(tmp_path):

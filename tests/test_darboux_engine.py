@@ -262,18 +262,18 @@ def test_dress_detects_fake_hermitian_pairing():
 def test_sigma_x_trajectory_constant():
     lax = build_lax(SIGMA_SEED, mu=1j)
     times = np.linspace(-2.0, 2.0, 9)
-    traj = dressed_trajectory(lax, times)
+    traj = dressed_trajectory(DressedFlow(lax), times)
     assert traj.singular_t is None
     for state in traj.states:
         npt.assert_allclose(state, -SX, atol=1e-12)
     for t in times:
-        assert residual(SIGMA_SEED.spec, traj.rho_at, t).passed
+        assert residual(traj.rho_at, t).passed
 
 
 def test_commuting_trajectory_trivial():
     seed = make_commuting_seed([0.6, 0.1], [1.0, -1.0], n=2)
     lax = build_lax(seed, mu=0.5 + 0.5j)
-    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     for t, state in zip(traj.times, traj.states):
         npt.assert_allclose(state, seed(t), atol=1e-12)
 
@@ -282,7 +282,7 @@ def test_truncation_reports_singular_time():
     # orthogonal left/right picks on a degenerate commuting seed
     seed = make_commuting_seed([0.5, 0.5], [1.0, -1.0], n=1)
     lax = build_lax(seed, mu=-1.0, nu=1.0)
-    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     assert traj.singular_t == -1.0
     assert len(traj.states) == 0
 
@@ -291,7 +291,7 @@ def test_delta_trajectory_matches_explicit_formula():
     seed = make_delta_commuting_seed([(1.0, 0.5), (2.5, -0.4)], a=0.8)
     lax = build_lax(seed, mu=1 + 1j)
     times = np.linspace(-3, 3, 13)
-    traj = dressed_trajectory(lax, times)
+    traj = dressed_trajectory(DressedFlow(lax), times)
     for t, state in zip(traj.times, traj.states):
         formula = explicit_eavn(seed, 1 + 1j, lax.phi0, t)
         assert frob(formula - state) <= 1e-9
@@ -300,7 +300,7 @@ def test_delta_trajectory_matches_explicit_formula():
 def test_delta_diagnostics_carry_f_value():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     lax = build_lax(seed, mu=1 + 1j)
-    traj = dressed_trajectory(lax, [0.0, 1.0])
+    traj = dressed_trajectory(DressedFlow(lax), [0.0, 1.0])
     assert traj.diagnostics.F_value[0] == pytest.approx(1.0)  # F_a(0) = |phi0|^2
     assert traj.diagnostics.F_value.shape == (2,)
 
@@ -322,7 +322,7 @@ def test_explicit_at_zero_matches_dress():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     mu = 0.6 + 0.9j
     lax = build_lax(seed, mu=mu)
-    traj = dressed_trajectory(lax, [0.0])
+    traj = dressed_trajectory(DressedFlow(lax), [0.0])
     npt.assert_allclose(explicit_eavn(seed, mu, lax.phi0, 0.0),
                         traj.states[0], atol=1e-12)
 
@@ -360,7 +360,7 @@ def test_transform_psi_rejects_lambda_equal_mu():
 def test_sigma_x_covariance_residual():
     lax = build_lax(SIGMA_SEED, mu=1j, lam=3j)
     params = lax.params
-    traj = dressed_trajectory(lax, [0.0, 1.0, 2.0])
+    traj = dressed_trajectory(DressedFlow(lax), [0.0, 1.0, 2.0])
     flow = DressedFlow(lax)
     for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
         rows, shift = flow.psi1_rows([t], P=P[None])

@@ -106,9 +106,9 @@ def test_a_dense_model_keeps_the_matrix_products(monkeypatch):
 
     times = np.linspace(-1.0, 1.0, 9)
     lax = build_lax(seed, 0.3 + 0.8j)
-    expected = dressed_trajectory(lax, times).states
+    expected = dressed_trajectory(DressedFlow(lax), times).states
     monkeypatch.setattr(darboux_engine, "_commutator_with", spy)
-    states = dressed_trajectory(lax, times).states
+    states = dressed_trajectory(DressedFlow(lax), times).states
     assert flags and not any(flags)
     assert states.tobytes() == expected.tobytes()
     # a diagonal A whose diagonal is not exactly real is dense here too
@@ -203,7 +203,7 @@ def test_offset_by_offset_residual_is_the_time_major_formula(name):
     traj = result.trajectory
     spec = result.seed.spec
     assert spec.diagonals is not None and len(traj.times) == 201
-    norms, tols = residuals(spec, traj.rho_at, traj.times, states=traj.states)
+    norms, tols = residuals(traj.rho_at, traj.times, states=traj.states)
     ref_norms, ref_tols, scales = _time_major_residuals(spec, traj.rho_at, traj.times,
                                                         traj.states)
     assert np.all(np.abs(norms - ref_norms) <= RESIDUAL_ROUNDOFF * scales)
@@ -219,11 +219,11 @@ def _flow(name):
     dressed = DressedFlow(build_lax(seed, 0.3 + 0.8j))
     X = 0.5 * np.eye(seed.dim, dtype=complex)
     if name == "shift-rescale-negative":
-        return rescaled_flow(shifted_flow(seed.spec, dressed, X), -0.5)
+        return rescaled_flow(shifted_flow(dressed, X), -0.5)
     if name == "rescale-negative-shift":
-        return shifted_flow(seed.spec, rescaled_flow(dressed, -0.5), -X)
+        return shifted_flow(rescaled_flow(dressed, -0.5), -X)
     X_blocks = np.diag(np.repeat([0.25, 0.0, 0.5, 0.25, 0.0, 0.75], 2)).astype(complex)
-    return shifted_flow(seed.spec, dressed, X_blocks)
+    return shifted_flow(dressed, X_blocks)
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN) + ["shift-rescale-negative",
@@ -274,8 +274,8 @@ def test_a_planted_error_fails_the_residual_at_its_block(where):
     times = np.linspace(-1.0, 1.0, 21)
     states = planted.stack(times)
     spec = seed.spec
-    clean, _ = residuals(spec, flow, times, states=flow.stack(times))
-    norms, tols = residuals(spec, planted, times, states=states)
+    clean, _ = residuals(flow, times, states=flow.stack(times))
+    norms, tols = residuals(planted, times, states=states)
     assert np.all(clean <= tols) and np.all(norms > tols)
     ref_norms, _, scales = _time_major_residuals(spec, planted, times, states)
     assert np.all(np.abs(norms - ref_norms) <= RESIDUAL_ROUNDOFF * scales)
@@ -305,8 +305,8 @@ def test_offset_by_offset_residual_on_a_dense_seed():
     seed = _rotated_delta_seed()
     lax = build_lax(seed, 0.3 + 0.8j)
     times = np.linspace(-1.0, 1.0, 21)
-    traj = dressed_trajectory(lax, times)
-    norms, tols = residuals(seed.spec, traj.rho_at, times, states=traj.states)
+    traj = dressed_trajectory(DressedFlow(lax), times)
+    norms, tols = residuals(traj.rho_at, times, states=traj.states)
     ref_norms, ref_tols, _ = _time_major_residuals(seed.spec, traj.rho_at, times,
                                                    traj.states)
     assert norms.tobytes() == ref_norms.tobytes()
@@ -317,7 +317,8 @@ def test_offset_by_offset_residual_on_a_dense_seed():
 class _PlantedFlow(Flow):
     # a constant state that fails at planted times, at the first one in
     # stack order, as a dressed flow's stack does
-    def __init__(self, planted):
+    def __init__(self, spec, planted):
+        self.spec = spec
         self.planted = planted
 
     def stack(self, times):
@@ -336,16 +337,16 @@ def test_a_ring_with_two_failing_points_raises_the_time_major_error(kind):
     # time-major order reaches sample 1's t-2h before sample 3's t+2h;
     # offset by offset, the t+2h stack comes first
     first, later = times[1] + offsets[3], times[3] + offsets[0]
-    flow = _PlantedFlow({float(first), float(later)})
+    flow = _PlantedFlow(spec, {float(first), float(later)})
     # Y = 1 maps every time to itself, bit for bit, through a transform
     checked = flow if kind == "flow" else rescaled_flow(flow, 1.0)
     with pytest.raises(ArithmeticError) as time_major:
         flow.stack((times[:, None] + offsets).ravel())
     assert repr(float(first)) in str(time_major.value)
     with pytest.raises(ArithmeticError) as raised:
-        residuals(spec, checked, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))
+        residuals(checked, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))
     assert str(raised.value) == str(time_major.value)
     # one failing point in the first offset's stack only
     flow.planted = {float(later)}
     with pytest.raises(ArithmeticError, match=repr(float(later))):
-        residuals(spec, checked, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))
+        residuals(checked, times, states=np.broadcast_to(np.eye(2), (6, 2, 2)))

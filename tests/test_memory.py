@@ -141,14 +141,14 @@ def _stack(lax, flow):
 
 def _residual(lax, flow):
     t = _block(lax.seed.dim, flow.support_size)
-    traj = dressed_trajectory(lax, t, flow=flow)
+    traj = dressed_trajectory(flow, t)
     return t, flow.support_size, lambda: residuals(
-        lax.seed.spec, flow, traj.times, states=traj.states)
+        flow, traj.times, states=traj.states)
 
 
 def _covariance(lax, flow):
     t = _block(lax.seed.dim, flow.support_size)
-    traj = dressed_trajectory(lax, t, flow=flow)
+    traj = dressed_trajectory(flow, t)
     return t, flow.support_size, lambda: _covariance_gaps(traj)
 
 
@@ -221,12 +221,12 @@ def test_trajectory_keeps_no_whole_projector_grid(bench, workload, whole_stacks)
     cfg, errors = scenario_cli.validate_config(draw(random.Random(14), 0))
     assert not errors
     traj = scenario_cli.execute_scenario(cfg).trajectory
-    flow = None if traj.rho_at is traj.rho_at.root else traj.rho_at
+    flow = traj.rho_at
     count, dim = len(traj.times), traj.lax.seed.dim
     assert (count, dim) == (201, 12)
-    kept = _traced_kept(lambda: dressed_trajectory(traj.lax, traj.times, flow=flow))
+    kept = _traced_kept(lambda: dressed_trajectory(flow, traj.times))
     assert kept / (count * dim * dim * 16) <= whole_stacks + 0.15
-    diags = dressed_trajectory(traj.lax, traj.times, flow=flow).diagnostics
+    diags = dressed_trajectory(flow, traj.times).diagnostics
     support = len(diags.support)
     assert support == 2 and diags.P.shape == (count, support, support)
 

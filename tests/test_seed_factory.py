@@ -188,7 +188,7 @@ def test_nlse_rejects_zero_state():
 def test_every_seed_solves_the_equation(make):
     seed = make()
     for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        report = residual(seed.spec, seed, t)
+        report = residual(seed, t)
         assert report.passed and report.residual_norm <= 1e-6
 
 
@@ -208,7 +208,7 @@ def test_a_seed_is_a_flow_of_its_closed_form(make):
     assert states.shape == (len(times), seed.dim, seed.dim)
     for t, state in zip(times, states):
         assert state.tobytes() == seed.rho_at(t).tobytes()
-    norms, tols = residuals(seed.spec, seed, times)
+    norms, tols = residuals(seed, times)
     assert np.all(norms <= tols)
 
 

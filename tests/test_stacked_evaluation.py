@@ -52,7 +52,7 @@ def test_trajectory_matches_point_evaluation(name):
     make, mu, nu = SCENARIOS[name]
     seed = make()
     lax = build_lax(seed, mu, nu)
-    traj = dressed_trajectory(lax, TIMES)
+    traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert traj.singular_t is None
     diag = traj.diagnostics
     whole = whole_projectors(diag)
@@ -85,10 +85,10 @@ def test_symmetry_flow_stacks_match_point_evaluation(name):
     make, mu, nu = SCENARIOS[name]
     seed = make()
     lax = build_lax(seed, mu, nu)
-    traj = dressed_trajectory(lax, TIMES)
+    traj = dressed_trajectory(DressedFlow(lax), TIMES)
     spec = seed.spec
     X = 0.7 * np.eye(seed.dim)
-    shifted = shifted_flow(spec, traj.rho_at, X)
+    shifted = shifted_flow(traj.rho_at, X)
     flow = rescaled_flow(shifted, 0.6)
     stacked = flow.stack(TIMES)
     K = (spec.n + 1) * (X @ spec.powers[spec.n])
@@ -251,7 +251,7 @@ def test_large_t_dressing_has_no_spurious_singularity():
     # phi(t) underflows at |t| ~ 400 without the per-point shift
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
     lax = build_lax(seed, 0.3 + 0.8j)
-    traj = dressed_trajectory(lax, np.linspace(-2000, 2000, 9))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-2000, 2000, 9))
     assert traj.singular_t is None
     for state in traj.states:
         assert np.all(np.isfinite(state))
@@ -271,7 +271,7 @@ def shifted_points(bench):
     cfg = bench.anticommuting_shift_config(random.Random(1), 0)
     scenario = read_scenario(cfg)
     seed = scenario.build_seed()
-    flow = shifted_flow(seed.spec, DressedFlow(build_lax(seed, scenario.mu)),
+    flow = shifted_flow(DressedFlow(build_lax(seed, scenario.mu)),
                         scenario.shift_lambda * np.eye(seed.dim))
     times = np.linspace(-5.0, 5.0, max(ELISION_SIZES))
     return flow, times, np.concatenate([flow.stack(times[k:k + 1])
@@ -355,11 +355,11 @@ def test_dense_one_point_blocks_are_bitwise_the_whole_stack(nu, monkeypatch):
     seed = _rotated_delta_seed(D12_BLOCKS, a=0.9)
     lax = build_lax(seed, 0.3 + 0.8j, nu, lam=0.2 + 2.0j)
     times = np.linspace(-2.0, 2.0, 17)
-    whole = dressed_trajectory(lax, times)
+    whole = dressed_trajectory(DressedFlow(lax), times)
     assert operator_core.time_blocks(len(times), seed.dim, seed.dim) == [slice(0, 17)]
     report = run_suite(whole).to_dict()
     monkeypatch.setattr(operator_core, "BLOCK_BYTES", 1)
-    points = dressed_trajectory(lax, times)
+    points = dressed_trajectory(DressedFlow(lax), times)
     npt.assert_array_equal(points.states, whole.states)
     for entry in dataclasses.fields(Diagnostics):
         a, b = getattr(points.diagnostics, entry.name), getattr(whole.diagnostics, entry.name)

@@ -97,7 +97,7 @@ def test_chi_in_another_block_gives_the_union():
     assert not lax.chi0[:2].any() and not lax.phi0[2:].any()
     npt.assert_array_equal(DressedFlow(lax).support, [0, 1, 2, 3])
     # <chi|phi> = 0 exactly: singular at the first sample, as before
-    traj = dressed_trajectory(lax, TIMES)
+    traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert traj.singular_t == TIMES[0] and len(traj.states) == 0
 
 
@@ -112,7 +112,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
                            a=seed.a)
     lax = build_lax(coupled, 0.3 + 0.8j)
     npt.assert_array_equal(DressedFlow(lax).support, [0, 1, 2, 3])
-    traj = dressed_trajectory(lax, TIMES)
+    traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(coupled, lax, TIMES)
     npt.assert_array_equal(whole_projectors(traj.diagnostics), P)
@@ -125,7 +125,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     seed = SeedSolution(SeedFamily.COMMUTING, rho0, ModelSpec(1, A))
     lax = build_lax(seed, 0.3 + 0.9j)
     npt.assert_array_equal(DressedFlow(lax).support, [0, 2])
-    traj = dressed_trajectory(lax, TIMES)
+    traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(seed, lax, TIMES)
     npt.assert_array_equal(whole_projectors(traj.diagnostics), P)
@@ -158,7 +158,7 @@ def _reference(seed, lax, times):
 def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
     seed = SEEDS[name][0]()
     lax = build_lax(seed, 0.3 + 0.9j, nu)
-    traj = dressed_trajectory(lax, TIMES)
+    traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert traj.singular_t is None
     rho1, P, p_dot = _reference(seed, lax, TIMES)
     diag = traj.diagnostics
@@ -216,11 +216,11 @@ def test_overlap_floor_trips_at_the_same_sample():
     for factor, singular in ((1 + 1e-9, True), (1 - 1e-9, False)):
         tolerances = DEFAULT.replaced(overlap_floor=float(relative.max() * factor))
         lax_t = dataclasses.replace(lax, tolerances=tolerances)
-        traj = dressed_trajectory(lax_t, TIMES, tolerances=tolerances)
+        traj = dressed_trajectory(DressedFlow(lax_t), TIMES)
         assert traj.singular_t == (TIMES[0] if singular else None)
         if singular:
             with pytest.raises(SingularDarboux, match="below the relative floor"):
-                DressedFlow(lax_t, tolerances).stack(TIMES)
+                DressedFlow(lax_t).stack(TIMES)
 
 
 def test_support_blocks_match_scipy_exponential():
@@ -240,8 +240,7 @@ def test_support_blocks_match_scipy_exponential():
 
 def _shift_rescale(seed, lax):
     # a shift, then a rescaling by a negative Y, of the dressing
-    flow = shifted_flow(seed.spec, DressedFlow(lax),
-                        0.7 * np.eye(seed.dim))
+    flow = shifted_flow(DressedFlow(lax), 0.7 * np.eye(seed.dim))
     return rescaled_flow(flow, -0.6)
 
 
@@ -254,8 +253,8 @@ def test_recorded_projectors_embed_to_the_point_projectors(name, nu, flowed):
     # projector of dressed_state_at at the time the sample was dressed
     seed = SEEDS[name][0]()
     lax = build_lax(seed, 0.3 + 0.9j, nu)
-    flow = _shift_rescale(seed, lax) if flowed else None
-    traj = dressed_trajectory(lax, TIMES, flow=flow)
+    flow = _shift_rescale(seed, lax) if flowed else DressedFlow(lax)
+    traj = dressed_trajectory(flow, TIMES)
     assert traj.singular_t is None
     diag = traj.diagnostics
     J = DressedFlow(lax).support

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import rk4_ode
-from vndarboux import (Diagnostics, Trajectory, build_lax,
+from vndarboux import (Diagnostics, DressedFlow, Trajectory, build_lax,
                        dressed_trajectory, f_value, make_anticommuting_seed,
                        make_delta_commuting_seed, mat_exp, rhs)
 from vndarboux.scenario_cli import (execute_scenario, read_trajectory_csv,
@@ -61,7 +61,7 @@ def _delta_seed():
 def test_hermitian_delta_rows_match_per_value_format(tmp_path):
     # 201 samples of dimension 4 span three blocks of the sample grid
     seed = _delta_seed()
-    traj = dressed_trajectory(build_lax(seed, 0.3 + 0.8j),
+    traj = dressed_trajectory(DressedFlow(build_lax(seed, 0.3 + 0.8j)),
                               np.linspace(-5.0, 5.0, 201))
     assert traj.diagnostics.F_value is not None
     assert traj.diagnostics.min_eig is not None
@@ -75,7 +75,7 @@ def test_hermitian_delta_rows_match_per_value_format(tmp_path):
 
 def test_general_mode_rows_leave_min_eig_and_f_empty(tmp_path):
     seed = _delta_seed()
-    traj = dressed_trajectory(build_lax(seed, 0.3 + 0.8j, 0.2 - 0.5j),
+    traj = dressed_trajectory(DressedFlow(build_lax(seed, 0.3 + 0.8j, 0.2 - 0.5j)),
                               np.linspace(-1.0, 1.0, 21))
     assert traj.diagnostics.F_value is None and traj.diagnostics.min_eig is None
     text = _written(tmp_path, traj, seed.dim)
@@ -176,8 +176,8 @@ def test_trajectory_cut_at_its_first_sample_writes_the_header_alone(tmp_path):
     seed = make_anticommuting_seed(2, [0.7, -0.4], alpha=[1.0, 1.3], n=1)
     nu = 0.2 - 0.5j
     pin = np.linalg.eigvals((seed.rho0 - nu * seed.spec.A)[2:, 2:])[0]
-    traj = dressed_trajectory(build_lax(seed, 0.3 + 0.9j, nu, z_nu_pin=pin),
-                              np.linspace(-1.5, 1.5, 13))
+    lax = build_lax(seed, 0.3 + 0.9j, nu, z_nu_pin=pin)
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1.5, 1.5, 13))
     assert len(traj.states) == 0 and traj.singular_t == -1.5
     text = _written(tmp_path, traj, seed.dim)
     assert text == _reference_csv(traj, seed.dim)
@@ -211,7 +211,7 @@ def test_stacked_f_value_equals_one_point_bitwise(blocks):
     lax = build_lax(seed, mu)
     phi0 = lax.phi0
     times = np.linspace(-5.0, 5.0, 201)
-    traj = dressed_trajectory(lax, times)
+    traj = dressed_trajectory(DressedFlow(lax), times)
     coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2)
     for t, F in zip(traj.times, traj.diagnostics.F_value):
         one = f_value(seed, mu, phi0, t)

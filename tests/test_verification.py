@@ -38,7 +38,7 @@ def test_rk4_matches_pure_state_closed_form():
 
 def test_rk4_matches_dressed_trajectory():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    dressed = dressed_trajectory(lax, [0.0, 1.0])
+    dressed = dressed_trajectory(DressedFlow(lax), [0.0, 1.0])
     npt.assert_allclose(_rk4(SIGMA_SEED.spec, dressed.states[0], 1.0, 1e-2),
                         dressed.states[-1], atol=1e-10)
 
@@ -46,7 +46,7 @@ def test_rk4_matches_dressed_trajectory():
 def test_rk4_matches_delta_dressing_both_directions():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     lax = build_lax(seed, mu=1 + 1j)
-    dressed = dressed_trajectory(lax, np.linspace(-2, 2, 5))
+    dressed = dressed_trajectory(DressedFlow(lax), np.linspace(-2, 2, 5))
     start = dressed.rho_at(0.0)
     fwd = _rk4(seed.spec, start, 2.0, 1e-3)
     bwd = _rk4(seed.spec, start, -2.0, 1e-3)
@@ -59,7 +59,7 @@ def test_rk4_matches_delta_dressing_both_directions():
 
 def test_suite_reference_scenario_passes():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    traj = dressed_trajectory(lax, np.linspace(-2, 2, 9))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-2, 2, 9))
     report = run_suite(traj, scenario_id="sigma-x")
     assert report.overall
     names = {c.name for c in report.checks}
@@ -69,7 +69,7 @@ def test_suite_reference_scenario_passes():
 
 def test_suite_detects_corrupted_states():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     corrupted = PlantedError(traj.rho_at, 0.1 * SX)
     bad = Trajectory(times=traj.times, states=corrupted.stack(traj.times),
                      lax=traj.lax, diagnostics=traj.diagnostics,
@@ -85,7 +85,7 @@ def test_suite_detects_corrupted_states():
 def test_suite_commuting_seed_trivially_green():
     seed = make_commuting_seed([0.8, 0.2], [1.0, -1.0], n=3)
     lax = build_lax(seed, mu=0.4 + 0.6j)
-    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     report = run_suite(traj, scenario_id="commuting")
     assert report.overall
 
@@ -93,7 +93,7 @@ def test_suite_commuting_seed_trivially_green():
 def test_suite_is_deterministic():
     seed = make_delta_commuting_seed([(1.0, 0.4)], a=0.5)
     lax = build_lax(seed, mu=0.7 + 0.7j, lam=2j)
-    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     r1 = run_suite(traj, scenario_id="det")
     r2 = run_suite(traj, scenario_id="det")
     assert [c.worst_value for c in r1.checks] == [c.worst_value for c in r2.checks]
@@ -102,7 +102,7 @@ def test_suite_is_deterministic():
 def test_suite_singular_trajectory_flagged():
     seed = make_commuting_seed([0.5, 0.5], [1.0, -1.0], n=1)
     lax = build_lax(seed, mu=-1.0, nu=1.0)
-    traj = dressed_trajectory(lax, np.linspace(-1, 1, 5))
+    traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     report = run_suite(traj, scenario_id="singular")
     assert not report.overall
     assert any(c.name == "singularity" and not c.passed for c in report.checks)
@@ -110,7 +110,7 @@ def test_suite_singular_trajectory_flagged():
 
 def test_suite_check_toggle():
     lax = build_lax(SIGMA_SEED, mu=1j)
-    traj = dressed_trajectory(lax, [0.0, 1.0])
+    traj = dressed_trajectory(DressedFlow(lax), [0.0, 1.0])
     report = run_suite(traj, enabled={"residual": False})
     assert "residual" not in {c.name for c in report.checks}
 
@@ -125,7 +125,7 @@ def test_trajectory_validation():
 def test_report_serialization_round_trip():
     import json
     lax = build_lax(SIGMA_SEED, mu=1j)
-    traj = dressed_trajectory(lax, [0.0])
+    traj = dressed_trajectory(DressedFlow(lax), [0.0])
     report = run_suite(traj, scenario_id="json", notes={"k": 1})
     data = json.loads(json.dumps(report.to_dict()))
     assert data["overall"] is True
@@ -194,7 +194,7 @@ def test_suite_reuses_the_dressing_spectrum(monkeypatch, enabled):
     # unflowed: the dressed states are the checked states, and their spectra
     # from dressed_trajectory give the report a recomputation gives, exactly
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
-    traj = dressed_trajectory(build_lax(seed, 0.3 + 0.8j, lam=3j),
+    traj = dressed_trajectory(DressedFlow(build_lax(seed, 0.3 + 0.8j, lam=3j)),
                               np.linspace(-2.0, 2.0, 41))
     diags = traj.diagnostics
     assert traj.states is diags.rho1

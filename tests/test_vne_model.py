@@ -111,7 +111,7 @@ def test_rhs_trace_free_and_hermiticity_preserving(n, dim, seed):
 def test_residual_constant_commuting_trajectory():
     seed = make_commuting_seed([0.4, 0.6], [1.0, -1.0], n=2)
     npt.assert_array_equal(seed.spec.A, SZ)
-    report = residual(seed.spec, seed, 0.3)
+    report = residual(seed, 0.3)
     assert report.passed
     assert report.residual_norm <= 1e-10
 
@@ -120,21 +120,21 @@ def test_residual_pure_state_solution_passes():
     spec = ModelSpec(2, SZ)
     seed = make_pure_state_seed(spec, np.array([1.0, 1.0]) / np.sqrt(2))
     for t in (-1.0, 0.0, 0.7):
-        report = residual(spec, seed, t)
+        report = residual(seed, t)
         assert report.passed and report.residual_norm <= 1e-6
 
 
 def test_residual_detects_corruption():
     spec = ModelSpec(2, SZ)
     seed = make_pure_state_seed(spec, np.array([1.0, 1.0]) / np.sqrt(2))
-    report = residual(spec, PlantedError(seed, 0.1 * SX), 1.0)
+    report = residual(PlantedError(seed, 0.1 * SX), 1.0)
     assert not report.passed
 
 
 def test_residual_report_consistency():
     # SX held constant against A = SZ at n = 1
     seed = make_anticommuting_seed(1, [1.0], n=1)
-    report = residual(seed.spec, seed, 0.0)
+    report = residual(seed, 0.0)
     assert report.passed == (report.residual_norm <= report.tolerance_used)
 
 
