@@ -60,20 +60,22 @@ closed-form eigen-split; otherwise, and for any P a caller hands in, from
 the first two take whole matrices.  ``dressed_trajectory(flow, times)``
 samples a ``DressedFlow`` or a symmetry flow of one: it cuts the sample grid
 into blocks (``time_blocks``, sized by the full and the support
-matrices a point holds) and fills one ``Trajectory``: the whole states,
-each block's evaluated as one whole block, as one ``(N, d, d)`` stack, a
-``Diagnostics`` record of per-sample arrays (dressed states, the
-projectors' ``J x J`` blocks with J, the gates' values and other scalar
-diagnostics) and the Lax solution.  Under a symmetry flow
+matrices a point holds), records each block in a ``Diagnostics`` of
+per-sample arrays (dressed states, the projectors' ``J x J`` blocks, the
+gates' values and other scalar diagnostics) and joins the blocks' states
+and records field by field into one ``Trajectory``.  Under a symmetry flow
 (``symmetry_transforms``) it dresses each sample once, at the time the flow
 evaluates the dressing (``Y t``), and the flow maps that dressing to the
-sample's state.  The checks in ``verification`` read those gate values,
-slice those stacks and evaluate their stencils through the same flow.
+sample's state.  The trajectory keeps its flow and nothing the flow
+holds: the dressing (``rho_at.root``) with its support and Lax solution,
+and the map of the seed's rho(0) to the reference spectrum.  The checks in
+``verification`` read those gate values, slice those stacks and evaluate
+their stencils through the same flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -106,23 +108,21 @@ class Diagnostics:
 
     ``rho1`` is the ``(N, d, d)`` stack of dressed states, before any
     symmetry flow.  ``P`` holds their projectors as the ``(N, |J|, |J|)``
-    blocks on ``support``, the index set J outside which every projector
+    blocks on the dressing's ``support`` J, outside which every projector
     vanishes; ``idempotency_gap`` and ``projector_trace_gap`` are the values
     their gates compared.  ``spectrum`` holds the ascending eigenvalues of
-    each dressed state's Hermitian part and ``min_eig`` its first column.
-    Both are None outside hermitian mode, and ``F_value`` off
-    Delta-commuting seeds in hermitian mode.
+    each dressed state's Hermitian part, its first column the smallest.
+    It is None outside hermitian mode, and ``F_value`` off Delta-commuting
+    seeds in hermitian mode.
     """
 
     rho1: np.ndarray
     P: np.ndarray
-    support: np.ndarray
     phi_norm: np.ndarray
     form_gap: np.ndarray
     hermiticity_gap: np.ndarray
     idempotency_gap: np.ndarray
     projector_trace_gap: np.ndarray
-    min_eig: np.ndarray | None
     F_value: np.ndarray | None
     p_dot_norm: np.ndarray
     spectrum: np.ndarray | None = None
@@ -135,10 +135,12 @@ class Trajectory:
 
     ``states`` may be given as a list and is stored as a stack; ``rho_at``
     is the ``Flow`` that recomputes the states at arbitrary times (the
-    residual and covariance checks evaluate their stencils through it);
-    ``lax`` is the Lax solution the samples were dressed with, whose ``seed``
-    and ``params`` the checks read; ``singular_t`` is set when the dressing
-    blew up and the sampling was truncated.
+    residual and covariance checks evaluate their stencils through it),
+    and the one holder of what the checks read: its ``root`` is the
+    dressing, whose ``lax`` is the Lax solution the samples were dressed
+    with, and its ``finish`` maps the seed's rho(0) to the reference whose
+    spectrum the samples keep; ``singular_t`` is set when the dressing blew
+    up and the sampling was truncated.
     """
 
     times: np.ndarray
@@ -146,7 +148,6 @@ class Trajectory:
     diagnostics: Diagnostics | None = None
     rho_at: Flow | None = None
     singular_t: float | None = None
-    lax: LaxSolution | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -572,11 +573,15 @@ def dressed_state_at(seed: SeedSolution, lax: LaxSolution, t: float) -> DressedS
                         form_gap=float(dressed.form_gap[0]))
 
 
-def _joined(pieces: list, dim: int) -> np.ndarray:
-    # the blocks' state stacks as one; a one-block grid keeps its fresh stack
-    if len(pieces) == 1:
+def _joined(pieces: list):
+    # the blocks' stacks as one, or their records field by field; a
+    # one-block grid keeps its fresh arrays
+    if len(pieces) == 1 or pieces[0] is None:
         return pieces[0]
-    return np.concatenate(pieces) if pieces else np.empty((0, dim, dim), dtype=complex)
+    if isinstance(pieces[0], Diagnostics):
+        return Diagnostics(*(_joined([getattr(p, f.name) for p in pieces])
+                             for f in fields(Diagnostics)))
+    return np.concatenate(pieces)
 
 
 def dressed_trajectory(flow: Flow, times) -> Trajectory:
@@ -585,20 +590,20 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
     diagnostics.
 
     The grid is evaluated block by block (``time_blocks``, which depend on
-    the grid and the flow's support alone), each block's states as the one
-    whole block of ``DressedFlow.evaluate``.  The states are those fresh
-    stacks, joined when the grid has more than one block; every other
-    diagnostic is a stack allocated for the whole grid and filled block by
-    block.  ``P`` holds the projectors as their blocks on the support J,
-    which is kept beside them, with the values their gates compared.  Each
+    the grid and the flow's support alone; an empty grid is one empty
+    block), each block's states as the one whole block of
+    ``DressedFlow.evaluate``.  Each block fills its own ``Diagnostics``,
+    and the states and the records are joined field by field when the grid
+    has more than one block.  ``P`` holds the projectors as their blocks on
+    the dressing's support J, with the values their gates compared.  Each
     block dresses its samples and, in one separate stack, builds the
     projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting seeds
     in hermitian mode it evaluates ``f_value`` for all its samples in one
     call.  A ``SingularDarboux`` at some sample cuts the
     stacks there and records the singular sample's time instead of aborting.
 
-    The dressing is ``flow.root``, and the trajectory's Lax solution is its
-    ``lax``.  Under a symmetry flow each sample is dressed once, at the time
+    The dressing is ``flow.root``, and its ``lax`` is the Lax solution.
+    Under a symmetry flow each sample is dressed once, at the time
     ``flow.source_times`` maps it to (``Y t`` under a rescaling, in reverse
     order for a negative Y), and ``flow.finish`` maps the dressed state to
     the sample's.  The diagnostics describe that dressing.  The samples keep
@@ -611,50 +616,33 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
     at = flow.source_times(times)
     herm = params.hermitian_mode
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
-
-    count = len(times)
     whole = np.arange(seed.dim)[None]
-    rho1, states = [], []
-    flowed = flow is not dressing
-    J = dressing.support
-    P = np.empty((count, len(J), len(J)), dtype=complex)
-    phi_norm, form_gap, herm_gap, idempotency, trace_gap, p_dot = (
-        np.empty(count) for _ in range(6))
-    spectrum = np.empty((count, seed.dim)) if herm else None
-    F = np.empty(count, dtype=complex) if with_f else None
-    filled = 0
+    states, records = [], []
     singular_t = None
     dp = 1e-4
-    for block in time_blocks(count, seed.dim, support=len(J)):
+    for block in (time_blocks(len(times), seed.dim, support=dressing.support_size)
+                  or [slice(0, 0)]):
         t = at[block]
         dressed = dressing.evaluate(t, whole)
         # t + dp and t - dp per point, time-major: the first failing entry
         # is the point's plus side before its minus side
         ring = np.stack([t + dp, t - dp], axis=-1).ravel()
         p_ring, _, ring_failure = dressing.projectors(ring)
-        p_plus, p_minus = p_ring[0::2], p_ring[1::2]
         if ring_failure is not None:
             ring_failure = (ring_failure[0] // 2, ring_failure[1])
         failure = _earliest(dressed.failure, ring_failure)
         done = len(t) if failure is None else failure[0]
-        out = slice(filled, filled + done)
-        dressed_states = dressed.rho1[:done, 0]
-        rho1.append(dressed_states)
-        if flowed:
-            sample_t = times[block][:done]
-            states.append(flow.finish(sample_t, dressed.rho1[:done], whole)[:, 0])
-        P[out] = dressed.P[:done]
-        phi_norm[out] = dressed.phi_norm[:done]
-        form_gap[out] = dressed.form_gap[:done]
-        idempotency[out] = dressed.idempotency_gap[:done]
-        trace_gap[out] = dressed.projector_trace_gap[:done]
-        herm_gap[out] = hermiticity_gaps(dressed_states)
-        if herm:
-            spectrum[out] = hermitian_spectra(dressed_states)
-        p_dot[out] = frob_stack((p_plus[:done] - p_minus[:done]) / (2 * dp))
-        if with_f:
-            F[out] = f_value(seed, params.mu, lax.phi0, t[:done])
-        filled += done
+        rho1 = dressed.rho1[:done, 0]
+        if flow is not dressing:
+            states.append(flow.finish(times[block][:done], dressed.rho1[:done], whole)[:, 0])
+        records.append(Diagnostics(
+            rho1=rho1, P=dressed.P[:done], phi_norm=dressed.phi_norm[:done],
+            form_gap=dressed.form_gap[:done], hermiticity_gap=hermiticity_gaps(rho1),
+            idempotency_gap=dressed.idempotency_gap[:done],
+            projector_trace_gap=dressed.projector_trace_gap[:done],
+            F_value=f_value(seed, params.mu, lax.phi0, t[:done]) if with_f else None,
+            p_dot_norm=frob_stack((p_ring[0:2 * done:2] - p_ring[1:2 * done:2]) / (2 * dp)),
+            spectrum=hermitian_spectra(rho1) if herm else None))
         if failure is not None:
             index, error = failure
             if not isinstance(error, SingularDarboux):
@@ -662,19 +650,10 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
             singular_t = float(times[block][index])
             break
 
-    cut = slice(0, filled)
-    rho1 = _joined(rho1, seed.dim)
-    diagnostics = Diagnostics(
-        rho1=rho1, P=P[cut], support=J, phi_norm=phi_norm[cut],
-        form_gap=form_gap[cut], hermiticity_gap=herm_gap[cut],
-        idempotency_gap=idempotency[cut], projector_trace_gap=trace_gap[cut],
-        min_eig=None if spectrum is None else spectrum[cut, 0],
-        F_value=None if F is None else F[cut], p_dot_norm=p_dot[cut],
-        spectrum=None if spectrum is None else spectrum[cut])
-    return Trajectory(times=times[cut],
-                      states=_joined(states, seed.dim) if flowed else rho1,
-                      diagnostics=diagnostics, rho_at=flow,
-                      singular_t=singular_t, lax=lax)
+    diagnostics = _joined(records)
+    return Trajectory(times=times[:len(diagnostics.rho1)],
+                      states=_joined(states) if states else diagnostics.rho1,
+                      diagnostics=diagnostics, rho_at=flow, singular_t=singular_t)
 
 
 def explicit_eavn(seed: SeedSolution, mu: complex, phi0, t: float,

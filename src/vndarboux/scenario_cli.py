@@ -360,9 +360,12 @@ def _walk(data) -> tuple[dict, Scenario | None, list[str]]:
                     errs.add(f"tolerances.{key}", "expected a number")
             cfg["tolerances"] = dict(overrides)
 
+    grid = None if errs else np.linspace(t_min, t_max, samples)
+    if grid is not None and not np.all(np.diff(grid) > 0):
+        errs.add("times.samples", "too many for the span from t_min to t_max: "
+                 "the grid repeats a time")
     if errs:
         return cfg, None, errs
-    grid = np.linspace(t_min, t_max, samples)
     grid.setflags(write=False)
     tolerances = DEFAULT
     if cfg.get("tolerances"):
@@ -398,8 +401,9 @@ def build_seed(cfg: dict) -> SeedSolution:
 
 @dataclasses.dataclass(eq=False)
 class ScenarioResult:
-    config: dict
-    seed: SeedSolution
+    """A scenario's trajectory (its flow's ``root.seed`` is the seed), its
+    report and its lock, whose ``config`` is the normalized config."""
+
     trajectory: Trajectory
     report: VerificationReport
     lock: dict
@@ -420,11 +424,9 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
     params = lax.params
     flow = DressedFlow(lax)
 
-    reference = None
     residual_scale = 1.0
     shifted = s.shift_x is not None or s.shift_lambda != 0.0
     if s.order == "after" and (shifted or s.rescale_y != 1.0):
-        reference = np.array(seed.rho0)
         if shifted:
             if s.shift_x is not None:
                 X, size = s.shift_x, frob(s.shift_x)
@@ -432,11 +434,9 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
                 X = float(s.shift_lambda) * np.eye(seed.dim, dtype=complex)
                 size = abs(s.shift_lambda)
             flow = ShiftedFlow(flow, X, tolerances=tolerances)
-            reference = seed.rho0 + X
             residual_scale = (1.0 + size) * max(1.0, frob(seed.spec.A) ** seed.spec.n)
         if s.rescale_y != 1.0:
             flow = RescaledFlow(flow, s.rescale_y)
-            reference = s.rescale_y * reference
             residual_scale *= s.rescale_y ** 2
     # each sample is dressed once, at the time the flow evaluates the
     # dressing (Y t), and its state is the flow's map of that dressing
@@ -446,8 +446,7 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
              "shift_lambda": s.shift_lambda, "rescale_y": s.rescale_y,
              "hermitian_mode": params.hermitian_mode}
     report = run_suite(traj, scenario_id=s.config["id"], enabled=s.checks,
-                       reference=reference, residual_tol_scale=residual_scale,
-                       notes=notes)
+                       residual_tol_scale=residual_scale, notes=notes)
 
     lock = {
         "config": s.config,
@@ -467,8 +466,7 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
             "singular_t": traj.singular_t,
         },
     }
-    return ScenarioResult(config=s.config, seed=seed, trajectory=traj,
-                          report=report, lock=lock)
+    return ScenarioResult(trajectory=traj, report=report, lock=lock)
 
 
 def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
@@ -508,7 +506,7 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
     stack is not C-ordered.
     """
     traj = result.trajectory
-    dim = result.seed.dim
+    dim = traj.states.shape[-1]
     header = ["t"]
     for i in range(dim):
         for j in range(dim):
@@ -518,9 +516,11 @@ def write_trajectory_csv(path: str, result: ScenarioResult):
     diag = traj.diagnostics
     cells = [None] * 7
     if diag is not None:
-        F = diag.F_value
+        F, spectrum = diag.F_value, diag.spectrum
+        # min_eig is the spectrum's first column
         cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
-                 diag.min_eig, None if F is None else F.real,
+                 None if spectrum is None else spectrum[:, 0],
+                 None if F is None else F.real,
                  None if F is None else F.imag, diag.p_dot_norm]
     pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
     pairs = pairs.reshape(len(pairs), 2 * dim * dim)
@@ -668,8 +668,9 @@ def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
     result, code, _, message = _attempt(read_scenario(cfg), tol_scale)
     if result is not None:
         if seed_dump:
+            seed = result.trajectory.rho_at.root.seed
             with np.printoptions(precision=17, linewidth=200):
-                print(f"rho0 =\n{result.seed.rho0}\nA =\n{result.seed.spec.A}")
+                print(f"rho0 =\n{seed.rho0}\nA =\n{seed.spec.A}")
         write_outputs(result, out_dir)
     if message is not None:
         print(message, file=sys.stderr)

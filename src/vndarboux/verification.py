@@ -3,7 +3,10 @@
 ``run_suite`` aggregates every named check (residual, spectrum or
 trace-moment invariance, Hermiticity, trace, positivity, projector
 idempotency, form gap, covariance of the transformed left solution) into a
-single deterministic report.  Every check reduces over slices of the
+single deterministic report.  The trajectory's flow is the one source of
+what the checks compare against: its dressing's Lax solution (seed,
+parameters, tolerances) and the reference spectrum, the flow's map of the
+seed's rho(0).  Every check reduces over slices of the
 trajectory's stacks in blocks (``time_blocks``): the spectrum and positivity
 checks share one eigensolve per state.  The idempotency, projector trace and
 form gap checks read the values the dressing's gates compared, and the
@@ -78,12 +81,10 @@ def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
 def _covariance_gaps(traj: Trajectory):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
     # left lambda-solution psi[1] against the dressed state itself
-    lax, diagnostics = traj.lax, traj.diagnostics
-    spec = lax.seed.spec
-    params = lax.params
-    lam, z_l = params.lam, params.z_lambda
-    # the trajectory's own dressing, a DressedFlow of this Lax solution
-    flow = traj.rho_at.root
+    # the trajectory's own dressing, a DressedFlow, and its Lax solution
+    flow, diagnostics = traj.rho_at.root, traj.diagnostics
+    spec = flow.spec
+    lam, z_l = flow.lax.params.lam, flow.lax.params.z_lambda
     # the psi stencil balances round-off (~ eps / h) against truncation
     # (~ h^4); its error is smallest near 3x the matrix-residual step
     # (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
@@ -115,23 +116,26 @@ def _covariance_gaps(traj: Trajectory):
 
 
 def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
-              enabled: dict | None = None, reference: np.ndarray | None = None,
-              residual_tol_scale: float = 1.0,
+              enabled: dict | None = None, residual_tol_scale: float = 1.0,
               notes: dict | None = None) -> VerificationReport:
-    """Run every applicable named check over a dressed trajectory, at the
-    tolerances of its Lax solution (``traj.lax.tolerances``).
+    """Run every applicable named check over a dressed trajectory.
 
-    ``reference`` overrides the matrix whose spectrum / moments / trace the
-    samples are compared against (defaults to the seed's rho(0); symmetry
-    pipelines pass the transformed reference).  ``enabled`` maps names from
-    ``CHECKS`` to booleans.  Check failures become report entries, never
-    exceptions.
+    Everything the checks read comes from the trajectory's flow
+    (``traj.rho_at``): the Lax solution of its dressing
+    (``rho_at.root.lax``), with its seed, parameters and tolerances, and
+    the reference whose spectrum, moments and trace the samples keep, the
+    flow's own map (``finish``) of the seed's rho(0) at t = 0: rho(0)
+    itself for a dressing, ``rho(0) + X`` under a shift and ``Y rho(0)``
+    under a rescaling.  ``enabled`` maps names from ``CHECKS`` to
+    booleans.  Check failures become report entries, never exceptions.
     """
-    if traj.lax is None:
-        raise ValueError("run_suite needs a trajectory with its Lax solution")
-    seed, params, tolerances = traj.lax.seed, traj.lax.params, traj.lax.tolerances
+    flow = traj.rho_at
+    if flow is None:
+        raise ValueError("run_suite needs a trajectory with its flow")
+    lax = flow.root.lax
+    seed, params, tolerances = lax.seed, lax.params, lax.tolerances
     dim = seed.dim
-    ref = seed.rho0 if reference is None else np.asarray(reference, dtype=complex)
+    ref = flow.finish(np.zeros(1), seed.rho0[None, None], np.arange(dim)[None])[0, 0]
     herm = params.hermitian_mode
     times = traj.times
     states = traj.states
@@ -150,8 +154,8 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
                                   worst_value=float(worst), tolerance=float(tol),
                                   location_t=loc))
 
-    if on("residual") and have_samples and traj.rho_at is not None:
-        norms, tols = residuals(traj.rho_at, times, states=states,
+    if on("residual") and have_samples:
+        norms, tols = residuals(flow, times, states=states,
                                 tol_scale=residual_tol_scale,
                                 tolerances=tolerances)
         worst_idx = int(np.argmax(norms))
@@ -210,8 +214,7 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
             worst, loc = _worst(gaps, times)
             add("moments", worst, tolerances.moment_match, loc)
 
-    if (params.lam is not None and on("covariance") and have_samples
-            and traj.rho_at is not None):
+    if params.lam is not None and on("covariance") and have_samples:
         eig_gaps, teq_gaps = _covariance_gaps(traj)
         worst, loc = _worst(eig_gaps, times)
         add("covariance", worst, tolerances.covariance, loc)

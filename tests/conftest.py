@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from vndarboux import (DressedFlow, Flow, SingularDarboux, build_lax,
+from vndarboux import (DressedFlow, SingularDarboux, build_lax,
                        dressed_trajectory, make_anticommuting_seed,
                        make_commuting_seed, make_delta_commuting_seed)
 from vndarboux.darboux_engine import _projector_stack
 from vndarboux.operator_core import as_state, blocks_of, coupling, partition
+from vndarboux.symmetry_transforms import _Transform
 
 BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 
@@ -55,35 +56,36 @@ def nlse_rhs(spec, psi):
     return -1j * total
 
 
-class PlantedError(Flow):
+class PlantedError(_Transform):
     """The states of ``source`` plus ``t * error`` at each time t: a flow
-    that solves nothing, for the checks to catch.  It is evaluated on the
-    blocks of the source's partition, with the parts that ``error``
-    couples joined (one whole block for a source without a partition), in
-    the source's model."""
+    that solves nothing, for the checks to catch.  It transforms its
+    source, so its ``root`` is the source's (a trajectory's checks read the
+    Lax solution there), and ``finish`` adds ``t * error``.  It is
+    evaluated on the blocks of the source's partition, with the parts that
+    ``error`` couples joined (one whole block for a source without a
+    partition), in the source's model."""
 
     def __init__(self, source, error):
-        self.source = source
-        self.spec = source.spec
         self.error = np.asarray(error, dtype=complex)
-        self.support_size = source.support_size
+        parts = None
         if source.partition is not None:
-            self.partition = partition(
-                coupling(len(self.error), (self.error,), source.partition))
+            parts = partition(coupling(len(self.error), (self.error,), source.partition))
+        super().__init__(source, parts)
 
-    def blocks(self, times, parts=None):
-        times = np.asarray(times, dtype=float)
-        parts = self.partition if parts is None else parts
+    def _inner(self, times):
+        return times
+
+    def _apply(self, times, blocks, parts):
         if parts is None:
             parts = np.arange(len(self.error))[None]
-        return (self.source.blocks(times, parts)
-                + times[:, None, None, None] * blocks_of(self.error, parts))
+        return blocks + times[:, None, None, None] * blocks_of(self.error, parts)
 
 
-def whole_projectors(diagnostics):
+def whole_projectors(traj):
     """A trajectory's projectors as whole ``(N, d, d)`` matrices: the
-    ``Diagnostics.P`` blocks on ``Diagnostics.support``, zero elsewhere."""
-    J = diagnostics.support
+    ``Diagnostics.P`` blocks on its dressing's support
+    (``traj.rho_at.root.support``), zero elsewhere."""
+    diagnostics, J = traj.diagnostics, traj.rho_at.root.support
     dim = diagnostics.rho1.shape[-1]
     P = np.zeros((len(diagnostics.P), dim, dim), dtype=complex)
     P[:, J[:, None], J] = diagnostics.P

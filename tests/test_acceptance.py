@@ -42,7 +42,7 @@ def scenario_batch():
 def test_criterion_1_projector_idempotency(scenario_batch):
     worst_idem, worst_trace = 0.0, 0.0
     for _, _, traj in scenario_batch:
-        for P in whole_projectors(traj.diagnostics):
+        for P in whole_projectors(traj):
             worst_idem = max(worst_idem, frob(P @ P - P))
             worst_trace = max(worst_trace, abs(np.trace(P) - 1.0))
     ok = worst_idem <= 1e-11 and worst_trace <= 1e-11
@@ -57,7 +57,7 @@ def test_criterion_2_two_form_equality(scenario_batch):
         mu, nu = lax.params.mu, lax.params.nu
         A = seed.spec.A
         diag = traj.diagnostics
-        for t, form_gap, P in zip(traj.times, diag.form_gap, whole_projectors(diag)):
+        for t, form_gap, P in zip(traj.times, diag.form_gap, whole_projectors(traj)):
             worst_gap = max(worst_gap, form_gap)
             rho = seed(t)
             bridge = (((nu - mu) / (mu * nu)) * (P @ rho @ P)
@@ -127,7 +127,7 @@ def test_criterion_5_density_matrix_preservation():
         assert vals0[0] >= 0 and abs(np.trace(seed.rho0) - 1) <= 1e-12
         lax = build_lax(seed, mu=mu)
         traj = dressed_trajectory(DressedFlow(lax), SAMPLES)
-        for state, min_eig in zip(traj.states, traj.diagnostics.min_eig):
+        for state, min_eig in zip(traj.states, traj.diagnostics.spectrum[:, 0]):
             worst_h = max(worst_h, frob(state - dagger(state)))
             worst_tr = max(worst_tr, abs(np.trace(state) - 1.0))
             worst_min = min(worst_min, min_eig)
@@ -273,7 +273,7 @@ def test_criterion_10_reference_scenario():
     traj = dressed_trajectory(DressedFlow(lax), SAMPLES)
     z_gap = abs(lax.params.z_mu)
     p_gap = max(frob(P - 0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
-                for P in whole_projectors(traj.diagnostics))
+                for P in whole_projectors(traj))
     state_gap = max(frob(s - (-SX)) for s in traj.states)
     ok = z_gap <= 1e-12 and p_gap <= 1e-12 and state_gap <= 1e-10
     _report(10, "sigma-x reference scenario", ok,
@@ -315,7 +315,7 @@ def test_criterion_11_fault_injection():
     from vndarboux import Trajectory
     corrupted = PlantedError(traj.rho_at, 0.1 * SX)
     bad = Trajectory(times=traj.times, states=corrupted.stack(traj.times),
-                     lax=lax, diagnostics=traj.diagnostics, rho_at=corrupted)
+                     diagnostics=traj.diagnostics, rho_at=corrupted)
     report = run_suite(bad, scenario_id="fault")
     by_name = {c.name: c.passed for c in report.checks}
     detected.append(not by_name["residual"])

@@ -71,14 +71,27 @@ def test_csv_round_trip_full_precision(tmp_path):
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-@pytest.mark.parametrize("name", ["delta_density", "shifted_sigma_x",
-                                  "sigma_x_reference", "reversed_anticommuting"])
+@pytest.mark.parametrize("name", sorted(os.path.splitext(name)[0]
+                                         for name in os.listdir(CONFIGS)
+                                         if name.endswith(".json")))
 def test_lock_replay_is_bitwise(tmp_path, name):
+    # every shipped config passes, and its lock replays to the same bytes
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(os.path.join(CONFIGS, f"{name}.json"), str(out1)) == 0
     assert run(str(out1 / "scenario.lock.json"), str(out2)) == 0
-    for filename in ("trajectory.csv", "scenario.lock.json"):
+    for filename in ("trajectory.csv", "report.json", "scenario.lock.json"):
         assert (out1 / filename).read_bytes() == (out2 / filename).read_bytes()
+
+
+def test_the_general_mode_config_runs_the_general_checks(tmp_path):
+    # nu is explicit, so chi is solved on its own and moments replace spectra
+    out = tmp_path / "out"
+    assert run(os.path.join(CONFIGS, "delta_density_general.json"), str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "residual", "idempotency", "projector_trace", "form_gap", "trace",
+        "moments", "covariance", "time_equation"]
+    assert report["notes"]["hermitian_mode"] is False
 
 
 def test_zero_mu_is_schema_error(tmp_path, capsys):
@@ -176,11 +189,12 @@ def test_after_flow_dresses_each_sample_once_at_y_t(y):
     # flows by hand gives, and the diagnostics describe that dressing
     cfg = _rescaled_delta(y)
     result = scenario_cli.execute_scenario(cfg)
-    traj, seed = result.trajectory, result.seed
+    traj = result.trajectory
+    seed = traj.rho_at.root.seed
     grid = np.linspace(-1.0, 1.0, 11)
     assert result.report.overall and traj.singular_t is None
     assert traj.times.tobytes() == grid.tobytes()
-    dressed = DressedFlow(traj.lax)
+    dressed = DressedFlow(traj.rho_at.root.lax)
     X = 0.5 * np.eye(seed.dim, dtype=complex)
     shift = NormalExp(2 * (X @ seed.spec.A))
     expected = y * shift.similarity(dressed.stack(y * grid) + X, -1j * (y * grid))
@@ -374,6 +388,31 @@ def test_main_values_with_a_leading_minus(tmp_path, form, capsys):
     rows = (out / "summary.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["config_error", "ok"]
     assert "t_max=-5: times.t_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_min, t_max", [(0.0, 5e-324), (1e16, 1e16 + 4)],
+                         ids=["subnormal-span", "coarse-doubles"])
+def test_a_grid_that_repeats_a_time_is_a_samples_error(tmp_path, capsys,
+                                                       monkeypatch, t_min, t_max):
+    # five samples between neighbouring doubles repeat a time: the walk
+    # names the field before any seed is built
+    def build_seed(self):
+        raise AssertionError("the seed was built")
+    monkeypatch.setattr(scenario_cli.Scenario, "build_seed", build_seed)
+    cfg = json.loads(json.dumps(DELTA))
+    cfg["times"] = {"t_min": t_min, "t_max": t_max, "samples": 5}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("times.samples: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_point_that_repeats_a_time_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "t_max"
+    assert sweep(_write(tmp_path, REFERENCE), "t_max",
+                 [np.nextafter(-2.0, 0.0), 3.0], str(out)) == 1
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["config_error", "ok"]
+    assert "t_max=-2: times.samples: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("below", ["", "/sub"])

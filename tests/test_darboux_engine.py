@@ -379,4 +379,4 @@ def test_two_form_agreement_random_scenarios():
     for _ in range(20):
         _, _, traj = draw_valid_scenario(rng, times)
         assert max(traj.diagnostics.form_gap) <= 1e-9
-        assert max(frob(P @ P - P) for P in whole_projectors(traj.diagnostics)) <= 1e-11
+        assert max(frob(P @ P - P) for P in whole_projectors(traj)) <= 1e-11

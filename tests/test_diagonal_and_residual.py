@@ -201,7 +201,7 @@ RESIDUAL_ROUNDOFF = 4 * np.finfo(float).eps
 def test_offset_by_offset_residual_is_the_time_major_formula(name):
     result = _drawn(name)
     traj = result.trajectory
-    spec = result.seed.spec
+    spec = traj.rho_at.spec
     assert spec.diagonals is not None and len(traj.times) == 201
     norms, tols = residuals(traj.rho_at, traj.times, states=traj.states)
     ref_norms, ref_tols, scales = _time_major_residuals(spec, traj.rho_at, traj.times,
@@ -296,7 +296,7 @@ def test_entrywise_products_leave_a_scenario_bit_for_bit(name, monkeypatch):
     result = _drawn(name)
     monkeypatch.setattr(ModelSpec, "__post_init__", _dense_post_init)
     dense = _drawn(name)
-    assert dense.seed.spec.diagonals is None
+    assert dense.trajectory.rho_at.spec.diagonals is None
     assert dense.trajectory.states.tobytes() == result.trajectory.states.tobytes()
     assert dense.report.to_dict() == result.report.to_dict()
 

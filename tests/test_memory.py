@@ -115,7 +115,7 @@ def cases(bench):
         cfg, errors = scenario_cli.validate_config(draw(random.Random(14), 0))
         assert not errors
         trajectory = scenario_cli.execute_scenario(cfg).trajectory
-        built[workload] = (trajectory.lax, trajectory.rho_at)
+        built[workload] = (trajectory.rho_at.root.lax, trajectory.rho_at)
     seed = _rotated_delta_seed(D12_BLOCKS, a=0.9)
     for mode, nu in (("hermitian", None), ("general", 0.5 - 1.1j)):
         lax = build_lax(seed, 0.3 + 0.8j, nu, lam=0.2 + 2.0j)
@@ -222,11 +222,11 @@ def test_trajectory_keeps_no_whole_projector_grid(bench, workload, whole_stacks)
     assert not errors
     traj = scenario_cli.execute_scenario(cfg).trajectory
     flow = traj.rho_at
-    count, dim = len(traj.times), traj.lax.seed.dim
+    count, dim = len(traj.times), traj.rho_at.root.seed.dim
     assert (count, dim) == (201, 12)
     kept = _traced_kept(lambda: dressed_trajectory(flow, traj.times))
     assert kept / (count * dim * dim * 16) <= whole_stacks + 0.15
     diags = dressed_trajectory(flow, traj.times).diagnostics
-    support = len(diags.support)
+    support = len(flow.root.support)
     assert support == 2 and diags.P.shape == (count, support, support)
 

@@ -57,7 +57,7 @@ def test_negative_rescaling_before_keeps_the_zero_signs(seed, mode):
     times = traj.times
     assert traj.singular_t is None and len(times) == 11
     assert traj.states.tobytes() == traj.rho_at.stack(times).tobytes()
-    assert traj.states.tobytes() == DressedFlow(traj.lax).stack(times).tobytes()
+    assert traj.states.tobytes() == DressedFlow(traj.rho_at.root.lax).stack(times).tobytes()
     rows = _negative_zero_rows(traj.states)
     if seed == "three-pairs":
         assert rows.all()

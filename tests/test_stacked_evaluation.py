@@ -55,7 +55,7 @@ def test_trajectory_matches_point_evaluation(name):
     traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert traj.singular_t is None
     diag = traj.diagnostics
-    whole = whole_projectors(diag)
+    whole = whole_projectors(traj)
     flow = DressedFlow(lax)
 
     def projector_at(t):
@@ -75,8 +75,8 @@ def test_trajectory_matches_point_evaluation(name):
         p_dot = np.linalg.norm(projector_at(t + DP) - projector_at(t - DP)) / (2 * DP)
         # a difference quotient: round-off in P is amplified by 1 / (2 dp)
         assert abs(diag.p_dot_norm[k] - p_dot) <= 1e-13 / DP
-        if diag.min_eig is not None:
-            assert abs(diag.min_eig[k] - np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) <= 1e-13
+        if diag.spectrum is not None:
+            assert abs(diag.spectrum[k, 0] - np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["anticommuting-n3-herm", "delta-n1-herm",
@@ -157,7 +157,7 @@ def test_block_boundaries_change_no_verdict(name, monkeypatch):
     # bitwise equal whatever the blocks
     cfg = _config(name)
     reference = execute_scenario(cfg)
-    dim = reference.seed.dim
+    dim = reference.trajectory.rho_at.spec.dim
     support = reference.trajectory.rho_at.support_size
     point_bytes = 16 * (operator_core._FULL_MATRICES * dim * dim
                         + operator_core._SUPPORT_MATRICES * support * support)

@@ -115,7 +115,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(coupled, lax, TIMES)
-    npt.assert_array_equal(whole_projectors(traj.diagnostics), P)
+    npt.assert_array_equal(whole_projectors(traj), P)
     npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
     # a coupling through rho0: A is degenerate on indices 0 and 2, which
     # rho0 joins; the union is not contiguous
@@ -128,7 +128,7 @@ def test_an_operator_coupling_two_blocks_joins_them():
     traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert run_suite(traj).overall
     rho1, P, _ = _reference(seed, lax, TIMES)
-    npt.assert_array_equal(whole_projectors(traj.diagnostics), P)
+    npt.assert_array_equal(whole_projectors(traj), P)
     npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
 
 
@@ -164,13 +164,13 @@ def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
     diag = traj.diagnostics
     npt.assert_array_equal(traj.states, rho1)
     npt.assert_array_equal(diag.rho1, rho1)
-    npt.assert_array_equal(whole_projectors(diag), P)
+    npt.assert_array_equal(whole_projectors(traj), P)
     states = traj.states
     npt.assert_array_equal(diag.hermiticity_gap,
                            np.linalg.norm(states - states.conj().transpose(0, 2, 1),
                                           axis=(-2, -1)))
-    if diag.min_eig is not None:
-        npt.assert_array_equal(diag.min_eig, np.linalg.eigvalsh(
+    if diag.spectrum is not None:
+        npt.assert_array_equal(diag.spectrum[:, 0], np.linalg.eigvalsh(
             (states + states.conj().transpose(0, 2, 1)) / 2)[:, 0])
     rows, shift = lax.phi_rows(TIMES)
     npt.assert_array_equal(diag.phi_norm, np.exp(shift) * np.linalg.norm(rows, axis=-1))
@@ -258,9 +258,9 @@ def test_recorded_projectors_embed_to_the_point_projectors(name, nu, flowed):
     assert traj.singular_t is None
     diag = traj.diagnostics
     J = DressedFlow(lax).support
-    npt.assert_array_equal(diag.support, J)
+    npt.assert_array_equal(traj.rho_at.root.support, J)
     assert diag.P.shape == (len(TIMES), len(J), len(J))
     at = TIMES if flow is None else flow.source_times(TIMES)
-    whole = whole_projectors(diag)
+    whole = whole_projectors(traj)
     for k, t in enumerate(at):
         assert whole[k].tobytes() == dressed_state_at(seed, lax, t).P.tobytes()

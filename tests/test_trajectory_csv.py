@@ -37,7 +37,7 @@ def _reference_csv(traj: Trajectory, dim: int) -> str:
             cells += [""] * 7
         else:
             F = None if diag.F_value is None else complex(diag.F_value[k])
-            min_eig = None if diag.min_eig is None else diag.min_eig[k]
+            min_eig = None if diag.spectrum is None else diag.spectrum[k, 0]
             for x in (diag.phi_norm[k], diag.form_gap[k],
                       diag.hermiticity_gap[k], min_eig,
                       None if F is None else F.real,
@@ -47,10 +47,9 @@ def _reference_csv(traj: Trajectory, dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _written(tmp_path, traj: Trajectory, dim: int) -> str:
+def _written(tmp_path, traj: Trajectory) -> str:
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(str(path), SimpleNamespace(trajectory=traj,
-                                                    seed=SimpleNamespace(dim=dim)))
+    write_trajectory_csv(str(path), SimpleNamespace(trajectory=traj))
     return path.read_text()
 
 
@@ -64,8 +63,8 @@ def test_hermitian_delta_rows_match_per_value_format(tmp_path):
     traj = dressed_trajectory(DressedFlow(build_lax(seed, 0.3 + 0.8j)),
                               np.linspace(-5.0, 5.0, 201))
     assert traj.diagnostics.F_value is not None
-    assert traj.diagnostics.min_eig is not None
-    text = _written(tmp_path, traj, seed.dim)
+    assert traj.diagnostics.spectrum is not None
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, seed.dim)
     times, states = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
     assert np.array_equal(times, traj.times)
@@ -77,8 +76,8 @@ def test_general_mode_rows_leave_min_eig_and_f_empty(tmp_path):
     seed = _delta_seed()
     traj = dressed_trajectory(DressedFlow(build_lax(seed, 0.3 + 0.8j, 0.2 - 0.5j)),
                               np.linspace(-1.0, 1.0, 21))
-    assert traj.diagnostics.F_value is None and traj.diagnostics.min_eig is None
-    text = _written(tmp_path, traj, seed.dim)
+    assert traj.diagnostics.F_value is None and traj.diagnostics.spectrum is None
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, seed.dim)
     assert all(line.split(",")[-4:-1] == ["", "", ""]
                for line in text.splitlines()[1:])
@@ -92,7 +91,7 @@ def test_rk4_rows_without_diagnostics(tmp_path):
         states.append(rk4_ode(lambda t, y: rhs(seed.spec, y), states[-1], 0.05, 0.05))
     traj = Trajectory(times=times, states=states)
     assert traj.diagnostics is None
-    text = _written(tmp_path, traj, seed.dim)
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, seed.dim)
     assert all(line.endswith(",,,,,,,") for line in text.splitlines()[1:])
 
@@ -109,14 +108,14 @@ def test_special_values_and_non_contiguous_states(tmp_path):
     assert not states.flags.c_contiguous
     assert all(np.array_equal(a, b) for a, b in zip(states, [M, transposed, strided]))
     diags = Diagnostics(
-        rho1=states, P=states, support=np.arange(2), phi_norm=np.full(3, 1e300),
+        rho1=states, P=states, phi_norm=np.full(3, 1e300),
         form_gap=np.full(3, 2.0 / 3.0), hermiticity_gap=np.full(3, 5e-324),
         idempotency_gap=np.full(3, 0.1), projector_trace_gap=np.full(3, -0.0),
-        min_eig=np.full(3, -0.0), F_value=np.full(3, complex(-0.0, 0.1)),
-        p_dot_norm=np.full(3, 1.0000000000000002))
+        F_value=np.full(3, complex(-0.0, 0.1)),
+        p_dot_norm=np.full(3, 1.0000000000000002), spectrum=np.full((3, 2), -0.0))
     traj = Trajectory(times=[-0.0, 0.1, 1e300], states=states, diagnostics=diags)
     assert not traj.states.flags.c_contiguous
-    text = _written(tmp_path, traj, 2)
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, 2)
     first = text.splitlines()[1].split(",")
     assert first[:5] == ["-0", "-0", "0.66666666666666663",
@@ -139,7 +138,7 @@ def test_zero_columns_print_zero_and_negative_zeros_keep_their_sign(tmp_path):
     states[:, 1, 0] = complex(-0.0, 0.0)         # re_1_0: -0.0 in every row
     states[:, 1, 1] = complex(0.0, -0.0)         # im_1_1: -0.0 in every row
     traj = Trajectory(times=[0.0, 0.5, 1.0], states=states)
-    text = _written(tmp_path, traj, 2)
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, 2)
     for column in ("im_0_0", "im_0_1", "re_1_1"):
         assert _state_cells(text, column) == ["0", "0", "0"]
@@ -159,7 +158,7 @@ def test_constant_columns_are_formatted_once_with_their_bits(tmp_path):
     states[:, 1, 0] = [0.25, 0.25, complex(-0.0, 0.0), 0.25]
     states[2, 1, 1] = complex(0.0, -0.0)               # -0.0 in one row only
     traj = Trajectory(times=[0.0, 0.5, 1.0, 1.5], states=states)
-    text = _written(tmp_path, traj, 2)
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, 2)
     assert _state_cells(text, "re_0_0") == ["0.33333333333333331"] * 4
     assert _state_cells(text, "im_0_0") == ["4.9406564584124654e-324"] * 4
@@ -179,7 +178,7 @@ def test_trajectory_cut_at_its_first_sample_writes_the_header_alone(tmp_path):
     lax = build_lax(seed, 0.3 + 0.9j, nu, z_nu_pin=pin)
     traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1.5, 1.5, 13))
     assert len(traj.states) == 0 and traj.singular_t == -1.5
-    text = _written(tmp_path, traj, seed.dim)
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, seed.dim)
     assert text.count("\n") == 1 and text.startswith("t,re_0_0,")
 
@@ -189,11 +188,11 @@ def test_drawn_scenario_rows_match_per_value_format(tmp_path, bench, workload):
     # 12 x 12 states, most of whose entries are zero in every sample
     cfg = bench.SCENARIO_WORKLOADS[workload](random.Random(31), 0)
     result = execute_scenario(cfg)
-    traj, dim = result.trajectory, result.seed.dim
+    traj, dim = result.trajectory, result.trajectory.rho_at.root.seed.dim
     assert dim == 12 and len(traj.states) == cfg["times"]["samples"]
     pairs = traj.states.reshape(len(traj.states), -1).view(float)
     assert (~pairs.view(np.uint64).any(axis=0)).sum() > dim * dim
-    text = _written(tmp_path, traj, dim)
+    text = _written(tmp_path, traj)
     assert text == _reference_csv(traj, dim)
 
 

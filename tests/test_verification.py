@@ -6,10 +6,11 @@ import numpy.testing as npt
 import pytest
 
 from conftest import SX, SZ, PlantedError, rk4_ode, whole_projectors
-from vndarboux import (DEFAULT, DressedFlow, ModelSpec, Trajectory, build_lax,
-                       dressed_trajectory, make_anticommuting_seed,
-                       make_commuting_seed, make_delta_commuting_seed,
-                       make_pure_state_seed, rhs, run_suite)
+from vndarboux import (DEFAULT, DressedFlow, ModelSpec, RescaledFlow,
+                       ShiftedFlow, Trajectory, build_lax, dressed_trajectory,
+                       make_anticommuting_seed, make_commuting_seed,
+                       make_delta_commuting_seed, make_pure_state_seed, rhs,
+                       run_suite)
 from vndarboux.operator_core import dagger, frob, frob_stack
 from vndarboux.scenario_cli import execute_scenario, validate_config
 from vndarboux.verification import CHECKS
@@ -67,13 +68,36 @@ def test_suite_reference_scenario_passes():
             "spectrum"} <= names
 
 
+# a shift by X moves the spectrum by X and a rescaling by Y scales it by Y:
+# the flow's own map of the seed's rho(0) is the reference it must keep
+TRANSFORMS = {
+    "shift": lambda flow: ShiftedFlow(flow, 0.5 * np.eye(4)),
+    "rescale": lambda flow: RescaledFlow(flow, 0.5),
+    "shift-rescale": lambda flow: RescaledFlow(ShiftedFlow(flow, 0.5 * np.eye(4)), 0.5),
+    "shift-reverse": lambda flow: RescaledFlow(ShiftedFlow(flow, 0.5 * np.eye(4)), -0.5),
+}
+
+
+@pytest.mark.parametrize("nu", [None, 0.5 - 1.1j], ids=["hermitian", "general"])
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+def test_a_transformed_dressing_passes_with_the_flows_own_reference(transform, nu):
+    # a library caller passes the trajectory alone; the reference spectrum,
+    # trace and moments of a shifted or rescaled dressing come from its flow
+    seed = make_delta_commuting_seed([(0.3, 0.2), (-0.5, 0.3)], a=0.8)
+    lax = build_lax(seed, 0.3 + 0.8j, nu, lam=3j)
+    flow = TRANSFORMS[transform](DressedFlow(lax))
+    report = run_suite(dressed_trajectory(flow, np.linspace(-2.0, 2.0, 21)))
+    names = {c.name for c in report.checks}
+    assert {"trace", "spectrum" if nu is None else "moments", "covariance"} <= names
+    assert report.overall, [c for c in report.checks if not c.passed]
+
+
 def test_suite_detects_corrupted_states():
     lax = build_lax(SIGMA_SEED, mu=1j)
     traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     corrupted = PlantedError(traj.rho_at, 0.1 * SX)
     bad = Trajectory(times=traj.times, states=corrupted.stack(traj.times),
-                     lax=traj.lax, diagnostics=traj.diagnostics,
-                     rho_at=corrupted)
+                     diagnostics=traj.diagnostics, rho_at=corrupted)
     report = run_suite(bad, scenario_id="corrupted")
     by_name = {c.name: c for c in report.checks}
     assert not by_name["residual"].passed
@@ -198,7 +222,6 @@ def test_suite_reuses_the_dressing_spectrum(monkeypatch, enabled):
                               np.linspace(-2.0, 2.0, 41))
     diags = traj.diagnostics
     assert traj.states is diags.rho1
-    npt.assert_array_equal(diags.min_eig, diags.spectrum[:, 0])
     copied = dataclasses.replace(traj, states=traj.states.copy())
     recomputed = run_suite(copied, enabled=enabled).to_dict()
     calls = []
@@ -287,7 +310,7 @@ def test_projector_checks_read_the_gate_values(bench, workload, index):
     # the gates' values on the J x J blocks: the trace gap is bitwise the
     # whole matrix's, and the idempotency gap is the whole matrix's to
     # round-off (P squares in another order)
-    whole = whole_projectors(diags)
+    whole = whole_projectors(traj)
     npt.assert_array_equal(diags.projector_trace_gap,
                            np.abs(np.trace(whole, axis1=-2, axis2=-1) - 1.0))
     npt.assert_allclose(diags.idempotency_gap, frob_stack(whole @ whole - whole),
