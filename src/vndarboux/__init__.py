@@ -24,5 +24,5 @@ from .darboux_engine import (Diagnostics, DressedFlow, DressedState,
                              projector)
 from .symmetry_transforms import (RescaledFlow, ShiftedFlow,
                                   normalize_to_density, rescaled_flow,
-                                  reseed_rescale, reseed_shift, shifted_flow)
+                                  shifted_flow)
 from .verification import CheckResult, VerificationReport, run_suite

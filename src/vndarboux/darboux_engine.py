@@ -160,6 +160,26 @@ class Trajectory:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
+    @property
+    def reference(self) -> np.ndarray:
+        """The flow's map (``finish``) at t = 0 of the seed's rho(0), whose
+        spectrum the samples keep: rho(0) itself for a dressing,
+        ``rho(0) + X`` under a shift and ``Y rho(0)`` under a rescaling."""
+        seed = self.rho_at.root.lax.seed
+        return self.rho_at.finish(np.zeros(1), seed.rho0[None, None],
+                                  np.arange(seed.dim)[None])[0, 0]
+
+    def cut(self, count: int):
+        """Keep the samples before sample ``count``, whose time becomes
+        ``singular_t``."""
+        if self.diagnostics is not None:
+            self.diagnostics = Diagnostics(*(
+                None if value is None else value[:count]
+                for value in vars(self.diagnostics).values()))
+        self.states = self.states[:count]
+        self.singular_t = float(self.times[count])
+        self.times = self.times[:count]
+
 
 # A gate failure is ``(index, exception)``: the first failing point of a
 # stack and what a point-by-point loop would have raised there.
@@ -180,8 +200,11 @@ def _earliest(*failures):
     return found
 
 
-def _raise(failure):
+def _raise(failure, times=None):
+    # a failing point of a stack of ``times`` is dated by its time
     if failure is not None:
+        if times is not None:
+            failure[1].t = float(times[failure[0]])
         raise failure[1]
 
 
@@ -518,7 +541,7 @@ class DressedFlow(Flow):
 
     def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
         dressed = self.evaluate(times, parts)
-        _raise(dressed.failure)
+        _raise(dressed.failure, times)
         return dressed.rho1
 
     def psi1_rows(self, times, shift: np.ndarray | None = None,
@@ -532,7 +555,7 @@ class DressedFlow(Flow):
         """
         if P is None:
             P, _, failure = self.projectors(times)
-            _raise(failure)
+            _raise(failure, times)
         rows, shift = self.lax.psi_rows(times, shift)
         params = self.lax.params
         J = self.support

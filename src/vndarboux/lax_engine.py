@@ -227,11 +227,11 @@ class LaxSolution:
         return _unscaled(*self.psi_rows([t]), "psi(t)", t)
 
 
-def _pinned(name: str, solve, seed: SeedSolution, param: complex,
-            pin: complex | None, tolerances: Tolerances):
-    # a pin far from every root is a config error that names the pin
+def pinned(name: str, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, where a pin far from every root (``FarPin``)
+    is a config error that names the pin ``darboux.<name>``."""
     try:
-        return solve(seed, param, pin=pin, tolerances=tolerances)
+        return solve(*args, **kwargs)
     except FarPin as exc:
         raise FarPin(f"darboux.{name}: {exc}") from None
 
@@ -255,19 +255,19 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
     check_params(mu, nu, lam)
     herm = hermitian_pairing(mu, nu)
 
-    z_mu, phi0 = _pinned("z_mu_pin", solve_initial, seed, mu, z_mu_pin,
-                         tolerances)
+    z_mu, phi0 = pinned("z_mu_pin", solve_initial, seed, mu, z_mu_pin,
+                        tolerances)
     if herm:
         z_nu = np.conj(z_mu)
         chi0 = np.conj(phi0)
     else:
-        z_nu, chi0 = _pinned("z_nu_pin", solve_initial_left, seed, nu,
-                             z_nu_pin, tolerances)
+        z_nu, chi0 = pinned("z_nu_pin", solve_initial_left, seed, nu,
+                            z_nu_pin, tolerances)
 
     z_lambda, psi0 = None, None
     if lam is not None:
-        z_lambda, psi0 = _pinned("z_lambda_pin", solve_initial_left, seed, lam,
-                                 z_lambda_pin, tolerances)
+        z_lambda, psi0 = pinned("z_lambda_pin", solve_initial_left, seed, lam,
+                                z_lambda_pin, tolerances)
 
     params = DarbouxParams(mu=mu, nu=nu, lam=lam,
                            z_mu=z_mu, z_nu=complex(z_nu), z_lambda=z_lambda,

@@ -432,7 +432,8 @@ def trace_moments(M, kmax: int) -> np.ndarray:
     return moments
 
 
-def _select_root(roots: np.ndarray, pin: complex | None) -> complex:
+def select_root(roots: np.ndarray, pin: complex | None) -> complex:
+    """The root ``eig_pair_general`` selects among ``roots``."""
     # lexicographic (Re, Im) maximum with a tolerance band on Re, so that
     # round-off dust on numerically equal real parts cannot flip the choice;
     # a pin selects its nearest root and must lie nearer to it than half the
@@ -520,7 +521,7 @@ def eig_pair_general(M, pin: complex | None = None,
     n = M.shape[0]
     if n > DIM_CAP:
         raise ValueError(f"dimension {n} exceeds the configured cap {DIM_CAP}")
-    z = _select_root(np.linalg.eigvals(M), pin)
+    z = select_root(np.linalg.eigvals(M), pin)
     v = _null_vector(M - z * np.eye(n))
     if v is None:
         raise DefectiveEigenproblem(

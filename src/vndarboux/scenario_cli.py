@@ -41,12 +41,12 @@ from . import __version__
 from .darboux_engine import DressedFlow, Trajectory, dressed_trajectory
 from .errors import (DarbouxError, DefectiveEigenproblem, SingularDarboux,
                      UnsupportedScenario)
-from .lax_engine import build_lax, eigenvalue_multiplicity, identity_pair
-from .operator_core import frob
+from .lax_engine import (build_lax, eigenvalue_multiplicity, identity_pair,
+                         pinned)
+from .operator_core import frob, select_root
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
-from .symmetry_transforms import (RescaledFlow, ShiftedFlow, reseed_rescale,
-                                  reseed_shift)
+from .symmetry_transforms import RescaledFlow, ShiftedFlow
 from .tolerances import DEFAULT, Tolerances
 from .verification import CHECKS, VerificationReport, run_suite
 
@@ -327,11 +327,6 @@ def _walk(data) -> tuple[dict, Scenario | None, list[str]]:
             errs.add("symmetries.shift_x", 'general X supports order "after" only')
     rescale_y = _real_number(sym.get("rescale_y", 1.0), "symmetries.rescale_y",
                              errs, nonzero=True)
-    if (order == "before" and family == "anticommuting"
-            and shift_lambda not in (None, 0.0)):
-        errs.add("symmetries.order",
-                 "a uniform shift breaks the anticommuting structure; "
-                 'use order "after" for this family')
     if has_symmetries:
         cfg["symmetries"] = {"order": order, **{k: sym[k] for k in
                              ("shift_lambda", "shift_x", "rescale_y") if k in sym}}
@@ -409,35 +404,55 @@ class ScenarioResult:
     lock: dict
 
 
+def _untransformed(seed: SeedSolution, s: Scenario) -> tuple:
+    """``(mu, nu, lambda, pins)`` of an ``order: "before"`` scenario in the
+    frame of its untransformed seed rho.
+
+    The configured seed is ``Y (rho + Lambda)``, whose pencil with a
+    parameter p is ``Y (rho - (p/Y) A + Lambda)``: it has the eigenvectors
+    of rho's pencil with ``p/Y``, and its roots are ``Y (z + Lambda)`` for
+    that pencil's roots z.  So the parameters map to ``p/Y``, and each root
+    is chosen by the rule (or pin) among the configured roots, where a
+    negative Y reverses their order, and pinned at its z.
+    """
+    Y, shift = s.rescale_y, s.shift_lambda
+    mu, nu, lam = (None if p is None else p / Y for p in (s.mu, s.nu, s.lam))
+    pins = {}
+    for name, param in (("z_mu_pin", mu), ("z_nu_pin", nu), ("z_lambda_pin", lam)):
+        if param is not None:
+            roots = Y * (np.linalg.eigvals(seed.rho0 - param * seed.spec.A) + shift)
+            pins[name] = pinned(name, select_root, roots, s.pins.get(name)) / Y - shift
+    return mu, nu, lam, pins
+
+
 def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
-    """Seed, Lax solution, dressing, symmetries and checks of one scenario."""
+    """Seed, Lax solution, dressing, symmetries and checks of one scenario.
+
+    The dressing is shifted, then rescaled, in either order: under
+    ``"before"`` the dressing of the transformed seed ``Y (rho + Lambda)``
+    is the transform of rho's dressing in that seed's frame
+    (``_untransformed``), and the lock records the transformed seed and its
+    roots.
+    """
     s = scenario
     tolerances = s.tolerances if tol_scale == 1.0 else s.tolerances.scaled(tol_scale)
     seed = s.build_seed()
-    if s.order == "before":
-        if s.shift_lambda != 0.0:
-            seed = reseed_shift(seed, s.shift_lambda, tolerances=tolerances)
-        if s.rescale_y != 1.0:
-            seed = reseed_rescale(seed, s.rescale_y)
-
-    lax = build_lax(seed, s.mu, s.nu, s.lam, tolerances=tolerances, **s.pins)
+    before = s.order == "before"
+    mu, nu, lam, pins = _untransformed(seed, s) if before else (s.mu, s.nu, s.lam, s.pins)
+    lax = build_lax(seed, mu, nu, lam, tolerances=tolerances, **pins)
     params = lax.params
     flow = DressedFlow(lax)
 
     residual_scale = 1.0
-    shifted = s.shift_x is not None or s.shift_lambda != 0.0
-    if s.order == "after" and (shifted or s.rescale_y != 1.0):
-        if shifted:
-            if s.shift_x is not None:
-                X, size = s.shift_x, frob(s.shift_x)
-            else:
-                X = float(s.shift_lambda) * np.eye(seed.dim, dtype=complex)
-                size = abs(s.shift_lambda)
-            flow = ShiftedFlow(flow, X, tolerances=tolerances)
-            residual_scale = (1.0 + size) * max(1.0, frob(seed.spec.A) ** seed.spec.n)
-        if s.rescale_y != 1.0:
-            flow = RescaledFlow(flow, s.rescale_y)
-            residual_scale *= s.rescale_y ** 2
+    if s.shift_x is not None or s.shift_lambda != 0.0:
+        X = (s.shift_x if s.shift_x is not None
+             else float(s.shift_lambda) * np.eye(seed.dim, dtype=complex))
+        flow = ShiftedFlow(flow, X, tolerances=tolerances)
+        size = frob(X) if s.shift_x is not None else abs(s.shift_lambda)
+        residual_scale = (1.0 + size) * max(1.0, frob(seed.spec.A) ** seed.spec.n)
+    if s.rescale_y != 1.0:
+        flow = RescaledFlow(flow, s.rescale_y)
+        residual_scale *= s.rescale_y ** 2
     # each sample is dressed once, at the time the flow evaluates the
     # dressing (Y t), and its state is the flow's map of that dressing
     traj = dressed_trajectory(flow, s.times)
@@ -445,21 +460,27 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
     notes = {"symmetry_order": s.order if "symmetries" in s.config else None,
              "shift_lambda": s.shift_lambda, "rescale_y": s.rescale_y,
              "hermitian_mode": params.hermitian_mode}
+    # the residual's gate grows with the shift and the rescaling of a
+    # dressing; a transformed seed keeps its own
     report = run_suite(traj, scenario_id=s.config["id"], enabled=s.checks,
-                       residual_tol_scale=residual_scale, notes=notes)
+                       residual_tol_scale=1.0 if before else residual_scale, notes=notes)
+
+    def root(z):
+        # a root in the configured seed's frame
+        return complex_to_pair(s.rescale_y * (z + s.shift_lambda) if before else z)
 
     lock = {
         "config": s.config,
         "resolved": {
             "version": __version__,
             "hermitian_mode": params.hermitian_mode,
-            "z_mu": complex_to_pair(params.z_mu),
-            "z_nu": complex_to_pair(params.z_nu),
-            "z_lambda": (complex_to_pair(params.z_lambda)
+            "z_mu": root(params.z_mu),
+            "z_nu": root(params.z_nu),
+            "z_lambda": (root(params.z_lambda)
                          if params.z_lambda is not None else None),
             "z_nu_multiplicity": eigenvalue_multiplicity(seed, params.nu,
                                                          params.z_nu),
-            "rho0": matrix_to_nested(seed.rho0),
+            "rho0": matrix_to_nested(traj.reference if before else seed.rho0),
             "A": matrix_to_nested(seed.spec.A),
             "phi0": [complex_to_pair(x) for x in lax.phi0],
             "chi0": [complex_to_pair(x) for x in lax.chi0],
@@ -668,9 +689,11 @@ def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
     result, code, _, message = _attempt(read_scenario(cfg), tol_scale)
     if result is not None:
         if seed_dump:
-            seed = result.trajectory.rho_at.root.seed
+            # the lock's matrices, bit for bit
+            rho0, A = (np.array(result.lock["resolved"][key]).view(complex)[..., 0]
+                       for key in ("rho0", "A"))
             with np.printoptions(precision=17, linewidth=200):
-                print(f"rho0 =\n{seed.rho0}\nA =\n{seed.spec.A}")
+                print(f"rho0 =\n{rho0}\nA =\n{A}")
         write_outputs(result, out_dir)
     if message is not None:
         print(message, file=sys.stderr)

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnnormalizableError, UnsupportedScenario
+from .errors import UnnormalizableError
 from .operator_core import (NormalExp, as_operator, block_matmul, blocks_of,
-                            commutator, coupling, eig_hermitian, frob,
-                            frob_stack, is_hermitian, off_diagonal, partition)
-from .seed_factory import SeedFamily, SeedSolution
+                            coupling, eig_hermitian, frob, frob_stack,
+                            is_hermitian, off_diagonal, partition)
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
 
@@ -170,52 +169,3 @@ def normalize_to_density(source: Flow, tolerances: Tolerances = DEFAULT):
     if abs(np.trace(start) - 1.0) > 1e-10:
         raise UnnormalizableError("normalized start does not have unit trace")
     return X, Y, flow
-
-
-def reseed_shift(seed: SeedSolution, lam: float,
-                 tolerances: Tolerances = DEFAULT) -> SeedSolution:
-    """Absorb a uniform shift into the seed itself (dressing-compatible).
-
-    Exact re-seedings:
-
-    * Delta-commuting: ``rho0 + Lambda 1`` with ``a -> a + 2 Lambda`` (the
-      n = 1 gauge transformation);
-    * commuting: ``rho0 + Lambda 1`` stays diagonal and stationary.
-
-    Anticommuting seeds lose their family structure under a shift; shift the
-    dressed trajectory instead.
-    """
-    lam = float(lam)
-    if lam == 0:
-        return seed
-    eye = np.eye(seed.dim, dtype=complex)
-    if seed.family is SeedFamily.DELTA_COMMUTING:
-        out = SeedSolution(SeedFamily.DELTA_COMMUTING, seed.rho0 + lam * eye,
-                           seed.spec, a=seed.a + 2.0 * lam)
-        if frob(commutator(out.delta_a, seed.spec.A)) > tolerances.seed_structure:
-            raise ValueError("shift re-seeding broke the Delta structure")
-        return out
-    if seed.family is SeedFamily.COMMUTING:
-        out = SeedSolution(SeedFamily.COMMUTING, seed.rho0 + lam * eye, seed.spec)
-        if frob(commutator(out.rho0, seed.spec.A)) > tolerances.seed_structure:
-            raise ValueError("shift re-seeding broke commutation")
-        return out
-    raise UnsupportedScenario(
-        f"a uniform shift breaks the {seed.family.value} structure; "
-        "apply the shift to the dressed trajectory instead")
-
-
-def reseed_rescale(seed: SeedSolution, Y: float) -> SeedSolution:
-    """Absorb a rescaling into the seed itself (exact for all families)."""
-    Y = float(Y)
-    if Y == 0:
-        raise ValueError("Y must be nonzero")
-    if Y == 1.0:
-        return seed
-    if seed.family is SeedFamily.DELTA_COMMUTING:
-        return SeedSolution(SeedFamily.DELTA_COMMUTING, Y * seed.rho0,
-                            seed.spec, a=Y * seed.a)
-    if seed.family in (SeedFamily.COMMUTING, SeedFamily.ANTICOMMUTING):
-        return SeedSolution(seed.family, Y * seed.rho0, seed.spec)
-    raise UnsupportedScenario(
-        f"rescale re-seeding is not defined for {seed.family.value} seeds")

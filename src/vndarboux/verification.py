@@ -26,9 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .darboux_engine import Trajectory
+from .errors import SingularDarboux
 from .operator_core import (hermiticity_gaps, time_blocks, trace_moments,
                             hermitian_spectra as _spectra)
-from .vne_model import default_step, five_point, hamiltonian_of, residuals
+from .vne_model import (default_step, five_point, hamiltonian_of, residuals,
+                        stencil)
 
 # the names ``run_suite(enabled=...)`` switches on and off
 CHECKS = ("residual", "idempotency", "form_gap", "trace", "hermiticity",
@@ -78,6 +80,13 @@ def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
                            for block in time_blocks(len(matrices), dim)])
 
 
+# the psi stencil balances round-off (~ eps / h) against truncation
+# (~ h^4); its error is smallest near 3x the matrix-residual step
+# (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
+# 6.9e-10 at 5x and 1.0e-8 at 10x, where the h^4 term dominates)
+_PSI_STEPS = 3
+
+
 def _covariance_gaps(traj: Trajectory):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
     # left lambda-solution psi[1] against the dressed state itself
@@ -85,11 +94,7 @@ def _covariance_gaps(traj: Trajectory):
     flow, diagnostics = traj.rho_at.root, traj.diagnostics
     spec = flow.spec
     lam, z_l = flow.lax.params.lam, flow.lax.params.z_lambda
-    # the psi stencil balances round-off (~ eps / h) against truncation
-    # (~ h^4); its error is smallest near 3x the matrix-residual step
-    # (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
-    # 6.9e-10 at 5x and 1.0e-8 at 10x, where the h^4 term dominates)
-    h = 3 * default_step(spec)
+    h = _PSI_STEPS * default_step(spec)
     # the diagnostics hold each sample's dressing, at the time its flow
     # evaluates the dressed flow
     times = traj.rho_at.source_times(traj.times)
@@ -123,19 +128,45 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
     Everything the checks read comes from the trajectory's flow
     (``traj.rho_at``): the Lax solution of its dressing
     (``rho_at.root.lax``), with its seed, parameters and tolerances, and
-    the reference whose spectrum, moments and trace the samples keep, the
-    flow's own map (``finish``) of the seed's rho(0) at t = 0: rho(0)
-    itself for a dressing, ``rho(0) + X`` under a shift and ``Y rho(0)``
-    under a rescaling.  ``enabled`` maps names from ``CHECKS`` to
-    booleans.  Check failures become report entries, never exceptions.
+    the reference whose spectrum, moments and trace the samples keep
+    (``Trajectory.reference``).  ``enabled`` maps names from ``CHECKS`` to
+    booleans.  Check failures become report entries, never exceptions.  A
+    singular dressing at a point of the residual's or the covariance
+    check's stencil cuts ``traj`` in place at the first sample whose stencil
+    holds it (``Trajectory.cut``), as ``dressed_trajectory`` cuts at a
+    singular sample, and the checks run again on the samples before it.
     """
-    flow = traj.rho_at
-    if flow is None:
+    if traj.rho_at is None:
         raise ValueError("run_suite needs a trajectory with its flow")
+    while True:
+        try:
+            checks = _checks(traj, enabled, residual_tol_scale)
+            break
+        except SingularDarboux as error:
+            # the first sample whose residual or covariance stencil holds the
+            # dressing time of the singular point; the stencils are built as
+            # the checks build them, so their times match bit for bit
+            flow, h = traj.rho_at, default_step(traj.rho_at.spec)
+            hit = ((flow.source_times(stencil(traj.times, h)) == error.t)
+                   | (stencil(flow.source_times(traj.times), _PSI_STEPS * h) == error.t)
+                   ).any(axis=-1)
+            if not hit.any():
+                raise
+            traj.cut(int(np.argmax(hit)))
+    if traj.singular_t is not None:
+        checks.append(CheckResult(name="singularity", passed=False,
+                                  worst_value=float("inf"), tolerance=0.0,
+                                  location_t=float(traj.singular_t)))
+    return VerificationReport(scenario_id=scenario_id, checks=checks,
+                              notes=notes or {})
+
+
+def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -> list:
+    flow = traj.rho_at
     lax = flow.root.lax
     seed, params, tolerances = lax.seed, lax.params, lax.tolerances
     dim = seed.dim
-    ref = flow.finish(np.zeros(1), seed.rho0[None, None], np.arange(dim)[None])[0, 0]
+    ref = traj.reference
     herm = params.hermitian_mode
     times = traj.times
     states = traj.states
@@ -221,10 +252,4 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
         worst, loc = _worst(teq_gaps, times)
         add("time_equation", worst, tolerances.time_equation, loc)
 
-    if traj.singular_t is not None:
-        checks.append(CheckResult(name="singularity", passed=False,
-                                  worst_value=float("inf"), tolerance=0.0,
-                                  location_t=float(traj.singular_t)))
-
-    return VerificationReport(scenario_id=scenario_id, checks=checks,
-                              notes=notes or {})
+    return checks

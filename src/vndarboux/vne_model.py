@@ -197,6 +197,11 @@ def default_step(spec: ModelSpec) -> float:
     return 1e-3 * (1.0 + frob(spec.A)) ** (-(spec.n + 1))
 
 
+def stencil(t: np.ndarray, h: float) -> np.ndarray:
+    """The points t+2h, t+h, t-h, t-2h of each of the times ``t``, ``(N, 4)``."""
+    return t[:, None] + np.array([2 * h, h, -h, -2 * h])
+
+
 def five_point(evaluate, t: np.ndarray, h: float) -> np.ndarray:
     """The time derivative at each of the times ``t`` of what ``evaluate``
     returns, by the 5-point central stencil (O(h^4)) with step ``h``.
@@ -205,7 +210,7 @@ def five_point(evaluate, t: np.ndarray, h: float) -> np.ndarray:
     t-h, t-2h per time, and returns one stack with a row per point, so a
     failing point raises what evaluating the times one by one raises first.
     """
-    ring = evaluate((t[:, None] + np.array([2 * h, h, -h, -2 * h])).ravel())
+    ring = evaluate(stencil(t, h).ravel())
     ring = ring.reshape((len(t), 4) + ring.shape[1:])
     return (-ring[:, 0] + 8 * ring[:, 1] - 8 * ring[:, 2] + ring[:, 3]) / (12 * h)
 

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from vndarboux import (DressedFlow, SingularDarboux, build_lax,
-                       dressed_trajectory, make_anticommuting_seed,
-                       make_commuting_seed, make_delta_commuting_seed)
+from vndarboux import (DressedFlow, SeedFamily, SeedSolution, SingularDarboux,
+                       UnsupportedScenario, build_lax, dressed_trajectory,
+                       make_anticommuting_seed, make_commuting_seed,
+                       make_delta_commuting_seed)
 from vndarboux.darboux_engine import _projector_stack
 from vndarboux.operator_core import as_state, blocks_of, coupling, partition
 from vndarboux.symmetry_transforms import _Transform
@@ -79,6 +80,24 @@ class PlantedError(_Transform):
         if parts is None:
             parts = np.arange(len(self.error))[None]
         return blocks + times[:, None, None, None] * blocks_of(self.error, parts)
+
+
+def reseeded(seed, Y=1.0, shift=0.0):
+    """The transformed seed ``Y (rho + Lambda)`` built as a seed of its own:
+    the reference for ``symmetries.order = "before"``, which the library
+    computes as the shift and rescaling of rho's dressing instead.
+
+    A Delta-commuting seed's ``a`` becomes ``Y (a + 2 Lambda)`` (the n = 1
+    gauge transformation, then the time scale); an anticommuting seed takes
+    ``Y rho`` and no shift, which breaks its structure.
+    """
+    if seed.family is SeedFamily.DELTA_COMMUTING:
+        return SeedSolution(seed.family, Y * (seed.rho0 + shift * np.eye(seed.dim)),
+                            seed.spec, a=Y * (seed.a + 2.0 * shift))
+    if shift != 0.0:
+        raise UnsupportedScenario(
+            f"a uniform shift breaks the {seed.family.value} structure")
+    return SeedSolution(seed.family, Y * seed.rho0, seed.spec)
 
 
 def whole_projectors(traj):

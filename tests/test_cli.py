@@ -17,6 +17,7 @@ from vndarboux.lax_engine import LaxSolution
 from vndarboux.operator_core import NormalExp
 from vndarboux.scenario_cli import (main, read_trajectory_csv, run, sweep,
                                     validate_config)
+from vndarboux.vne_model import default_step
 
 REFERENCE = {
     "id": "sigma-x-reference",
@@ -234,6 +235,67 @@ def test_singular_dressing_under_rescale_cuts_the_rows(tmp_path, capsys,
     assert report["checks"][-1]["name"] == "singularity"
 
 
+# Defect C of the failure modes: a pair near the overlap limit whose samples
+# dress regularly while points of their residual stencils do not
+STENCIL_SINGULAR = {
+    "id": "stencil-singular", "model": {"n": 1},
+    "seed": {"family": "delta_commuting", "a": 0.523, "blocks": [[-1.933, -0.098]]},
+    "darboux": {"mu": [0.911, 0.723], "nu_mode": {"explicit": [0.91, 0.739]},
+                "z_nu_pin": [1.104, 0.695]},
+    "times": {"t_min": -1.0, "t_max": 1.0, "samples": 11},
+}
+
+
+def test_a_singular_stencil_point_writes_the_truncated_outputs(tmp_path, capsys):
+    # the first sample's residual stencil holds a point whose projector fails
+    # its idempotency gate: the report and the trajectory stop before that
+    # sample, and all three files are written
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, STENCIL_SINGULAR), str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "singular dressing at t = -1; trajectory truncated"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "report.json", "scenario.lock.json", "trajectory.csv"]
+    times, _ = read_trajectory_csv(str(out / "trajectory.csv"))
+    assert len(times) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["singularity"]
+    assert report["checks"][0]["location_t"] == -1.0
+    lock = json.loads((out / "scenario.lock.json").read_text())
+    assert lock["resolved"]["singular_t"] == -1.0
+
+
+@pytest.mark.parametrize("y", [-2.0, 2.0])
+def test_a_singular_stencil_point_cuts_at_its_sample(tmp_path, capsys,
+                                                    monkeypatch, y):
+    # chi vanishes at the dressing time of one point of sample 8's residual
+    # stencil, t + h at t = 0.6 (Y (t + h) under the rescaling), and at no
+    # sample, p_dot_norm point or covariance stencil point: the outputs stop
+    # at sample 8 and the report checks the samples before it
+    original = LaxSolution.chi_rows
+    grid = np.linspace(-1.0, 1.0, 11)
+
+    def chi_rows(self, times):
+        rows, shift = original(self, times)
+        h = default_step(self.seed.spec)
+        offset = np.asarray(times) / y - grid[8]
+        rows[(offset > 0.5 * h) & (offset < 1.25 * h)] = 0.0
+        return rows, shift
+
+    monkeypatch.setattr(LaxSolution, "chi_rows", chi_rows)
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, _rescaled_delta(y, nu=[0.2, -0.5])), str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"singular dressing at t = {grid[8]:.6g}; trajectory truncated"
+    times, states = read_trajectory_csv(str(out / "trajectory.csv"))
+    assert times.tobytes() == grid[:8].tobytes() and len(states) == 8
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"][-1] == {"name": "singularity", "pass": False,
+                                    "worst_value": float("inf"), "tolerance": 0.0,
+                                    "location_t": grid[8]}
+    assert all(c["pass"] for c in report["checks"][:-1])
+
+
 def test_symmetry_before_delta_reseeds(tmp_path):
     cfg = json.loads(json.dumps(DELTA))
     cfg["symmetries"] = {"order": "before", "shift_lambda": 0.4}
@@ -244,11 +306,20 @@ def test_symmetry_before_delta_reseeds(tmp_path):
     assert rho00 == pytest.approx(0.5 / 2 + 0.4)  # a/2 + Lambda on the diagonal
 
 
-def test_symmetry_before_anticommuting_rejected(tmp_path, capsys):
-    cfg = json.loads(json.dumps(REFERENCE))
-    cfg["symmetries"] = {"order": "before", "shift_lambda": 1.0}
-    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
-    assert "anticommuting" in capsys.readouterr().err
+def test_symmetry_before_anticommuting_shift_runs(tmp_path):
+    # the shift needs no anticommuting structure of the transformed seed:
+    # the transformed seed's dressing is the shift of rho's
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "shifted_anticommuting_before.json")
+    assert run(path, str(out)) == 0
+    lock = json.loads((out / "scenario.lock.json").read_text())
+    cfg = lock["config"]
+    seed = scenario_cli.read_scenario(cfg).build_seed()
+    Y, shift = cfg["symmetries"]["rescale_y"], cfg["symmetries"]["shift_lambda"]
+    expected = Y * (seed.rho0 + shift * np.eye(seed.dim))
+    assert lock["resolved"]["rho0"] == scenario_cli.matrix_to_nested(expected)
+    report = json.loads((out / "report.json").read_text())
+    assert report["overall"] is True
 
 
 def test_model_a_cross_validation(tmp_path, capsys):

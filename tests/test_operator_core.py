@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ
 from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
-from vndarboux.operator_core import (DIM_CAP, NormalExp, _select_root,
-                                     canonical_phase, commutator,
-                                     eig_hermitian, eig_pair_general,
-                                     eig_pair_left, frob, is_hermitian,
-                                     mat_exp, trace_moments)
+from vndarboux.operator_core import (DIM_CAP, NormalExp, canonical_phase,
+                                     commutator, eig_hermitian,
+                                     eig_pair_general, eig_pair_left, frob,
+                                     is_hermitian, mat_exp, select_root,
+                                     trace_moments)
 
 
 def _random_complex_matrix(rng, dim, scale=1.0):
@@ -463,7 +463,7 @@ def test_eig_pair_selects_among_the_unpolished_roots():
             except FarPin:
                 far += 1
                 continue
-            assert z == _select_root(roots, pin)
+            assert z == select_root(roots, pin)
             sigma_min = np.linalg.svd(M - z * np.eye(len(M)), compute_uv=False)[-1]
             assert sigma_min <= 1e-14 * max(1.0, frob(M))
     assert far > 10  # the FarPin cases are exercised too

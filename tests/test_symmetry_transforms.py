@@ -1,15 +1,19 @@
+import json
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SX, SZ
+from conftest import SX, SZ, reseeded
 from vndarboux import (DressedFlow, Flow, SingularDarboux, UnnormalizableError,
                        UnsupportedScenario, build_lax, dressed_trajectory,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed, normalize_to_density,
-                       rescaled_flow, reseed_rescale, reseed_shift, residual,
-                       shifted_flow)
+                       rescaled_flow, residual, scenario_cli, shifted_flow)
 from vndarboux.operator_core import eig_hermitian, frob
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
@@ -162,35 +166,128 @@ def test_symmetries_preserve_dressed_solutions():
 
 
 # ---------------------------------------------------------------------------
-# re-seeding (shift/rescale absorbed into the seed)
+# order "before" against the re-seeded reference (``conftest.reseeded``)
 
 def test_reseed_shift_delta_matches_shifted_flow():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
     lam = 0.7
-    reseeded = reseed_shift(seed, lam)
-    assert reseeded.a == pytest.approx(1.0 + 2 * lam)
+    reference = reseeded(seed, shift=lam)
+    assert reference.a == pytest.approx(1.0 + 2 * lam)
     flow = shifted_flow(seed, lam * np.eye(2))
     for t in (-1.2, 0.0, 0.9):
-        npt.assert_allclose(reseeded(t), flow(t), atol=1e-12)
+        npt.assert_allclose(reference(t), flow(t), atol=1e-12)
 
 
 def test_reseed_rescale_delta_matches_rescaled_flow():
     seed = make_delta_commuting_seed([(1.0, 0.5)], a=1.0)
-    reseeded = reseed_rescale(seed, 2.0)
+    reference = reseeded(seed, 2.0)
     flow = rescaled_flow(seed, 2.0)
     for t in (-0.8, 0.3, 1.1):
-        npt.assert_allclose(reseeded(t), flow(t), atol=1e-12)
+        npt.assert_allclose(reference(t), flow(t), atol=1e-12)
 
 
 def test_reseed_shift_anticommuting_unsupported():
     with pytest.raises(UnsupportedScenario, match="anticommuting"):
-        reseed_shift(SIGMA_SEED, 1.0)
+        reseeded(SIGMA_SEED, shift=1.0)
 
 
 def test_reseeded_seed_still_dresses():
-    seed = reseed_shift(make_delta_commuting_seed([(1.0, 0.5)], a=0.4), 0.6)
+    seed = reseeded(make_delta_commuting_seed([(1.0, 0.5)], a=0.4), shift=0.6)
     lax = build_lax(seed, mu=0.5 + 0.5j)
     traj = dressed_trajectory(DressedFlow(lax), np.linspace(-1, 1, 5))
     assert traj.singular_t is None
     for t in traj.times:
         assert residual(traj.rho_at, t).passed
+
+
+def _before(seed: str, mode: str, Y: float, shift: float, **darboux) -> dict:
+    name = "delta_density" if seed == "delta" else "reversed_anticommuting"
+    with open(os.path.join(CONFIGS, f"{name}.json")) as handle:
+        cfg = json.load(handle)
+    if mode == "general":
+        cfg["darboux"]["nu_mode"] = {"explicit": [0.5, -1.1]}
+    cfg["darboux"].update(darboux)
+    cfg["symmetries"] = {"order": "before", "rescale_y": Y, "shift_lambda": shift}
+    return cfg
+
+
+def _reference(cfg: dict):
+    # the re-seeded seed, dressed with the configured parameters and pins
+    s = scenario_cli.read_scenario(cfg)
+    seed = reseeded(s.build_seed(), s.rescale_y, s.shift_lambda)
+    lax = build_lax(seed, s.mu, s.nu, s.lam, **s.pins)
+    return lax, DressedFlow(lax).stack(s.times)
+
+
+def _gap(states: np.ndarray, expected: np.ndarray) -> float:
+    # relative to the largest entry
+    return np.abs(states - expected).max() / np.abs(expected).max()
+
+
+# the (Y, Lambda) of the cross-check; the anticommuting seed takes no shift
+FRAMES = [(-0.5, 0.0), (-2.0, 0.0), (0.5, 0.3), (-0.5, -0.4), (-1.0, 0.7),
+          (3.0, -0.2)]
+BEFORE = [(seed, mode, Y, shift) for seed in ("delta", "three-pairs")
+          for mode in ("hermitian", "general") for Y, shift in FRAMES
+          if seed == "delta" or shift == 0.0]
+
+
+@pytest.mark.parametrize("seed, mode, Y, shift", BEFORE,
+                         ids=[f"{s}-{m}-{y}-{x}" for s, m, y, x in BEFORE])
+def test_order_before_is_the_dressing_of_the_reseeded_seed(seed, mode, Y, shift):
+    # the one chain (the dressing of rho with (mu, nu, lambda)/Y, shifted by
+    # Lambda, rescaled by Y) against the dressing of Y (rho + Lambda)
+    cfg = _before(seed, mode, Y, shift)
+    result = scenario_cli.execute_scenario(cfg)
+    lax, expected = _reference(cfg)
+    assert _gap(result.trajectory.states, expected) <= 1e-14
+    assert result.report.overall
+    # the lock names the transformed seed, bit for bit, and its roots
+    resolved = result.lock["resolved"]
+    assert resolved["rho0"] == scenario_cli.matrix_to_nested(lax.seed.rho0)
+    for key, z in (("z_mu", lax.params.z_mu), ("z_nu", lax.params.z_nu),
+                   ("z_lambda", lax.params.z_lambda)):
+        if z is not None:
+            assert abs(complex(*resolved[key]) - z) <= 1e-14 * max(1.0, abs(z))
+
+
+def test_a_negative_rescaling_reverses_the_root_order():
+    # unpinned, the root is the lexicographic maximum of the configured
+    # roots Y (z + Lambda); for Y < 0 that is another root than the maximum
+    # of the mapped pencil's own roots z, whose dressing differs
+    cfg = _before("delta", "hermitian", -0.5, 0.3)
+    result = scenario_cli.execute_scenario(cfg)
+    _, expected = _reference(cfg)
+    assert _gap(result.trajectory.states, expected) <= 1e-14
+    s = scenario_cli.read_scenario(cfg)
+    unreversed = build_lax(s.build_seed(), s.mu / s.rescale_y, lam=s.lam / s.rescale_y)
+    assert unreversed.params.z_mu != result.trajectory.rho_at.root.lax.params.z_mu
+    flow = rescaled_flow(shifted_flow(DressedFlow(unreversed), 0.3 * np.eye(4)), -0.5)
+    assert _gap(flow.stack(s.times), expected) > 0.1
+
+
+def test_order_before_pins_roots_in_the_configured_frame():
+    # pins at the configured seed's roots that the rule does not choose
+    cfg = _before("delta", "general", -1.0, 0.7)
+    lax, _ = _reference(cfg)
+    seed, params = lax.seed, lax.params
+    pins = {}
+    for name, param, chosen in (("z_mu_pin", params.mu, params.z_mu),
+                                ("z_nu_pin", params.nu, params.z_nu)):
+        roots = np.linalg.eigvals(seed.rho0 - param * seed.spec.A)
+        other = roots[np.argmax(np.abs(roots - chosen))]
+        pins[name] = [other.real, other.imag]
+    cfg = _before("delta", "general", -1.0, 0.7, **pins)
+    result = scenario_cli.execute_scenario(cfg)
+    lax, expected = _reference(cfg)
+    assert complex(*pins["z_mu_pin"]) == pytest.approx(lax.params.z_mu, abs=1e-12)
+    assert _gap(result.trajectory.states, expected) <= 1e-14
+    resolved = result.lock["resolved"]
+    assert abs(complex(*resolved["z_mu"]) - lax.params.z_mu) <= 1e-14 * abs(lax.params.z_mu)
+    assert abs(complex(*resolved["z_nu"]) - lax.params.z_nu) <= 1e-14 * abs(lax.params.z_nu)
+
+
+def test_order_before_names_a_far_pin_in_the_configured_frame():
+    cfg = _before("delta", "hermitian", -0.5, 0.3, z_mu_pin=[40.0, 0.0])
+    with pytest.raises(ValueError, match=r"darboux\.z_mu_pin: \(40\+0j\) lies"):
+        scenario_cli.execute_scenario(cfg)
