@@ -182,7 +182,9 @@ class Trajectory:
 
 
 # A gate failure is ``(index, exception)``: the first failing point of a
-# stack and what a point-by-point loop would have raised there.
+# stack and what a point-by-point loop would have raised there.  A gate
+# passes a point only where its value is within its limit (``~(value <=
+# limit)`` fails), so a NaN fails it.
 
 def _first(mask: np.ndarray, error) -> tuple[int, Exception] | None:
     if not mask.any():
@@ -219,14 +221,14 @@ def _projector_stack(phi: np.ndarray, chi: np.ndarray, tolerances: Tolerances):
         idempotency = frob_stack(block_matmul(P, P) - P)
         trace_gap = np.abs(np.trace(P, axis1=-2, axis2=-1) - 1.0)
     failure = _earliest(
-        _first(np.abs(overlap) < floor, lambda i: SingularDarboux(
+        _first(~(np.abs(overlap) >= floor), lambda i: SingularDarboux(
             f"<chi|phi> = {overlap[i]:.3e} is below the relative floor {floor[i]:.3e}")),
         # the report's absolute limit: an oblique P, whose ||P||_F is about
         # 1/overlap, is not dressed past the gap its report would fail
-        _first(idempotency > tolerances.idempotency, lambda i: SingularDarboux(
+        _first(~(idempotency <= tolerances.idempotency), lambda i: SingularDarboux(
             "projector lost idempotency to round-off; the pair is too close "
             "to orthogonal for a reliable dressing")),
-        _first(trace_gap > tolerances.projector_trace, lambda i: SingularDarboux(
+        _first(~(trace_gap <= tolerances.projector_trace), lambda i: SingularDarboux(
             "projector trace moved away from 1")))
     return P, idempotency, trace_gap, failure
 
@@ -280,7 +282,7 @@ def _similarity_stack(P: np.ndarray, mu: complex, nu: complex,
     gap = frob_stack(T - (_hermitian_exp(z, P) if hermitian else mat_exp(z * P)))
     size = np.hypot(frob_stack(T), np.sqrt(beyond))
     failure = _first(
-        gap > tolerances.t_equality * np.maximum(1.0, size),
+        ~(gap <= tolerances.t_equality * np.maximum(1.0, size)),
         lambda i: InconsistentLax(
             "rational and exponential forms of T disagree; P is not idempotent"))
     return T, failure
@@ -358,15 +360,15 @@ def _dress_stack(rho_J: np.ndarray, rho_norm: np.ndarray, dim: int,
     bridge_limit = tolerances.bridge_identity * np.maximum(1.0, rho_norm * frob_stack(P))
     gates = [
         failure,
-        _first(form_gap > tolerances.form_gap, lambda i: InconsistentLax(
+        _first(~(form_gap <= tolerances.form_gap), lambda i: InconsistentLax(
             f"form_gap = {form_gap[i]:.3e}: commutator and similarity forms of "
             "rho[1] disagree, so P was not built from genuine eigenvectors")),
-        _first(bridge_gap > bridge_limit, lambda i: InconsistentLax(
+        _first(~(bridge_gap <= bridge_limit), lambda i: InconsistentLax(
             f"[P, A] bridging identity violated by {bridge_gap[i]:.3e}")),
     ]
     if hermitian_pairing(mu, nu):
         unitarity = frob_stack(_unitarity_defect(P, U, W, (mu - nu) / nu))
-        gates.append(_first(unitarity > tolerances.t_unitarity, lambda i: InconsistentLax(
+        gates.append(_first(~(unitarity <= tolerances.t_unitarity), lambda i: InconsistentLax(
             f"T fails unitarity by {unitarity[i]:.3e} although nu = conj(mu)")))
     return rho1_J, T, form_gap, _earliest(*gates)
 

@@ -8,8 +8,9 @@ time point; ``as_operators``, ``mat_exp``, ``trace_moments`` and
 stack holds from the whole and the support-sized matrices a point holds.
 A ``partition`` of the indices into equal parts, on which operators are
 block-diagonal, lets a stack of states be read as the ``(N, B, b, b)``
-stack of its diagonal blocks (``blocks_of``); ``hermitian_spectra`` and
-``hermiticity_gaps`` measure whole states.
+stack of its diagonal blocks (``blocks_of``); ``hermitian_spectra`` takes
+a stack's spectra on the blocks of its own nonzero pattern, and
+``hermiticity_gaps`` measures whole states.
 Nothing here mutates its inputs, so every function is safe to
 call from multiple threads.
 
@@ -200,8 +201,29 @@ def frob_stack(M) -> np.ndarray:
 
 def hermitian_spectra(S: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part ``(S + S^dag)/2`` of a
-    matrix or of each matrix of a stack."""
-    return np.linalg.eigvalsh((S + dagger(S)) / 2)
+    matrix or of each matrix of a stack.
+
+    The stack is split on its own nonzero pattern (``partition`` of the
+    components of the entries nonzero in some matrix), so no nonzero entry
+    is left out.  Each block's eigenvalues come in closed form at 2 x 2
+    (``m +- hypot(h, |b|)``) and from one batched ``eigvalsh`` otherwise,
+    and are sorted together: round-off away from ``eigvalsh`` of the whole
+    matrix.  A dense stack, or one whose components differ in size, is one
+    block, and its spectra are ``eigvalsh``'s bit for bit.
+    """
+    dim = S.shape[-1]
+    parts = partition(coupling(dim, [S.reshape(-1, dim, dim).any(axis=0)]))
+    if len(parts) == 1:
+        return np.linalg.eigvalsh((S + dagger(S)) / 2)
+    blocks = blocks_of(S, parts)
+    H = (blocks + dagger(blocks)) / 2
+    if parts.shape[1] == 2:
+        a, d = H[..., 0, 0].real, H[..., 1, 1].real
+        m, r = (a + d) / 2, np.hypot((a - d) / 2, np.abs(H[..., 0, 1]))
+        values = np.stack([m - r, m + r], axis=-1)
+    else:
+        values = np.linalg.eigvalsh(H)
+    return np.sort(values.reshape(S.shape[:-2] + (dim,)), axis=-1)
 
 
 def hermiticity_gaps(S: np.ndarray) -> np.ndarray:
@@ -341,24 +363,29 @@ class NormalExp:
         eigencomponents present in ``v``, which keeps every row finite for
         any s; pass one to share a scale between points.  Returns the rows and
         the shifts.  A row with ``s_b = 0`` and zero shift is ``v`` itself.
+        For a diagonal G the phase is evaluated only on the entries where
+        ``v`` is nonzero; every other entry is ``+0.0``.
         """
         s = np.asarray(s, dtype=complex)
         if self._Q is None:
-            coeffs = v
+            # only the nonzero coefficients are scaled: a zero one times a
+            # phase that overflows at large |t| would be NaN, not zero
+            coeffs, support = v, np.flatnonzero(v != 0)
         else:
-            coeffs = v @ self._Q if left else self._QH @ v
-        exponents = s[:, None] * self.g
+            coeffs, support = (v @ self._Q if left else self._QH @ v), slice(None)
+        exponents = s[:, None] * self.g[support]
         if shift is None:
-            shift = np.where(coeffs != 0, exponents.real, -np.inf).max(axis=1)
-        rows = coeffs * np.exp(exponents - shift[:, None])
+            shift = np.where(coeffs[support] != 0, exponents.real, -np.inf).max(axis=1)
+        scaled = np.multiply(coeffs[support], np.exp(exponents - shift[:, None]))
         if self._Q is None:
-            rows += 0.0
-        elif len(rows) == 1:
+            rows = np.zeros((len(s), len(v)), dtype=complex)
+            rows[:, support] = scaled + 0.0
+        elif len(s) == 1:
             # numpy multiplies a lone row by gemv, which rounds differently
             # from the gemm of a larger stack: it goes as a row of two
-            rows = (np.repeat(rows, 2, axis=0) @ (self._QH if left else self._QT))[:1]
+            rows = (np.repeat(scaled, 2, axis=0) @ (self._QH if left else self._QT))[:1]
         else:
-            rows = rows @ (self._QH if left else self._QT)
+            rows = scaled @ (self._QH if left else self._QT)
         rows[(s == 0) & (shift == 0)] = v
         return rows, shift
 

@@ -8,8 +8,9 @@ what the checks compare against: its dressing's Lax solution (seed,
 parameters, tolerances) and the reference spectrum, the flow's map of the
 seed's rho(0).  Every check reduces over slices of the
 trajectory's stacks in blocks (``time_blocks``): the spectrum and positivity
-checks share one eigensolve per state.  The idempotency, projector trace and
-form gap checks read the values the dressing's gates compared, and the
+checks share one spectrum per state, taken on the state's blocks.  The
+idempotency, projector trace and form gap checks read the values the
+dressing's gates compared, and the
 hermiticity check the dressing's gaps when the checked states are the
 dressed states.  The residual evaluates its stencil through the
 trajectory's flow and reuses the sample states as centres; the covariance
@@ -225,7 +226,7 @@ def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -
         positivity = (on("positivity", default=seed_positive) and seed_positive
                       and have_samples)
         if spectrum or positivity:
-            # one eigensolve per state serves both checks
+            # one spectrum per state serves both checks
             if dressed and diags.spectrum is not None:
                 eigs = diags.spectrum
             else:

@@ -100,6 +100,22 @@ def reseeded(seed, Y=1.0, shift=0.0):
     return SeedSolution(seed.family, Y * seed.rho0, seed.spec)
 
 
+#: how far ``hermitian_spectra``, which takes the eigenvalues of a stack's
+#: blocks, may lie from ``eigvalsh`` of each whole Hermitian part H, in
+#: units of ``||H||_F``: 10 eps (the worst measured over 15,000 random
+#: block-diagonal states up to d = 32, near-degenerate blocks included,
+#: was 6.7 eps)
+SPECTRUM_EPS = 10 * np.finfo(float).eps
+
+
+def assert_near_eigvalsh(values, S):
+    """Each row of ``values`` lies within ``SPECTRUM_EPS ||H||_F`` of
+    ``eigvalsh`` of the Hermitian part H of the matching matrix of ``S``."""
+    H = (S + np.swapaxes(S.conj(), -1, -2)) / 2
+    gaps = np.abs(values - np.linalg.eigvalsh(H)).max(axis=-1)
+    assert np.all(gaps <= SPECTRUM_EPS * np.linalg.norm(H, axis=(-2, -1)))
+
+
 def whole_projectors(traj):
     """A trajectory's projectors as whole ``(N, d, d)`` matrices: the
     ``Diagnostics.P`` blocks on its dressing's support

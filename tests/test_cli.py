@@ -570,6 +570,27 @@ def test_large_t_max_passes(tmp_path, capsys, t_max, with_lambda):
     assert capsys.readouterr().err == ""
 
 
+LARGE_T = os.path.join(CONFIGS, "large_t_two_block.json")
+
+
+@pytest.mark.parametrize("nu_mode", ["explicit", "conjugate"])
+def test_a_two_block_seed_runs_at_large_t(tmp_path, capsys, nu_mode):
+    # at these times the rows' zero coefficients would meet phases beyond
+    # exp(+1e3): 0 * inf is NaN, which once ended the run in a config error.
+    # Only the nonzero coefficients are scaled, so both modes pass
+    with open(LARGE_T) as handle:
+        cfg = json.load(handle)
+    if nu_mode == "conjugate":
+        cfg["darboux"]["nu_mode"] = "conjugate"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(_write(tmp_path, cfg), str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(out)) == ["report.json", "scenario.lock.json",
+                                       "trajectory.csv"]
+
+
 def _anticommuting(b, alpha):
     return {"id": f"anticommuting-{len(b)}", "model": {"n": 2},
             "seed": {"family": "anticommuting", "dim_pairs": len(b), "b": b,

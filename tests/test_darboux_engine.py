@@ -14,10 +14,35 @@ from vndarboux.darboux_engine import (DressedFlow, _dress_stack,
                                       _hermitian_exp, _projector_stack,
                                       _similarity_stack, _similarity_terms,
                                       _transform_rows, _unitarity_defect)
+from vndarboux.lax_engine import LaxSolution
 from vndarboux.operator_core import DIM_CAP, dagger, frob, frob_stack
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
+
+
+@pytest.mark.parametrize("nu", [None, 0.5 - 1.1j], ids=["hermitian", "general"])
+def test_a_nan_row_stops_the_stack_at_its_point(monkeypatch, nu):
+    # a NaN compares false both ways, so each gate fails unless its value
+    # is within its limit: the overlap floor stops the stack where phi
+    # holds a NaN, where the NaN once passed every gate
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
+    flow = DressedFlow(build_lax(seed, 0.3 + 0.8j, nu))
+    times = np.linspace(-1.0, 1.0, 9)
+    rows = LaxSolution.phi_rows
+
+    def planted(self, t):
+        phi, shift = rows(self, t)
+        phi[np.asarray(t) == times[5], flow.support[0]] = np.nan
+        return phi, shift
+
+    monkeypatch.setattr(LaxSolution, "phi_rows", planted)
+    dressed = flow.evaluate(times)
+    index, error = dressed.failure
+    assert index == 5 and isinstance(error, SingularDarboux)
+    assert len(dressed.rho1) == 5 and np.isfinite(dressed.rho1).all()
+    traj = dressed_trajectory(flow, times)
+    assert traj.singular_t == times[5] and len(traj.times) == 5
 P_REFERENCE = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])  # |(1,i)><(1,-i)| / 2
 
 

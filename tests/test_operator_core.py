@@ -1,16 +1,18 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from conftest import SX, SZ
+from conftest import SX, SZ, assert_near_eigvalsh
 from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
 from vndarboux.operator_core import (DIM_CAP, NormalExp, canonical_phase,
                                      commutator, eig_hermitian,
                                      eig_pair_general, eig_pair_left, frob,
-                                     is_hermitian, mat_exp, select_root,
-                                     trace_moments)
+                                     hermitian_spectra, is_hermitian, mat_exp,
+                                     select_root, trace_moments)
 
 
 def _random_complex_matrix(rng, dim, scale=1.0):
@@ -326,6 +328,55 @@ def test_diagonal_generator_acts_entry_by_entry(d, left):
         assert frob(row * np.exp(k) - expected) <= 1e-12 * frob(expected)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+@pytest.mark.parametrize("given", [False, True], ids=["own-shift", "given-shift"])
+def test_diagonal_act_scales_only_the_nonzero_coefficients(d, left, given):
+    # on the support of v the rows are the full formula
+    # v_k exp(s g_k - shift) + 0.0 bit for bit; elsewhere every entry is
+    # +0.0; a row at s = 0 and zero shift is v itself, -0.0 parts included
+    rng = np.random.default_rng(80 + d)
+    for _ in range(20):
+        g = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v[rng.random(d) < 0.4] = 0
+        v.real[rng.random(d) < 0.2] = -0.0
+        v[rng.integers(d)] = 1.0
+        s = np.concatenate([[0.0], rng.normal(size=6) * 3j, [0.4 + 2.0j]])
+        shift = np.concatenate([[0.0], rng.normal(size=len(s) - 1)]) if given else None
+        rows, out_shift = NormalExp(np.diag(g)).act(v, s, shift=shift, left=left)
+        support = v != 0
+        exponents = s[:, None] * g
+        if not given:
+            shift = np.where(support, exponents.real, -np.inf).max(axis=1)
+        # a max over fewer entries may pick the other zero of a tie between
+        # 0.0 and -0.0, which moves no row: exp(+-0 + iy) is one value
+        npt.assert_array_equal(out_shift, shift)
+        full = v * np.exp(exponents - shift[:, None]) + 0.0
+        assert rows[1:, support].tobytes() == full[1:, support].tobytes()
+        assert not rows[1:, ~support].tobytes().strip(b"\0")
+        assert rows[0].tobytes() == v.tobytes()
+
+
+def test_diagonal_act_skips_the_phases_of_absent_modes():
+    # phi(t) = exp(-i G t) phi0 at t = -2e4: the absent mode's phase is
+    # exp(4e4), so the full formula gives 0 * inf = NaN there, and warns
+    G = np.diag([1j, -1j, 1j + 0.5])
+    v = np.array([1.0, 0.0, 0.5], dtype=complex)
+    s = np.array([-1j * -2e4, -1j * 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, shift = NormalExp(G).act(v, s)
+    npt.assert_array_equal(shift, [-2e4, 3.0])
+    assert not rows[:, 1].tobytes().strip(b"\0")
+    npt.assert_array_equal(rows[:, 0], [1.0, 1.0])
+    npt.assert_allclose(rows[0, 2], 0.5 * np.exp(1e4j), rtol=1e-12)
+    for row, k, sb in zip(rows[1:], shift[1:], s[1:]):
+        npt.assert_allclose(row * np.exp(k), sla.expm(sb * G) @ v, rtol=1e-14)
+    with np.errstate(all="ignore"):
+        assert np.isnan((v * np.exp(s[:, None] * np.diag(G) - shift[:, None]))[0, 1])
+
+
 def test_diagonal_similarity_overflows_only_where_m_is_nonzero():
     G = np.diag([1.0, -1.0, 0.5])
     s = np.array([0.3, 400.0])  # exp(400 (g_0 - g_1)) overflows
@@ -355,6 +406,71 @@ def test_dense_generator_keeps_the_factorization():
     s = np.array([0.0, 0.7j, -2.5j])
     M = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     assert factor.similarity(M, s).tobytes() == _eig_similarity(G, M, s).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# hermitian_spectra: the blocks of a stack's own nonzero pattern
+
+def _block_stack(rng, parts, dim, count=7):
+    # random complex matrices that vanish outside the blocks on ``parts``
+    mask = np.zeros((dim, dim), dtype=bool)
+    for part in parts:
+        mask[np.ix_(part, part)] = True
+    S = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return S * mask
+
+
+def _eigvalsh(S):
+    return np.linalg.eigvalsh((S + np.swapaxes(S.conj(), -1, -2)) / 2)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_spectra_of_block_stacks_are_near_eigvalsh(b):
+    # index sets that are not contiguous, at several scales, with
+    # near-degenerate blocks; one matrix is the row of its stack
+    rng = np.random.default_rng(90 + b)
+    dim = 4 * b
+    for scale in (1e-3, 1.0, 1e3):
+        parts = rng.permutation(dim).reshape(-1, b)
+        S = scale * _block_stack(rng, parts, dim)
+        S[0] *= np.where(rng.random((dim, dim)) < 0.5, 1e-9, 1.0)
+        values = hermitian_spectra(S)
+        assert values.shape == (len(S), dim)
+        assert np.all(np.diff(values, axis=-1) >= 0)
+        assert_near_eigvalsh(values, S)
+        npt.assert_array_equal(hermitian_spectra(S[3]), values[3])
+
+
+def test_a_coupling_at_one_time_joins_its_blocks():
+    # pairs {0, 4}, {1, 5}, {2, 6}, {3, 7}; one entry couples the first two
+    # pairs at time 2 and another the last two at time 5, so the pattern's
+    # blocks are {0, 1, 4, 5} and {2, 3, 6, 7}.  Dropping either coupling
+    # would move its time's spectrum by far more than round-off
+    rng = np.random.default_rng(97)
+    S = _block_stack(rng, [[0, 4], [1, 5], [2, 6], [3, 7]], 8)
+    S[2, 0, 1] = 1.0
+    S[5, 6, 3] = 1.0j
+    values = hermitian_spectra(S)
+    assert_near_eigvalsh(values, S)
+    uncoupled = S.copy()
+    uncoupled[2, 0, 1] = uncoupled[5, 6, 3] = 0
+    moved = np.abs(_eigvalsh(uncoupled) - values).max(axis=-1)
+    assert moved[2] > 1e-3 and moved[5] > 1e-3
+    # a third coupling joins the two blocks: the stack is one block
+    S[4, 4, 2] = 0.5
+    assert hermitian_spectra(S).tobytes() == _eigvalsh(S).tobytes()
+
+
+@pytest.mark.parametrize("case", ["dense", "unequal-blocks", "one-matrix"])
+def test_one_block_spectra_are_eigvalsh_bitwise(case):
+    rng = np.random.default_rng(98)
+    if case == "dense":
+        S = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+    elif case == "unequal-blocks":
+        S = _block_stack(rng, [[0, 3], [1, 2, 4]], 5)
+    else:
+        S = _random_complex_matrix(rng, 5)
+    assert hermitian_spectra(S).tobytes() == _eigvalsh(S).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
 
-from conftest import scaled_projectors, whole_projectors
+from conftest import assert_near_eigvalsh, scaled_projectors, whole_projectors
 from vndarboux import (DEFAULT, InconsistentLax, ModelSpec, SeedFamily,
                        SeedSolution, SingularDarboux, build_lax,
                        darboux_engine, dressed_state_at, dressed_trajectory,
@@ -21,6 +21,7 @@ from vndarboux import (DEFAULT, InconsistentLax, ModelSpec, SeedFamily,
                        make_delta_commuting_seed, rescaled_flow, run_suite,
                        shifted_flow)
 from vndarboux.darboux_engine import DressedFlow, _block, _similarity_stack
+from vndarboux.operator_core import hermitian_spectra
 
 TIMES = np.linspace(-1.5, 1.5, 13)
 DP = 1e-4  # the p_dot_norm step of dressed_trajectory
@@ -170,8 +171,9 @@ def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
                            np.linalg.norm(states - states.conj().transpose(0, 2, 1),
                                           axis=(-2, -1)))
     if diag.spectrum is not None:
-        npt.assert_array_equal(diag.spectrum[:, 0], np.linalg.eigvalsh(
-            (states + states.conj().transpose(0, 2, 1)) / 2)[:, 0])
+        # the spectra of the states' blocks: round-off away from eigvalsh's
+        npt.assert_array_equal(diag.spectrum, hermitian_spectra(states))
+        assert_near_eigvalsh(diag.spectrum, states)
     rows, shift = lax.phi_rows(TIMES)
     npt.assert_array_equal(diag.phi_norm, np.exp(shift) * np.linalg.norm(rows, axis=-1))
     # the norms below sum a block instead of a whole matrix: round-off only
