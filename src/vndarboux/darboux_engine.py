@@ -61,16 +61,21 @@ the first two take whole matrices.  ``dressed_trajectory(flow, times)``
 samples a ``DressedFlow`` or a symmetry flow of one: it cuts the sample grid
 into blocks (``time_blocks``, sized by the full and the support
 matrices a point holds), records each block in a ``Diagnostics`` of
-per-sample arrays (dressed states, the projectors' ``J x J`` blocks, the
-gates' values and other scalar diagnostics) and joins the blocks' states
-and records field by field into one ``Trajectory``.  Under a symmetry flow
+per-sample arrays (dressed states, the projectors' ``J x J`` blocks and
+their exact time derivatives, the gates' values and other scalar
+diagnostics) and joins the blocks' states and records field by field into
+one ``Trajectory``.  The derivatives need no second dressing: phi, chi and
+psi evolve by factored generators, so ``phi' = -i G phi``,
+``chi' = +i chi G_nu`` and ``psi' = +i psi G_lambda``, and P' follows by the
+quotient rule from the rows each sample was dressed with
+(``DressedFlow.projector_rates``).  Under a symmetry flow
 (``symmetry_transforms``) it dresses each sample once, at the time the flow
 evaluates the dressing (``Y t``), and the flow maps that dressing to the
 sample's state.  The trajectory keeps its flow and nothing the flow
 holds: the dressing (``rho_at.root``) with its support and Lax solution,
 and the map of the seed's rho(0) to the reference spectrum.  The checks in
-``verification`` read those gate values, slice those stacks and evaluate
-their stencils through the same flow.
+``verification`` read those gate values and derivatives, slice those
+stacks and evaluate the residual's stencil through the same flow.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ from .lax_engine import LaxSolution, hermitian_pairing, require_nonzero
 from .operator_core import (as_operator, as_state, block_matmul, commutator,
                             components, coupling, dagger, frob_stack,
                             hermitian_spectra, hermiticity_gaps, mat_exp,
-                            off_diagonal, partition, time_blocks)
+                            off_diagonal, partition, row_matmul, time_blocks)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
@@ -109,8 +114,10 @@ class Diagnostics:
     ``rho1`` is the ``(N, d, d)`` stack of dressed states, before any
     symmetry flow.  ``P`` holds their projectors as the ``(N, |J|, |J|)``
     blocks on the dressing's ``support`` J, outside which every projector
-    vanishes; ``idempotency_gap`` and ``projector_trace_gap`` are the values
-    their gates compared.  ``spectrum`` holds the ascending eigenvalues of
+    vanishes, and ``P_dot`` the blocks of their exact time derivatives
+    (``DressedFlow.projector_rates``), whose norms are ``p_dot_norm``;
+    ``idempotency_gap`` and ``projector_trace_gap`` are the values their
+    gates compared.  ``spectrum`` holds the ascending eigenvalues of
     each dressed state's Hermitian part, its first column the smallest.
     It is None outside hermitian mode, and ``F_value`` off Delta-commuting
     seeds in hermitian mode.
@@ -118,6 +125,7 @@ class Diagnostics:
 
     rho1: np.ndarray
     P: np.ndarray
+    P_dot: np.ndarray
     phi_norm: np.ndarray
     form_gap: np.ndarray
     hermiticity_gap: np.ndarray
@@ -135,7 +143,7 @@ class Trajectory:
 
     ``states`` may be given as a list and is stored as a stack; ``rho_at``
     is the ``Flow`` that recomputes the states at arbitrary times (the
-    residual and covariance checks evaluate their stencils through it),
+    residual evaluates its stencil through it),
     and the one holder of what the checks read: its ``root`` is the
     dressing, whose ``lax`` is the Lax solution the samples were dressed
     with, and its ``finish`` maps the seed's rho(0) to the reference whose
@@ -373,9 +381,9 @@ def _dress_stack(rho_J: np.ndarray, rho_norm: np.ndarray, dim: int,
     return rho1_J, T, form_gap, _earliest(*gates)
 
 
-def _transform_rows(psi: np.ndarray, P: np.ndarray, mu: complex, nu: complex,
-                    lam: complex) -> np.ndarray:
-    return psi - ((nu - mu) / (lam - mu)) * (psi[:, None, :] @ P)[:, 0, :]
+def _transform_rows(psi: np.ndarray, P: np.ndarray, c: complex) -> np.ndarray:
+    # psi (1 - c P) for a stack of rows
+    return psi - c * row_matmul(psi, P)
 
 
 def projector(phi, chi, tolerances: Tolerances = DEFAULT) -> np.ndarray:
@@ -431,7 +439,8 @@ class DressedStack(NamedTuple):
     (``Flow.blocks``); ``P`` and ``T`` are the blocks on the flow's
     ``support``, outside which P vanishes and T is the identity.
     ``idempotency_gap`` (``||P^2 - P||_F``) and ``projector_trace_gap``
-    (``|Tr P - 1|``) are the values the projector gates compared.
+    (``|Tr P - 1|``) are the values the projector gates compared; ``phi``
+    and ``chi`` are the normalized support rows P was built from.
     """
 
     rho1: np.ndarray
@@ -441,6 +450,8 @@ class DressedStack(NamedTuple):
     phi_norm: np.ndarray
     idempotency_gap: np.ndarray
     projector_trace_gap: np.ndarray
+    phi: np.ndarray
+    chi: np.ndarray
     failure: tuple | None
 
 
@@ -474,38 +485,54 @@ class DressedFlow(Flow):
         met[label[(lax.phi0 != 0) | (lax.chi0 != 0)]] = True
         self.support = np.flatnonzero(met[label])
         self.support_size = len(self.support)
+        # the generators of phi and, outside hermitian mode, chi on J x J
+        self._generators = [_block(G, self.support) for G in lax.generators]
         self.partition = partition(coupling(seed.dim, states, [self.support]))
         if any(off_diagonal(G) for G in seed.generators):
             self.partition = np.arange(seed.dim)[None]
 
     def _rows(self, times):
         # the support entries of phi and chi per point, normalized, with
-        # phi_norm and the first point where a row vanished
-        J = self.support
-        phi, shift = self.lax.phi_rows(times)
-        phi_len = np.linalg.norm(phi, axis=-1)
-        gates = [_first(phi_len == 0, lambda i: SingularDarboux(
-            "phi(t) vanished", t=float(times[i])))]
-        with np.errstate(all="ignore"):
-            phi_norm = np.exp(shift) * phi_len
-            phi_hat = phi.take(J, axis=-1) / phi_len[:, None]
-            if self.lax.params.hermitian_mode:
-                chi_hat = np.conj(phi_hat)
-            else:
-                chi, _ = self.lax.chi_rows(times)
-                chi_len = np.linalg.norm(chi, axis=-1)
-                gates.append(_first(chi_len == 0, lambda i: SingularDarboux(
-                    "chi(t) vanished", t=float(times[i]))))
-                chi_hat = chi.take(J, axis=-1) / chi_len[:, None]
-        return phi_hat, chi_hat, phi_norm, _earliest(*gates)
+        # phi_norm and the first point where a row is not finite or vanished
 
-    def projectors(self, times):
-        """``(P, phi_norm, failure)`` for each time, with every projector
-        gate; ``P`` holds the ``support`` blocks of the projectors."""
-        times = np.asarray(times, dtype=float)
-        phi, chi, phi_norm, failure = self._rows(times)
-        P, _, _, projector_failure = _projector_stack(phi, chi, self.lax.tolerances)
-        return P, phi_norm, _earliest(failure, projector_failure)
+        def normalized(rows, name):
+            length = np.linalg.norm(rows, axis=-1)
+            finite = np.isfinite(rows).all(axis=-1)
+            return rows.take(self.support, axis=-1) / length[:, None], length, _first(
+                ~finite | (length == 0), lambda i: SingularDarboux(
+                    f"{name}(t) " + ("vanished" if finite[i] else "has a non-finite entry"),
+                    t=float(times[i])))
+
+        phi, shift = self.lax.phi_rows(times)
+        with np.errstate(all="ignore"):
+            phi_hat, phi_len, failure = normalized(phi, "phi")
+            chi_hat = np.conj(phi_hat)
+            if not self.lax.params.hermitian_mode:
+                chi_hat, _, chi_failure = normalized(self.lax.chi_rows(times)[0], "chi")
+                failure = _earliest(failure, chi_failure)
+            return phi_hat, chi_hat, np.exp(shift) * phi_len, failure
+
+    def projector_rates(self, dressed: DressedStack) -> np.ndarray:
+        """The time derivatives ``P'`` of the projectors
+        ``P = |phi><chi| / <chi|phi>`` of a dressed stack (``evaluate``), from
+        its normalized support rows phi and chi, as ``support`` blocks.
+
+        The quotient rule on ``phi' = -i G phi`` and ``chi' = +i chi G_nu``
+        (``conj(phi')`` in hermitian mode), with the Lax generators' ``J x J``
+        blocks:
+        ``P' = (phi' chi + phi chi' - P (chi' phi + chi phi')) / <chi|phi>``.
+        A part of phi' along phi, or of chi' along chi, cancels, so the
+        rows' scale does not matter.  Every product is an entry formula,
+        so a point's bits do not depend on its stack.
+        """
+        phi, chi, P = dressed.phi, dressed.chi, dressed.P
+        dphi = -1j * row_matmul(phi, self._generators[0].T)
+        dchi = (np.conj(dphi) if self.lax.params.hermitian_mode
+                else 1j * row_matmul(chi, self._generators[1]))
+        overlap = np.sum(chi * phi, axis=-1)
+        rate = np.sum(dchi * phi + chi * dphi, axis=-1)
+        return ((dphi[:, :, None] * chi[:, None, :] + phi[:, :, None] * dchi[:, None, :]
+                 - P * rate[:, None, None]) / overlap[:, None, None])
 
     def evaluate(self, times, parts: np.ndarray | None = None) -> DressedStack:
         """Projectors and dressed states with every gate; the stack stops at
@@ -523,9 +550,7 @@ class DressedFlow(Flow):
         phi, chi = phi[:done], chi[:done]
         with np.errstate(all="ignore"):
             U = phi / np.sum(chi * phi, axis=-1)[:, None]
-        params = self.lax.params
-        spec = self.spec
-        J = self.support
+        params, spec, J = self.lax.params, self.spec, self.support
         # J lies in one part; its indices sit at ``local`` within it
         part = int(np.flatnonzero((parts == J[0]).any(axis=-1))[0])
         local = np.searchsorted(parts[part], J)
@@ -538,7 +563,7 @@ class DressedFlow(Flow):
         # the seed stack is fresh: it becomes the dressed stack in place
         rho[:, part, local[:, None], local] = rho1_J
         return DressedStack(rho, P[:done], T, form_gap, phi_norm[:done],
-                            idempotency[:done], trace_gap[:done],
+                            idempotency[:done], trace_gap[:done], phi, chi,
                             dress_failure or failure)
 
     def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
@@ -546,39 +571,48 @@ class DressedFlow(Flow):
         _raise(dressed.failure, times)
         return dressed.rho1
 
-    def psi1_rows(self, times, shift: np.ndarray | None = None,
-                  P: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled rows of the transformed left lambda-solution
-        ``psi[1] = psi (1 - ((nu - mu)/(lambda - mu)) P)`` and their shifts.
+    def psi1_rows(self, times, P: np.ndarray, P_dot: np.ndarray) -> tuple:
+        """``(rows, rates, shift)``: scaled rows of the transformed left
+        lambda-solution ``psi[1] = psi (1 - c P)``, with
+        ``c = (nu - mu)/(lambda - mu)``, the rows of its time derivative
+        ``psi[1]' = psi' (1 - c P) - c psi P'`` at the same scale, where
+        ``psi' = i psi G_lambda`` (``LaxSolution.psi_generator``), and the
+        shifts: ``psi[1](t_b) = e^{shift_b} rows[b]``.
 
-        ``P`` reuses known projectors at the times, as ``support`` blocks;
-        otherwise they are built with every gate.  ``shift`` gives points one
-        common scale.  Only the ``support`` entries of a row change.
+        ``P`` and ``P_dot`` are the projectors and their derivatives at the
+        times, as ``support`` blocks (``Diagnostics``).
+        Only the ``support`` entries of a row change.
         """
-        if P is None:
-            P, _, failure = self.projectors(times)
-            _raise(failure, times)
-        rows, shift = self.lax.psi_rows(times, shift)
-        params = self.lax.params
-        J = self.support
-        rows[:, J] = _transform_rows(rows.take(J, axis=-1), P, params.mu,
-                                     params.nu, params.lam)
-        return rows, shift
+        lax, params = self.lax, self.lax.params
+        c = (params.nu - params.mu) / (params.lam - params.mu)
+        rows, shift = lax.psi_rows(times)
+        rates = 1j * row_matmul(rows, lax.psi_generator)
+        psi, dpsi = rows.take(self.support, axis=-1), rates.take(self.support, axis=-1)
+        rows[:, self.support] = _transform_rows(psi, P, c)
+        rates[:, self.support] = _transform_rows(dpsi, P, c) - c * row_matmul(psi, P_dot)
+        return rows, rates, shift
 
 
 def f_value(seed: SeedSolution, mu: complex, phi0, times):
     """F_a(t) = <phi(0)| exp(i ((mu - conj mu)/|mu|^2) Delta_a t) |phi(0)>.
 
     ``times`` is one time (the result is one complex number) or a stack of
-    times (one value per time).  A stack takes one stacked ``mat_exp``, which
-    treats each slice on its own (a diagonal ``Delta_a`` gets ``np.exp`` of
-    its diagonal), so every value equals its one-point result bitwise.
+    times (one value per time), and every value equals its one-point result
+    bitwise.  For an exactly diagonal ``Delta_a``, as every seed family
+    builds it, the exponential is ``np.exp`` of the exponent's diagonal,
+    applied to phi(0) entry by entry: what ``mat_exp`` gives an exactly
+    diagonal slice, bit for bit.  A ``Delta_a`` that is not diagonal, or a
+    non-finite result, takes one stacked ``mat_exp``, which treats each
+    slice on its own and raises ``OverflowError`` on overflow.
     """
     phi0 = as_state(phi0)
     mu = complex(mu)
     t = np.asarray(times, dtype=float)
     coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2)
-    psi = mat_exp(coeff * t[..., None, None] * seed.delta_a) @ phi0
+    with np.errstate(all="ignore"):
+        psi = np.exp((coeff * t)[..., None] * seed.delta_a.diagonal()) * phi0
+    if off_diagonal(seed.delta_a) or not np.isfinite(psi).all():
+        psi = mat_exp(coeff * t[..., None, None] * seed.delta_a) @ phi0
     # <phi0|psi> is one (1, d) @ (d, 1) dot product per point, as for a
     # single vector; [()] turns the 0-d result of one time into a scalar
     return (np.conj(phi0) @ psi[..., None])[..., 0][()]
@@ -620,12 +654,13 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
     ``DressedFlow.evaluate``.  Each block fills its own ``Diagnostics``,
     and the states and the records are joined field by field when the grid
     has more than one block.  ``P`` holds the projectors as their blocks on
-    the dressing's support J, with the values their gates compared.  Each
-    block dresses its samples and, in one separate stack, builds the
-    projectors at ``t +- dp`` for ``p_dot_norm``; on Delta-commuting seeds
-    in hermitian mode it evaluates ``f_value`` for all its samples in one
-    call.  A ``SingularDarboux`` at some sample cuts the
-    stacks there and records the singular sample's time instead of aborting.
+    the dressing's support J, with the values their gates compared, and
+    ``P_dot`` their exact derivatives, from the rows each sample was
+    dressed with (``DressedFlow.projector_rates``); no point beside the
+    samples is dressed.  On Delta-commuting seeds in hermitian mode each
+    block evaluates ``f_value`` for all its samples in one call.  A
+    ``SingularDarboux`` at some sample cuts the stacks there and records the
+    singular sample's time instead of aborting.
 
     The dressing is ``flow.root``, and its ``lax`` is the Lax solution.
     Under a symmetry flow each sample is dressed once, at the time
@@ -644,29 +679,23 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
     whole = np.arange(seed.dim)[None]
     states, records = [], []
     singular_t = None
-    dp = 1e-4
     for block in (time_blocks(len(times), seed.dim, support=dressing.support_size)
                   or [slice(0, 0)]):
         t = at[block]
         dressed = dressing.evaluate(t, whole)
-        # t + dp and t - dp per point, time-major: the first failing entry
-        # is the point's plus side before its minus side
-        ring = np.stack([t + dp, t - dp], axis=-1).ravel()
-        p_ring, _, ring_failure = dressing.projectors(ring)
-        if ring_failure is not None:
-            ring_failure = (ring_failure[0] // 2, ring_failure[1])
-        failure = _earliest(dressed.failure, ring_failure)
+        failure = dressed.failure
         done = len(t) if failure is None else failure[0]
         rho1 = dressed.rho1[:done, 0]
         if flow is not dressing:
             states.append(flow.finish(times[block][:done], dressed.rho1[:done], whole)[:, 0])
+        P_dot = dressing.projector_rates(dressed)[:done]
         records.append(Diagnostics(
-            rho1=rho1, P=dressed.P[:done], phi_norm=dressed.phi_norm[:done],
+            rho1=rho1, P=dressed.P[:done], P_dot=P_dot, phi_norm=dressed.phi_norm[:done],
             form_gap=dressed.form_gap[:done], hermiticity_gap=hermiticity_gaps(rho1),
             idempotency_gap=dressed.idempotency_gap[:done],
             projector_trace_gap=dressed.projector_trace_gap[:done],
             F_value=f_value(seed, params.mu, lax.phi0, t[:done]) if with_f else None,
-            p_dot_norm=frob_stack((p_ring[0:2 * done:2] - p_ring[1:2 * done:2]) / (2 * dp)),
+            p_dot_norm=frob_stack(P_dot),
             spectrum=hermitian_spectra(rho1) if herm else None))
         if failure is not None:
             index, error = failure

@@ -208,14 +208,15 @@ class LaxSolution:
         return self._chi_factor.act(self.chi0, 1j * np.asarray(times, dtype=float),
                                     left=True)
 
-    def psi_rows(self, times,
-                 shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, shift)`` with ``psi(t_b) = e^{shift_b} rows[b]``.
+    @property
+    def psi_generator(self) -> np.ndarray:
+        """psi's factored generator ``G_lambda``: ``psi' = i psi G_lambda``."""
+        return self._psi_factor.G
 
-        Pass ``shift`` to give points one common scale (a stencil group).
-        """
+    def psi_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, shift)`` with ``psi(t_b) = e^{shift_b} rows[b]``."""
         return self._psi_factor.act(self.psi0, 1j * np.asarray(times, dtype=float),
-                                    shift=shift, left=True)
+                                    left=True)
 
     def phi_at(self, t: float) -> np.ndarray:
         return _unscaled(*self.phi_rows([t]), "phi(t)", t)

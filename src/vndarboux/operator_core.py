@@ -39,11 +39,10 @@ BLOCK_BYTES = 2 << 20
 
 #: states, whole or as their blocks, a dressed time point holds at the peak
 #: of the largest of its blocked operations, traced by tracemalloc on 12 x 12
-#: benchmark scenarios: the covariance check's whole states (2.9 whole
-#: matrices per sample on delta-covariance with the support matrices) and
-#: the residual's ring, four points of blocks per time (5,430 B of its
-#: 10,240 on delta-covariance, 8,473 B on anticommuting-shift under a shift
-#: and a rescaling)
+#: benchmark scenarios: the residual's ring, four points of blocks per time
+#: (5,431 B of its 10,240 on delta-covariance, 8,476 B on
+#: anticommuting-shift under a shift and a rescaling); the covariance check,
+#: on the states' blocks, peaks at 2,535 B per sample on delta-covariance
 _FULL_MATRICES = 4
 
 #: |J| x |J| complex work matrices a dressed time point holds on its support
@@ -74,10 +73,11 @@ def time_blocks(count: int, dim: int, support: int | None = None,
     states, whole or as their blocks of size ``block`` (``partition``), and
     ``_SUPPORT_MATRICES`` matrices of ``support x support``, the size of the
     block it is dressed on; a point of a check on whole states (``support``
-    None) is budgeted ``_CHECK_MATRICES`` matrices of ``dim x dim``.  Stacks
-    beside a sample's dressing fit in its budget: the ``t +- dp``
-    projectors of ``p_dot_norm`` and the psi stencil of the covariance
-    check.  The budgets are traced peaks (tests pin them), so a block's
+    None) is budgeted ``_CHECK_MATRICES`` matrices of ``dim x dim``.  What
+    is computed beside a sample's dressing fits in its budget: the
+    projector's derivative and the covariance check's psi rows, their
+    derivatives and the states' blocks.  The budgets are traced peaks
+    (tests pin them), so a block's
     work arrays stay near ``BLOCK_BYTES``.  A block holds as many points as
     fit, and at least one; a time that is evaluated at ``per_time`` points
     (the residual's stencil ring holds four per time, as blocks) takes that
@@ -147,6 +147,19 @@ def block_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.shape[-1] != 2:
         return X @ Y
     return X[..., :, :1] * Y[..., :1, :] + X[..., :, 1:] * Y[..., 1:, :]
+
+
+def row_matmul(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``v @ M`` for a stack of rows ``(..., k)`` and one matrix or a stack
+    ``(..., k, m)``, from the entry formulas ``sum_k v_k M_kj`` summed in
+    order of k.  numpy sends a lone row's ``@`` to gemv, which rounds
+    differently from the gemm of a larger stack; entry formulas give a row
+    the same bits in any stack.  A matrix shared by the rows gets their
+    leading axes as ones: a ``(N, 1)`` column times a ``(1,)`` row, which
+    numpy broadcasts by prepending an axis, takes a complex kernel that
+    rounds a point by its place in the stack."""
+    M = M.reshape((1,) * (v.ndim + 1 - M.ndim) + M.shape)
+    return sum(v[..., k:k + 1] * M[..., k, :] for k in range(v.shape[-1]))
 
 
 def as_operators(M) -> np.ndarray:
@@ -355,14 +368,13 @@ class NormalExp:
             self._QH = dagger(Q).copy()
         self._gap = self.g[:, None] - self.g[None, :]
 
-    def act(self, v: np.ndarray, s, shift: np.ndarray | None = None,
-            left: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def act(self, v: np.ndarray, s, left: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``exp(s_b G) v / e^{shift_b}`` (``v exp(s_b G)`` if ``left``).
 
-        ``shift`` defaults to each point's largest ``Re(s_b g_k)`` over the
+        ``shift`` is each point's largest ``Re(s_b g_k)`` over the
         eigencomponents present in ``v``, which keeps every row finite for
-        any s; pass one to share a scale between points.  Returns the rows and
-        the shifts.  A row with ``s_b = 0`` and zero shift is ``v`` itself.
+        any s.  Returns the rows and the shifts.  A row with ``s_b = 0`` and
+        zero shift is ``v`` itself.
         For a diagonal G the phase is evaluated only on the entries where
         ``v`` is nonzero; every other entry is ``+0.0``.
         """
@@ -374,8 +386,7 @@ class NormalExp:
         else:
             coeffs, support = (v @ self._Q if left else self._QH @ v), slice(None)
         exponents = s[:, None] * self.g[support]
-        if shift is None:
-            shift = np.where(coeffs[support] != 0, exponents.real, -np.inf).max(axis=1)
+        shift = np.where(coeffs[support] != 0, exponents.real, -np.inf).max(axis=1)
         scaled = np.multiply(coeffs[support], np.exp(exponents - shift[:, None]))
         if self._Q is None:
             rows = np.zeros((len(s), len(v)), dtype=complex)

@@ -13,11 +13,14 @@ idempotency, projector trace and form gap checks read the values the
 dressing's gates compared, and the
 hermiticity check the dressing's gaps when the checked states are the
 dressed states.  The residual evaluates its stencil through the
-trajectory's flow and reuses the sample states as centres; the covariance
-check reuses the trajectory's dressing (its flow's ``root``) and Lax
-solution and the dressed states and the projectors' support blocks of its
-``Diagnostics``, at their dressing times, and builds only the projectors of
-its stencil.
+trajectory's flow and reuses the sample states as centres; it is the one
+finite-difference check, and the independent check of the derivatives
+below.  The covariance check reuses the trajectory's dressing (its flow's
+``root``) and Lax solution and the dressed states, the projectors' support
+blocks and their exact derivatives of its ``Diagnostics``, at their
+dressing times: psi[1] and its derivative come from the psi generator and
+P', and the eigen and time equations are taken on the blocks of the
+dressing's ``partition``.  It dresses no point of its own.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ import numpy as np
 
 from .darboux_engine import Trajectory
 from .errors import SingularDarboux
-from .operator_core import (hermiticity_gaps, time_blocks, trace_moments,
-                            hermitian_spectra as _spectra)
-from .vne_model import (default_step, five_point, hamiltonian_of, residuals,
-                        stencil)
+from .operator_core import (blocks_of, hermiticity_gaps, row_matmul, time_blocks,
+                            trace_moments, hermitian_spectra as _spectra)
+from .vne_model import default_step, hamiltonian_of, residuals, stencil
 
 # the names ``run_suite(enabled=...)`` switches on and off
 CHECKS = ("residual", "idempotency", "form_gap", "trace", "hermiticity",
@@ -81,43 +83,35 @@ def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
                            for block in time_blocks(len(matrices), dim)])
 
 
-# the psi stencil balances round-off (~ eps / h) against truncation
-# (~ h^4); its error is smallest near 3x the matrix-residual step
-# (measured worst 2.6e-10 over 183 delta scenarios; 9.4e-10 at 1x,
-# 6.9e-10 at 5x and 1.0e-8 at 10x, where the h^4 term dominates)
-_PSI_STEPS = 3
-
-
 def _covariance_gaps(traj: Trajectory):
     # per-sample (eigen-equation gap, time-equation gap) of the transformed
-    # left lambda-solution psi[1] against the dressed state itself
-    # the trajectory's own dressing, a DressedFlow, and its Lax solution
+    # left lambda-solution psi[1] against the dressed state itself, from the
+    # trajectory's own dressing, a DressedFlow, and its Lax solution
     flow, diagnostics = traj.rho_at.root, traj.diagnostics
-    spec = flow.spec
+    spec, parts = flow.spec, flow.partition
     lam, z_l = flow.lax.params.lam, flow.lax.params.z_lambda
-    h = _PSI_STEPS * default_step(spec)
+    # A and A^{n+1} are block-diagonal on the partition, and so is every
+    # dressed state: a row times one of them is its parts times the blocks
+    A, top = (blocks_of(M, parts) for M in (spec.A, spec.powers[spec.n + 1]))
     # the diagnostics hold each sample's dressing, at the time its flow
     # evaluates the dressed flow
     times = traj.rho_at.source_times(traj.times)
     eig_gaps, teq_gaps = [], []
     for block in time_blocks(len(times), spec.dim, support=flow.support_size):
-        t = times[block]
-        rho1 = diagnostics.rho1[block]
-        psi1, shift = flow.psi1_rows(t, P=diagnostics.P[block])
-        # the stencil shares its centre's shift: one scaled psi is differenced
-        dpsi = five_point(lambda ring: flow.psi1_rows(
-            ring, shift=np.repeat(shift, 4))[0], t, h)
+        psi1, dpsi1, shift = flow.psi1_rows(times[block], diagnostics.P[block],
+                                            diagnostics.P_dot[block])
         # psi solves a linear equation and carries an arbitrary scale (often
         # exponentially growing), so residuals are per unit norm of
         # e^{shift} psi1, floored at 1 as in max(1, |psi1|)
         with np.errstate(over="ignore"):
             scale = np.maximum(np.exp(-shift), np.linalg.norm(psi1, axis=-1))
-        rows = psi1[:, None, :]
-        eig = z_l * psi1 - (rows @ (rho1 - lam * spec.A))[:, 0]
-        generator = hamiltonian_of(spec, rho1) - lam * spec.powers[spec.n + 1]
-        teq = -1j * dpsi - (rows @ generator)[:, 0]
-        eig_gaps.append(np.linalg.norm(eig, axis=-1) / scale)
-        teq_gaps.append(np.linalg.norm(teq, axis=-1) / scale)
+        rho1 = blocks_of(diagnostics.rho1[block], parts)
+        rows = psi1[:, parts]
+        eig = z_l * rows - row_matmul(rows, rho1 - lam * A)
+        teq = -1j * dpsi1[:, parts] - row_matmul(
+            rows, hamiltonian_of(spec, rho1, parts) - lam * top)
+        eig_gaps.append(np.linalg.norm(eig.reshape(len(rows), -1), axis=-1) / scale)
+        teq_gaps.append(np.linalg.norm(teq.reshape(len(rows), -1), axis=-1) / scale)
     return np.concatenate(eig_gaps), np.concatenate(teq_gaps)
 
 
@@ -132,10 +126,10 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
     the reference whose spectrum, moments and trace the samples keep
     (``Trajectory.reference``).  ``enabled`` maps names from ``CHECKS`` to
     booleans.  Check failures become report entries, never exceptions.  A
-    singular dressing at a point of the residual's or the covariance
-    check's stencil cuts ``traj`` in place at the first sample whose stencil
-    holds it (``Trajectory.cut``), as ``dressed_trajectory`` cuts at a
-    singular sample, and the checks run again on the samples before it.
+    singular dressing at a point of the residual's stencil cuts ``traj`` in
+    place at the first sample whose stencil holds it (``Trajectory.cut``),
+    as ``dressed_trajectory`` cuts at a singular sample, and the checks run
+    again on the samples before it.
     """
     if traj.rho_at is None:
         raise ValueError("run_suite needs a trajectory with its flow")
@@ -144,13 +138,12 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
             checks = _checks(traj, enabled, residual_tol_scale)
             break
         except SingularDarboux as error:
-            # the first sample whose residual or covariance stencil holds the
-            # dressing time of the singular point; the stencils are built as
-            # the checks build them, so their times match bit for bit
-            flow, h = traj.rho_at, default_step(traj.rho_at.spec)
-            hit = ((flow.source_times(stencil(traj.times, h)) == error.t)
-                   | (stencil(flow.source_times(traj.times), _PSI_STEPS * h) == error.t)
-                   ).any(axis=-1)
+            # the first sample whose residual stencil holds the dressing time
+            # of the singular point; the stencil is built as the residual
+            # builds it, so their times match bit for bit
+            flow = traj.rho_at
+            hit = (flow.source_times(stencil(traj.times, default_step(flow.spec)))
+                   == error.t).any(axis=-1)
             if not hit.any():
                 raise
             traj.cut(int(np.argmax(hit)))

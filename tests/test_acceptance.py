@@ -162,13 +162,22 @@ def test_criterion_6_covariance_of_transformed_left_solution():
 
         flow = DressedFlow(lax)
 
-        def psi1_at(t, P=None):
-            # one-element stacks; P, when given, is a support block
-            rows, shift = flow.psi1_rows([t], P=None if P is None else P[None])
+        def psi1_at(t, P=None, P_dot=None):
+            # one-element stacks of support blocks; at a stencil point the
+            # projector is built with every gate
+            if P is None:
+                dressed = flow.evaluate([t])
+                assert dressed.failure is None
+                P = dressed.P
+                P_dot = flow.projector_rates(dressed)
+            else:
+                P, P_dot = P[None], P_dot[None]
+            rows, _, shift = flow.psi1_rows([t], P, P_dot)
             return rows[0] * np.exp(shift[0])
 
-        for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
-            psi1 = psi1_at(t, P)
+        diags = traj.diagnostics
+        for t, rho1, P, P_dot in zip(traj.times, traj.states, diags.P, diags.P_dot):
+            psi1 = psi1_at(t, P, P_dot)
             # the lambda-solution carries an arbitrary (often exponentially
             # growing) scale, so both residuals are measured per unit norm
             scale = max(1.0, float(np.linalg.norm(psi1)))

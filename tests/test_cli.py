@@ -637,6 +637,17 @@ def test_numerical_failure_exits_one_without_traceback(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_f_value_overflow_over_2e4_keeps_its_message(tmp_path, capsys):
+    # Defect B on delta_density over [-2e4, 2e4]: the closed form of F_a for
+    # a diagonal Delta_a overflows and hands the exponent to mat_exp, which
+    # names it
+    cfg = _shipped_delta(20000.0)
+    cfg["times"]["t_min"] = -20000.0
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: matrix exponential overflowed (||M||_F = 1.58e+03)\n")
+
+
 def test_sweep_numerical_failure_does_not_abort(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", _write(tmp_path, _shipped_delta(2.0)), "--param",

@@ -84,9 +84,9 @@ def _workload_projectors(bench, workload, draws=4):
         lax = build_lax(seed, scenario.mu, scenario.nu, scenario.lam)
         flow = DressedFlow(lax)
         assert flow.support_size == 2 and lax.params.hermitian_mode
-        P, _, failure = flow.projectors(scenario.rescale_y * scenario.times)
-        assert failure is None
-        stacks.append((np.log(lax.params.mu / lax.params.nu), P))
+        dressed = flow.evaluate(scenario.rescale_y * scenario.times)
+        assert dressed.failure is None
+        stacks.append((np.log(lax.params.mu / lax.params.nu), dressed.P))
     return stacks
 
 
@@ -125,7 +125,7 @@ def _delta_projectors():
     mu = 0.9 - 0.4j
     flow = DressedFlow(build_lax(seed, mu))
     assert flow.support_size == 2
-    return flow.projectors(np.linspace(-2.0, 2.0, 9))[0], mu
+    return flow.evaluate(np.linspace(-2.0, 2.0, 9)).P, mu
 
 
 def test_planted_excess_trips_where_eigh_trips(monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,8 @@ from conftest import (SX, SZ, draw_valid_scenario, scaled_projectors,
 from vndarboux import (DEFAULT, InconsistentLax, SingularDarboux, build_lax,
                        darboux_engine, dress, dressed_trajectory, explicit_eavn,
                        make_anticommuting_seed, make_commuting_seed,
-                       make_delta_commuting_seed, mat_exp, projector, residual)
+                       make_delta_commuting_seed, mat_exp, projector, residual,
+                       scenario_cli)
 from vndarboux.darboux_engine import (DressedFlow, _dress_stack,
                                       _hermitian_exp, _projector_stack,
                                       _similarity_stack, _similarity_terms,
@@ -24,8 +27,8 @@ SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
 @pytest.mark.parametrize("nu", [None, 0.5 - 1.1j], ids=["hermitian", "general"])
 def test_a_nan_row_stops_the_stack_at_its_point(monkeypatch, nu):
     # a NaN compares false both ways, so each gate fails unless its value
-    # is within its limit: the overlap floor stops the stack where phi
-    # holds a NaN, where the NaN once passed every gate
+    # is within its limit: the stack stops where phi holds a NaN, where the
+    # NaN once passed every gate
     seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
     flow = DressedFlow(build_lax(seed, 0.3 + 0.8j, nu))
     times = np.linspace(-1.0, 1.0, 9)
@@ -43,6 +46,44 @@ def test_a_nan_row_stops_the_stack_at_its_point(monkeypatch, nu):
     assert len(dressed.rho1) == 5 and np.isfinite(dressed.rho1).all()
     traj = dressed_trajectory(flow, times)
     assert traj.singular_t == times[5] and len(traj.times) == 5
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side, nu", [("phi", None), ("phi", 0.5 - 1.1j), ("chi", 0.5 - 1.1j)],
+                         ids=["phi-hermitian", "phi-general", "chi-general"])
+def test_a_non_finite_lax_row_names_itself(monkeypatch, tmp_path, capsys, side, nu, value):
+    # a row with a non-finite entry fails its own gate before the overlap
+    # floor, which read "<chi|phi> = nan+nanj is below the relative floor
+    # nan": the same SingularDarboux at the same point, and exit 3 from run
+    cfg = {"id": "non-finite", "model": {"n": 1},
+           "seed": {"family": "delta_commuting", "blocks": [[1.0, 0.2], [3.0, -0.2]],
+                    "a": 0.5},
+           "darboux": {"mu": [0.3, 0.8],
+                       "nu_mode": "conjugate" if nu is None else {"explicit": [0.5, -1.1]}},
+           "times": {"t_min": -1.0, "t_max": 1.0, "samples": 9}}
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2)], a=0.5)
+    flow = DressedFlow(build_lax(seed, 0.3 + 0.8j, nu))
+    times = np.linspace(-1.0, 1.0, 9)
+    rows = getattr(LaxSolution, f"{side}_rows")
+
+    def planted(self, t):
+        row, shift = rows(self, t)
+        row[np.asarray(t) == times[5], flow.support[0]] = value
+        return row, shift
+
+    monkeypatch.setattr(LaxSolution, f"{side}_rows", planted)
+    index, error = flow.evaluate(times).failure
+    assert index == 5 and isinstance(error, SingularDarboux)
+    assert str(error) == f"{side}(t) has a non-finite entry" and error.t == times[5]
+    traj = dressed_trajectory(flow, times)
+    assert traj.singular_t == times[5] and len(traj.times) == 5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert scenario_cli.run(str(config), str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"singular dressing at t = {times[5]:.6g}; trajectory truncated")
+
+
 P_REFERENCE = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])  # |(1,i)><(1,-i)| / 2
 
 
@@ -138,7 +179,7 @@ def test_hermitian_gate_trips_at_the_pade_scale(monkeypatch):
     mu = 0.9 - 0.4j
     flow = DressedFlow(build_lax(seed, mu))
     times = np.linspace(-2.0, 2.0, 9)
-    P = flow.projectors(times)[0]
+    P = flow.evaluate(times).P
     for excess in (1e-9, 1e-10, 3e-11, 1e-11, 1e-12):
         verdicts = [_similarity_stack((1 + excess) * P, mu, np.conj(mu), DEFAULT,
                                       hermitian)[1] is None
@@ -361,9 +402,9 @@ def test_explicit_requires_delta_family():
 # covariance transform
 
 def test_transform_psi_identity_cases():
-    # the kernel of DressedFlow.psi1_rows on one-element stacks
+    # the transform of DressedFlow.psi1_rows on one-element stacks
     def transform(psi, P, mu, nu, lam):
-        return _transform_rows(psi[None], P[None], mu, nu, lam)[0]
+        return _transform_rows(psi[None], P[None], (nu - mu) / (lam - mu))[0]
 
     psi = np.array([0.3, 0.8 - 0.1j])
     npt.assert_allclose(transform(psi, P_REFERENCE, 1j, 1j, 3j), psi,
@@ -387,8 +428,9 @@ def test_sigma_x_covariance_residual():
     params = lax.params
     traj = dressed_trajectory(DressedFlow(lax), [0.0, 1.0, 2.0])
     flow = DressedFlow(lax)
-    for t, rho1, P in zip(traj.times, traj.states, traj.diagnostics.P):
-        rows, shift = flow.psi1_rows([t], P=P[None])
+    diags = traj.diagnostics
+    for t, rho1, P, P_dot in zip(traj.times, traj.states, diags.P, diags.P_dot):
+        rows, _, shift = flow.psi1_rows([t], P=P[None], P_dot=P_dot[None])
         psi1 = rows[0] * np.exp(shift[0])
         gap = np.linalg.norm(params.z_lambda * psi1
                              - psi1 @ (rho1 - params.lam * SIGMA_SEED.spec.A))

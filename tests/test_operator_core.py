@@ -330,8 +330,7 @@ def test_diagonal_generator_acts_entry_by_entry(d, left):
 
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
 @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
-@pytest.mark.parametrize("given", [False, True], ids=["own-shift", "given-shift"])
-def test_diagonal_act_scales_only_the_nonzero_coefficients(d, left, given):
+def test_diagonal_act_scales_only_the_nonzero_coefficients(d, left):
     # on the support of v the rows are the full formula
     # v_k exp(s g_k - shift) + 0.0 bit for bit; elsewhere every entry is
     # +0.0; a row at s = 0 and zero shift is v itself, -0.0 parts included
@@ -343,12 +342,10 @@ def test_diagonal_act_scales_only_the_nonzero_coefficients(d, left, given):
         v.real[rng.random(d) < 0.2] = -0.0
         v[rng.integers(d)] = 1.0
         s = np.concatenate([[0.0], rng.normal(size=6) * 3j, [0.4 + 2.0j]])
-        shift = np.concatenate([[0.0], rng.normal(size=len(s) - 1)]) if given else None
-        rows, out_shift = NormalExp(np.diag(g)).act(v, s, shift=shift, left=left)
+        rows, out_shift = NormalExp(np.diag(g)).act(v, s, left=left)
         support = v != 0
         exponents = s[:, None] * g
-        if not given:
-            shift = np.where(support, exponents.real, -np.inf).max(axis=1)
+        shift = np.where(support, exponents.real, -np.inf).max(axis=1)
         # a max over fewer entries may pick the other zero of a tie between
         # 0.0 and -0.0, which moves no row: exp(+-0 + iy) is one value
         npt.assert_array_equal(out_shift, shift)

@@ -1,7 +1,7 @@
 """Stacked evaluation: one plan per scenario, blocked, overflow-safe.
 
 The point-by-point entry points (``dressed_state_at``, one-element stacks of
-``DressedFlow.projectors``, ``phi_at``, a flow called with one time) are the
+``DressedFlow.evaluate``, ``phi_at``, a flow called with one time) are the
 reference for the stacks.
 """
 
@@ -27,7 +27,9 @@ from vndarboux.scenario_cli import (execute_scenario, read_scenario,
                                     validate_config)
 
 TIMES = np.linspace(-1.5, 1.5, 31)
-DP = 1e-4  # the p_dot_norm step of dressed_trajectory
+DP = 1e-4  # a central difference's step for p_dot_norm
+#: a bound on ||P'''||_F over these scenarios (measured at most 0.041)
+P_DDDOT = 0.1
 
 SCENARIOS = {
     # name: (seed factory, mu, nu); nu None is hermitian mode
@@ -59,22 +61,28 @@ def test_trajectory_matches_point_evaluation(name):
     flow = DressedFlow(lax)
 
     def projector_at(t):
-        # the support block of one projector, from a one-element stack
-        P, _, failure = flow.projectors([t])
-        assert failure is None
-        return P[0]
+        # the support blocks of one projector and its derivative, from a
+        # one-element stack
+        dressed = flow.evaluate([t])
+        assert dressed.failure is None
+        return dressed.P[0], flow.projector_rates(dressed)[0]
 
     for k, (t, state) in enumerate(zip(traj.times, traj.states)):
         point = dressed_state_at(seed, lax, t)
         npt.assert_allclose(state, point.rho1, rtol=0, atol=1e-13)
         npt.assert_allclose(whole[k], point.P, rtol=0, atol=1e-13)
-        npt.assert_allclose(diag.P[k], projector_at(t), rtol=0, atol=1e-13)
+        P, P_dot = projector_at(t)
+        npt.assert_allclose(diag.P[k], P, rtol=0, atol=1e-13)
         assert abs(diag.form_gap[k] - point.form_gap) <= 1e-13
         phi_norm = np.linalg.norm(lax.phi_at(t))
         assert abs(diag.phi_norm[k] - phi_norm) <= 1e-13 * phi_norm
-        p_dot = np.linalg.norm(projector_at(t + DP) - projector_at(t - DP)) / (2 * DP)
-        # a difference quotient: round-off in P is amplified by 1 / (2 dp)
-        assert abs(diag.p_dot_norm[k] - p_dot) <= 1e-13 / DP
+        # the exact derivative of a one-point stack is the sample's, bitwise
+        npt.assert_array_equal(diag.P_dot[k], P_dot)
+        assert diag.p_dot_norm[k] == operator_core.frob_stack(P_dot)
+        # a central difference: round-off in P is amplified by 1 / (2 dp),
+        # and its truncation is at most ||P'''||_F dp^2 / 6
+        p_dot = np.linalg.norm(projector_at(t + DP)[0] - projector_at(t - DP)[0]) / (2 * DP)
+        assert abs(diag.p_dot_norm[k] - p_dot) <= 1e-13 / DP + P_DDDOT * DP ** 2 / 6
         if diag.spectrum is not None:
             assert abs(diag.spectrum[k, 0] - np.linalg.eigvalsh((state + state.conj().T) / 2)[0]) <= 1e-13
 

@@ -22,9 +22,12 @@ from vndarboux import (DEFAULT, InconsistentLax, ModelSpec, SeedFamily,
                        shifted_flow)
 from vndarboux.darboux_engine import DressedFlow, _block, _similarity_stack
 from vndarboux.operator_core import hermitian_spectra
+from vndarboux.vne_model import five_point
 
 TIMES = np.linspace(-1.5, 1.5, 13)
-DP = 1e-4  # the p_dot_norm step of dressed_trajectory
+DP = 1e-4  # a central difference's step for p_dot_norm
+#: a bound on ||P'''||_F over the seeds below (measured at most 0.43)
+P_DDDOT = 1.0
 GENERAL_NU = 0.2 - 0.5j
 
 
@@ -133,25 +136,59 @@ def test_an_operator_coupling_two_blocks_joins_them():
     npt.assert_allclose(traj.states, rho1, rtol=0, atol=1e-15)
 
 
+def _rows(lax, t):
+    # the normalized whole rows of phi and chi
+    phi = lax.phi_rows(t)[0]
+    chi = np.conj(phi) if lax.params.hermitian_mode else lax.chi_rows(t)[0]
+    return (phi / np.linalg.norm(phi, axis=-1)[:, None],
+            chi / np.linalg.norm(chi, axis=-1)[:, None])
+
+
+def _whole_projectors(lax, t):
+    phi, chi = _rows(lax, t)
+    overlap = np.sum(chi * phi, axis=-1)
+    return phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
+
+
 def _reference(seed, lax, times):
     # the whole-matrix formulas: P = |phi><chi| / <chi|phi> from the
-    # normalized rows, rho[1] = rho + (mu - nu) [P, A]
+    # normalized rows, rho[1] = rho + (mu - nu) [P, A], and P' by the
+    # quotient rule on phi' = -i G phi and chi' = i chi G_nu with the
+    # whole generators
     params = lax.params
-
-    def projectors(t):
-        phi = lax.phi_rows(t)[0]
-        chi = np.conj(phi) if params.hermitian_mode else lax.chi_rows(t)[0]
-        phi = phi / np.linalg.norm(phi, axis=-1)[:, None]
-        chi = chi / np.linalg.norm(chi, axis=-1)[:, None]
-        overlap = np.sum(chi * phi, axis=-1)
-        return phi[:, :, None] * chi[:, None, :] / overlap[:, None, None]
-
-    P = projectors(times)
+    P = _whole_projectors(lax, times)
     A = seed.spec.A
     rho1 = seed.stack(times) + (params.mu - params.nu) * (P @ A - A @ P)
-    p_dot = np.linalg.norm((projectors(times + DP) - projectors(times - DP)) / (2 * DP),
-                           axis=(-2, -1))
-    return rho1, P, p_dot
+    phi, chi = _rows(lax, times)
+    G = lax.generators
+    dphi = -1j * phi @ G[0].T
+    dchi = np.conj(dphi) if params.hermitian_mode else 1j * chi @ G[-1]
+    overlap = np.sum(chi * phi, axis=-1)[:, None, None]
+    rate = np.sum(dchi * phi + chi * dphi, axis=-1)[:, None, None]
+    P_dot = (dphi[:, :, None] * chi[:, None, :] + phi[:, :, None] * dchi[:, None, :]
+             - P * rate) / overlap
+    return rho1, P, P_dot
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+@pytest.mark.parametrize("nu", [None, GENERAL_NU])
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_projector_rates_match_a_five_point_difference(name, nu, h):
+    # P' against the 5-point stencil of the projectors themselves, within
+    # its truncation h^4 ||P^(5)||_F / 30, with ||P^(5)||_F bounded by
+    # (2 ||G_J||_2)^5 ||P||_F over the generators' support blocks, and its
+    # round-off 2 eps ||P||_F / h (the measured error is at most 0.38 of it)
+    seed = SEEDS[name][0]()
+    lax = build_lax(seed, 0.3 + 0.9j, nu)
+    flow = DressedFlow(lax)
+    dressed = flow.evaluate(TIMES)
+    assert dressed.failure is None
+    P, P_dot = dressed.P, flow.projector_rates(dressed)
+    stencil = five_point(lambda ring: flow.evaluate(ring).P, TIMES, h)
+    rate = max(np.linalg.norm(_block(G, flow.support), 2) for G in lax.generators)
+    size = np.linalg.norm(P, axis=(-2, -1))
+    bound = h ** 4 / 30 * (2 * rate) ** 5 * size + 2 * np.finfo(float).eps * size / h
+    assert np.all(np.linalg.norm(P_dot - stencil, axis=(-2, -1)) <= bound)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
@@ -161,7 +198,7 @@ def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
     lax = build_lax(seed, 0.3 + 0.9j, nu)
     traj = dressed_trajectory(DressedFlow(lax), TIMES)
     assert traj.singular_t is None
-    rho1, P, p_dot = _reference(seed, lax, TIMES)
+    rho1, P, P_dot = _reference(seed, lax, TIMES)
     diag = traj.diagnostics
     npt.assert_array_equal(traj.states, rho1)
     npt.assert_array_equal(diag.rho1, rho1)
@@ -176,8 +213,18 @@ def test_trajectory_is_bitwise_the_whole_matrix_dressing(name, nu):
         assert_near_eigvalsh(diag.spectrum, states)
     rows, shift = lax.phi_rows(TIMES)
     npt.assert_array_equal(diag.phi_norm, np.exp(shift) * np.linalg.norm(rows, axis=-1))
-    # the norms below sum a block instead of a whole matrix: round-off only
-    npt.assert_allclose(diag.p_dot_norm, p_dot, rtol=1e-14, atol=0)
+    # P' on the support against the whole-matrix quotient rule: round-off only
+    J = traj.rho_at.root.support
+    whole_P_dot = np.zeros_like(P_dot)
+    whole_P_dot[:, J[:, None], J] = diag.P_dot
+    npt.assert_allclose(whole_P_dot, P_dot, rtol=0, atol=1e-14)
+    npt.assert_allclose(diag.p_dot_norm, np.linalg.norm(P_dot, axis=(-2, -1)),
+                        rtol=1e-13, atol=1e-15)
+    # and against a central difference of the whole projectors: round-off
+    # amplified by 1 / (2 dp), and a truncation of at most ||P'''||_F dp^2 / 6
+    p_dot = np.linalg.norm(_whole_projectors(lax, TIMES + DP)
+                           - _whole_projectors(lax, TIMES - DP), axis=(-2, -1)) / (2 * DP)
+    assert np.all(np.abs(diag.p_dot_norm - p_dot) <= 1e-13 / DP + P_DDDOT * DP ** 2 / 6)
     T = np.eye(seed.dim) + ((lax.params.mu - lax.params.nu) / lax.params.nu) * P
     T_inv = np.eye(seed.dim) + ((lax.params.nu - lax.params.mu) / lax.params.mu) * P
     form_gap = np.linalg.norm(rho1 - T @ seed.stack(TIMES) @ T_inv, axis=(-2, -1))

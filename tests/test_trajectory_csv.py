@@ -108,7 +108,7 @@ def test_special_values_and_non_contiguous_states(tmp_path):
     assert not states.flags.c_contiguous
     assert all(np.array_equal(a, b) for a, b in zip(states, [M, transposed, strided]))
     diags = Diagnostics(
-        rho1=states, P=states, phi_norm=np.full(3, 1e300),
+        rho1=states, P=states, P_dot=states, phi_norm=np.full(3, 1e300),
         form_gap=np.full(3, 2.0 / 3.0), hermiticity_gap=np.full(3, 5e-324),
         idempotency_gap=np.full(3, 0.1), projector_trace_gap=np.full(3, -0.0),
         F_value=np.full(3, complex(-0.0, 0.1)),
@@ -223,3 +223,42 @@ def test_stacked_f_value_equals_one_point_bitwise(blocks):
     stack = f_value(seed, mu, phi0, times)
     assert stack.shape == times.shape
     assert _bits(stack) == _bits(traj.diagnostics.F_value)
+
+
+def _mat_exp_f_value(delta, mu, phi0, times):
+    # F_a as f_value computed it through mat_exp for every Delta_a
+    coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2)
+    psi = mat_exp(coeff * times[..., None, None] * delta) @ phi0
+    return (np.conj(phi0) @ psi[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 12])
+def test_diagonal_f_value_is_bitwise_the_matrix_exponential(dim):
+    # the closed form for an exactly diagonal Delta_a against mat_exp, which
+    # gives a diagonal slice np.exp of its diagonal: zero, signed-zero and
+    # negative entries, phi(0) with zero entries, t = +-0 among the times
+    rng = np.random.default_rng(70 + dim)
+    overflowed = 0
+    for _ in range(20):
+        diagonal = rng.normal(size=dim) * 3
+        diagonal[rng.random(dim) < 0.3] = 0.0
+        diagonal[rng.random(dim) < 0.2] = -0.0
+        delta = np.diag(diagonal).astype(complex)
+        delta.imag[np.diag_indices(dim)] = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+        phi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        phi0[rng.random(dim) < 0.3] = 0.0
+        phi0[rng.integers(dim)] = 1.0
+        mu = complex(rng.normal(), rng.normal())
+        times = np.concatenate([[0.0, -0.0], rng.normal(size=30) * 5])
+        seed = SimpleNamespace(delta_a=delta)
+        try:
+            expected = _mat_exp_f_value(delta, mu, phi0, times)
+        except OverflowError as error:
+            # an exponential beyond the double range takes mat_exp's path
+            with pytest.raises(OverflowError) as raised:
+                f_value(seed, mu, phi0, times)
+            assert str(raised.value) == str(error)
+            overflowed += 1
+            continue
+        assert _bits(f_value(seed, mu, phi0, times)) == _bits(expected)
+    assert overflowed < 20

@@ -11,10 +11,13 @@ from vndarboux import (DEFAULT, DressedFlow, ModelSpec, RescaledFlow,
                        make_anticommuting_seed, make_commuting_seed,
                        make_delta_commuting_seed, make_pure_state_seed, rhs,
                        run_suite)
-from vndarboux.operator_core import dagger, frob, frob_stack
+from vndarboux.darboux_engine import _transform_rows
+from vndarboux.lax_engine import LaxSolution
+from vndarboux.operator_core import NormalExp, dagger, frob, frob_stack
 from vndarboux.scenario_cli import execute_scenario, validate_config
 from vndarboux import verification
 from vndarboux.verification import CHECKS
+from vndarboux.vne_model import default_step, five_point
 
 
 SIGMA_SEED = make_anticommuting_seed(1, [1.0], n=2)
@@ -160,10 +163,11 @@ def test_report_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# covariance: the psi stencil of time_equation
+# covariance: psi[1] and its exact derivative
 
 # a drawn benchmark scenario whose psi stencil step once made the truncation
-# error reach the 1e-8 time_equation gate (1.0005e-8 at 10x the residual step)
+# error of a finite-difference psi[1]' reach the 1e-8 time_equation gate
+# (1.0005e-8 at 10x the residual step)
 DRAWN_DELTA = {
     "id": "delta-covariance-26", "model": {"n": 1},
     "seed": {"family": "delta_commuting", "a": 0.714966823691773,
@@ -194,20 +198,77 @@ def test_time_equation_passes_a_drawn_delta_scenario():
 
 
 def test_time_equation_catches_a_planted_generator_error(monkeypatch):
-    # psi1 e^{i eps t} solves the time equation of the generator G + eps 1:
-    # the eigen-equation is blind to the phase, the time equation is not
+    # a psi generator G + eps 1 gives the rows psi e^{i eps t} and the
+    # derivative i psi (G + eps 1): both see the planted term, which solves
+    # the time equation of G + eps 1, not of the dressed state's generator.
+    # The eigen-equation is blind to the phase, the time equation is not
     eps = 1e-7
-    rows = DressedFlow.psi1_rows
+    factor = LaxSolution._psi_factor.func
 
-    def planted(self, times, shift=None, P=None):
-        psi1, shift = rows(self, times, shift, P)
-        return psi1 * np.exp(1j * eps * np.asarray(times))[:, None], shift
+    def planted(self):
+        G = factor(self).G
+        return NormalExp(G + eps * np.eye(len(G)), self.tolerances)
 
-    monkeypatch.setattr(DressedFlow, "psi1_rows", planted)
+    monkeypatch.setattr(LaxSolution, "_psi_factor", property(planted))
     checks = _covariance_checks(DRAWN_DELTA)
     assert checks["covariance"].passed
     assert not checks["time_equation"].passed
     assert checks["time_equation"].worst_value > 0.5 * eps
+
+
+@pytest.mark.parametrize("nu", [None, 0.5 - 1.1j])
+def test_a_planted_state_error_fails_the_covariance_checks(nu):
+    # 1e-7 added to one entry of one sample's dressed state, on the support:
+    # psi[1] and its derivative no longer solve that state's equations
+    seed = make_delta_commuting_seed([(1.0, 0.2), (3.0, -0.2), (-0.5, 0.3)], a=0.9)
+    lax = build_lax(seed, 0.3 + 0.8j, nu, lam=0.2 + 2.0j)
+    times = np.linspace(-2.0, 2.0, 21)
+    traj = dressed_trajectory(DressedFlow(lax), times)
+    checks = {c.name: c for c in run_suite(traj).checks}
+    assert checks["covariance"].passed and checks["time_equation"].passed
+    J = traj.rho_at.root.support
+    traj.diagnostics.rho1[13, J[0], J[1]] += 1e-7
+    checks = {c.name: c for c in run_suite(traj).checks}
+    failed = [checks[name] for name in ("covariance", "time_equation")
+              if not checks[name].passed]
+    assert failed
+    assert all(c.location_t == times[13] for c in failed)
+
+
+def _psi1_stencil(flow, times, h):
+    # psi[1]' by the 5-point stencil at times t +- h, t +- 2h, on the rows
+    # scaled to their centre's shift, with the projectors at the stencil
+    # times: the finite-difference psi[1]' the covariance check once took
+    params = flow.lax.params
+    c = (params.nu - params.mu) / (params.lam - params.mu)
+    J = flow.support
+    shift = flow.lax.psi_rows(times)[1]
+
+    def psi1(ring):
+        rows, ring_shift = flow.lax.psi_rows(ring)
+        rows = rows * np.exp(ring_shift - np.repeat(shift, 4))[:, None]
+        rows[:, J] = _transform_rows(rows[:, J], flow.evaluate(ring).P, c)
+        return rows
+
+    return five_point(psi1, times, h)
+
+
+@pytest.mark.parametrize("cfg", [DRAWN_DELTA, {
+    **DRAWN_DELTA, "darboux": {**DRAWN_DELTA["darboux"],
+                               "nu_mode": {"explicit": [0.5, -1.1]}}}],
+    ids=["hermitian", "general"])
+def test_exact_psi1_derivative_matches_the_psi_stencil(cfg):
+    # within the stencil's measured worst error, 2.6e-10 per unit scale over
+    # 183 drawn delta scenarios, at its step of 3x the residual's
+    cfg, errors = validate_config(cfg)
+    assert not errors
+    traj = execute_scenario(cfg).trajectory
+    flow, diags = traj.rho_at.root, traj.diagnostics
+    rows, rates, shift = flow.psi1_rows(traj.times, diags.P, diags.P_dot)
+    stencil = _psi1_stencil(flow, traj.times, 3 * default_step(flow.spec))
+    scale = np.maximum(np.exp(-shift), np.linalg.norm(rows, axis=-1))
+    gap = np.linalg.norm(rates - stencil, axis=-1) / scale
+    assert gap.max() <= 2.6e-10
 
 
 # ---------------------------------------------------------------------------
