@@ -1,0 +1,165 @@
+"""The files a run writes, as text: ``trajectory.csv`` and the
+``scenario.lock.json`` layout, each written through one atomic rename.
+
+``scenario_cli.write_outputs`` writes a result's three files with them.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+
+import numpy as np
+
+
+def atomic_write(path: str, chunks):
+    """Write the strings of ``chunks`` in turn to a temporary file in the
+    directory of ``path``, then rename it to ``path``."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    # mode 0o666 lets the umask decide, as for a file made by open()
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+# rows that write_trajectory_csv formats, joins and writes at a time
+_CSV_BLOCK_ROWS = 64
+
+
+def _magnitude_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.17g" % abs(x)`` of each float64 in ``values``, as an object
+    array, and where ``"%.17g" % x`` puts a ``"-"`` before that text.
+
+    Each distinct magnitude (the bits without the sign bit, grouped by one
+    sort) is formatted once.  The sign bit gives the minus, except on a NaN,
+    which Python prints unsigned.
+    """
+    magnitude = np.abs(values).view(np.uint64)
+    order = np.argsort(magnitude)
+    ordered = magnitude[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    distinct = ordered[starts].view(np.float64).tolist()
+    texts = ("%.17g," * len(distinct) % tuple(distinct)).split(",")
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    negative = np.signbit(values) & ~np.isnan(values)
+    return np.fromiter(texts, dtype=object, count=len(texts))[group], negative
+
+
+def write_trajectory_csv(path: str, result):
+    """Write ``trajectory.csv``: one row per sample, every number as ``%.17g``.
+
+    The columns of absent diagnostics are fixed empty, and a state column
+    that holds the same 64 bits in every row is fixed to its value,
+    formatted once.  The other cells (the time, the varying state entries
+    and the present diagnostics) are formatted a block of rows at a time,
+    each distinct magnitude once (``_magnitude_texts``), joined with the
+    fixed text and streamed to the file block by block; on Python floats
+    ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  The state entries
+    are row-major (Re, Im) pairs, read from a C-ordered copy of the stack
+    only where the stack is not C-ordered.
+    """
+    traj = result.trajectory
+    dim = traj.states.shape[-1]
+    header = (["t"] + [f"{part}_{i}_{j}" for i in range(dim) for j in range(dim)
+                       for part in ("re", "im")]
+              + ["phi_norm", "form_gap", "hermiticity_gap", "min_eig",
+                 "F_re", "F_im", "p_dot_norm"])
+    diag = traj.diagnostics
+    cells = [None] * 7
+    if diag is not None:
+        F, spectrum = diag.F_value, diag.spectrum
+        # min_eig is the spectrum's first column
+        cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
+                 None if spectrum is None else spectrum[:, 0],
+                 None if F is None else F.real,
+                 None if F is None else F.imag, diag.p_dot_norm]
+    pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
+    pairs = pairs.reshape(len(pairs), 2 * dim * dim)
+    bits = pairs.view(np.uint64)
+    # equal bits in every row; a file without rows has no constant column
+    constant = (bits == bits[:1]).all(axis=0) & (len(bits) > 0)
+    first = pairs[0].tolist() if len(pairs) else [0.0] * len(constant)
+    # the row with a NUL in place of each cell formatted per row, split there:
+    # the fixed text before each such cell, and after the last one
+    *before, end = (",".join(
+        ["\0"] + ["%.17g" % x if c else "\0" for c, x in zip(constant, first)]
+        + ["" if c is None else "\0" for c in cells]) + "\n").split("\0")
+    count = len(before)
+    # before[k] at index k, and followed by the cell's minus at count + k
+    before = np.array(before + [b + "-" for b in before], dtype=object)
+    varying = np.flatnonzero(~constant)
+    # per sample: the time, then the diagnostics that are present
+    scalars = np.column_stack([traj.times] + [c for c in cells if c is not None])
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(pairs), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            values = np.hstack((scalars[start:stop, :1], pairs[start:stop, varying],
+                                scalars[start:stop, 1:]))
+            texts, negative = _magnitude_texts(values.ravel())
+            rows = np.empty((len(values), 2 * count + 1), dtype=object)
+            rows[:, 1::2] = texts.reshape(values.shape)
+            rows[:, :-1:2] = before[negative.reshape(values.shape) * count
+                                    + np.arange(count)]
+            rows[:, -1] = end
+            yield "".join(rows.ravel().tolist())
+
+    atomic_write(path, blocks())
+
+
+def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a trajectory.csv back into (times, ``(N, d, d)`` state stack)."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    dim = int(np.sqrt(sum(c.startswith("re_") for c in rows[0])))
+    times = np.empty(len(rows) - 1)
+    pairs = np.empty((len(rows) - 1, 2 * dim * dim))
+    # filled row by row: a list of every cell as a Python float would hold
+    # several times the memory of the stack
+    for k, row in enumerate(rows[1:]):
+        times[k] = float(row[0])
+        pairs[k] = [float(x) for x in row[1:1 + 2 * dim * dim]]
+    # (Re, Im) pairs viewed as complex keep every bit, signed zeros included
+    return times, pairs.view(complex).reshape(-1, dim, dim)
+
+
+# json.dumps(M, indent=2) of a matrix at depth 2 of the lock is its compact
+# text, json.dumps(M) within its outer three brackets, with these replaced in turn
+_LOCK_MATRIX_BREAKS = (("]], [[", "\n        ]\n      ],\n      [\n        [\n          "),
+                       ("], [", "\n        ],\n        [\n          "),
+                       (", ", ",\n          "))
+
+
+def _lock_matrix(M: list) -> str:
+    text = json.dumps(M)[3:-3]
+    for compact, indented in _LOCK_MATRIX_BREAKS:
+        text = text.replace(compact, indented)
+    return f"[\n      [\n        [\n          {text}\n        ]\n      ]\n    ]"
+
+
+def lock_text(lock: dict) -> str:
+    """``json.dumps(lock, indent=2)``, with the lock's two matrices, most of
+    its floats, rendered by json's C encoder (``_lock_matrix``).
+
+    The stdlib's indented encoder, which is pure Python, renders the rest
+    with ``null`` in place of ``rho0`` and ``A``.  Only numbers follow them
+    in ``resolved``, the lock's last entry, so the last occurrence of the two
+    is the place to splice, whatever the config holds.  Floats hold no
+    brackets and no ``", "``, and both encoders print them by
+    ``float.__repr__``.
+    """
+    resolved = lock["resolved"]
+    head, _, tail = json.dumps(
+        {**lock, "resolved": {**resolved, "rho0": None, "A": None}},
+        indent=2).rpartition('"rho0": null,\n    "A": null')
+    return (f'{head}"rho0": {_lock_matrix(resolved["rho0"])},\n'
+            f'    "A": {_lock_matrix(resolved["A"])}{tail}')

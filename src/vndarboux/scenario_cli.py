@@ -9,6 +9,8 @@ and matrices nested row arrays of such pairs.  ``run`` writes
 * ``scenario.lock.json``  the fully resolved config (selected eigenvalues,
   seed matrices); feeding it back to ``run`` reproduces the CSV bitwise.
 
+``output_files`` renders and writes the CSV and the lock.
+
 Exit codes: 0 all checks pass, 1 a check or a numerical operation failed,
 2 schema/config error, 3 the dressing hit a singular <chi|phi>.  ``run`` and
 ``sweep`` map failures to exit codes and sweep statuses through one table.
@@ -30,6 +32,7 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import io
 import json
 import math
 import os
@@ -44,6 +47,9 @@ from .errors import (DarbouxError, DefectiveEigenproblem, SingularDarboux,
 from .lax_engine import (build_lax, eigenvalue_multiplicity, identity_pair,
                          pinned)
 from .operator_core import frob, select_root
+# read_trajectory_csv is imported for the CLI's callers, who read a run's CSV
+from .output_files import (atomic_write, lock_text, read_trajectory_csv,
+                           write_trajectory_csv)
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
 from .symmetry_transforms import RescaledFlow, ShiftedFlow
@@ -63,8 +69,9 @@ def complex_to_pair(z: complex) -> list:
 
 
 def matrix_to_nested(M: np.ndarray) -> list:
-    return [[complex_to_pair(M[i, j]) for j in range(M.shape[1])]
-            for i in range(M.shape[0])]
+    # the (Re, Im) floats of each entry, bitwise those of complex_to_pair
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(*M.shape, 2).tolist()
 
 
 class _Errors(list):
@@ -497,93 +504,17 @@ def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # output files
 
-def _atomic_write(path: str, text: str):
-    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
-    # mode 0o666 lets the umask decide, as for a file made by open()
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def write_trajectory_csv(path: str, result: ScenarioResult):
-    """Write ``trajectory.csv``: one row per sample, every number as ``%.17g``.
-
-    Each row goes through one prebuilt format string in which the columns of
-    absent diagnostics are fixed empty and a state column that holds the
-    same 64 bits in every row is fixed to its value, formatted once; on
-    Python floats ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  A row's
-    other state entries are one ``tolist()`` of that state's row-major
-    (Re, Im) pairs, read from a C-ordered copy of the stack only where the
-    stack is not C-ordered.
-    """
-    traj = result.trajectory
-    dim = traj.states.shape[-1]
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    header += ["phi_norm", "form_gap", "hermiticity_gap", "min_eig",
-               "F_re", "F_im", "p_dot_norm"]
-    diag = traj.diagnostics
-    cells = [None] * 7
-    if diag is not None:
-        F, spectrum = diag.F_value, diag.spectrum
-        # min_eig is the spectrum's first column
-        cells = [diag.phi_norm, diag.form_gap, diag.hermiticity_gap,
-                 None if spectrum is None else spectrum[:, 0],
-                 None if F is None else F.real,
-                 None if F is None else F.imag, diag.p_dot_norm]
-    pairs = np.ascontiguousarray(traj.states, dtype=complex).view(float)
-    pairs = pairs.reshape(len(pairs), 2 * dim * dim)
-    bits = pairs.view(np.uint64)
-    # equal bits in every row; a file without rows has no constant column
-    constant = (bits == bits[:1]).all(axis=0) & (len(bits) > 0)
-    first = pairs[0].tolist() if len(pairs) else [0.0] * len(constant)
-    row = ",".join(["%.17g"] + ["%.17g" % x if c else "%.17g"
-                                for c, x in zip(constant, first)]
-                   + ["" if c is None else "%.17g" for c in cells])
-    # per sample: the time, then the diagnostics that are present
-    scalars = np.column_stack(
-        [traj.times] + [c for c in cells if c is not None]).tolist()
-    lines = [",".join(header)]
-    for (t, *values), entries in zip(scalars, pairs[:, ~constant]):
-        lines.append(row % (t, *entries.tolist(), *values))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a trajectory.csv back into (times, ``(N, d, d)`` state stack)."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    dim = int(np.sqrt(sum(c.startswith("re_") for c in rows[0])))
-    times = np.empty(len(rows) - 1)
-    pairs = np.empty((len(rows) - 1, 2 * dim * dim))
-    # filled row by row: a list of every cell as a Python float would hold
-    # several times the memory of the stack
-    for k, row in enumerate(rows[1:]):
-        times[k] = float(row[0])
-        pairs[k] = [float(x) for x in row[1:1 + 2 * dim * dim]]
-    # (Re, Im) pairs viewed as complex keep every bit, signed zeros included
-    return times, pairs.view(complex).reshape(-1, dim, dim)
 
 
 def write_outputs(result: ScenarioResult, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result)
-    _atomic_write(os.path.join(out_dir, "report.json"),
-                  json.dumps(result.report.to_dict(), indent=2) + "\n")
-    _atomic_write(os.path.join(out_dir, "scenario.lock.json"),
-                  json.dumps(result.lock, indent=2) + "\n")
+    atomic_write(os.path.join(out_dir, "report.json"),
+                 (json.dumps(result.report.to_dict(), indent=2), "\n"))
+    atomic_write(os.path.join(out_dir, "scenario.lock.json"),
+                 (lock_text(result.lock), "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -786,10 +717,13 @@ def sweep(config_path: str, param: str, values, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     header = ["index", "param", "value", "status", "overall",
               "worst_residual", "worst_spectral_gap", "out_dir"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    # csv quotes a field that holds a comma, a quote or a line break (an
+    # out_dir can); the bytes are ",".join of the fields otherwise
+    text = io.StringIO()
+    table = csv.writer(text, lineterminator="\n")
+    table.writerow(header)
+    table.writerows([row[h] for h in header] for row in rows)
+    atomic_write(os.path.join(out_dir, "summary.csv"), (text.getvalue(),))
 
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 

@@ -1,6 +1,8 @@
 import concurrent.futures
+import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -82,6 +84,76 @@ def test_lock_replay_is_bitwise(tmp_path, name):
     assert run(str(out1 / "scenario.lock.json"), str(out2)) == 0
     for filename in ("trajectory.csv", "report.json", "scenario.lock.json"):
         assert (out1 / filename).read_bytes() == (out2 / filename).read_bytes()
+
+
+def _assert_lock_is_the_stdlib_text(cfg, out):
+    # the lock file is json's indent=2 text of the lock, byte for byte
+    result = scenario_cli.execute_scenario(cfg)
+    scenario_cli.write_outputs(result, str(out))
+    expected = json.dumps(result.lock, indent=2) + "\n"
+    assert (out / "scenario.lock.json").read_text() == expected
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(os.path.splitext(name)[0]
+                                         for name in os.listdir(CONFIGS)
+                                         if name.endswith(".json")))
+def test_shipped_locks_are_the_stdlib_text(tmp_path, name):
+    with open(os.path.join(CONFIGS, f"{name}.json")) as handle:
+        cfg = json.load(handle)
+    _assert_lock_is_the_stdlib_text(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["anticommuting-shift", "delta-covariance"])
+def test_drawn_locks_are_the_stdlib_text(tmp_path, bench, workload):
+    rng = random.Random(24)
+    for index in range(20):
+        cfg = bench.SCENARIO_WORKLOADS[workload](rng, index)
+        _assert_lock_is_the_stdlib_text(cfg, tmp_path / str(index))
+
+
+def test_before_and_one_dimensional_locks_are_the_stdlib_text(tmp_path):
+    with open(os.path.join(CONFIGS, "shifted_anticommuting_before.json")) as handle:
+        before = json.load(handle)
+    assert before["symmetries"]["order"] == "before"
+    _assert_lock_is_the_stdlib_text(before, tmp_path / "before")
+    # a one-entry commuting seed: 1 x 1 matrices
+    single = {"id": "one-by-one", "model": {"n": 1},
+              "seed": {"family": "commuting", "p": [0.5], "alpha": [1.0]},
+              "darboux": {"mu": [0.3, 0.8]},
+              "times": {"t_min": -1.0, "t_max": 1.0, "samples": 5}}
+    result = _assert_lock_is_the_stdlib_text(single, tmp_path / "single")
+    assert result.lock["resolved"]["A"] == [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("scenario_id", [
+    "nul\x00", 'quote"', "back\\slash", "non-ASCII \u00e9\u4e2d\U0001f600",
+    '"rho0": null, "A": null', '\n    "A": null,\n    "rho0": null',
+    '"rho0": [\n      [\n        [', "]], [[ ], [ , "])
+def test_locks_are_the_stdlib_text_whatever_the_id(tmp_path, scenario_id):
+    # the id is the only free text of a config; model.A puts a matrix under
+    # the key "A" into the config as well
+    cfg = json.loads(json.dumps(DELTA))
+    cfg["id"] = scenario_id
+    cfg["model"]["A"] = scenario_cli.matrix_to_nested(
+        scenario_cli.build_seed(cfg).spec.A)
+    result = _assert_lock_is_the_stdlib_text(cfg, tmp_path)
+    lock = json.loads((tmp_path / "scenario.lock.json").read_text())
+    assert lock["config"]["id"] == scenario_id
+    assert lock["resolved"]["rho0"] == result.lock["resolved"]["rho0"]
+
+
+def test_matrix_to_nested_gives_the_pairs_bitwise():
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(5, 10)) + 1j * rng.normal(size=(5, 10))
+    M[0, 0], M[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    M = M[:, ::2]  # not C-ordered
+    nested = scenario_cli.matrix_to_nested(M)
+    expected = [[scenario_cli.complex_to_pair(M[i, j]) for j in range(5)]
+                for i in range(5)]
+    assert nested == expected
+    assert np.array(nested).tobytes() == np.array(expected).tobytes()
+    assert all(type(x) is float for row in nested for pair in row for x in pair)
 
 
 def test_the_general_mode_config_runs_the_general_checks(tmp_path):
@@ -359,6 +431,28 @@ def test_sweep_over_mu(tmp_path):
     assert len(rows) == 4  # header + 3 points
     assert all((out / f"mu_{i:03d}_{v}" / "report.json").exists()
                for i, v in enumerate(["0+1j", "0+2j", "1+1j"]))
+
+
+def test_sweep_summary_quotes_an_out_dir_with_a_comma(tmp_path):
+    # csv quotes the out_dir cells, so a csv reader gets every directory back
+    out = tmp_path / 'sw,ee"p'
+    code = sweep(_write(tmp_path, REFERENCE), "mu", [1j, 2j], str(out))
+    assert code == 0
+    with open(out / "summary.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2
+    assert all(None not in row for row in rows)
+    assert all(os.path.isdir(row["out_dir"]) for row in rows)
+    assert [os.path.basename(row["out_dir"]) for row in rows] == [
+        "mu_000_0+1j", "mu_001_0+2j"]
+    # without a field to quote, the file is the plain join of its fields
+    plain = tmp_path / "plain"
+    assert sweep(_write(tmp_path, REFERENCE), "mu", [1j, 2j], str(plain)) == 0
+    lines = (plain / "summary.csv").read_text().splitlines()
+    assert lines[0] == ("index,param,value,status,overall,worst_residual,"
+                        "worst_spectral_gap,out_dir")
+    assert lines[1].startswith("0,mu,0+1j,ok,True,")
+    assert lines[1].endswith(f",{plain / 'mu_000_0+1j'}")
 
 
 def test_sweep_empty_values_schema_error(tmp_path):
@@ -770,6 +864,22 @@ def test_importing_the_cli_loads_no_process_pool():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.isin import numpy.ma, about 21 ms of a cold start;
+    # nothing a run calls may use them
+    src = os.path.dirname(os.path.dirname(scenario_cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from vndarboux.scenario_cli import main; "
+            f"code = main(['run', {SHIPPED_DELTA!r}, '--out', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_shift_x_after_dressing(tmp_path):

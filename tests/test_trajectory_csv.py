@@ -1,7 +1,8 @@
 """``trajectory.csv`` byte for byte, and F_a evaluated per block.
 
 The reference writer below formats every value on its own with
-``f"{x:.17g}"``; ``write_trajectory_csv`` must produce the same bytes.
+``"%.17g" % x``; ``write_trajectory_csv``, which formats each distinct
+magnitude of a block of rows once, must produce the same bytes.
 """
 
 import random
@@ -14,11 +15,16 @@ from conftest import rk4_ode
 from vndarboux import (Diagnostics, DressedFlow, Trajectory, build_lax,
                        dressed_trajectory, f_value, make_anticommuting_seed,
                        make_delta_commuting_seed, mat_exp, rhs)
+from vndarboux.output_files import _CSV_BLOCK_ROWS
 from vndarboux.scenario_cli import (execute_scenario, read_trajectory_csv,
                                     write_trajectory_csv)
 
 
 WORKLOADS = ("anticommuting-shift", "delta-covariance")
+
+
+def _cell(x) -> str:
+    return "%.17g" % float(x)
 
 
 def _reference_csv(traj: Trajectory, dim: int) -> str:
@@ -29,10 +35,10 @@ def _reference_csv(traj: Trajectory, dim: int) -> str:
     lines = [",".join(header)]
     diag = traj.diagnostics
     for k, (t, state) in enumerate(zip(traj.times, traj.states)):
-        cells = [f"{float(t):.17g}"]
+        cells = [_cell(t)]
         for i in range(dim):
             for j in range(dim):
-                cells += [f"{state[i, j].real:.17g}", f"{state[i, j].imag:.17g}"]
+                cells += [_cell(state[i, j].real), _cell(state[i, j].imag)]
         if diag is None:
             cells += [""] * 7
         else:
@@ -42,7 +48,7 @@ def _reference_csv(traj: Trajectory, dim: int) -> str:
                       diag.hermiticity_gap[k], min_eig,
                       None if F is None else F.real,
                       None if F is None else F.imag, diag.p_dot_norm[k]):
-                cells.append("" if x is None else f"{float(x):.17g}")
+                cells.append("" if x is None else _cell(x))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -168,6 +174,94 @@ def test_constant_columns_are_formatted_once_with_their_bits(tmp_path):
     assert _state_cells(text, "im_1_1") == ["0", "0", "-0", "0"]
     _, back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
     assert back.tobytes() == states.tobytes()
+
+
+def _planted(states, general=False, **columns) -> Trajectory:
+    # a trajectory on 0, 1, ..., N - 1 whose diagnostics are planted: each
+    # column is all ones unless given
+    count = len(states)
+    ones = np.ones(count)
+    values = {name: columns.get(name, ones) for name in
+              ("phi_norm", "form_gap", "hermiticity_gap", "p_dot_norm",
+               "min_eig", "F_re", "F_im")}
+    spectrum = None if general else np.column_stack([values["min_eig"], ones])
+    F = None if general else values["F_re"] + 1j * values["F_im"]
+    diags = Diagnostics(
+        rho1=states, P=states, P_dot=states, phi_norm=values["phi_norm"],
+        form_gap=values["form_gap"], hermiticity_gap=values["hermiticity_gap"],
+        idempotency_gap=ones, projector_trace_gap=ones, F_value=F,
+        p_dot_norm=values["p_dot_norm"], spectrum=spectrum)
+    return Trajectory(times=np.arange(float(count)), states=states,
+                      diagnostics=diags)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                   2 * _CSV_BLOCK_ROWS + 3])
+def test_planted_special_values_match_per_value_format(tmp_path, count):
+    # one stack, cut to 0, 1, 2 rows and to one row either side of a block
+    # boundary, holding in varying columns: a sign-bit NaN, +0.0 and -0.0
+    # mixed, +-inf, subnormals, x and -x in different columns and rows, and
+    # magnitudes that a state cell shares with a diagnostic
+    rng = np.random.default_rng(5)
+    full = 2 * _CSV_BLOCK_ROWS + 3
+    pool = np.array([0.1, 1.0 / 3.0, 5e-324, 2.2250738585072009e-308, 1e300,
+                     np.inf, np.nan, 0.0, 7.0])
+    states = np.empty((full, 3, 3), dtype=complex)
+    states.real = rng.choice(pool, size=(full, 3, 3))
+    states.imag = rng.choice(pool, size=(full, 3, 3))
+    signs = rng.random(size=(full, 3, 3, 2)) < 0.5
+    pairs = states.view(float).reshape(full, 3, 3, 2)
+    pairs[signs] *= -1.0  # NaN and zero flip their sign bits too
+    states[:, 2, 2] = complex(0.5, 0.0)  # a constant column pair
+    states[::2, 0, 0] = np.copysign(np.nan, -1.0)
+    states[1::2, 0, 0] = complex(-0.0, 0.0)
+    states[:, 1, 2] = -states[:, 2, 1].conj()
+    shared = rng.choice(pool, size=full) * np.where(rng.random(full) < 0.5, -1.0, 1.0)
+    states[:, 0, 1] = shared
+    traj = _planted(states[:count], phi_norm=-shared[:count],
+                    F_im=np.copysign(np.nan, -1.0) * np.ones(count),
+                    min_eig=np.where(np.arange(count) % 3, -0.0, 0.0))
+    assert np.signbit(traj.states.view(float)[::2, 0, 0]).all()
+    text = _written(tmp_path, traj)
+    assert text == _reference_csv(traj, 3)
+    assert "-nan" not in text
+    rows = text.splitlines()[1:]
+    assert len(rows) == count
+    if count > 2:
+        assert {"-inf", "inf", "-0", "0"} <= {c for r in rows for c in r.split(",")}
+    _, back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
+    assert back.shape == (count, 3, 3)
+    # NaNs read back unsigned; every other cell keeps its bits
+    finite = ~np.isnan(traj.states.view(float))
+    assert np.array_equal(back.view(float)[finite].view(np.uint64),
+                          traj.states.view(float)[finite].view(np.uint64))
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_an_empty_trajectory_writes_the_header_alone(tmp_path, diagnostics):
+    states = np.empty((0, 2, 2), dtype=complex)
+    traj = (_planted(states) if diagnostics
+            else Trajectory(times=[], states=states))
+    text = _written(tmp_path, traj)
+    assert text == _reference_csv(traj, 2)
+    assert text.count("\n") == 1
+
+
+def test_dense_general_mode_stack_at_dimension_32(tmp_path):
+    # every entry varies, nothing repeats but what the draw repeats, and a
+    # strided view of a larger stack feeds the writer
+    rng = np.random.default_rng(32)
+    count = _CSV_BLOCK_ROWS + 7
+    big = rng.normal(size=(count, 32, 64)) + 1j * rng.normal(size=(count, 32, 64))
+    big[:, :, ::4] = np.round(big[:, :, ::4], 1)  # a few magnitudes, both signs
+    states = big[:, :, ::2]
+    assert not states.flags.c_contiguous
+    traj = _planted(states, general=True, phi_norm=rng.normal(size=count),
+                    form_gap=np.abs(states[:, 3, 5].real))
+    text = _written(tmp_path, traj)
+    assert text == _reference_csv(traj, 32)
+    assert all(line.split(",")[-4:-1] == ["", "", ""]
+               for line in text.splitlines()[1:])
 
 
 def test_trajectory_cut_at_its_first_sample_writes_the_header_alone(tmp_path):
