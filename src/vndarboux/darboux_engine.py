@@ -600,17 +600,23 @@ def f_value(seed: SeedSolution, mu: complex, phi0, times):
     times (one value per time), and every value equals its one-point result
     bitwise.  For an exactly diagonal ``Delta_a``, as every seed family
     builds it, the exponential is ``np.exp`` of the exponent's diagonal,
-    applied to phi(0) entry by entry: what ``mat_exp`` gives an exactly
-    diagonal slice, bit for bit.  A ``Delta_a`` that is not diagonal, or a
-    non-finite result, takes one stacked ``mat_exp``, which treats each
-    slice on its own and raises ``OverflowError`` on overflow.
+    applied to phi(0) entry by entry where phi(0) is nonzero, and every
+    other entry is ``+0.0``: what ``mat_exp`` gives an exactly diagonal
+    slice, bit for bit, wherever that is finite.  A phase that overflows
+    where phi(0) is zero would make that entry NaN, not zero.  A
+    ``Delta_a`` that is not diagonal, or a non-finite result, takes one
+    stacked ``mat_exp``, which treats each slice on its own and raises
+    ``OverflowError`` on overflow.
     """
     phi0 = as_state(phi0)
     mu = complex(mu)
     t = np.asarray(times, dtype=float)
     coeff = 1j * ((mu - np.conj(mu)) / abs(mu) ** 2)
+    support = np.flatnonzero(phi0 != 0)
+    exponent = (coeff * t)[..., None] * seed.delta_a.diagonal()[support]
+    psi = np.zeros(t.shape + phi0.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        psi = np.exp((coeff * t)[..., None] * seed.delta_a.diagonal()) * phi0
+        psi[..., support] = np.multiply(np.exp(exponent), phi0[support])
     if off_diagonal(seed.delta_a) or not np.isfinite(psi).all():
         psi = mat_exp(coeff * t[..., None, None] * seed.delta_a) @ phi0
     # <phi0|psi> is one (1, d) @ (d, 1) dot product per point, as for a

@@ -135,6 +135,39 @@ def blocks_of(M: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(M[..., parts[:, :, None], parts[:, None, :]])
 
 
+def groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, group)`` of a 1-D array of keys, which may be empty:
+    ``keys[first]`` are its distinct values in ascending order, and
+    ``keys[first][group]`` is ``keys``.  One ``np.argsort`` groups them;
+    ``np.unique`` would import ``numpy.ma`` on its first call."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
+def _phases(s: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    # exp(s_b gap_e) of each point b and entry e, one exponential per point
+    # and distinct gap.  An imaginary s and real gaps fold -gamma onto gamma
+    # and take the conjugate: sincos is odd, so exp(-iy) is conj(exp(iy))
+    # bit for bit at y != 0, and at y = +-0 only the sign of the imaginary
+    # zero differs, which the caller's + 0.0 erases.  Otherwise each
+    # distinct complex gap, by the bits of both its parts, is exponentiated
+    # as it is.
+    if not s.real.any() and not gap.imag.any():
+        magnitude = np.abs(gap.real)
+        first, group = groups(magnitude.view(np.uint64))
+        table = np.exp(s[:, None] * (magnitude[first] + 0j))
+        table = np.concatenate((table, table.conj()), axis=1)
+        return table[:, group + len(first) * np.signbit(gap.real)]
+    real, imag = (groups(part.view(np.uint64))[1] for part in (gap.real, gap.imag))
+    first, group = groups(real * len(gap) + imag)
+    return np.exp(s[:, None] * gap[first])[:, group]
+
+
 def off_diagonal(M: np.ndarray) -> bool:
     """True when the square matrix ``M`` has a nonzero entry off its diagonal."""
     return bool(M[~np.eye(len(M), dtype=bool)].any())
@@ -408,7 +441,11 @@ class NormalExp:
         on whose blocks G is diagonal, ``M`` and the result are the blocks
         ``(B, b, b)`` or ``(N, B, b, b)``; a factored G takes one whole
         block.  For a diagonal G the phase is evaluated only on the entries
-        where some ``M_b`` is nonzero; every other entry is ``+0.0``.
+        where some ``M_b`` is nonzero, one exponential per point and
+        distinct gap ``g_i - g_j`` among them (``_phases``: with an
+        imaginary s and real gaps, ``-gamma`` takes the conjugate of
+        ``gamma``'s); every other entry is ``+0.0``.  The values are the
+        per-entry formula's bit for bit.
         Raises ``OverflowError`` instead of returning non-finite entries.
         """
         s = np.asarray(s, dtype=complex)
@@ -420,7 +457,7 @@ class NormalExp:
             # kernel rounds complex products differently.  The entries are
             # computed before ``out`` is allocated, so their temporaries and
             # ``out`` are never alive together
-            values = np.multiply(M[(..., *index)], np.exp(s[:, None] * gap[index])) + 0.0
+            values = np.multiply(M[(..., *index)], _phases(s, gap[index])) + 0.0
             out = np.zeros((len(s),) + gap.shape, dtype=complex)
             out[(slice(None), *index)] = values
         else:

@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .operator_core import groups
+
 
 def atomic_write(path: str, chunks):
     """Write the strings of ``chunks`` in turn to a temporary file in the
@@ -29,26 +31,23 @@ def atomic_write(path: str, chunks):
         raise
 
 
-# rows that write_trajectory_csv formats, joins and writes at a time
+# rows that write_trajectory_csv joins and writes at a time
 _CSV_BLOCK_ROWS = 64
 
 
 def _magnitude_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``"%.17g" % abs(x)`` of each float64 in ``values``, as an object
-    array, and where ``"%.17g" % x`` puts a ``"-"`` before that text.
+    """``"%.17g" % abs(x)`` of each float64 in ``values``, which may be
+    empty, as an object array, and where ``"%.17g" % x`` puts a ``"-"``
+    before that text.
 
-    Each distinct magnitude (the bits without the sign bit, grouped by one
-    sort) is formatted once.  The sign bit gives the minus, except on a NaN,
-    which Python prints unsigned.
+    Each distinct magnitude (the bits without the sign bit, ``groups``) is
+    formatted once.  The sign bit gives the minus, except on a NaN, which
+    Python prints unsigned.
     """
     magnitude = np.abs(values).view(np.uint64)
-    order = np.argsort(magnitude)
-    ordered = magnitude[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    distinct = ordered[starts].view(np.float64).tolist()
+    first, group = groups(magnitude)
+    distinct = magnitude[first].view(np.float64).tolist()
     texts = ("%.17g," * len(distinct) % tuple(distinct)).split(",")
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
     negative = np.signbit(values) & ~np.isnan(values)
     return np.fromiter(texts, dtype=object, count=len(texts))[group], negative
 
@@ -59,10 +58,11 @@ def write_trajectory_csv(path: str, result):
     The columns of absent diagnostics are fixed empty, and a state column
     that holds the same 64 bits in every row is fixed to its value,
     formatted once.  The other cells (the time, the varying state entries
-    and the present diagnostics) are formatted a block of rows at a time,
-    each distinct magnitude once (``_magnitude_texts``), joined with the
-    fixed text and streamed to the file block by block; on Python floats
-    ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  The state entries
+    and the present diagnostics) are grouped in one pass over the file,
+    each distinct magnitude formatted once (``_magnitude_texts``); on
+    Python floats ``"%.17g" % x`` is ``f"{x:.17g}"``, byte for byte.  Their
+    texts are joined with the fixed text and streamed to the file 64 rows
+    at a time, so the file's text is never held whole.  The state entries
     are row-major (Re, Im) pairs, read from a C-ordered copy of the stack
     only where the stack is not C-ordered.
     """
@@ -95,21 +95,21 @@ def write_trajectory_csv(path: str, result):
     count = len(before)
     # before[k] at index k, and followed by the cell's minus at count + k
     before = np.array(before + [b + "-" for b in before], dtype=object)
-    varying = np.flatnonzero(~constant)
-    # per sample: the time, then the diagnostics that are present
-    scalars = np.column_stack([traj.times] + [c for c in cells if c is not None])
+    # per sample: the time, the varying state entries, then the diagnostics
+    # that are present
+    values = np.column_stack([traj.times, pairs[:, ~constant]]
+                             + [c for c in cells if c is not None])
+    texts, negative = _magnitude_texts(values.ravel())
+    texts = texts.reshape(values.shape)
+    lead = negative.reshape(values.shape) * count + np.arange(count)
 
     def blocks():
         yield ",".join(header) + "\n"
-        for start in range(0, len(pairs), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            values = np.hstack((scalars[start:stop, :1], pairs[start:stop, varying],
-                                scalars[start:stop, 1:]))
-            texts, negative = _magnitude_texts(values.ravel())
-            rows = np.empty((len(values), 2 * count + 1), dtype=object)
-            rows[:, 1::2] = texts.reshape(values.shape)
-            rows[:, :-1:2] = before[negative.reshape(values.shape) * count
-                                    + np.arange(count)]
+        for start in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            rows = np.empty((len(texts[block]), 2 * count + 1), dtype=object)
+            rows[:, 1::2] = texts[block]
+            rows[:, :-1:2] = before[lead[block]]
             rows[:, -1] = end
             yield "".join(rows.ravel().tolist())
 
@@ -119,15 +119,18 @@ def write_trajectory_csv(path: str, result):
 def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a trajectory.csv back into (times, ``(N, d, d)`` state stack)."""
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    dim = int(np.sqrt(sum(c.startswith("re_") for c in rows[0])))
-    times = np.empty(len(rows) - 1)
-    pairs = np.empty((len(rows) - 1, 2 * dim * dim))
-    # filled row by row: a list of every cell as a Python float would hold
-    # several times the memory of the stack
-    for k, row in enumerate(rows[1:]):
-        times[k] = float(row[0])
-        pairs[k] = [float(x) for x in row[1:1 + 2 * dim * dim]]
+        # one line per row: no cell holds a line break
+        count = sum(1 for _ in handle) - 1
+        handle.seek(0)
+        rows = csv.reader(handle)
+        dim = int(np.sqrt(sum(c.startswith("re_") for c in next(rows))))
+        times = np.empty(count)
+        pairs = np.empty((count, 2 * dim * dim))
+        # filled as the rows are read: the file's cells, as lists of strings
+        # or Python floats, would hold several times the memory of the stack
+        for k, row in enumerate(rows):
+            times[k] = float(row[0])
+            pairs[k] = [float(x) for x in row[1:1 + 2 * dim * dim]]
     # (Re, Im) pairs viewed as complex keep every bit, signed zeros included
     return times, pairs.view(complex).reshape(-1, dim, dim)
 

@@ -742,6 +742,23 @@ def test_f_value_overflow_over_2e4_keeps_its_message(tmp_path, capsys):
         "numerical failure: matrix exponential overflowed (||M||_F = 1.58e+03)\n")
 
 
+def test_f_value_past_the_double_range_off_phi0_passes(tmp_path, capsys):
+    # at t = 5000 the exponent of F_a is 626 on phi(0)'s block and 1040 on
+    # the other, where phi(0) is zero: that entry once met inf * 0 = NaN and
+    # the run exited 1 with a matrix exponential overflow
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(os.path.join(CONFIGS, "large_t_f_support.json"), str(out)) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["overall"] is True
+    with open(out / "trajectory.csv", newline="") as handle:
+        F_re = [float(row["F_re"]) for row in csv.DictReader(handle)]
+    assert len(F_re) == 11 and 8.6e271 < F_re[0] < 8.7e271
+    assert np.isfinite(F_re).all()
+
+
 def test_sweep_numerical_failure_does_not_abort(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", _write(tmp_path, _shipped_delta(2.0)), "--param",

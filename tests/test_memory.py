@@ -230,3 +230,24 @@ def test_trajectory_keeps_no_whole_projector_grid(bench, workload, whole_stacks)
     support = len(flow.root.support)
     assert support == 2 and diags.P.shape == (count, support, support)
 
+
+
+def test_reading_a_trajectory_holds_little_beside_its_arrays(bench, tmp_path):
+    # read_trajectory_csv fills its arrays a row at a time: a list of the
+    # file's rows of cells peaked at 3.4 times the arrays on this file
+    cfg, errors = scenario_cli.validate_config(
+        bench.SCENARIO_WORKLOADS["delta-covariance"](random.Random(14), 0))
+    assert not errors
+    result = scenario_cli.execute_scenario(cfg)
+    scenario_cli.write_outputs(result, str(tmp_path))
+    path = str(tmp_path / "trajectory.csv")
+    tracemalloc.start()
+    try:
+        times, states = scenario_cli.read_trajectory_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.tobytes() == result.trajectory.times.tobytes()
+    assert states.tobytes() == result.trajectory.states.tobytes()
+    assert states.shape == (201, 12, 12)
+    assert peak <= 1.25 * (times.nbytes + states.nbytes)

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ, assert_near_eigvalsh
 from vndarboux import DefectiveEigenproblem, FarPin, Tolerances
-from vndarboux.operator_core import (DIM_CAP, NormalExp, canonical_phase,
-                                     commutator, eig_hermitian,
-                                     eig_pair_general, eig_pair_left, frob,
-                                     hermitian_spectra, is_hermitian, mat_exp,
-                                     select_root, trace_moments)
+from vndarboux.operator_core import (DIM_CAP, NormalExp, _phases,
+                                     canonical_phase, commutator,
+                                     eig_hermitian, eig_pair_general,
+                                     eig_pair_left, frob, hermitian_spectra,
+                                     is_hermitian, mat_exp, select_root,
+                                     trace_moments)
 
 
 def _random_complex_matrix(rng, dim, scale=1.0):
@@ -403,6 +404,128 @@ def test_dense_generator_keeps_the_factorization():
     s = np.array([0.0, 0.7j, -2.5j])
     M = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     assert factor.similarity(M, s).tobytes() == _eig_similarity(G, M, s).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the diagonal similarity's phases: one exponential per point and distinct gap
+
+def _per_entry_similarity(G, M, s, parts=None):
+    # every nonzero entry's phase on its own: M exp(s gap) + 0.0 there, +0.0
+    # elsewhere, and M itself at s = 0
+    g = np.diag(G) + 0.0
+    gap = g[:, None] - g[None, :]
+    if parts is not None:
+        gap = gap[parts[:, :, None], parts[:, None, :]]
+    index = np.nonzero(M.reshape((-1,) + gap.shape).any(axis=0))
+    out = np.zeros((len(s),) + gap.shape, dtype=complex)
+    out[(slice(None), *index)] = np.multiply(
+        M[(..., *index)], np.exp(s[:, None] * gap[index])) + 0.0
+    out[s == 0] = M if M.ndim < out.ndim else M[s == 0]
+    return out
+
+
+PHASE_KINDS = ("real-gaps", "complex-gaps", "complex-s")
+
+
+def _phase_case(rng, kind, d, count):
+    # a diagonal generator with repeated and zero entries; s = -i t with
+    # t = +-0 and |t| up to 1e4 among the times, so s = 0 in some rows
+    pool = rng.normal(size=d // 2 + 1) * 3
+    if kind == "complex-gaps":
+        pool = pool + 1e-3j * rng.normal(size=len(pool))
+    g = rng.choice(np.concatenate([pool, [0.0, -0.0]]), size=d)
+    t = rng.normal(size=count) * rng.choice([1.0, 100.0, 1e4], size=count)
+    t[:3] = [0.0, -0.0, 2.5]
+    s = -1j * t
+    if kind == "complex-s":
+        s[-1] += 0.3
+    return np.diag(g).astype(complex), s
+
+
+def _phase_stack(rng, shape):
+    # entries zero in some slices only or in all, and -0.0 parts
+    M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    M[rng.random(shape) < 0.3] = 0
+    M[:, rng.random(shape[1:]) < 0.3] = 0
+    M.real[rng.random(shape) < 0.1] = -0.0
+    M.imag[rng.random(shape) < 0.1] = -0.0
+    return M
+
+
+@pytest.mark.parametrize("kind", PHASE_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_diagonal_similarity_is_the_per_entry_phase_bitwise(kind, d):
+    rng = np.random.default_rng([d, PHASE_KINDS.index(kind)])
+    for _ in range(10):
+        G, s = _phase_case(rng, kind, d, 40)
+        factor = NormalExp(G)
+        M = _phase_stack(rng, (len(s), d, d))
+        for stack in (M, M[5], np.zeros_like(M)):
+            out = factor.similarity(stack, s)
+            assert out.tobytes() == _per_entry_similarity(G, stack, s).tobytes()
+
+
+@pytest.mark.parametrize("kind", PHASE_KINDS)
+@pytest.mark.parametrize("shape", [(6, 2), (4, 3), (1, 12)], ids=str)
+def test_diagonal_similarity_on_blocks_is_the_per_entry_phase_bitwise(kind, shape):
+    # index sets that are not contiguous, as the partition of a rotated
+    # block basis gives them, and one whole block
+    rng = np.random.default_rng([shape[0], PHASE_KINDS.index(kind)])
+    parts = np.sort(rng.permutation(12).reshape(shape), axis=1)
+    parts = parts[np.argsort(parts[:, 0])]
+    for _ in range(10):
+        G, s = _phase_case(rng, kind, 12, 40)
+        factor = NormalExp(G)
+        M = _phase_stack(rng, (len(s),) + shape + shape[1:])
+        for stack in (M, M[5], np.zeros_like(M)):
+            out = factor.similarity(stack, s, parts)
+            assert out.tobytes() == _per_entry_similarity(G, stack, s, parts).tobytes()
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.2], ids=["imaginary-s", "complex-s"])
+def test_phases_of_signed_zero_gaps_scale_entries_alike(shift):
+    # gaps of +-0.0 in either part beside +-gamma, as no NormalExp forms
+    # them (it adds +0.0 to g): times M, plus 0.0, the phases are the
+    # per-entry exponentials bit for bit
+    rng = np.random.default_rng(12)
+    gap = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+                    1.5, -1.5, 1.5, 0.0])
+    s = -1j * np.array([0.0, -0.0, 1.0, -3.0, 1e-300, 1e5]) + shift
+    M = _phase_stack(rng, (len(s), len(gap)))
+    expected = np.multiply(M, np.exp(s[:, None] * gap)) + 0.0
+    assert (np.multiply(M, _phases(s, gap)) + 0.0).tobytes() == expected.tobytes()
+
+
+def test_diagonal_similarity_exponentiates_each_distinct_gap_once(monkeypatch):
+    # six 2 x 2 blocks, 24 nonzero entries, whose gaps are 0 and +-gamma_k
+    # for six distinct gamma_k: seven exponentials per point, with the fold
+    g = np.array([0.5, -0.5, 1.0, 3.0, 0.0, 3.0, -1.0, 3.0, 4.0, -1.0, 0.0, 0.5])
+    parts = np.arange(12).reshape(6, 2)
+    M = np.ones((6, 2, 2), dtype=complex)
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+    for s, distinct in ((-1j * np.linspace(-5, 5, 50), 7),
+                        (-1j * np.linspace(-5, 5, 50) + 0.1, 13)):
+        sizes.clear()
+        NormalExp(np.diag(g)).similarity(M, s, parts)
+        assert sizes == [50 * distinct]
+
+
+def test_the_fold_is_bitwise_on_this_platform():
+    # exp(-i y g) is conj(exp(-i y (-g))) bit for bit for y != 0 up to
+    # |y| = 1e5 (glibc's sincos is odd); at y = +-0 only the sign of the
+    # imaginary zero may differ
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=400) * rng.choice([1e-3, 1.0, 30.0], size=400)
+    y = np.exp(rng.uniform(np.log(1e-3), np.log(1e5), size=500))
+    y = np.concatenate([y, -y[:250]])[:, None]
+    direct, folded = np.exp(-1j * y * g), np.conj(np.exp(-1j * y * -g))
+    assert direct.tobytes() == folded.tobytes()
+    for zero in (0.0, -0.0):
+        direct, folded = np.exp(-1j * zero * g), np.conj(np.exp(-1j * zero * -g))
+        assert direct.real.tobytes() == folded.real.tobytes()
+        assert not direct.imag.any() and not folded.imag.any()
 
 
 # ---------------------------------------------------------------------------

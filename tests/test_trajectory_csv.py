@@ -2,7 +2,7 @@
 
 The reference writer below formats every value on its own with
 ``"%.17g" % x``; ``write_trajectory_csv``, which formats each distinct
-magnitude of a block of rows once, must produce the same bytes.
+magnitude of the file once, must produce the same bytes.
 """
 
 import random
@@ -15,6 +15,7 @@ from conftest import rk4_ode
 from vndarboux import (Diagnostics, DressedFlow, Trajectory, build_lax,
                        dressed_trajectory, f_value, make_anticommuting_seed,
                        make_delta_commuting_seed, mat_exp, rhs)
+from vndarboux import output_files
 from vndarboux.output_files import _CSV_BLOCK_ROWS
 from vndarboux.scenario_cli import (execute_scenario, read_trajectory_csv,
                                     write_trajectory_csv)
@@ -196,7 +197,7 @@ def _planted(states, general=False, **columns) -> Trajectory:
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
-                                   2 * _CSV_BLOCK_ROWS + 3])
+                                   2 * _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
 def test_planted_special_values_match_per_value_format(tmp_path, count):
     # one stack, cut to 0, 1, 2 rows and to one row either side of a block
     # boundary, holding in varying columns: a sign-bit NaN, +0.0 and -0.0
@@ -235,6 +236,26 @@ def test_planted_special_values_match_per_value_format(tmp_path, count):
     finite = ~np.isnan(traj.states.view(float))
     assert np.array_equal(back.view(float)[finite].view(np.uint64),
                           traj.states.view(float)[finite].view(np.uint64))
+
+
+@pytest.mark.parametrize("count", [0, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                   2 * _CSV_BLOCK_ROWS + 1])
+def test_one_grouping_pass_formats_the_whole_file(tmp_path, monkeypatch, count):
+    # a magnitude shared by cells in different 64-row blocks, with either
+    # sign, beside cells that differ in every row: the file's varying cells
+    # are grouped in one call, and the text is the per-value format's
+    states = np.zeros((count, 2, 2), dtype=complex)
+    states.real = np.arange(count)[:, None, None] / 7.0 + np.arange(4).reshape(2, 2)
+    states[::_CSV_BLOCK_ROWS, 0, 1] = 0.1
+    states[_CSV_BLOCK_ROWS // 2::_CSV_BLOCK_ROWS, 1, 0] = -0.1j
+    calls = []
+    grouped = output_files._magnitude_texts
+    monkeypatch.setattr(output_files, "_magnitude_texts",
+                        lambda values: calls.append(values.shape) or grouped(values))
+    traj = _planted(states, phi_norm=np.full(count, -0.1))
+    assert _written(tmp_path, traj) == _reference_csv(traj, 2)
+    # t, the four real parts, Im rho_10 and the seven diagnostics vary
+    assert calls == [(count * 13,)]
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])
@@ -330,9 +351,10 @@ def _mat_exp_f_value(delta, mu, phi0, times):
 def test_diagonal_f_value_is_bitwise_the_matrix_exponential(dim):
     # the closed form for an exactly diagonal Delta_a against mat_exp, which
     # gives a diagonal slice np.exp of its diagonal: zero, signed-zero and
-    # negative entries, phi(0) with zero entries, t = +-0 among the times
+    # negative entries, phi(0) with zero entries, t = +-0 among the times,
+    # and times far enough out that some exponentials overflow
     rng = np.random.default_rng(70 + dim)
-    overflowed = 0
+    overflowed = off_support = 0
     for _ in range(20):
         diagonal = rng.normal(size=dim) * 3
         diagonal[rng.random(dim) < 0.3] = 0.0
@@ -343,16 +365,25 @@ def test_diagonal_f_value_is_bitwise_the_matrix_exponential(dim):
         phi0[rng.random(dim) < 0.3] = 0.0
         phi0[rng.integers(dim)] = 1.0
         mu = complex(rng.normal(), rng.normal())
-        times = np.concatenate([[0.0, -0.0], rng.normal(size=30) * 5])
+        times = np.concatenate([[0.0, -0.0], rng.normal(size=30) * 5,
+                                rng.normal(size=1) * 300])
         seed = SimpleNamespace(delta_a=delta)
         try:
             expected = _mat_exp_f_value(delta, mu, phi0, times)
         except OverflowError as error:
-            # an exponential beyond the double range takes mat_exp's path
-            with pytest.raises(OverflowError) as raised:
-                f_value(seed, mu, phi0, times)
-            assert str(raised.value) == str(error)
-            overflowed += 1
-            continue
+            # an entry where phi(0) is zero does not enter F_a: zeroed
+            # there, the reference is f_value's; an exponential beyond the
+            # double range on phi(0)'s support takes mat_exp's path
+            try:
+                expected = _mat_exp_f_value(delta * (phi0 != 0), mu, phi0, times)
+            except OverflowError:
+                with pytest.raises(OverflowError) as raised:
+                    f_value(seed, mu, phi0, times)
+                assert str(raised.value) == str(error)
+                overflowed += 1
+                continue
+            off_support += 1
         assert _bits(f_value(seed, mu, phi0, times)) == _bits(expected)
     assert overflowed < 20
+    if dim >= 5:
+        assert overflowed and off_support
