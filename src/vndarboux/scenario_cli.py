@@ -12,8 +12,10 @@ and matrices nested row arrays of such pairs.  ``run`` writes
 ``output_files`` renders and writes the CSV and the lock.
 
 Exit codes: 0 all checks pass, 1 a check or a numerical operation failed,
-2 schema/config error, 3 the dressing hit a singular <chi|phi>.  ``run`` and
-``sweep`` map failures to exit codes and sweep statuses through one table.
+2 schema/config error, 3 the dressing hit a singular <chi|phi>.  Every
+outcome has one name, which is a sweep point's status, and one table
+(``_EXIT_CODES``) turns it into the exit code of ``run`` and ``sweep``;
+``_FAILURES`` names the outcome of each exception type.
 
 One schema walk (``_walk``) is the only code that reads a config: it reports
 every error with its field path and turns a valid config into a frozen
@@ -511,8 +513,9 @@ def _fmt(x: float) -> str:
 def write_outputs(result: ScenarioResult, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result)
+    # strict JSON: the report holds no NaN or infinity
     atomic_write(os.path.join(out_dir, "report.json"),
-                 (json.dumps(result.report.to_dict(), indent=2), "\n"))
+                 (json.dumps(result.report.to_dict(), indent=2, allow_nan=False), "\n"))
     atomic_write(os.path.join(out_dir, "scenario.lock.json"),
                  (lock_text(result.lock), "\n"))
 
@@ -533,14 +536,18 @@ def _load_config(config_path: str) -> tuple[dict | None, list[str]]:
     return validate_config(data)
 
 
-# failures of a scenario: exception types, exit code, sweep status and the
-# prefix of the one-line message; the first matching row wins
+# the outcomes of a scenario, which are a sweep point's statuses, and their
+# exit codes
+_EXIT_CODES = {"ok": 0, "check_failed": 1, "config_error": 2, "singular": 3}
+
+# failures of a scenario: exception types, outcome and the prefix of the
+# one-line message; the first matching row wins
 _FAILURES = (
-    ((ValueError, UnsupportedScenario), 2, "config_error", "config error"),
-    (SingularDarboux, 3, "singular", "singular dressing"),
-    (DefectiveEigenproblem, 1, "check_failed", "defective eigenproblem"),
-    (DarbouxError, 1, "check_failed", "numerical check failure"),
-    (ArithmeticError, 1, "check_failed", "numerical failure"),
+    ((ValueError, UnsupportedScenario), "config_error", "config error"),
+    (SingularDarboux, "singular", "singular dressing"),
+    (DefectiveEigenproblem, "check_failed", "defective eigenproblem"),
+    (DarbouxError, "check_failed", "numerical check failure"),
+    (ArithmeticError, "check_failed", "numerical failure"),
 )
 
 
@@ -574,7 +581,7 @@ def _keep_freed_memory():
 
 
 def _attempt(scenario: Scenario, tol_scale: float):
-    """Run one scenario: ``(result or None, exit code, status, message)``.
+    """Run one scenario: ``(result or None, outcome, message)``.
 
     The message is None when every check passed.
     """
@@ -582,18 +589,17 @@ def _attempt(scenario: Scenario, tol_scale: float):
     try:
         result = execute(scenario, tol_scale=tol_scale)
     except (ValueError, DarbouxError, ArithmeticError) as exc:
-        code, status, prefix = next((code, status, prefix)
-                                    for types, code, status, prefix in _FAILURES
-                                    if isinstance(exc, types))
-        return None, code, status, f"{prefix}: {exc}"
+        status, prefix = next((status, prefix) for types, status, prefix in _FAILURES
+                              if isinstance(exc, types))
+        return None, status, f"{prefix}: {exc}"
     if result.trajectory.singular_t is not None:
-        return (result, 3, "singular",
+        return (result, "singular",
                 f"singular dressing at t = {result.trajectory.singular_t:.6g}; "
                 "trajectory truncated")
     if not result.report.overall:
         failed = [c.name for c in result.report.checks if not c.passed]
-        return result, 1, "check_failed", f"checks failed: {', '.join(failed)}"
-    return result, 0, "ok", None
+        return result, "check_failed", f"checks failed: {', '.join(failed)}"
+    return result, "ok", None
 
 
 def _out_is_file(out_dir: str) -> bool:
@@ -611,13 +617,13 @@ def _out_is_file(out_dir: str) -> bool:
 def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
         seed_dump: bool = False) -> int:
     if _out_is_file(out_dir):
-        return 2
+        return _EXIT_CODES["config_error"]
     cfg, errors = _load_config(config_path)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
-        return 2
-    result, code, _, message = _attempt(read_scenario(cfg), tol_scale)
+        return _EXIT_CODES["config_error"]
+    result, status, message = _attempt(read_scenario(cfg), tol_scale)
     if result is not None:
         if seed_dump:
             # the lock's matrices, bit for bit
@@ -628,39 +634,36 @@ def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
         write_outputs(result, out_dir)
     if message is not None:
         print(message, file=sys.stderr)
-    return code
+    return _EXIT_CODES[status]
 
 
-def _check_value(report: VerificationReport, *names: str) -> float | None:
-    for check in report.checks:
-        if check.name in names:
-            return check.worst_value
-    return None
+def _sweep_row(index: int, param: str, value_repr: str, out_dir: str,
+               status: str, report: VerificationReport | None = None) -> dict:
+    # a point's summary.csv row; a point that failed before its checks has
+    # no report, and a value is empty without its check
+    worst = {c.name: _fmt(c.worst_value)
+             for c in (report.checks if report is not None else ())}
+    return {"index": index, "param": param, "value": value_repr,
+            "out_dir": out_dir, "status": status,
+            "overall": report is not None and report.overall,
+            "worst_residual": worst.get("residual", ""),
+            "worst_spectral_gap": worst.get("spectrum", worst.get("moments", ""))}
 
 
 def _run_sweep_point(args: tuple) -> dict:
     scenario, out_dir, tol_scale, param, value_repr, index = args
-    row = {"index": index, "param": param, "value": value_repr,
-           "out_dir": out_dir, "status": "ok", "overall": False,
-           "worst_residual": "", "worst_spectral_gap": ""}
-    result, _, row["status"], message = _attempt(scenario, tol_scale)
+    result, status, message = _attempt(scenario, tol_scale)
     if result is None:
         print(f"{param}={value_repr}: {message}", file=sys.stderr)
-        return row
+        return _sweep_row(index, param, value_repr, out_dir, status)
     write_outputs(result, out_dir)
-    report = result.report
-    row["overall"] = report.overall
-    res = _check_value(report, "residual")
-    gap = _check_value(report, "spectrum", "moments")
-    row["worst_residual"] = _fmt(res) if res is not None else ""
-    row["worst_spectral_gap"] = _fmt(gap) if gap is not None else ""
-    return row
+    return _sweep_row(index, param, value_repr, out_dir, status, result.report)
 
 
 def sweep(config_path: str, param: str, values, out_dir: str,
           jobs: int = 1, tol_scale: float = 1.0) -> int:
     if _out_is_file(out_dir):
-        return 2
+        return _EXIT_CODES["config_error"]
     cfg, errors = _load_config(config_path)
     if param not in ("mu", "t_max", "a"):
         errors = errors + [f"--param: unknown parameter {param!r}"]
@@ -673,7 +676,7 @@ def sweep(config_path: str, param: str, values, out_dir: str,
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
-        return 2
+        return _EXIT_CODES["config_error"]
 
     section = {"mu": "darboux", "t_max": "times", "a": "seed"}[param]
     points, rows_by_index = [], {}
@@ -694,11 +697,8 @@ def sweep(config_path: str, param: str, values, out_dir: str,
             # a failing point never aborts the sweep
             for e in sub_errors:
                 print(f"{param}={value_repr}: {e}", file=sys.stderr)
-            rows_by_index[idx] = {
-                "index": idx, "param": param, "value": value_repr,
-                "out_dir": sub_dir, "status": "config_error",
-                "overall": False, "worst_residual": "",
-                "worst_spectral_gap": ""}
+            rows_by_index[idx] = _sweep_row(idx, param, value_repr, sub_dir,
+                                            "config_error")
             continue
         points.append((scenario, sub_dir, tol_scale, param, value_repr, idx))
 
@@ -725,7 +725,8 @@ def sweep(config_path: str, param: str, values, out_dir: str,
     table.writerows([row[h] for h in header] for row in rows)
     atomic_write(os.path.join(out_dir, "summary.csv"), (text.getvalue(),))
 
-    return 0 if all(r["status"] == "ok" for r in rows) else 1
+    return _EXIT_CODES["ok" if all(r["status"] == "ok" for r in rows)
+                       else "check_failed"]
 
 
 def _parse_values(text: str, param: str) -> list:
@@ -781,7 +782,7 @@ def main(argv=None) -> int:
         values = _parse_values(args.values, args.param)
     except ValueError as exc:
         print(f"--values: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES["config_error"]
     return sweep(args.config, args.param, values, args.out,
                  jobs=args.jobs, tol_scale=args.tol_scale)
 

@@ -21,10 +21,17 @@ blocks and their exact derivatives of its ``Diagnostics``, at their
 dressing times: psi[1] and its derivative come from the psi generator and
 P', and the eigen and time equations are taken on the blocks of the
 dressing's ``partition``.  It dresses no point of its own.
+
+One rule (``_judged``) turns every check's per-sample values into its
+``CheckResult``: the check passes when every sample's value is within its
+limit (``value <= limit``, so a NaN fails), and it reports the largest
+value, the first on a tie, or, when some sample fails, the largest failing
+value, with that sample's limit and time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,28 +60,45 @@ class CheckResult:
 class VerificationReport:
     scenario_id: str
     checks: list
-    overall: bool = field(init=False)
     notes: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "overall", all(c.passed for c in self.checks))
+    @property
+    def overall(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        """The report as JSON values: a non-finite worst value or tolerance
+        (a singular dressing's infinity) is ``None``."""
         return {
             "scenario_id": self.scenario_id,
             "overall": self.overall,
             "checks": [
-                {"name": c.name, "pass": c.passed, "worst_value": c.worst_value,
-                 "tolerance": c.tolerance, "location_t": c.location_t}
+                {"name": c.name, "pass": c.passed,
+                 "worst_value": _finite(c.worst_value),
+                 "tolerance": _finite(c.tolerance), "location_t": c.location_t}
                 for c in self.checks
             ],
             "notes": self.notes,
         }
 
 
-def _worst(values, times):
-    idx = int(np.argmax(values))
-    return float(values[idx]), float(times[idx])
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def _judged(name: str, values: np.ndarray, limits, times) -> CheckResult:
+    # the one verdict rule (module docstring); ``limits`` is a scalar or one
+    # limit per sample
+    within = values <= limits
+    passed = bool(within.all())
+    if passed:
+        idx = int(values.argmax())
+    else:
+        failing = np.flatnonzero(~within)
+        idx = int(failing[values[failing].argmax()])
+    limit = limits[idx] if isinstance(limits, np.ndarray) else limits
+    return CheckResult(name=name, passed=passed, worst_value=float(values[idx]),
+                       tolerance=float(limit), location_t=float(times[idx]))
 
 
 def _per_sample(matrices: np.ndarray, dim: int, measure) -> np.ndarray:
@@ -125,7 +149,9 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
     (``rho_at.root.lax``), with its seed, parameters and tolerances, and
     the reference whose spectrum, moments and trace the samples keep
     (``Trajectory.reference``).  ``enabled`` maps names from ``CHECKS`` to
-    booleans.  Check failures become report entries, never exceptions.  A
+    booleans.  Check failures become report entries, never exceptions:
+    every entry comes from the one rule of the module docstring, so a check
+    fails when any one sample is over its limit.  A
     singular dressing at a point of the residual's stencil cuts ``traj`` in
     place at the first sample whose stencil holds it (``Trajectory.cut``),
     as ``dressed_trajectory`` cuts at a singular sample, and the checks run
@@ -148,24 +174,24 @@ def run_suite(traj: Trajectory, *, scenario_id: str = "scenario",
                 raise
             traj.cut(int(np.argmax(hit)))
     if traj.singular_t is not None:
-        checks.append(CheckResult(name="singularity", passed=False,
-                                  worst_value=float("inf"), tolerance=0.0,
-                                  location_t=float(traj.singular_t)))
+        checks.append(_judged("singularity", np.array([np.inf]), 0.0,
+                              [traj.singular_t]))
     return VerificationReport(scenario_id=scenario_id, checks=checks,
                               notes=notes or {})
 
 
 def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -> list:
+    times = traj.times
+    if not len(times):
+        return []
     flow = traj.rho_at
     lax = flow.root.lax
     seed, params, tolerances = lax.seed, lax.params, lax.tolerances
     dim = seed.dim
     ref = traj.reference
     herm = params.hermitian_mode
-    times = traj.times
     states = traj.states
-    have_samples = len(times) > 0
-    diags = traj.diagnostics if have_samples else None
+    diags = traj.diagnostics
 
     def on(name: str, default: bool = True) -> bool:
         if enabled is None:
@@ -174,50 +200,39 @@ def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -
 
     checks: list[CheckResult] = []
 
-    def add(name, worst, tol, loc):
-        checks.append(CheckResult(name=name, passed=bool(worst <= tol),
-                                  worst_value=float(worst), tolerance=float(tol),
-                                  location_t=loc))
+    def add(name, values, limits):
+        checks.append(_judged(name, values, limits, times))
 
-    if on("residual") and have_samples:
-        norms, tols = residuals(flow, times, states=states,
-                                tol_scale=residual_tol_scale,
-                                tolerances=tolerances)
-        worst_idx = int(np.argmax(norms))
-        add("residual", norms[worst_idx], tols[worst_idx], float(times[worst_idx]))
+    if on("residual"):
+        # the tolerance grows with each sample's norm: one limit per sample
+        add("residual", *residuals(flow, times, states=states,
+                                   tol_scale=residual_tol_scale,
+                                   tolerances=tolerances))
 
     if on("idempotency") and diags is not None:
         # the values the projector gates compared, at the absolute tolerance
-        worst, loc = _worst(diags.idempotency_gap, times)
-        add("idempotency", worst, tolerances.idempotency, loc)
-        worst, loc = _worst(diags.projector_trace_gap, times)
-        add("projector_trace", worst, tolerances.projector_trace, loc)
+        add("idempotency", diags.idempotency_gap, tolerances.idempotency)
+        add("projector_trace", diags.projector_trace_gap, tolerances.projector_trace)
 
     if on("form_gap") and diags is not None:
-        worst, loc = _worst(diags.form_gap, times)
-        add("form_gap", worst, tolerances.form_gap, loc)
+        add("form_gap", diags.form_gap, tolerances.form_gap)
 
-    if on("trace") and have_samples:
+    if on("trace"):
         ref_trace = complex(np.trace(ref))
-        vals = _per_sample(states, dim, lambda S: np.abs(
-            np.trace(S, axis1=-2, axis2=-1) - ref_trace))
-        worst, loc = _worst(vals, times)
-        add("trace", worst, tolerances.trace_match, loc)
+        add("trace", _per_sample(states, dim, lambda S: np.abs(
+            np.trace(S, axis1=-2, axis2=-1) - ref_trace)), tolerances.trace_match)
 
     if herm:
         # the dressing's own gaps and spectra when the checked states are
         # the dressed states; a flow's states get their own
         dressed = diags is not None and states is diags.rho1
-        if on("hermiticity") and have_samples:
-            vals = (diags.hermiticity_gap if dressed else
-                    _per_sample(states, dim, hermiticity_gaps))
-            worst, loc = _worst(vals, times)
-            add("hermiticity", worst, tolerances.hermiticity_gap, loc)
+        if on("hermiticity"):
+            add("hermiticity", diags.hermiticity_gap if dressed else
+                _per_sample(states, dim, hermiticity_gaps), tolerances.hermiticity_gap)
         ref_vals = _spectra(ref)
         seed_positive = float(ref_vals[0]) >= tolerances.positivity_floor
-        spectrum = on("spectrum") and have_samples
-        positivity = (on("positivity", default=seed_positive) and seed_positive
-                      and have_samples)
+        spectrum = on("spectrum")
+        positivity = on("positivity", default=seed_positive) and seed_positive
         if spectrum or positivity:
             # one spectrum per state serves both checks
             if dressed and diags.spectrum is not None:
@@ -225,25 +240,19 @@ def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -
             else:
                 eigs = _per_sample(states, dim, _spectra)
         if spectrum:
-            gaps = np.max(np.abs(eigs - ref_vals), axis=-1)
-            worst, loc = _worst(gaps, times)
-            add("spectrum", worst, tolerances.spectral_match, loc)
+            add("spectrum", np.max(np.abs(eigs - ref_vals), axis=-1),
+                tolerances.spectral_match)
         if positivity:
-            worst, loc = _worst(-eigs[:, 0], times)
-            add("positivity", worst, -tolerances.positivity_floor, loc)
-    else:
-        if on("moments") and have_samples:
-            ref_moments = trace_moments(ref, dim)
-            gaps = _per_sample(states, dim, lambda S: np.max(
-                np.abs(trace_moments(S, dim) - ref_moments), axis=-1))
-            worst, loc = _worst(gaps, times)
-            add("moments", worst, tolerances.moment_match, loc)
+            add("positivity", -eigs[:, 0], -tolerances.positivity_floor)
+    elif on("moments"):
+        ref_moments = trace_moments(ref, dim)
+        add("moments", _per_sample(states, dim, lambda S: np.max(
+            np.abs(trace_moments(S, dim) - ref_moments), axis=-1)),
+            tolerances.moment_match)
 
-    if params.lam is not None and on("covariance") and have_samples:
+    if params.lam is not None and on("covariance"):
         eig_gaps, teq_gaps = _covariance_gaps(traj)
-        worst, loc = _worst(eig_gaps, times)
-        add("covariance", worst, tolerances.covariance, loc)
-        worst, loc = _worst(teq_gaps, times)
-        add("time_equation", worst, tolerances.time_equation, loc)
+        add("covariance", eig_gaps, tolerances.covariance)
+        add("time_equation", teq_gaps, tolerances.time_equation)
 
     return checks

@@ -337,6 +337,60 @@ def test_a_singular_stencil_point_writes_the_truncated_outputs(tmp_path, capsys)
     assert lock["resolved"]["singular_t"] == -1.0
 
 
+def _strict_json(path):
+    # a JSON reader that takes no NaN or infinity
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+# every outcome: each exception type of each _FAILURES row, raised from
+# execute, then a singular stencil point, a failed check and a pass
+_OUTCOMES = [
+    *(pytest.param(raised, REFERENCE, status, prefix, id=raised.__name__)
+      for types, status, prefix in scenario_cli._FAILURES
+      for raised in (types if isinstance(types, tuple) else (types,))),
+    pytest.param(None, STENCIL_SINGULAR, "singular",
+                 "singular dressing at t = -1; trajectory truncated", id="stencil-singular"),
+    pytest.param(None, {**DELTA, "tolerances": {"spectral_match": 1e-30}}, "check_failed",
+                 "checks failed: spectrum", id="check-failed"),
+    pytest.param(None, REFERENCE, "ok", None, id="ok"),
+]
+
+
+def test_the_exit_code_table():
+    assert scenario_cli._EXIT_CODES == {"ok": 0, "check_failed": 1,
+                                        "config_error": 2, "singular": 3}
+
+
+@pytest.mark.parametrize("raised, cfg, status, prefix", _OUTCOMES)
+def test_every_outcome_takes_its_code_and_status_from_the_table(
+        tmp_path, capsys, monkeypatch, raised, cfg, status, prefix):
+    if raised is not None:
+        def execute(scenario, tol_scale=1.0):
+            raise raised("planted")
+        monkeypatch.setattr(scenario_cli, "execute", execute)
+    config = _write(tmp_path, cfg)
+    assert main(["run", config, "--out", str(tmp_path / "run")]) == \
+        scenario_cli._EXIT_CODES[status]
+    err = capsys.readouterr().err.splitlines()
+    if prefix is None:
+        assert err == []
+    else:
+        assert err[0].startswith(prefix)
+    t_max = str(cfg["times"]["t_max"])
+    code = main(["sweep", config, "--param", "t_max", "--values", t_max,
+                 "--jobs", "1", "--out", str(tmp_path / "sweep")])
+    assert code == (0 if status == "ok" else 1)
+    with open(tmp_path / "sweep" / "summary.csv", newline="") as handle:
+        assert [row["status"] for row in csv.DictReader(handle)] == [status]
+    # a report is written whenever the checks ran, and is strict JSON
+    reports = sorted(tmp_path.rglob("report.json"))
+    assert len(reports) == (0 if raised is not None else 2)
+    for path in reports:
+        _strict_json(path)
+
+
 @pytest.mark.parametrize("y", [-2.0, 2.0])
 def test_a_singular_stencil_point_cuts_at_its_sample(tmp_path, capsys,
                                                     monkeypatch, y):
@@ -363,7 +417,7 @@ def test_a_singular_stencil_point_cuts_at_its_sample(tmp_path, capsys,
     assert times.tobytes() == grid[:8].tobytes() and len(states) == 8
     report = json.loads((out / "report.json").read_text())
     assert report["checks"][-1] == {"name": "singularity", "pass": False,
-                                    "worst_value": float("inf"), "tolerance": 0.0,
+                                    "worst_value": None, "tolerance": 0.0,
                                     "location_t": grid[8]}
     assert all(c["pass"] for c in report["checks"][:-1])
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SX, SZ, PlantedError, rk4_ode, whole_projectors
 from vndarboux import (DEFAULT, DressedFlow, ModelSpec, RescaledFlow,
@@ -141,6 +142,88 @@ def test_suite_check_toggle():
     traj = dressed_trajectory(DressedFlow(lax), [0.0, 1.0])
     report = run_suite(traj, enabled={"residual": False})
     assert "residual" not in {c.name for c in report.checks}
+
+
+def test_a_residual_over_its_limit_at_one_sample_fails():
+    # the residual's limit grows like ||rho(t)||_F^5: at t = -0.6 the planted
+    # error's norm, 7.07e3, is far inside its limit, and at t = 0, where the
+    # state is the dressing's own, the same norm is over its limit of 1e-6
+    seed = make_delta_commuting_seed([(0.3, 0.2), (-0.5, 0.3)], a=0.8)
+    lax = build_lax(seed, 0.3 + 0.8j, lam=3j)
+    flow = PlantedError(DressedFlow(lax), np.diag([0.0, 0.0, 5e3, -5e3]))
+    report = run_suite(dressed_trajectory(flow, np.linspace(-2.0, 2.0, 21)))
+    residual = next(c for c in report.checks if c.name == "residual")
+    assert not residual.passed
+    assert residual.location_t == 0.0 and residual.tolerance == 1e-6
+    assert residual.worst_value == pytest.approx(5e3 * np.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule
+
+TIMES = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("values", [
+    [1e-12, 3e-12, 2e-12, 0.0, 1e-13],      # every sample passes
+    [1e-12, 3e-9, 2e-12, 5e-9, 1e-13],      # two fail, the larger reported
+    [-1.0, -2.0, -0.5, -3.0, -1.5],         # negative values (positivity)
+    [np.inf, 0.0, 0.0, 0.0, 0.0],           # a singular dressing's entry
+])
+def test_a_scalar_limit_reports_the_largest_value(values):
+    values = np.array(values)
+    idx = int(np.argmax(values))
+    check = verification._judged("gap", values, 1e-9, TIMES)
+    assert check == verification.CheckResult(
+        name="gap", passed=bool(values[idx] <= 1e-9), worst_value=values[idx],
+        tolerance=1e-9, location_t=TIMES[idx])
+
+
+def test_per_sample_limits_report_the_largest_failing_value():
+    # the largest value passes its limit; two smaller ones fail theirs
+    values = np.array([5.0, 7.0, 3.0, 6.0, 1.0])
+    limits = np.array([10.0, 1e6, 1.0, 2.0, 10.0])
+    check = verification._judged("residual", values, limits, TIMES)
+    assert not check.passed
+    assert (check.worst_value, check.tolerance, check.location_t) == (6.0, 2.0, TIMES[3])
+
+
+def test_a_nan_fails_and_the_first_nan_is_reported():
+    values = np.array([1e-12, np.nan, 2e-12, np.nan, 1e-13])
+    check = verification._judged("trace", values, 1e-9, TIMES)
+    assert not check.passed
+    assert np.isnan(check.worst_value) and check.location_t == TIMES[1]
+    # also among per-sample limits that pass a larger value
+    limits = np.full(5, 1e-9)
+    limits[0] = 1.0
+    values[0] = 0.5
+    check = verification._judged("residual", values, limits, TIMES)
+    assert np.isnan(check.worst_value) and check.location_t == TIMES[1]
+
+
+@pytest.mark.parametrize("limit", [1.0, 1e-9])
+def test_a_tie_reports_the_first_sample(limit):
+    values = np.array([0.0, 0.5, 0.2, 0.5, 0.5])
+    check = verification._judged("gap", values, limit, TIMES)
+    assert check.passed is (limit == 1.0)
+    assert (check.worst_value, check.location_t) == (0.5, TIMES[1])
+
+
+_sample = st.floats(allow_nan=True, allow_infinity=True, width=32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_sample, _sample), min_size=1, max_size=8), st.booleans())
+def test_a_check_passes_exactly_when_every_sample_is_within_its_limit(pairs, scalar):
+    values = np.array([v for v, _ in pairs])
+    limits = pairs[0][1] if scalar else np.array([l for _, l in pairs])
+    check = verification._judged("gap", values, limits, np.arange(len(values), dtype=float))
+    within = values <= limits
+    assert check.passed == bool(np.all(within))
+    # the reported sample is one of the failing samples when the check fails
+    idx = int(check.location_t)
+    assert check.passed or not within[idx]
+    assert check.worst_value == values[idx] or np.isnan(values[idx])
 
 
 def test_trajectory_validation():
