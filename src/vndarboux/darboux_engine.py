@@ -43,9 +43,11 @@ for a dense seed J is every index.  States are evaluated as their blocks
 on a partition no finer than the flow's (``operator_core.partition``: the
 components of A, rho0 and the seed's generator, with J as one part),
 ``(N, B, b, b)``: the seed's blocks, with ``rho1_J`` written into J's part.
-Whole states are the one whole block, ``B = 1``; only the residual's
-stencil ring takes finer blocks.  When the parts differ in size or the
-seed's generator is not diagonal the flow's partition is one whole block.
+Whole states are the one whole block, ``B = 1``.  The samples and the
+residual's stencil ring are dressed on the partition of the flow that
+samples them.  When the parts differ in size, the seed's generator is not
+diagonal or rho0 holds a ``-0.0`` off the parts, the flow's partition is
+one whole block.
 For an exactly diagonal A, as every seed family builds it, ``[P, A_J]``
 scales P's entries by A's diagonal instead of multiplying matrices.  Every
 gate (overlap floor, idempotency, projector trace, ``t_equality``,
@@ -60,12 +62,15 @@ closed-form eigen-split; otherwise, and for any P a caller hands in, from
 the first two take whole matrices.  ``dressed_trajectory(flow, times)``
 samples a ``DressedFlow`` or a symmetry flow of one: it cuts the sample grid
 into blocks (``time_blocks``, sized by the full and the support
-matrices a point holds), records each block in a ``Diagnostics`` of
-per-sample arrays (dressed states, the projectors' ``J x J`` blocks and
-their exact time derivatives, the gates' values and other scalar
-diagnostics) and joins the blocks' states and records field by field into
-one ``Trajectory``.  The derivatives need no second dressing: phi, chi and
-psi evolve by factored generators, so ``phi' = -i G phi``,
+matrices a point holds), dresses each block on the flow's partition,
+records it in a ``Diagnostics`` of per-sample arrays (dressed states, the
+projectors' ``J x J`` blocks and their exact time derivatives, the gates'
+values and other scalar diagnostics, the Hermiticity gaps and spectra
+read from the states' blocks) and joins the blocks' states and records
+field by field into one ``Trajectory``.  The whole ``(N, d, d)`` states
+are assembled once from their blocks (``operator_core.whole_of``).  The
+derivatives need no second dressing: phi, chi and psi evolve by factored
+generators, so ``phi' = -i G phi``,
 ``chi' = +i chi G_nu`` and ``psi' = +i psi G_lambda``, and P' follows by the
 quotient rule from the rows each sample was dressed with
 (``DressedFlow.projector_rates``).  Under a symmetry flow
@@ -90,7 +95,8 @@ from .lax_engine import LaxSolution, hermitian_pairing, require_nonzero
 from .operator_core import (as_operator, as_state, block_matmul, commutator,
                             components, coupling, dagger, frob_stack,
                             hermitian_spectra, hermiticity_gaps, mat_exp,
-                            off_diagonal, partition, row_matmul, time_blocks)
+                            off_blocks, off_diagonal, partition, row_matmul,
+                            time_blocks, whole_of)
 from .seed_factory import SeedFamily, SeedSolution
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
@@ -468,10 +474,11 @@ class DressedFlow(Flow):
     chi0 meet.  Projectors, T and every gate are computed on ``J x J``.
     ``partition`` is the components of the pattern of A, rho0 and the
     seed's generator with J as one part (``operator_core.partition``): a
-    dressed state is its seed state's blocks with J's block replaced.  It
-    is one whole block when the parts differ in size, when the seed's
-    generator is not diagonal (its similarity does not act on blocks), and
-    for a dense seed, where J is every index.
+    dressed state is its seed state's blocks with J's block replaced, and
+    ``+0.0`` off them.  It is one whole block when the parts differ in
+    size, when the seed's generator is not diagonal (its similarity does
+    not act on blocks), when rho0 holds a ``-0.0`` off the parts, and for a
+    dense seed, where J is every index.
     """
 
     def __init__(self, lax: LaxSolution):
@@ -488,7 +495,9 @@ class DressedFlow(Flow):
         # the generators of phi and, outside hermitian mode, chi on J x J
         self._generators = [_block(G, self.support) for G in lax.generators]
         self.partition = partition(coupling(seed.dim, states, [self.support]))
-        if any(off_diagonal(G) for G in seed.generators):
+        # a state holds +0.0 off its blocks only if rho0 does
+        if (any(off_diagonal(G) for G in seed.generators)
+                or np.signbit(off_blocks(seed.rho0, self.partition).view(float)).any()):
             self.partition = np.arange(seed.dim)[None]
 
     def _rows(self, times):
@@ -656,10 +665,15 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
 
     The grid is evaluated block by block (``time_blocks``, which depend on
     the grid and the flow's support alone; an empty grid is one empty
-    block), each block's states as the one whole block of
-    ``DressedFlow.evaluate``.  Each block fills its own ``Diagnostics``,
-    and the states and the records are joined field by field when the grid
-    has more than one block.  ``P`` holds the projectors as their blocks on
+    block), each block's states as their blocks on ``flow.partition``
+    (``DressedFlow.evaluate``), mapped there by the flow, and assembled
+    whole once (``whole_of``), each entry off the blocks what the flow's
+    maps make of a zero (``Flow.finish_off_blocks``).  The Hermiticity
+    gaps and the spectra are read from the dressed blocks, bit for bit
+    what ``hermiticity_gaps`` and ``hermitian_spectra`` give the whole
+    states.  Each block fills its own ``Diagnostics``, and the states and
+    the records are joined field by field when the grid has more than one
+    block.  ``P`` holds the projectors as their blocks on
     the dressing's support J, with the values their gates compared, and
     ``P_dot`` their exact derivatives, from the rows each sample was
     dressed with (``DressedFlow.projector_rates``); no point beside the
@@ -682,27 +696,31 @@ def dressed_trajectory(flow: Flow, times) -> Trajectory:
     at = flow.source_times(times)
     herm = params.hermitian_mode
     with_f = seed.family is SeedFamily.DELTA_COMMUTING and herm
-    whole = np.arange(seed.dim)[None]
+    parts = np.arange(seed.dim)[None] if flow.partition is None else flow.partition
     states, records = [], []
     singular_t = None
     for block in (time_blocks(len(times), seed.dim, support=dressing.support_size)
                   or [slice(0, 0)]):
         t = at[block]
-        dressed = dressing.evaluate(t, whole)
+        dressed = dressing.evaluate(t, parts)
         failure = dressed.failure
         done = len(t) if failure is None else failure[0]
-        rho1 = dressed.rho1[:done, 0]
+        blocks = dressed.rho1[:done]
+        rho1 = whole_of(blocks, parts)
         if flow is not dressing:
-            states.append(flow.finish(times[block][:done], dressed.rho1[:done], whole)[:, 0])
+            sampled = times[block][:done]
+            states.append(whole_of(
+                flow.finish(sampled, blocks, parts), parts,
+                flow.finish_off_blocks(sampled, np.zeros(done, dtype=complex))))
         P_dot = dressing.projector_rates(dressed)[:done]
         records.append(Diagnostics(
             rho1=rho1, P=dressed.P[:done], P_dot=P_dot, phi_norm=dressed.phi_norm[:done],
-            form_gap=dressed.form_gap[:done], hermiticity_gap=hermiticity_gaps(rho1),
+            form_gap=dressed.form_gap[:done], hermiticity_gap=hermiticity_gaps(blocks, parts),
             idempotency_gap=dressed.idempotency_gap[:done],
             projector_trace_gap=dressed.projector_trace_gap[:done],
             F_value=f_value(seed, params.mu, lax.phi0, t[:done]) if with_f else None,
             p_dot_norm=frob_stack(P_dot),
-            spectrum=hermitian_spectra(rho1) if herm else None))
+            spectrum=hermitian_spectra(rho1, blocks) if herm else None))
         if failure is not None:
             index, error = failure
             if not isinstance(error, SingularDarboux):

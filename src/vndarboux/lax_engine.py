@@ -260,7 +260,8 @@ def build_lax(seed: SeedSolution, mu: complex, nu: complex | None = None,
                         tolerances)
     if herm:
         z_nu = np.conj(z_mu)
-        chi0 = np.conj(phi0)
+        # conj turns an imaginary +0.0 into -0.0: the zeros stay +0.0
+        chi0 = np.conj(phi0) + 0.0
     else:
         z_nu, chi0 = pinned("z_nu_pin", solve_initial_left, seed, nu,
                             z_nu_pin, tolerances)

@@ -8,9 +8,11 @@ time point; ``as_operators``, ``mat_exp``, ``trace_moments`` and
 stack holds from the whole and the support-sized matrices a point holds.
 A ``partition`` of the indices into equal parts, on which operators are
 block-diagonal, lets a stack of states be read as the ``(N, B, b, b)``
-stack of its diagonal blocks (``blocks_of``); ``hermitian_spectra`` takes
-a stack's spectra on the blocks of its own nonzero pattern, and
-``hermiticity_gaps`` measures whole states.
+stack of its diagonal blocks (``blocks_of``), and the blocks as the whole
+matrices again (``whole_of``); ``hermitian_spectra`` takes a stack's
+spectra on the blocks of its own nonzero pattern, and ``hermiticity_gaps``
+measures whole states, both also from the blocks of a partition.  A
+pencil's null vector is eliminated on the block that holds its root.
 Nothing here mutates its inputs, so every function is safe to
 call from multiple threads.
 
@@ -104,13 +106,15 @@ def coupling(dim: int, operators, parts=()) -> np.ndarray:
 
 
 def components(coupled: np.ndarray) -> np.ndarray:
-    """The connected components of a symmetric pattern: each index labelled
-    by the smallest index of its component."""
-    label = np.arange(len(coupled))
+    """The connected components of a symmetric pattern, or of each pattern
+    of a stack ``(..., m, m)``: each index labelled by the smallest index of
+    its component."""
+    m = coupled.shape[-1]
+    label = np.broadcast_to(np.arange(m), coupled.shape[:-1])
     while True:
-        grown = np.where(coupled, label, len(label)).min(axis=1)
+        grown = np.where(coupled, label[..., None, :], m).min(axis=-1)
         if np.array_equal(grown, label):
-            return label
+            return grown
         label = grown
 
 
@@ -121,10 +125,12 @@ def partition(coupled: np.ndarray) -> np.ndarray:
     the parts act on a stack of states as one ``(N, B, b, b)`` stack of
     their diagonal blocks."""
     label = components(coupled)
-    parts = [np.flatnonzero(label == k) for k in np.flatnonzero(label == np.arange(len(label)))]
-    if len({len(part) for part in parts}) > 1:
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0]
+    if (sizes != sizes[0]).any():
         return np.arange(len(coupled))[None]
-    return np.array(parts)
+    # a stable sort groups the indices by label, each group in order
+    return np.argsort(label, kind="stable").reshape(len(sizes), sizes[0])
 
 
 def blocks_of(M: np.ndarray, parts: np.ndarray) -> np.ndarray:
@@ -133,6 +139,29 @@ def blocks_of(M: np.ndarray, parts: np.ndarray) -> np.ndarray:
     if len(parts) == 1:
         return M[..., None, :, :]
     return np.ascontiguousarray(M[..., parts[:, :, None], parts[:, None, :]])
+
+
+def whole_of(blocks: np.ndarray, parts: np.ndarray, fill=None) -> np.ndarray:
+    """The block-diagonal matrices ``(..., d, d)`` whose diagonal blocks on
+    ``parts`` are ``blocks`` (``blocks_of`` in reverse), each entry off the
+    blocks ``+0.0`` or, per matrix, ``fill``; one whole block is a view."""
+    if len(parts) == 1:
+        return blocks[..., 0, :, :]
+    shape = blocks.shape[:-3] + (parts.size, parts.size)
+    if fill is None:
+        whole = np.zeros(shape, dtype=blocks.dtype)
+    else:
+        whole = np.empty(shape, dtype=blocks.dtype)
+        whole[...] = fill[..., None, None]
+    whole[..., parts[:, :, None], parts[:, None, :]] = blocks
+    return whole
+
+
+def off_blocks(M: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The entries of a matrix off its diagonal blocks on ``parts``."""
+    inside = np.zeros(M.shape, dtype=bool)
+    inside[parts[:, :, None], parts[:, None, :]] = True
+    return M[~inside]
 
 
 def groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,25 +274,29 @@ def frob_stack(M) -> np.ndarray:
     return np.sqrt(np.add.reduce((M.conj() * M).real, axis=(-2, -1)))
 
 
-def hermitian_spectra(S: np.ndarray) -> np.ndarray:
+def hermitian_spectra(S: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part ``(S + S^dag)/2`` of a
     matrix or of each matrix of a stack.
 
     The stack is split on its own nonzero pattern (``partition`` of the
     components of the entries nonzero in some matrix), so no nonzero entry
-    is left out.  Each block's eigenvalues come in closed form at 2 x 2
-    (``m +- hypot(h, |b|)``) and from one batched ``eigvalsh`` otherwise,
-    and are sorted together: round-off away from ``eigvalsh`` of the whole
-    matrix.  A dense stack, or one whose components differ in size, is one
-    block, and its spectra are ``eigvalsh``'s bit for bit.
+    is left out.  ``blocks`` are S's diagonal blocks ``(..., B, b, b)`` on
+    a partition that S is block-diagonal on (``blocks_of``); when the
+    pattern of each block is connected, they are that split, and they are
+    read in place of S.  Each block's eigenvalues come in closed form at
+    2 x 2 (``m +- hypot(h, |b|)``) and from one batched ``eigvalsh``
+    otherwise, and are sorted together: round-off away from ``eigvalsh``
+    of the whole matrix.  A dense stack, or one whose components differ in
+    size, is one block, and its spectra are ``eigvalsh``'s bit for bit.
     """
     dim = S.shape[-1]
-    parts = partition(coupling(dim, [S.reshape(-1, dim, dim).any(axis=0)]))
-    if len(parts) == 1:
+    if blocks is None or blocks.shape[-3] == 1 or components(_coupled(blocks)).any():
+        parts = partition(coupling(dim, [S.reshape(-1, dim, dim).any(axis=0)]))
+        blocks = blocks_of(S, parts)
+    if blocks.shape[-3] == 1:
         return np.linalg.eigvalsh((S + dagger(S)) / 2)
-    blocks = blocks_of(S, parts)
     H = (blocks + dagger(blocks)) / 2
-    if parts.shape[1] == 2:
+    if blocks.shape[-1] == 2:
         a, d = H[..., 0, 0].real, H[..., 1, 1].real
         m, r = (a + d) / 2, np.hypot((a - d) / 2, np.abs(H[..., 0, 1]))
         values = np.stack([m - r, m + r], axis=-1)
@@ -272,9 +305,25 @@ def hermitian_spectra(S: np.ndarray) -> np.ndarray:
     return np.sort(values.reshape(S.shape[:-2] + (dim,)), axis=-1)
 
 
-def hermiticity_gaps(S: np.ndarray) -> np.ndarray:
-    """``||S - S^dag||_F`` of each matrix of a stack."""
-    return frob_stack(S - dagger(S))
+def _coupled(blocks: np.ndarray) -> np.ndarray:
+    # the coupling pattern (B, b, b) of the entries of a stack of blocks
+    # (..., B, b, b) nonzero in some matrix
+    nonzero = blocks.reshape((-1,) + blocks.shape[-3:]).any(axis=0)
+    return nonzero | np.swapaxes(nonzero, -1, -2) | np.eye(blocks.shape[-1], dtype=bool)
+
+
+def hermiticity_gaps(S: np.ndarray, parts: np.ndarray | None = None) -> np.ndarray:
+    """``||S - S^dag||_F`` of each matrix of a stack.  With ``parts``, S
+    holds the diagonal blocks ``(..., B, b, b)`` on ``parts`` of
+    block-diagonal matrices: the squares of their entries are summed where
+    the whole matrices hold them, between zeros, so that the sum rounds as
+    the whole matrices' does, bit for bit."""
+    gap = S - dagger(S)
+    if parts is None or len(parts) == 1:
+        return frob_stack(gap if parts is None else gap[..., 0, :, :])
+    squares = np.zeros(S.shape[:-3] + (parts.size, parts.size))
+    squares[..., parts[:, :, None], parts[:, None, :]] = (gap.conj() * gap).real
+    return np.sqrt(np.add.reduce(squares, axis=(-2, -1)))
 
 
 def is_hermitian(M, eps: float = DEFAULT.hermiticity) -> bool:
@@ -532,9 +581,46 @@ def select_root(roots: np.ndarray, pin: complex | None) -> complex:
     return z
 
 
+def _eliminate(U: np.ndarray, scale: float):
+    # Full-pivot Gaussian elimination of each matrix of a stack (k, m, m),
+    # in place.  The pivot is the first largest |entry| of what is left, in
+    # row-major order, and a matrix stops at a pivot within _PIVOT_RTOL *
+    # scale.  Returns each matrix's column order, its pivots' magnitudes,
+    # its rank and whether some pivot was tied with another entry as large
+    count, m = U.shape[:2]
+    index = np.arange(count)
+    columns = np.tile(np.arange(m), (count, 1))
+    tops = np.zeros((count, m))
+    rank = np.zeros(count, dtype=int)
+    tied = np.zeros(count, dtype=bool)
+    for step in range(m):
+        sub = np.abs(U[:, step:, step:]).reshape(count, -1)
+        flat = sub.argmax(axis=1)
+        tops[:, step] = top = sub[index, flat]
+        live = (rank == step) & (top > _PIVOT_RTOL * scale)
+        if not live.any():
+            break
+        tied |= live & ((sub == top[:, None]).sum(axis=1) > 1)
+        rank += live
+        if step == m - 1:
+            break
+        # the pivot's row and column swapped into place; a matrix that has
+        # stopped swaps nothing and subtracts zeros
+        i, j = np.divmod(flat * live, m - step)
+        i, j = i + step, j + step
+        U[index, step], U[index, i] = U[index, i], U[index, step]
+        U[index, :, step], U[index, :, j] = U[index, :, j], U[index, :, step]
+        columns[index, step], columns[index, j] = columns[index, j], columns[index, step]
+        factors = U[:, step + 1:, step] / np.where(live, U[:, step, step], 1)[:, None]
+        U[:, step + 1:] -= (factors * live[:, None])[:, :, None] * U[:, step, None, :]
+    return columns, tops, rank, tied
+
+
 def _null_vector(B: np.ndarray) -> np.ndarray | None:
-    # Deterministic null vector by full-pivot Gaussian elimination; the first
-    # free (permuted) coordinate is set to 1 and pivots back-substituted.
+    # Deterministic null vector by full-pivot Gaussian elimination of the
+    # whole matrix, the one-matrix case of ``_eliminate`` without its
+    # bookkeeping; the first free (permuted) coordinate is set to 1 and
+    # pivots back-substituted.  None when B has full rank
     n = B.shape[0]
     U = np.array(B, dtype=complex)
     colperm = np.arange(n)
@@ -553,12 +639,75 @@ def _null_vector(B: np.ndarray) -> np.ndarray | None:
         rank += 1
     if rank == n:
         return None
-    x = np.zeros(n, dtype=complex)
-    x[rank] = 1.0
-    for r in range(rank - 1, -1, -1):
-        x[r] = -(U[r, r + 1:] @ x[r + 1:]) / U[r, r]
+    return _back_substituted(U, colperm, rank, np.arange(n), n)
+
+
+def _root_block_vector(B: np.ndarray, parts: np.ndarray) -> np.ndarray | None:
+    # The null vector of a singular B that is block-diagonal on ``parts``,
+    # eliminated on the one block that is singular, bit for bit in its
+    # entries what ``_null_vector`` gives B, and zero elsewhere.  That
+    # elimination takes each block's pivots in its own order, interleaved
+    # with the other blocks' by their size, and leaves its one free column
+    # last.  None when the whole elimination must decide: one part, no
+    # singular block or more than one, a block short of more than one
+    # pivot, or a tie that the whole matrix's row order would break
+    if len(parts) == 1:
+        return None
+    n, m = B.shape[0], parts.shape[1]
+    U = blocks_of(B, parts)
+    columns, tops, rank, tied = _eliminate(U, max(1.0, float(np.abs(B).max())))
+    singular = np.flatnonzero(rank < m)
+    if len(singular) != 1 or rank[singular[0]] != m - 1 or tied[singular[0]]:
+        return None
+    k = int(singular[0])
+    # a row with at most one term beside its pivot sums the same in any
+    # layout; a longer one is summed where the whole elimination put it
+    at = np.arange(m) if m <= 2 else _pivot_steps(tops, rank, k, tied)
+    if at is None:
+        return None
     v = np.zeros(n, dtype=complex)
-    v[colperm] = x
+    v[parts[k]] = _back_substituted(U[k], columns[k], m - 1, at, at[-1] + 1)
+    return v
+
+
+def _pivot_steps(tops: np.ndarray, rank: np.ndarray, k: int,
+                 tied: np.ndarray) -> np.ndarray | None:
+    # the steps at which the elimination of the whole block-diagonal matrix
+    # takes block k's pivots, then its free column: each step takes the
+    # block whose next pivot is largest.  None on a tie, within a block or
+    # between blocks
+    if tied.any():
+        return None
+    heads = [top[:r] for top, r in zip(tops.tolist(), rank.tolist())]
+    taken = [0] * len(heads)
+    steps = []
+    for step in range(int(rank.sum())):
+        nexts = [h[t] if t < len(h) else -1.0 for h, t in zip(heads, taken)]
+        top = max(nexts)
+        if nexts.count(top) > 1:
+            return None
+        block = nexts.index(top)
+        if block == k:
+            steps.append(step)
+        taken[block] += 1
+    return np.array(steps + [int(rank.sum())])
+
+
+def _back_substituted(U: np.ndarray, columns: np.ndarray, rank: int,
+                      at: np.ndarray, n: int) -> np.ndarray:
+    # the null vector of an eliminated matrix U: its first free coordinate
+    # set to 1 and its pivots back-substituted, each row's sum taken with
+    # column c of U at position at[c] of an n-wide row, as the elimination
+    # of that row laid them out
+    rows = np.zeros((rank, n), dtype=complex)
+    rows[:, at] = U[:rank]
+    x = np.zeros(n, dtype=complex)
+    x[at[rank]] = 1.0
+    for r in range(rank - 1, -1, -1):
+        p = at[r]
+        x[p] = -(rows[r, p + 1:] @ x[p + 1:]) / U[r, r]
+    v = np.zeros(len(columns), dtype=complex)
+    v[columns] = x[at]
     return v
 
 
@@ -583,7 +732,12 @@ def eig_pair_general(M, pin: complex | None = None,
     root than half its distance to the next distinct root raises ``FarPin``
     (a ``ValueError``).  The eigenvector is a deterministic null vector of
     ``M - zI`` (full-pivot elimination) with its first significant component
-    made real positive.
+    made real positive.  When M is block-diagonal on equal parts
+    (``partition``) and one block is singular at z, one pivot short, only
+    that block is eliminated: the vector's entries there are bit for bit
+    the elimination of the whole matrix's, and every other entry is
+    ``+0.0``.  A dense M, parts of different sizes, a root that more than
+    one block holds, and pivots tied in size keep the whole elimination.
 
     Raises
     ------
@@ -597,11 +751,17 @@ def eig_pair_general(M, pin: complex | None = None,
     if n > DIM_CAP:
         raise ValueError(f"dimension {n} exceeds the configured cap {DIM_CAP}")
     z = select_root(np.linalg.eigvals(M), pin)
-    v = _null_vector(M - z * np.eye(n))
-    if v is None:
-        raise DefectiveEigenproblem(
-            f"no null direction found for eigenvalue z = {z}")
-    v = canonical_phase(v)
+    B = M - z * np.eye(n)
+    v = _root_block_vector(B, partition(coupling(n, [M])))
+    if v is not None:
+        # its zeros +0.0, whatever sign the phase gives them
+        v = canonical_phase(v) + 0.0
+    else:
+        v = _null_vector(B)
+        if v is None:
+            raise DefectiveEigenproblem(
+                f"no null direction found for eigenvalue z = {z}")
+        v = canonical_phase(v)
     residual = float(np.linalg.norm(M @ v - z * v))
     if residual > tolerances.eig_pair_residual * max(frob(M), 1e-30):
         raise DefectiveEigenproblem(

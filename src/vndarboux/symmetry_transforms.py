@@ -16,10 +16,12 @@ the model of the flow they transform (its ``spec``): the shift generator
 ``(n+1) X A^n`` is factored once (``NormalExp``), and the flow beneath the
 chain (its ``root``) is evaluated once per stack, at the times
 ``source_times`` maps the stack to, as the blocks of a partition no finer
-than the chain's (whole states unless the residual's stencil ring
-asks for blocks); ``finish`` then applies every transform to those blocks,
-entry by entry.  ``dressed_trajectory`` dresses the samples of a chain
-through the same two maps, on one whole block.  Each transforms a
+than the chain's; ``finish`` then applies every transform to those blocks,
+entry by entry, and ``finish_off_blocks`` to the entries off them.
+``dressed_trajectory`` dresses the samples of a chain through the same two
+maps, on the chain's partition, as the residual's stencil ring is.  A
+shift whose X holds zeros of both signs off the parts takes one whole
+block.  Each transforms a
 ``Flow``; calling the flows that ``shifted_flow``/``rescaled_flow`` return
 at one time is the one-point case.
 """
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import UnnormalizableError
 from .operator_core import (NormalExp, as_operator, block_matmul, blocks_of,
                             coupling, eig_hermitian, frob, frob_stack,
-                            is_hermitian, off_diagonal, partition)
+                            is_hermitian, off_blocks, off_diagonal, partition)
 from .tolerances import DEFAULT, Tolerances
 from .vne_model import Flow
 
@@ -69,6 +71,15 @@ class _Transform(Flow):
         inner = self._inner(times)
         return self._apply(times, self._source.finish(inner, blocks, parts), parts)
 
+    def finish_off_blocks(self, times, values: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        inner = self._inner(times)
+        return self._apply_off_blocks(times, self._source.finish_off_blocks(inner, values))
+
+    def _apply_off_blocks(self, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # a map that adds zeros off the blocks keeps the entries there
+        return values
+
     def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
         parts = self.partition if parts is None else parts
         return self.finish(times, self.root.blocks(self.source_times(times), parts), parts)
@@ -92,11 +103,18 @@ class ShiftedFlow(_Transform):
         X = as_operator(X)
         _check_commutes(X[None], spec.A[None], tolerances.seed_structure, "A")
         factor = NormalExp((spec.n + 1) * (X @ spec.powers[spec.n]), tolerances)
-        parts = np.arange(spec.dim)[None]
+        whole = parts = np.arange(spec.dim)[None]
         if source.partition is not None and not off_diagonal(factor.G):
             parts = partition(coupling(spec.dim, (X,), source.partition))
+        # X's zeros off the blocks must be one value, which every state
+        # off its blocks gets at t = 0
+        off = off_blocks(X, parts)
+        bits = off.view(np.uint64).reshape(-1, 2)
+        if (bits != bits[:1]).any():
+            parts = whole
         super().__init__(source, parts)
         self._X = X
+        self._X_off = complex(off[0]) if len(off) else 0j
         self._factor = factor
         self._gate = tolerances.seed_structure
 
@@ -108,6 +126,11 @@ class ShiftedFlow(_Transform):
         if len(blocks):
             _check_commutes(X, blocks[0], self._gate, "rho(0)")
         return self._factor.similarity(blocks + X, -1j * times, parts)
+
+    def _apply_off_blocks(self, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # an entry zero at every time is +0.0 but at t = 0, where the
+        # similarity is the identity
+        return np.where(times == 0, values + self._X_off, 0.0)
 
 
 class RescaledFlow(_Transform):
@@ -125,6 +148,9 @@ class RescaledFlow(_Transform):
 
     def _apply(self, times: np.ndarray, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
         return self._Y * blocks
+
+    def _apply_off_blocks(self, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return self._Y * values
 
 
 def shifted_flow(source: Flow, X: np.ndarray,

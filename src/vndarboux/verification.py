@@ -224,11 +224,14 @@ def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -
 
     if herm:
         # the dressing's own gaps and spectra when the checked states are
-        # the dressed states; a flow's states get their own
+        # the dressed states; a flow's states get their own, from their
+        # blocks on the flow's partition
         dressed = diags is not None and states is diags.rho1
+        parts = np.arange(dim)[None] if flow.partition is None else flow.partition
         if on("hermiticity"):
-            add("hermiticity", diags.hermiticity_gap if dressed else
-                _per_sample(states, dim, hermiticity_gaps), tolerances.hermiticity_gap)
+            add("hermiticity", diags.hermiticity_gap if dressed else _per_sample(
+                states, dim, lambda S: hermiticity_gaps(blocks_of(S, parts), parts)),
+                tolerances.hermiticity_gap)
         ref_vals = _spectra(ref)
         seed_positive = float(ref_vals[0]) >= tolerances.positivity_floor
         spectrum = on("spectrum")
@@ -238,7 +241,7 @@ def _checks(traj: Trajectory, enabled: dict | None, residual_tol_scale: float) -
             if dressed and diags.spectrum is not None:
                 eigs = diags.spectrum
             else:
-                eigs = _per_sample(states, dim, _spectra)
+                eigs = _per_sample(states, dim, lambda S: _spectra(S, blocks_of(S, parts)))
         if spectrum:
             add("spectrum", np.max(np.abs(eigs - ref_vals), axis=-1),
                 tolerances.spectral_match)

@@ -86,8 +86,7 @@ class Flow:
     block.  ``blocks(times, parts)`` evaluates the states as the
     ``(len(times), B, b, b)`` stack of their blocks on ``parts``, a
     partition no finer than ``partition`` (its default); ``stack`` is its
-    one whole block, and the residual's stencil ring is the only caller of
-    a finer one.  A subclass implements ``blocks``, or only ``stack`` and
+    one whole block.  A subclass implements ``blocks``, or only ``stack`` and
     is one whole block.  Calling the flow with one time is the one-point
     case of the same code.  ``support_size`` is the size of the block a
     point is dressed on, which sizes the stacks (``time_blocks``); None
@@ -99,8 +98,9 @@ class Flow:
     A flow may transform the states of another (``symmetry_transforms``).
     ``root`` is the flow beneath every transform; its blocks at
     ``source_times(times)``, passed through ``finish(times, blocks, parts)``,
-    are this flow's blocks at ``times``.  For a flow that transforms nothing
-    ``root`` is the flow itself and both maps are the identity.
+    are this flow's blocks at ``times``, and ``finish_off_blocks`` gives
+    what the entries off the blocks become.  For a flow that transforms
+    nothing ``root`` is the flow itself and the maps are the identity.
     """
 
     spec: ModelSpec
@@ -116,6 +116,11 @@ class Flow:
 
     def finish(self, times, blocks: np.ndarray, parts: np.ndarray) -> np.ndarray:
         return blocks
+
+    def finish_off_blocks(self, times, values: np.ndarray) -> np.ndarray:
+        """What ``finish`` makes of the entries off the blocks of
+        ``partition``, which hold ``values`` at the times (one per time)."""
+        return values
 
     def blocks(self, times, parts: np.ndarray | None = None) -> np.ndarray:
         if parts is not None and len(parts) != 1:

@@ -725,6 +725,123 @@ def test_eig_pair_residual_gate():
         eig_pair_general(M, tolerances=Tolerances(eig_pair_residual=1e-30))
 
 
+# ---------------------------------------------------------------------------
+# the null vector on the root's block
+
+def _whole_elimination(B):
+    # the null vector by full-pivot elimination of the whole matrix, one
+    # matrix at a time: the reference the block elimination must keep
+    n = B.shape[0]
+    U = np.array(B, dtype=complex)
+    colperm = np.arange(n)
+    scale = max(1.0, float(np.abs(U).max()))
+    rank = 0
+    for step in range(n):
+        sub = np.abs(U[step:, step:])
+        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        if sub[i, j] <= 1e-12 * scale:
+            break
+        U[[step, step + i], :] = U[[step + i, step], :]
+        U[:, [step, step + j]] = U[:, [step + j, step]]
+        colperm[[step, step + j]] = colperm[[step + j, step]]
+        factors = U[step + 1:, step] / U[step, step]
+        U[step + 1:, :] -= np.outer(factors, U[step, :])
+        rank += 1
+    x = np.zeros(n, dtype=complex)
+    x[rank] = 1.0
+    for r in range(rank - 1, -1, -1):
+        x[r] = -(U[r, r + 1:] @ x[r + 1:]) / U[r, r]
+    v = np.zeros(n, dtype=complex)
+    v[colperm] = x
+    return canonical_phase(v)
+
+
+def _block_diagonal(blocks, order):
+    # the matrix with ``blocks`` on the index sets of ``order`` cut in parts
+    size, count = blocks.shape[-1], len(blocks)
+    M = np.zeros((size * count, size * count), dtype=complex)
+    for part, block in zip(order.reshape(count, size), blocks):
+        M[np.ix_(part, part)] = block
+    return M
+
+
+def _reference_pair(M, left):
+    # the root eig_pair_general selects and the whole elimination's vector
+    M = M.T if left else M
+    z = select_root(np.linalg.eigvals(M), None)
+    return z, _whole_elimination(M - z * np.eye(len(M)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_a_block_pencil_keeps_the_whole_elimination_on_its_root_block(size):
+    # random block-diagonal pencils, some with their indices shuffled: the
+    # vector's nonzero entries are bit for bit those of the whole matrix's
+    # elimination, and every other entry is +0.0
+    rng = np.random.default_rng(40 + size)
+    on_block = 0
+    for trial in range(60):
+        count = int(rng.integers(2, min(16, DIM_CAP // size) + 1))
+        blocks = (rng.standard_normal((count, size, size))
+                  + 1j * rng.standard_normal((count, size, size)))
+        order = rng.permutation(count * size) if trial % 2 else np.arange(count * size)
+        M = _block_diagonal(blocks, order)
+        for left in (False, True):
+            z, v = (eig_pair_left if left else eig_pair_general)(M)
+            z_ref, w = _reference_pair(M, left)
+            zeros = w == 0
+            assert z == z_ref
+            assert v[~zeros].tobytes() == w[~zeros].tobytes()
+            assert not v[zeros].view(float).any()
+            assert not np.signbit(v[zeros].view(float)).any()
+            on_block += zeros.sum() >= len(M) - size
+    assert on_block == 120
+
+
+@pytest.mark.parametrize("kind", ["dense", "unequal-parts", "one-block"])
+def test_a_pencil_without_equal_parts_keeps_the_whole_elimination(kind):
+    # bit for bit in full, the signs of its zeros included
+    rng = np.random.default_rng({"dense": 1, "unequal-parts": 2, "one-block": 3}[kind])
+    for _ in range(40):
+        if kind == "dense":
+            M = _random_complex_matrix(rng, int(rng.integers(1, 13)))
+        elif kind == "unequal-parts":
+            M = np.zeros((5, 5), dtype=complex)
+            M[:2, :2] = _random_complex_matrix(rng, 2)
+            M[2:, 2:] = _random_complex_matrix(rng, 3)
+        else:
+            M = np.kron(np.eye(1), _random_complex_matrix(rng, 3))
+        for left in (False, True):
+            _, v = (eig_pair_left if left else eig_pair_general)(M)
+            assert v.tobytes() == _reference_pair(M, left)[1].tobytes()
+
+
+def test_a_root_two_blocks_hold_keeps_the_whole_elimination():
+    # the pencil of two equal Delta blocks has each root twice: the whole
+    # elimination puts phi0 on indices 2-3, where the first singular block
+    # would have put it on 0-1, a different dressing
+    from vndarboux import build_lax, make_delta_commuting_seed
+    seed = make_delta_commuting_seed([(0.5, 0.2), (0.5, 0.2)], a=0.8)
+    mu, nu, lam = 0.3 + 0.8j, 0.5 - 1.1j, 0.1 + 2.0j
+    lax = build_lax(seed, mu, nu, lam)
+    for param, vector, left in ((mu, lax.phi0, False), (nu, lax.chi0, True),
+                                (lam, lax.psi0, True)):
+        _, w = _reference_pair(seed.rho0 - param * seed.spec.A, left)
+        assert vector.tobytes() == w.tobytes()
+    assert np.flatnonzero(lax.phi0).tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("values, singular", [
+    ([5.0, 2.0, 2.0], [0]),        # one singular 1 x 1 block at z = 5
+    ([2.0, 2.0, 1.0], [0, 1]),     # z = 2 is held twice: the whole elimination
+])
+def test_diagonal_pencils_take_their_root_block(values, singular):
+    z, v = eig_pair_general(np.diag(values))
+    w = _reference_pair(np.diag(values), False)[1]
+    assert z == max(values)
+    assert v.tobytes() == w.tobytes() if len(singular) > 1 else (
+        np.flatnonzero(v).tolist() == singular and v[singular[0]] == 1.0)
+
+
 def test_canonical_phase_first_component_real_positive():
     v = canonical_phase(np.array([-1j, 1.0]))
     assert v[0].imag == pytest.approx(0.0, abs=1e-15)
