@@ -99,7 +99,8 @@ def coupling(dim: int, operators, parts=()) -> np.ndarray:
     ``parts`` coupled within itself and each index with itself."""
     coupled = np.eye(dim, dtype=bool)
     for M in operators:
-        coupled |= (M != 0) | (M.T != 0)
+        nonzero = M != 0
+        coupled |= nonzero | nonzero.T
     for part in parts:
         coupled[np.ix_(part, part)] = True
     return coupled
@@ -124,6 +125,10 @@ def partition(coupled: np.ndarray) -> np.ndarray:
     the components differ in size.  Operators that couple nothing across
     the parts act on a stack of states as one ``(N, B, b, b)`` stack of
     their diagonal blocks."""
+    if coupled[0].all():
+        # index 0 coupled with every index: one component, a dense pattern
+        # among others, known without labelling the components
+        return np.arange(len(coupled))[None]
     label = components(coupled)
     sizes = np.bincount(label)
     sizes = sizes[sizes > 0]

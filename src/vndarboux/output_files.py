@@ -1,30 +1,102 @@
 """The files a run writes, as text: ``trajectory.csv`` and the
-``scenario.lock.json`` layout, each written through one atomic rename.
+``scenario.lock.json`` layout, each installed under its name by one atomic
+name change.
 
 ``scenario_cli.write_outputs`` writes a result's three files with them.
+
+``atomic_write`` writes a file in full under a temporary name first.  Onto
+a regular file it then swaps the two names in one step (renameat2's
+``RENAME_EXCHANGE``, on glibc) and unlinks the old file; in every other
+case, or when the swap fails, it renames with ``os.replace``.  Either way
+a reader sees the whole old file or the whole new one.  Nothing is
+fsynced: on ext4, ``os.replace`` onto an existing file starts writing the
+new one to disk, and the next run's replacement waits for that write; the
+swap starts none.  So a crash soon after a run may leave an output empty,
+as a first run into a fresh ``--out`` always could.  Every output can be
+made again by rerunning the config or replaying the lock.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
+import stat
 
 import numpy as np
 
 from .operator_core import groups
 
+# glibc, as libc_function opened it, or None on another C library; ... until
+# the first call
+_glibc = ...
+
+
+def libc_function(name: str, *argtypes):
+    """glibc's function ``name`` through ``ctypes``, declared to take
+    ``argtypes`` and return a C int, or None: on another C library (musl,
+    macOS), on Windows, or when glibc has no such function.  The C library
+    is opened once per process."""
+    global _glibc
+    if _glibc is ...:
+        try:
+            libc = ctypes.CDLL(None)  # TypeError on Windows
+            libc.gnu_get_libc_version  # glibc only
+        except (OSError, AttributeError, TypeError):
+            libc = None
+        _glibc = libc
+    function = getattr(_glibc, name, None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, ctypes.c_int
+    return function
+
+
+# renameat2(2): a path relative to the working directory, and the flag that
+# swaps the two names
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2
+
+
+def _exchanged(tmp: str, path: str) -> bool:
+    # whether the names tmp and path were swapped in one step; only onto a
+    # regular file: a missing target, a directory or a symlink is left to
+    # os.replace, as is a C library without renameat2 or a failed call
+    # (EINVAL on a filesystem without the flag, ENOSYS)
+    renameat2 = libc_function("renameat2", ctypes.c_int, ctypes.c_char_p,
+                              ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    if renameat2 is None:
+        return False
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # missing, or below a path that is not a directory
+        return False
+    return regular and renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD,
+                                 os.fsencode(path), _RENAME_EXCHANGE) == 0
+
 
 def atomic_write(path: str, chunks):
     """Write the strings of ``chunks`` in turn to a temporary file in the
-    directory of ``path``, then rename it to ``path``."""
+    directory of ``path``, then install it as ``path`` by one name change.
+
+    When ``path`` is a regular file the two names are swapped
+    (``_exchanged``) and the temporary name, which then holds the old file,
+    is unlinked; otherwise, or when the swap fails, the temporary file is
+    renamed onto ``path`` by ``os.replace``, with its errors.  A reader of
+    ``path`` sees the whole old file or the whole new one, never a part or
+    nothing, and no temporary file is left.  Nothing is fsynced, so a crash
+    soon after the write may leave ``path`` empty, as it may after a first
+    write to a fresh name (see the module docstring).
+    """
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     # mode 0o666 lets the umask decide, as for a file made by open()
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        if _exchanged(tmp, path):
+            os.unlink(tmp)
+        else:
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

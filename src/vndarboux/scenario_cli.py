@@ -50,8 +50,8 @@ from .lax_engine import (build_lax, eigenvalue_multiplicity, identity_pair,
                          pinned)
 from .operator_core import frob, select_root
 # read_trajectory_csv is imported for the CLI's callers, who read a run's CSV
-from .output_files import (atomic_write, lock_text, read_trajectory_csv,
-                           write_trajectory_csv)
+from .output_files import (atomic_write, libc_function, lock_text,
+                           read_trajectory_csv, write_trajectory_csv)
 from .seed_factory import (SeedSolution, make_anticommuting_seed,
                            make_commuting_seed, make_delta_commuting_seed)
 from .symmetry_transforms import RescaledFlow, ShiftedFlow
@@ -569,13 +569,9 @@ def _keep_freed_memory():
     if _freed_memory_kept:
         return
     _freed_memory_kept = True
-    try:
-        libc = ctypes.CDLL(None)  # TypeError on Windows
-        libc.gnu_get_libc_version  # glibc only
-        mallopt = libc.mallopt
-    except (OSError, AttributeError, TypeError):
+    mallopt = libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is None:
         return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 

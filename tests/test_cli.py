@@ -86,6 +86,23 @@ def test_lock_replay_is_bitwise(tmp_path, name):
         assert (out1 / filename).read_bytes() == (out2 / filename).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(os.path.splitext(name)[0]
+                                         for name in os.listdir(CONFIGS)
+                                         if name.endswith(".json")))
+def test_a_rerun_into_the_same_out_is_a_fresh_run(tmp_path, name):
+    # the second run replaces each of the first run's files (by the exchange
+    # of the two names, where the C library and the filesystem have it)
+    config = os.path.join(CONFIGS, f"{name}.json")
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    assert run(config, str(fresh)) == 0
+    for _ in range(2):
+        assert run(config, str(rerun)) == 0
+    for filename in ("trajectory.csv", "report.json", "scenario.lock.json"):
+        assert (rerun / filename).read_bytes() == (fresh / filename).read_bytes()
+    assert sorted(p.name for p in rerun.iterdir()) == [
+        "report.json", "scenario.lock.json", "trajectory.csv"]
+
+
 def _assert_lock_is_the_stdlib_text(cfg, out):
     # the lock file is json's indent=2 text of the lock, byte for byte
     result = scenario_cli.execute_scenario(cfg)
@@ -879,14 +896,19 @@ def test_numbers_must_be_real_and_finite(tmp_path, capsys, base, path, value,
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
 def test_output_files_follow_the_umask(tmp_path, umask):
-    old = os.umask(umask)
+    # "twice" is written first under another umask, then again into the
+    # same --out: the rewritten files take the later umask
+    old = os.umask(0)
     try:
+        assert run(_write(tmp_path, REFERENCE), str(tmp_path / "twice")) == 0
+        os.umask(umask)
         assert run(_write(tmp_path, REFERENCE), str(tmp_path / "out")) == 0
+        assert run(_write(tmp_path, REFERENCE), str(tmp_path / "twice")) == 0
         assert sweep(_write(tmp_path, REFERENCE), "mu", [1j],
                      str(tmp_path / "sweep")) == 0
     finally:
         os.umask(old)
-    written = [tmp_path / "out" / name for name in
+    written = [tmp_path / out / name for out in ("out", "twice") for name in
                ("trajectory.csv", "report.json", "scenario.lock.json")]
     written.append(tmp_path / "sweep" / "summary.csv")
     for path in written:

@@ -18,7 +18,8 @@ import pytest
 
 import vndarboux
 from test_support import D12_BLOCKS, _rotated_delta_seed
-from vndarboux import build_lax, dressed_trajectory, operator_core, scenario_cli
+from vndarboux import (build_lax, dressed_trajectory, operator_core, output_files,
+                       scenario_cli)
 from vndarboux.darboux_engine import DressedFlow
 from vndarboux.verification import _covariance_gaps, _per_sample, _spectra
 from vndarboux.vne_model import residuals
@@ -44,14 +45,20 @@ def _attempt_once():
     assert (status, message) == ("ok", None)
 
 
-def test_allocator_policy_is_applied_once_per_process(monkeypatch):
+def test_allocator_policy_is_applied_once_per_process(monkeypatch, tmp_path):
     libc = _Libc()
     opened = []
     monkeypatch.setattr(scenario_cli, "_freed_memory_kept", False)
+    monkeypatch.setattr(output_files, "_glibc", ...)
     monkeypatch.setattr(scenario_cli.ctypes, "CDLL",
                         lambda name: opened.append(name) or libc)
     _attempt_once()
     _attempt_once()
+    # the writer looks renameat2 up in the same library, opened once; this
+    # one has none, so the rewrite falls back to os.replace
+    for text in ("old", "new"):
+        output_files.atomic_write(str(tmp_path / "file"), [text])
+    assert (tmp_path / "file").read_text() == "new"
     assert opened == [None]
     # the mmap threshold and the trim threshold, both set
     assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
@@ -68,6 +75,7 @@ def test_allocator_policy_without_mallopt_is_a_silent_no_op(monkeypatch, libc):
         return libc
 
     monkeypatch.setattr(scenario_cli, "_freed_memory_kept", False)
+    monkeypatch.setattr(output_files, "_glibc", ...)
     monkeypatch.setattr(scenario_cli.ctypes, "CDLL", open_library)
     _attempt_once()
     assert isinstance(libc, Exception) or libc.calls == []
