@@ -9,11 +9,14 @@ a regular file it then swaps the two names in one step (renameat2's
 ``RENAME_EXCHANGE``, on glibc) and unlinks the old file; in every other
 case, or when the swap fails, it renames with ``os.replace``.  Either way
 a reader sees the whole old file or the whole new one.  Nothing is
-fsynced: on ext4, ``os.replace`` onto an existing file starts writing the
-new one to disk, and the next run's replacement waits for that write; the
-swap starts none.  So a crash soon after a run may leave an output empty,
-as a first run into a fresh ``--out`` always could.  Every output can be
-made again by rerunning the config or replaying the lock.
+fsynced.  On ext4 (``auto_da_alloc``, the default), ``os.replace`` onto
+an existing file gives the new file its disk blocks and starts writing it,
+and freeing those blocks is most of what the next replacement costs; a
+swapped-in file gets blocks only when the kernel writes it back (after
+30 s by default), so a rerun before then frees none.  So a crash soon
+after a run may leave an output empty, as a first run into a fresh
+``--out`` always could.  Every output can be made again by rerunning the
+config or replaying the lock.
 """
 
 from __future__ import annotations
@@ -62,16 +65,16 @@ def _exchanged(tmp: str, path: str) -> bool:
     # regular file: a missing target, a directory or a symlink is left to
     # os.replace, as is a C library without renameat2 or a failed call
     # (EINVAL on a filesystem without the flag, ENOSYS)
-    renameat2 = libc_function("renameat2", ctypes.c_int, ctypes.c_char_p,
-                              ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
-    if renameat2 is None:
-        return False
     try:
-        regular = stat.S_ISREG(os.lstat(path).st_mode)
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return False
     except OSError:  # missing, or below a path that is not a directory
         return False
-    return regular and renameat2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD,
-                                 os.fsencode(path), _RENAME_EXCHANGE) == 0
+    renameat2 = libc_function("renameat2", ctypes.c_int, ctypes.c_char_p,
+                              ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    return renameat2 is not None and renameat2(
+        _AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path),
+        _RENAME_EXCHANGE) == 0
 
 
 def atomic_write(path: str, chunks):
