@@ -591,7 +591,9 @@ def _eliminate(U: np.ndarray, scale: float):
     # in place.  The pivot is the first largest |entry| of what is left, in
     # row-major order, and a matrix stops at a pivot within _PIVOT_RTOL *
     # scale.  Returns each matrix's column order, its pivots' magnitudes,
-    # its rank and whether some pivot was tied with another entry as large
+    # its rank and whether some pivot was tied with another entry as large.
+    # The one elimination: a whole pencil is a stack of one, a block-diagonal
+    # one the stack of its blocks (``_root_block_vector``)
     count, m = U.shape[:2]
     index = np.arange(count)
     columns = np.tile(np.arange(m), (count, 1))
@@ -621,41 +623,16 @@ def _eliminate(U: np.ndarray, scale: float):
     return columns, tops, rank, tied
 
 
-def _null_vector(B: np.ndarray) -> np.ndarray | None:
-    # Deterministic null vector by full-pivot Gaussian elimination of the
-    # whole matrix, the one-matrix case of ``_eliminate`` without its
-    # bookkeeping; the first free (permuted) coordinate is set to 1 and
-    # pivots back-substituted.  None when B has full rank
-    n = B.shape[0]
-    U = np.array(B, dtype=complex)
-    colperm = np.arange(n)
-    scale = max(1.0, float(np.abs(U).max()))
-    rank = 0
-    for step in range(n):
-        sub = np.abs(U[step:, step:])
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i, j] <= _PIVOT_RTOL * scale:
-            break
-        U[[step, step + i], :] = U[[step + i, step], :]
-        U[:, [step, step + j]] = U[:, [step + j, step]]
-        colperm[[step, step + j]] = colperm[[step + j, step]]
-        factors = U[step + 1:, step] / U[step, step]
-        U[step + 1:, :] -= np.outer(factors, U[step, :])
-        rank += 1
-    if rank == n:
-        return None
-    return _back_substituted(U, colperm, rank, np.arange(n), n)
-
-
 def _root_block_vector(B: np.ndarray, parts: np.ndarray) -> np.ndarray | None:
     # The null vector of a singular B that is block-diagonal on ``parts``,
     # eliminated on the one block that is singular, bit for bit in its
-    # entries what ``_null_vector`` gives B, and zero elsewhere.  That
-    # elimination takes each block's pivots in its own order, interleaved
-    # with the other blocks' by their size, and leaves its one free column
-    # last.  None when the whole elimination must decide: one part, no
-    # singular block or more than one, a block short of more than one
-    # pivot, or a tie that the whole matrix's row order would break
+    # entries what the elimination of the whole of B gives, and zero
+    # elsewhere.  That elimination takes each block's pivots in its own
+    # order, interleaved with the other blocks' by their size, and leaves
+    # its one free column last.  None when the whole elimination must
+    # decide: one part, no singular block or more than one, a block short
+    # of more than one pivot, or a tie that the whole matrix's row order
+    # would break
     if len(parts) == 1:
         return None
     n, m = B.shape[0], parts.shape[1]
@@ -736,13 +713,15 @@ def eig_pair_general(M, pin: complex | None = None,
     the root closest to ``pin`` when given; a pin that is not nearer that
     root than half its distance to the next distinct root raises ``FarPin``
     (a ``ValueError``).  The eigenvector is a deterministic null vector of
-    ``M - zI`` (full-pivot elimination) with its first significant component
-    made real positive.  When M is block-diagonal on equal parts
-    (``partition``) and one block is singular at z, one pivot short, only
-    that block is eliminated: the vector's entries there are bit for bit
-    the elimination of the whole matrix's, and every other entry is
-    ``+0.0``.  A dense M, parts of different sizes, a root that more than
-    one block holds, and pivots tied in size keep the whole elimination.
+    ``M - zI``, its full-pivot elimination (``_eliminate`` on a stack of
+    one matrix) back-substituted with the first free coordinate set to 1,
+    and its first significant component made real positive.  When M is
+    block-diagonal on equal parts (``partition``) and one block is singular
+    at z, one pivot short, only that block is eliminated: the vector's
+    entries there are bit for bit the elimination of the whole matrix's,
+    and every other entry is ``+0.0``.  A dense M, parts of different
+    sizes, a root that more than one block holds, and pivots tied in size
+    keep the whole elimination.
 
     Raises
     ------
@@ -762,11 +741,12 @@ def eig_pair_general(M, pin: complex | None = None,
         # its zeros +0.0, whatever sign the phase gives them
         v = canonical_phase(v) + 0.0
     else:
-        v = _null_vector(B)
-        if v is None:
+        # the whole matrix, eliminated in place as a stack of one
+        columns, _, rank, _ = _eliminate(B[None], max(1.0, float(np.abs(B).max())))
+        if rank[0] == n:
             raise DefectiveEigenproblem(
                 f"no null direction found for eigenvalue z = {z}")
-        v = canonical_phase(v)
+        v = canonical_phase(_back_substituted(B, columns[0], rank[0], np.arange(n), n))
     residual = float(np.linalg.norm(M @ v - z * v))
     if residual > tolerances.eig_pair_residual * max(frob(M), 1e-30):
         raise DefectiveEigenproblem(

@@ -7,7 +7,11 @@ and matrices nested row arrays of such pairs.  ``run`` writes
   scalar diagnostics (17 significant digits, bit-exact round trip);
 * ``report.json``      the verification report;
 * ``scenario.lock.json``  the fully resolved config (selected eigenvalues,
-  seed matrices); feeding it back to ``run`` reproduces the CSV bitwise.
+  seed matrices); feeding it back to ``run`` reproduces the exit code and
+  all three files bitwise.
+
+A scenario's gates are the defaults of ``Tolerances`` with the config's
+``tolerances`` overrides, which the lock embeds; nothing else sets them.
 
 ``output_files`` renders and writes the CSV and the lock.
 
@@ -178,7 +182,8 @@ class Scenario:
     ``config`` is the normalized JSON that ``scenario.lock.json`` embeds;
     ``seed_args`` are the keyword arguments of the family's seed factory;
     ``nu`` is None for ``nu = conj(mu)``; ``pins`` maps ``z_*_pin`` to the
-    pinned eigenvalues; ``shift_x`` is None unless a general X is given.
+    pinned eigenvalues; ``shift_x`` is None unless a general X is given;
+    ``tolerances`` are the defaults with the config's overrides.
     """
 
     config: dict
@@ -371,10 +376,8 @@ def _walk(data) -> tuple[dict, Scenario | None, list[str]]:
     if errs:
         return cfg, None, errs
     grid.setflags(write=False)
-    tolerances = DEFAULT
-    if cfg.get("tolerances"):
-        tolerances = DEFAULT.replaced(
-            **{k: float(v) for k, v in cfg["tolerances"].items()})
+    tolerances = dataclasses.replace(
+        DEFAULT, **{k: float(v) for k, v in cfg.get("tolerances", {}).items()})
     return cfg, Scenario(
         config=cfg, family=family, seed_args=seed_args, A=A, mu=mu, nu=nu,
         lam=lam, pins=pins, times=grid, order=order, shift_lambda=shift_lambda,
@@ -434,7 +437,7 @@ def _untransformed(seed: SeedSolution, s: Scenario) -> tuple:
     return mu, nu, lam, pins
 
 
-def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
+def execute(scenario: Scenario) -> ScenarioResult:
     """Seed, Lax solution, dressing, symmetries and checks of one scenario.
 
     The dressing is shifted, then rescaled, in either order: under
@@ -444,11 +447,10 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
     roots.
     """
     s = scenario
-    tolerances = s.tolerances if tol_scale == 1.0 else s.tolerances.scaled(tol_scale)
     seed = s.build_seed()
     before = s.order == "before"
     mu, nu, lam, pins = _untransformed(seed, s) if before else (s.mu, s.nu, s.lam, s.pins)
-    lax = build_lax(seed, mu, nu, lam, tolerances=tolerances, **pins)
+    lax = build_lax(seed, mu, nu, lam, tolerances=s.tolerances, **pins)
     params = lax.params
     flow = DressedFlow(lax)
 
@@ -456,7 +458,7 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
     if s.shift_x is not None or s.shift_lambda != 0.0:
         X = (s.shift_x if s.shift_x is not None
              else float(s.shift_lambda) * np.eye(seed.dim, dtype=complex))
-        flow = ShiftedFlow(flow, X, tolerances=tolerances)
+        flow = ShiftedFlow(flow, X, tolerances=s.tolerances)
         size = frob(X) if s.shift_x is not None else abs(s.shift_lambda)
         residual_scale = (1.0 + size) * max(1.0, frob(seed.spec.A) ** seed.spec.n)
     if s.rescale_y != 1.0:
@@ -499,8 +501,8 @@ def execute(scenario: Scenario, tol_scale: float = 1.0) -> ScenarioResult:
     return ScenarioResult(trajectory=traj, report=report, lock=lock)
 
 
-def execute_scenario(cfg: dict, tol_scale: float = 1.0) -> ScenarioResult:
-    return execute(read_scenario(cfg), tol_scale)
+def execute_scenario(cfg: dict) -> ScenarioResult:
+    return execute(read_scenario(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +578,14 @@ def _keep_freed_memory():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 
 
-def _attempt(scenario: Scenario, tol_scale: float):
+def _attempt(scenario: Scenario):
     """Run one scenario: ``(result or None, outcome, message)``.
 
     The message is None when every check passed.
     """
     _keep_freed_memory()
     try:
-        result = execute(scenario, tol_scale=tol_scale)
+        result = execute(scenario)
     except (ValueError, DarbouxError, ArithmeticError) as exc:
         status, prefix = next((status, prefix) for types, status, prefix in _FAILURES
                               if isinstance(exc, types))
@@ -598,9 +600,13 @@ def _attempt(scenario: Scenario, tol_scale: float):
     return result, "ok", None
 
 
-def _out_is_file(out_dir: str) -> bool:
-    # checked before any work: a file at --out, or at the first of its
-    # ancestors that exists, would fail only when the outputs are written
+def _out_cannot_be_made(out_dir: str) -> bool:
+    # checked before any work: an empty --out, or a file at --out or at the
+    # first of its ancestors that exists, would fail only when the outputs
+    # are written
+    if not out_dir:
+        print("--out: must be a non-empty path", file=sys.stderr)
+        return True
     path = out_dir
     while path and not os.path.lexists(path) and os.path.dirname(path) != path:
         path = os.path.dirname(path)
@@ -610,16 +616,15 @@ def _out_is_file(out_dir: str) -> bool:
     return False
 
 
-def run(config_path: str, out_dir: str, tol_scale: float = 1.0,
-        seed_dump: bool = False) -> int:
-    if _out_is_file(out_dir):
+def run(config_path: str, out_dir: str, *, seed_dump: bool = False) -> int:
+    if _out_cannot_be_made(out_dir):
         return _EXIT_CODES["config_error"]
     cfg, errors = _load_config(config_path)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         return _EXIT_CODES["config_error"]
-    result, status, message = _attempt(read_scenario(cfg), tol_scale)
+    result, status, message = _attempt(read_scenario(cfg))
     if result is not None:
         if seed_dump:
             # the lock's matrices, bit for bit
@@ -647,8 +652,8 @@ def _sweep_row(index: int, param: str, value_repr: str, out_dir: str,
 
 
 def _run_sweep_point(args: tuple) -> dict:
-    scenario, out_dir, tol_scale, param, value_repr, index = args
-    result, status, message = _attempt(scenario, tol_scale)
+    scenario, out_dir, param, value_repr, index = args
+    result, status, message = _attempt(scenario)
     if result is None:
         print(f"{param}={value_repr}: {message}", file=sys.stderr)
         return _sweep_row(index, param, value_repr, out_dir, status)
@@ -657,8 +662,8 @@ def _run_sweep_point(args: tuple) -> dict:
 
 
 def sweep(config_path: str, param: str, values, out_dir: str,
-          jobs: int = 1, tol_scale: float = 1.0) -> int:
-    if _out_is_file(out_dir):
+          jobs: int = 1) -> int:
+    if _out_cannot_be_made(out_dir):
         return _EXIT_CODES["config_error"]
     cfg, errors = _load_config(config_path)
     if param not in ("mu", "t_max", "a"):
@@ -696,7 +701,7 @@ def sweep(config_path: str, param: str, values, out_dir: str,
             rows_by_index[idx] = _sweep_row(idx, param, value_repr, sub_dir,
                                             "config_error")
             continue
-        points.append((scenario, sub_dir, tol_scale, param, value_repr, idx))
+        points.append((scenario, sub_dir, param, value_repr, idx))
 
     workers = min(jobs, len(points))  # a pool starts all its workers at once
     if workers > 1:
@@ -755,8 +760,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run one scenario config")
     run_p.add_argument("config")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--tol-scale", type=float, default=1.0,
-                       help="global tolerance multiplier")
     run_p.add_argument("--seed-dump", action="store_true",
                        help="print the resolved seed matrices")
 
@@ -768,19 +771,16 @@ def main(argv=None) -> int:
                               "(e.g. '1j,2j,1+1j' or '-0.5+1j,1j')")
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--jobs", type=int, default=1)
-    sweep_p.add_argument("--tol-scale", type=float, default=1.0)
 
     args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     if args.command == "run":
-        return run(args.config, args.out, tol_scale=args.tol_scale,
-                   seed_dump=args.seed_dump)
+        return run(args.config, args.out, seed_dump=args.seed_dump)
     try:
         values = _parse_values(args.values, args.param)
     except ValueError as exc:
         print(f"--values: {exc}", file=sys.stderr)
         return _EXIT_CODES["config_error"]
-    return sweep(args.config, args.param, values, args.out,
-                 jobs=args.jobs, tol_scale=args.tol_scale)
+    return sweep(args.config, args.param, values, args.out, jobs=args.jobs)
 
 
 if __name__ == "__main__":

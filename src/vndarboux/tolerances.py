@@ -1,15 +1,14 @@
 """Centralized numerical tolerances.
 
-Every gate used by the library lives in one frozen record so a scenario can
-rescale or override them in a single place (the CLI exposes ``--tol-scale``).
-Gates are absolute numbers for desk-scale operators; checks that must survive
+Every gate used by the library lives in one frozen record.  A scenario sets
+a gate by name in its config's ``tolerances`` section, which its
+``scenario.lock.json`` embeds, so a replay runs under the same gates.  Gates
+are absolute numbers for desk-scale operators; checks that must survive
 large norms use them relative-guarded as ``tol * max(1, scale)``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 
@@ -39,26 +38,6 @@ class Tolerances:
     positivity_floor: float = -1e-10
     covariance: float = 1e-9
     time_equation: float = 1e-8
-
-    # singularity guards: a LARGER value is stricter, so they scale inversely
-    _FLOORS = ("overlap_floor", "f_floor")
-
-    def scaled(self, factor: float) -> "Tolerances":
-        """Uniformly loosen (factor > 1) or tighten (factor < 1) every gate.
-
-        A factor that is not a finite positive number raises ``ValueError``:
-        an infinite one would pass every check, a NaN one fail every check.
-        """
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValueError("tolerance scale must be a finite positive number")
-        updates = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            updates[f.name] = value / factor if f.name in self._FLOORS else value * factor
-        return Tolerances(**updates)
-
-    def replaced(self, **overrides: float) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT = Tolerances()

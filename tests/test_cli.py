@@ -12,8 +12,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vndarboux import (DefectiveEigenproblem, Tolerances, dressed_trajectory,
-                       lax_engine, scenario_cli)
+from vndarboux import (DefectiveEigenproblem, dressed_trajectory, lax_engine,
+                       scenario_cli)
 from vndarboux.darboux_engine import DressedFlow
 from vndarboux.lax_engine import LaxSolution
 from vndarboux.operator_core import NormalExp
@@ -384,7 +384,7 @@ def test_the_exit_code_table():
 def test_every_outcome_takes_its_code_and_status_from_the_table(
         tmp_path, capsys, monkeypatch, raised, cfg, status, prefix):
     if raised is not None:
-        def execute(scenario, tol_scale=1.0):
+        def execute(scenario):
             raise raised("planted")
         monkeypatch.setattr(scenario_cli, "execute", execute)
     config = _write(tmp_path, cfg)
@@ -678,36 +678,65 @@ def test_sweep_over_t_max(tmp_path):
     assert len(rows) == 3
 
 
-def test_tol_scale_flag(tmp_path):
-    # an absurdly tight global scale fails finite-difference-noise checks
-    assert run(_write(tmp_path, REFERENCE), str(tmp_path / "out"),
-               tol_scale=1e-30) == 1
-    # and an absurdly loose one passes even with an impossible override
-    cfg = json.loads(json.dumps(DELTA))
-    cfg["tolerances"] = {"time_equation": 1e-30}
-    assert run(_write(tmp_path, cfg, "loose.json"), str(tmp_path / "out2"),
-               tol_scale=1e30) == 0
+@pytest.mark.parametrize("gates, code, err", [
+    ({"spectral_match": 1e-30}, 1, "checks failed: spectrum\n"),
+    ({"spectral_match": 1e-3, "time_equation": 1e-2}, 0, ""),
+], ids=["tightened", "loosened"])
+def test_a_tolerance_override_replays_to_the_same_verdict(tmp_path, capsys,
+                                                          gates, code, err):
+    # a config's gates are its only gates: the lock embeds them, so its
+    # replay gives the run's exit code, stderr and three files
+    config = _write(tmp_path, {**DELTA, "tolerances": gates})
+    assert main(["run", config, "--out", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().err == err
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    tolerance = {c["name"]: c["tolerance"] for c in report["checks"]}
+    assert tolerance["spectrum"] == gates["spectral_match"]
+    # a sweep point's lock replays the same way
+    assert main(["sweep", config, "--param", "t_max", "--values", "1",
+                 "--out", str(tmp_path / "sweep")]) == code
+    assert capsys.readouterr().err == ""
+    (point,) = (tmp_path / "sweep").glob("t_max_*")
+    for name, ran in (("replay", tmp_path / "run"), ("point-replay", point)):
+        lock = str(ran / "scenario.lock.json")
+        assert main(["run", lock, "--out", str(tmp_path / name)]) == code
+        assert capsys.readouterr().err == err
+        for filename in ("trajectory.csv", "report.json", "scenario.lock.json"):
+            assert (tmp_path / name / filename).read_bytes() == \
+                (ran / filename).read_bytes(), (name, filename)
 
 
-@pytest.mark.parametrize("scale", ["inf", "1e400", "nan", "0", "-1"])
-def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
-    # an infinite scale would certify anything, a NaN one nothing
-    config = _write(tmp_path, DELTA)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_no_option_scales_the_tolerances(tmp_path, capsys, command):
+    extra = ["--param", "t_max", "--values", "1"] if command == "sweep" else []
     out = tmp_path / "out"
-    assert main(["run", config, "--out", str(out), "--tol-scale", scale]) == 2
-    assert capsys.readouterr().err == (
-        "config error: tolerance scale must be a finite positive number\n")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, _write(tmp_path, DELTA), *extra, "--out", str(out),
+              "--tol-scale", "1e30"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tol-scale 1e30" in capsys.readouterr().err
     assert not out.exists()
-    sweep_out = tmp_path / "sweep"
-    assert main(["sweep", config, "--param", "t_max", "--values", "1,2",
-                 "--out", str(sweep_out), "--tol-scale", scale]) == 1
-    rows = (sweep_out / "summary.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[3] for row in rows] == ["config_error"] * 2
+    if command == "run":
+        # seed_dump is keyword-only: an old positional scale is refused
+        with pytest.raises(TypeError):
+            run(_write(tmp_path, DELTA), str(out), 1e30)
+        assert not out.exists()
 
 
-def test_tolerances_reject_an_infinite_scale():
-    with pytest.raises(ValueError, match="finite positive"):
-        Tolerances().scaled(float("inf"))
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_empty_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch,
+                                                command):
+    # refused before the work: os.makedirs("") fails only once the outputs
+    # are written, and a sweep's points would land in the working directory
+    def execute(scenario):
+        raise AssertionError("a scenario ran")
+    monkeypatch.setattr(scenario_cli, "execute", execute)
+    monkeypatch.chdir(tmp_path)
+    config = _write(tmp_path, REFERENCE)
+    extra = ["--param", "mu", "--values", "1j,2j"] if command == "sweep" else []
+    assert main([command, config, *extra, "--out", ""]) == 2
+    assert capsys.readouterr().err == "--out: must be a non-empty path\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 # ---------------------------------------------------------------------------

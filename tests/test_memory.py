@@ -41,7 +41,7 @@ class _Libc:
 def _attempt_once():
     cfg, errors = scenario_cli._load_config(os.path.join(CONFIGS, "sigma_x_reference.json"))
     assert not errors
-    result, status, message = scenario_cli._attempt(scenario_cli.read_scenario(cfg), 1.0)
+    result, status, message = scenario_cli._attempt(scenario_cli.read_scenario(cfg))
     assert (status, message) == ("ok", None)
 
 

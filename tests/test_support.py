@@ -263,7 +263,7 @@ def test_overlap_floor_trips_at_the_same_sample():
     relative = (np.abs(np.sum(chi * phi, axis=-1))
                 / (np.linalg.norm(phi, axis=-1) * np.linalg.norm(chi, axis=-1)))
     for factor, singular in ((1 + 1e-9, True), (1 - 1e-9, False)):
-        tolerances = DEFAULT.replaced(overlap_floor=float(relative.max() * factor))
+        tolerances = dataclasses.replace(DEFAULT, overlap_floor=float(relative.max() * factor))
         lax_t = dataclasses.replace(lax, tolerances=tolerances)
         traj = dressed_trajectory(DressedFlow(lax_t), TIMES)
         assert traj.singular_t == (TIMES[0] if singular else None)
