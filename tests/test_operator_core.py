@@ -797,10 +797,15 @@ def test_a_block_pencil_keeps_the_whole_elimination_on_its_root_block(size):
     assert on_block == 120
 
 
-@pytest.mark.parametrize("kind", ["dense", "unequal-parts", "one-block"])
+@pytest.mark.parametrize("kind", ["dense", "unequal-parts", "one-block",
+                                  "tied-pivots", "rank-2-deficient"])
 def test_a_pencil_without_equal_parts_keeps_the_whole_elimination(kind):
-    # bit for bit in full, the signs of its zeros included
-    rng = np.random.default_rng({"dense": 1, "unequal-parts": 2, "one-block": 3}[kind])
+    # bit for bit in full, the signs of its zeros included: entries of equal
+    # size tie the pivot choice, and a twice-held root leaves two free
+    # columns, the first of which back-substitution sets to 1
+    kinds = ["dense", "unequal-parts", "one-block", "tied-pivots", "rank-2-deficient"]
+    rng = np.random.default_rng(1 + kinds.index(kind))
+    deficient = 0
     for _ in range(40):
         if kind == "dense":
             M = _random_complex_matrix(rng, int(rng.integers(1, 13)))
@@ -808,11 +813,23 @@ def test_a_pencil_without_equal_parts_keeps_the_whole_elimination(kind):
             M = np.zeros((5, 5), dtype=complex)
             M[:2, :2] = _random_complex_matrix(rng, 2)
             M[2:, 2:] = _random_complex_matrix(rng, 3)
-        else:
+        elif kind == "one-block":
             M = np.kron(np.eye(1), _random_complex_matrix(rng, 3))
+        elif kind == "tied-pivots":
+            n = int(rng.integers(2, 9))
+            M = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n)).astype(complex)
+        else:
+            n = int(rng.integers(3, 9))
+            roots = np.concatenate([[5.0, 5.0], rng.uniform(-3.0, 3.0, n - 2)])
+            M = _with_roots(rng, roots)
         for left in (False, True):
-            _, v = (eig_pair_left if left else eig_pair_general)(M)
+            z, v = (eig_pair_left if left else eig_pair_general)(M)
             assert v.tobytes() == _reference_pair(M, left)[1].tobytes()
+            B = (M.T if left else M) - z * np.eye(len(M))
+            deficient += np.linalg.matrix_rank(B, tol=1e-10 * max(1.0, frob(M))) \
+                <= len(M) - 2
+    if kind == "rank-2-deficient":
+        assert deficient == 80
 
 
 def test_a_root_two_blocks_hold_keeps_the_whole_elimination():
